@@ -25,8 +25,6 @@ from .exact import (
     RationalQ,
     exact_euler_number,
     exact_euler_poly,
-    ratq_arith,
-    ratq_eval,
     verify_identity,
 )
 from .kernel import (
@@ -35,22 +33,18 @@ from .kernel import (
     QParameter,
     SeriesValue,
     as_qparameter,
-    gen_binomial,
-    gen_binomial_log_deriv,
     log_gamma,
     q_bracket,
 )
 from .numeric import (
-    EulerTable,
     classical_euler_number,
     classical_euler_poly,
     euler_number,
     euler_poly,
     euler_poly_series_oracle,
-    euler_table,
 )
 from .verification import CheckResult, run_checks
-from .zeta import ZetaRequest, classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __version__ = "0.1.0"
 
@@ -60,7 +54,6 @@ __all__ = [
     "CurveSampleError",
     "DEFAULT_CONFIG",
     "EngineConfig",
-    "EulerTable",
     "IDENTITY_NAMES",
     "NonConvergenceError",
     "PoleError",
@@ -69,7 +62,6 @@ __all__ = [
     "QParameter",
     "RationalQ",
     "SeriesValue",
-    "ZetaRequest",
     "as_qparameter",
     "classical_euler_number",
     "classical_euler_poly",
@@ -81,18 +73,13 @@ __all__ = [
     "euler_poly",
     "euler_poly_continuation",
     "euler_poly_series_oracle",
-    "euler_table",
     "exact_euler_number",
     "exact_euler_poly",
-    "gen_binomial",
-    "gen_binomial_log_deriv",
     "log_gamma",
     "q_bracket",
     "qzeta",
     "qzeta_deriv",
     "qzeta_hurwitz",
-    "ratq_arith",
-    "ratq_eval",
     "run_checks",
     "verify_identity",
 ]

@@ -15,10 +15,10 @@ import sys
 from .continuation import curve_grid, euler_continuation, euler_continuation_deriv, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
 from .exact import exact_euler_number, exact_euler_poly
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_qparameter
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter
 from .numeric import euler_number, euler_poly
 from .verification import run_checks
-from .zeta import ZetaRequest, qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import qzeta, qzeta_deriv, qzeta_hurwitz
 
 __all__ = ["parse_complex", "main", "run"]
 
@@ -100,12 +100,6 @@ def _meta(args, cfg: EngineConfig) -> dict:
     }
 
 
-def _require_nonneg_int_flag(value: complex, name: str) -> int:
-    if value.imag != 0.0 or value.real < 0 or value.real != int(value.real):
-        raise ValueError(f"--{name} must be a nonnegative integer for --exact")
-    return int(value.real)
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -152,7 +146,9 @@ def _cmd_poly(args) -> int:
     cfg = _config_from_args(args)
     qp = as_qparameter(args.q)
     if args.exact:
-        x = _require_nonneg_int_flag(args.x, "x")
+        x = as_int(args.x)
+        if x is None or x < 0:
+            return _usage_error("--x must be a nonnegative integer for --exact")
         value = exact_euler_poly(args.n, x, args.h)
         if args.format == "json":
             print(json.dumps({**_meta(args, cfg), "n": args.n, "x": x, "h": args.h, "exact": str(value)}))
@@ -180,7 +176,7 @@ def _cmd_zeta(args) -> int:
         sv = qzeta_deriv(args.s, args.h, qp, x=args.x, config=cfg)
         kind = "zeta-derivative"
     elif args.x is not None:
-        sv = qzeta_hurwitz(ZetaRequest(args.s, args.x, args.h, qp, cfg))
+        sv = qzeta_hurwitz(args.s, args.x, args.h, qp, cfg)
         kind = "zeta-hurwitz"
     else:
         sv = qzeta(args.s, args.h, qp, cfg)

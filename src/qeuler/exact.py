@@ -18,8 +18,6 @@ from .errors import PoleError
 __all__ = [
     "PolyZ",
     "RationalQ",
-    "ratq_arith",
-    "ratq_eval",
     "exact_euler_number",
     "exact_euler_poly",
     "verify_identity",
@@ -351,24 +349,6 @@ class RationalQ:
 
 _RQ_ZERO = RationalQ(0)
 _RQ_TWO_Q = RationalQ(PolyZ.bracket(2))  # [2]_q = 1 + q
-
-
-def ratq_arith(a: RationalQ, b: RationalQ, op: str) -> RationalQ:
-    """Exact field arithmetic on RationalQ; op is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def ratq_eval(a: RationalQ, q0) -> complex:
-    """Evaluate a rational function at a complex point (Horner both sides)."""
-    return a.eval(complex(q0))
 
 
 # -- q-Euler closed forms -----------------------------------------------------

@@ -1,9 +1,9 @@
 """Scalar kernels shared by every evaluator in the package.
 
-Hosts the validated deformation parameter, the q-bracket, rising-factorial
-binomial coefficients, a complex log-Gamma, and the truncation contract
-used by all geometric-tail series.  Everything here is a pure function of
-its arguments; nothing keeps state.
+Hosts the validated deformation parameter, the one integer test every
+module uses, the q-bracket, a complex log-Gamma, and the truncation
+contract used by all geometric-tail series.  Everything here is a pure
+function of its arguments; nothing keeps state.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Iterable
 
 from .errors import NonConvergenceError, PoleError
 
@@ -20,11 +21,10 @@ __all__ = [
     "EngineConfig",
     "SeriesValue",
     "DEFAULT_CONFIG",
+    "as_int",
     "as_qparameter",
     "cpow",
     "q_bracket",
-    "gen_binomial",
-    "gen_binomial_log_deriv",
     "log_gamma",
     "sum_series_geometric",
 ]
@@ -102,14 +102,17 @@ class SeriesValue:
     converged: bool
 
 
-def _as_small_int(z: complex, bound: int = 4096):
-    """Return z as a Python int when it is exactly a small integer, else None."""
-    if z.imag != 0.0:
-        return None
-    r = z.real
-    if not math.isfinite(r) or r != int(r) or abs(r) > bound:
-        return None
-    return int(r)
+def as_int(z) -> int | None:
+    """Return z as an int when it is a finite real integer, else None.
+
+    Callers apply their own sign and size limits to the result.
+    """
+    if isinstance(z, int):
+        return z
+    z = complex(z)
+    if z.imag == 0.0 and z.real.is_integer():
+        return int(z.real)
+    return None
 
 
 def cpow(base: complex, exponent: complex) -> complex:
@@ -121,8 +124,8 @@ def cpow(base: complex, exponent: complex) -> complex:
     """
     base = complex(base)
     exponent = complex(exponent)
-    k = _as_small_int(exponent)
-    if k is not None:
+    k = as_int(exponent)
+    if k is not None and abs(k) <= 4096:
         if base == 0 and k < 0:
             raise PoleError("0 raised to a negative power")
         return base**k
@@ -141,50 +144,14 @@ def q_bracket(x, q) -> complex:
     principal branch.
     """
     qq = as_qparameter(q).q
-    xi = _as_small_int(complex(x), bound=256)
-    if xi is not None and xi >= 0:
+    xi = as_int(x)
+    if xi is not None and 0 <= xi <= 256:
         # Horner form of the finite geometric sum.
         acc = 0j
         for _ in range(xi):
             acc = 1.0 + qq * acc
         return acc
     return (1.0 - cpow(qq, x)) / (1.0 - qq)
-
-
-def gen_binomial(s, k: int) -> complex:
-    """Rising-factorial binomial Gamma(s+k) / (Gamma(s) k!).
-
-    Computed as the finite product prod_{j<k} (s+j)/(j+1), never as a Gamma
-    quotient, so a nonpositive-integer s with -s < k yields an exact zero
-    rather than pole arithmetic.
-    """
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    s = complex(s)
-    out = 1 + 0j
-    for j in range(k):
-        out *= (s + j) / (j + 1)
-        if out == 0:
-            return 0j
-    return out
-
-
-def gen_binomial_log_deriv(s, k: int) -> complex:
-    """Logarithmic derivative of gen_binomial in s: sum_{j<k} 1/(s+j).
-
-    Raises PoleError when some s+j vanishes; callers needing the derivative
-    at such points must use the product rule on the finite product instead.
-    """
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    s = complex(s)
-    acc = 0j
-    for j in range(k):
-        d = s + j
-        if d == 0:
-            raise PoleError(f"log-derivative pole at s = {s!r}, j = {j}")
-        acc += 1.0 / d
-    return acc
 
 
 def log_gamma(z) -> complex:
@@ -195,7 +162,7 @@ def log_gamma(z) -> complex:
     PoleError.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+    if z.real <= 0.0 and as_int(z) is not None:
         raise PoleError(f"log-Gamma pole at {z!r}")
     if z.real < 0.5:
         # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
@@ -209,30 +176,36 @@ def log_gamma(z) -> complex:
 
 
 def sum_series_geometric(
-    term_fn: Callable[[int], complex],
+    terms: Iterable[complex],
     ratio_mag: float,
     growth_mag: float,
     config: EngineConfig,
 ) -> SeriesValue:
-    """Accumulate term_fn(0), term_fn(1), ... under the shared truncation rule.
+    """Accumulate the terms t_0, t_1, ... under the shared truncation rule.
 
-    ``term_fn`` is called once per index, in order.  After adding term K the
-    tail is modelled as geometric with ratio rho = ratio_mag * (1 +
-    growth_mag / (K+1)); once rho < 1 and |t_K| * rho / (1-rho) <=
-    rel_tol * |partial sum|, the sum stops and that bound is reported.
-    Exhausting max_terms raises NonConvergenceError carrying the partial.
+    ``terms`` is consumed in order, at most max_terms of it.  After adding
+    term K the tail is modelled as geometric with ratio rho = ratio_mag * (1
+    + growth_mag / (K+1)); once rho < 1 and |t_K| * rho / (1-rho) <= rel_tol
+    * |partial sum|, the sum stops and that bound is reported.  A sum that
+    stops on a non-finite total, or that exhausts max_terms, raises
+    NonConvergenceError carrying the partial.
     """
     total = 0j
     last = 0j
-    for k in range(config.max_terms):
-        last = term_fn(k)
+    used = 0
+    for used, last in enumerate(islice(terms, config.max_terms), start=1):
         total += last
-        rho = ratio_mag * (1.0 + growth_mag / (k + 1))
+        rho = ratio_mag * (1.0 + growth_mag / used)
         if rho < 1.0:
             bound = abs(last) * rho / (1.0 - rho)
             if bound <= config.rel_tol * abs(total):
-                return SeriesValue(total, bound, k + 1, True)
+                if not cmath.isfinite(total):
+                    raise NonConvergenceError(
+                        f"series total is not finite: {total!r}",
+                        partial=SeriesValue(total, bound, used, False),
+                    )
+                return SeriesValue(total, bound, used, True)
     raise NonConvergenceError(
         f"series did not meet rel_tol={config.rel_tol} within {config.max_terms} terms",
-        partial=SeriesValue(total, abs(last), config.max_terms, False),
+        partial=SeriesValue(total, abs(last), used, False),
     )

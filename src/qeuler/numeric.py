@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from collections import OrderedDict
 from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
@@ -29,14 +29,13 @@ from .kernel import (
     EngineConfig,
     QParameter,
     SeriesValue,
+    as_int,
     as_qparameter,
     cpow,
     q_bracket,
 )
 
 __all__ = [
-    "EulerTable",
-    "euler_table",
     "euler_number",
     "euler_poly",
     "classical_euler_number",
@@ -47,17 +46,24 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 
 _LOCK = threading.Lock()
-_NUMBER_TABLES: dict[complex, list[complex]] = {}
-_SHIFT_COEFF_TABLES: dict[tuple[int, complex], list[complex]] = {}
+# Per-q tables, each holding at most _TABLES_MAX keys; the least recently
+# used key is dropped first, so a long-running process keeps bounded memory.
+_TABLES_MAX = 256
+_NUMBER_TABLES: OrderedDict[complex, list[complex]] = OrderedDict()
+_SHIFT_COEFF_TABLES: OrderedDict[tuple[int, complex], list[complex]] = OrderedDict()
 _CLASSICAL: list[Fraction] = [Fraction(1)]
 
 
-@dataclass(frozen=True)
-class EulerTable:
-    """Cached q-Euler numbers E_0 .. E_N for one parameter value."""
-
-    q: QParameter
-    values: tuple[complex, ...]
+def _table(tables: OrderedDict, key) -> list:
+    # The table for key, created empty on a miss; the caller holds _LOCK.
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = []
+        if len(tables) > _TABLES_MAX:
+            tables.popitem(last=False)
+    else:
+        tables.move_to_end(key)
+    return table
 
 
 def _numbers_up_to(n: int, qp: QParameter) -> list[complex]:
@@ -65,7 +71,7 @@ def _numbers_up_to(n: int, qp: QParameter) -> list[complex]:
     # reproducible; the lock keeps concurrent readers on a consistent prefix.
     key = qp.q
     with _LOCK:
-        table = _NUMBER_TABLES.setdefault(key, [])
+        table = _table(_NUMBER_TABLES, key)
         while len(table) <= n:
             m = len(table)
             if m == 0:
@@ -83,14 +89,6 @@ def _numbers_up_to(n: int, qp: QParameter) -> list[complex]:
         return table[: n + 1]
 
 
-def euler_table(n: int, q, config: EngineConfig | None = None) -> EulerTable:
-    """E_0 .. E_n for one q, from the defining recurrence."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    qp = as_qparameter(q)
-    return EulerTable(q=qp, values=tuple(_numbers_up_to(n, qp)))
-
-
 def euler_number(n: int, q) -> complex:
     """The n-th q-Euler number: E_0 = (1+q)/2 and
     E_n = -(1/(1+q^n)) sum_{l<n} C(n,l) q^l E_l."""
@@ -103,21 +101,10 @@ def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
     # E_l(0, h | q) for l = 0..n, exact terminating sums, cached per (h, q).
     key = (h, qp.q)
     with _LOCK:
-        table = _SHIFT_COEFF_TABLES.setdefault(key, [])
+        table = _table(_SHIFT_COEFF_TABLES, key)
         while len(table) <= n:
             table.append(terminating_alt_sum(len(table), h, qp.q, 0))
         return table[: n + 1]
-
-
-def _as_nonneg_int(x) -> int | None:
-    if isinstance(x, int):
-        return x if x >= 0 else None
-    z = complex(x)
-    if z.imag != 0.0 or not math.isfinite(z.real):
-        return None
-    if z.real != int(z.real) or z.real < 0:
-        return None
-    return int(z.real)
 
 
 def euler_poly(n: int, x, h: int, q) -> complex:
@@ -134,8 +121,8 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     if not isinstance(h, int) or h < 0:
         raise ValueError("h must be a nonnegative integer")
     qp = as_qparameter(q)
-    xi = _as_nonneg_int(x)
-    if xi is not None:
+    xi = as_int(x)
+    if xi is not None and xi >= 0:
         return terminating_alt_sum(n, h, qp.q, xi)
     coeffs = _shift_coefficients(n, h, qp)
     bx = q_bracket(x, qp)

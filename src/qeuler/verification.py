@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .continuation import euler_continuation, euler_continuation_deriv, euler_poly_continuation
-from .exact import exact_euler_number, ratq_eval, verify_identity
+from .exact import exact_euler_number, verify_identity
 from .kernel import DEFAULT_CONFIG, EngineConfig, as_qparameter
 from .numeric import (
     classical_euler_number,
@@ -22,7 +22,7 @@ from .numeric import (
     euler_poly,
     euler_poly_series_oracle,
 )
-from .zeta import ZetaRequest, classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __all__ = ["CheckResult", "run_checks", "LARGE_ORDER_NOTE"]
 
@@ -120,7 +120,7 @@ def _numeric_checks(q, max_n: int, max_k: int, config: EngineConfig) -> list[Che
         for n in range(min(max_n, 8) + 1):
             for x in range(4):
                 for h in range(3):
-                    sv = qzeta_hurwitz(ZetaRequest(-n, x, h, qp, config))
+                    sv = qzeta_hurwitz(-n, x, h, qp, config)
                     worst = max(worst, _rel_err(sv.value, euler_poly(n, x, h, qp)))
         return worst <= 1e-10, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
 

@@ -8,12 +8,15 @@ binomially re-expanded k-series
     plain:   [2]_q (1-q)^s sum_k gb(s,k) * (-q^(h+k) / (1 + q^(h+k)))
     Hurwitz: [2]_q (1-q)^s sum_k gb(s,k) *  q^(x k) / (1 + q^(h+k))
 
-with gb the rising-factorial binomial.  The k-series converges geometrically
-for every complex order s on the plain side, terminates at k = n when
-s = -n, and agrees with the iterated-averaging value of the defining sum;
-it is adopted here as the definition of the continuation.  Terminating
-orders are evaluated in exact complex-rational arithmetic (one rounding at
-the end), which keeps the interpolation property at machine precision.
+with gb(s,k) = Gamma(s+k) / (Gamma(s) k!) the rising-factorial binomial.
+One generator, _kseries_terms, yields the terms of both variants and of
+their order-derivatives, carrying gb, q^(h+k) and q^(xk) from one k to the
+next.  The k-series converges geometrically for every complex order s on
+the plain side, terminates at k = n when s = -n, and agrees with the
+iterated-averaging value of the defining sum; it is adopted here as the
+definition of the continuation.  Terminating orders are evaluated in exact
+complex-rational arithmetic (one rounding at the end), which keeps the
+interpolation property at machine precision.
 
 As the real order grows, the plain variant tends to -(1 + q): only the
 first alternating term survives.  The classically quoted limit -2 is the
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
@@ -33,56 +35,89 @@ from .errors import NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
-    QParameter,
     SeriesValue,
+    as_int,
     as_qparameter,
     cpow,
     sum_series_geometric,
 )
 
-__all__ = ["ZetaRequest", "qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
+__all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
 
-def _check_h(h) -> int:
+def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n):
+    """Yield the k-series terms t_0, t_1, ... of one variant.
+
+    qx is q^x for the Hurwitz variant and None for the plain one; log1mq is
+    log(1-q) for the order-derivative and None for the value; n >= 0 when
+    s = -n.  Each variant keeps the floating-point operation order of its
+    own formula, so equal inputs give equal bits whichever variant is asked.
+
+    The derivative multiplies each term by log(1-q) + sum_{j<k} 1/(s+j)
+    wherever gb(s,k) != 0.  At s = -n the terms beyond k = n have gb = 0 but
+    a nonzero derivative: exactly one product factor vanishes, so the
+    product rule leaves the product of the remaining factors over k!,
+    carried in dprod.  The derivative series does not terminate there, but
+    it converges geometrically like the others.
+    """
+    gb, harm, dprod = 1 + 0j, 0j, 0j
+    qhk, qxk = q**h, 1 + 0j
+    k = 0
+    while True:
+        denom = 1.0 + qhk
+        if denom == 0:
+            raise ArithmeticError("1 + q^(h+k) vanished")
+        if log1mq is None:
+            yield pref * gb * (-qhk / denom) if qx is None else pref * gb * qxk / denom
+        else:
+            c = -qhk / denom if qx is None else qxk / denom
+            if n is None or k <= n:
+                yield pref * c * gb * (log1mq + harm)
+                if n is None or k < n:
+                    harm = harm + 1.0 / (s + k)
+                else:
+                    # gb is about to become 0; seed the product-rule remainder
+                    # prod_{j<k+1, j != n} (s+j) / (k+1)! = (-1)^n / (n+1).
+                    dprod = complex((-1.0) ** n / (n + 1))
+            else:
+                yield pref * c * dprod
+                dprod = dprod * (k - n) / (k + 1)
+        gb = gb * (s + k) / (k + 1)
+        qhk = qhk * q
+        if qx is not None:
+            qxk = qxk * qx
+        k += 1
+
+
+def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> SeriesValue:
+    # Shared driver: validation, the exact path at terminating orders, and
+    # the summed k-series with its tail ratio.
     if not isinstance(h, int) or h < 0:
         raise ValueError("h must be a nonnegative integer")
-    return h
-
-
-def _nonpositive_int_order(s: complex) -> int | None:
-    """Return n >= 0 when s is exactly the nonpositive integer -n, else None."""
-    if s.imag != 0.0:
-        return None
-    r = s.real
-    if not math.isfinite(r) or r > 0 or r != int(r):
-        return None
-    return -int(r)
-
-
-@dataclass(frozen=True)
-class ZetaRequest:
-    """Arguments for the Hurwitz-type variant.
-
-    The shift x must satisfy Re(x) >= 0; the plain variant ignores x.
-    The parameter q is mandatory (the None default only keeps the field
-    order with the optional arguments).
-    """
-
-    s: complex
-    x: complex = 0j
-    h: int = 0
-    q: QParameter | None = None
-    config: EngineConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-
-    def __post_init__(self):
-        if self.q is None:
-            raise TypeError("ZetaRequest requires a deformation parameter q")
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "q", as_qparameter(self.q))
-        _check_h(self.h)
-        if self.x.real < 0:
+    qq = as_qparameter(q).q
+    cfg = config or DEFAULT_CONFIG
+    s = complex(s)
+    if x is not None:
+        x = complex(x)
+        if x.real < 0:
             raise ValueError("the Hurwitz variant needs Re(x) >= 0")
+    n = as_int(s)
+    n = -n if n is not None and n <= 0 else None
+    if n is not None and not deriv:
+        xi = None if x is None else as_int(x)
+        if x is None or xi is not None:
+            return SeriesValue(terminating_alt_sum(n, h, qq, xi), 0.0, n + 1, True)
+    pref = (1.0 + qq) * cpow(1.0 - qq, s)
+    log1mq = cmath.log(1.0 - qq) if deriv else None
+    ratio = abs(qq)
+    qx = None
+    if x is not None:
+        # For large k the Hurwitz terms shrink by |q^x| per step, which is
+        # the slower rate when Re(x) < 1.
+        qx = cpow(qq, x)
+        ratio = max(ratio, abs(qx))
+    terms = _kseries_terms(s, h, qq, qx, pref, log1mq, n)
+    return sum_series_geometric(terms, ratio, abs(s), cfg)
 
 
 def qzeta(s, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
@@ -92,33 +127,11 @@ def qzeta(s, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
     n-th q-Euler number exactly; at s = 0 it gives -[2]_q/2, which differs
     from the order-0 number by [2]_q (the dropped n = 0 series term).
     """
-    _check_h(h)
-    qp = as_qparameter(q)
-    cfg = config or DEFAULT_CONFIG
-    s = complex(s)
-    n = _nonpositive_int_order(s)
-    if n is not None:
-        return SeriesValue(terminating_alt_sum(n, h, qp.q, None), 0.0, n + 1, True)
-    qq = qp.q
-    pref = (1.0 + qq) * cpow(1.0 - qq, s)
-    state = {"gb": 1 + 0j, "qhk": qq**h}
-
-    def term(k: int) -> complex:
-        gb = state["gb"]
-        qhk = state["qhk"]
-        denom = 1.0 + qhk
-        if denom == 0:
-            raise ArithmeticError("1 + q^(h+k) vanished")
-        t = pref * gb * (-qhk / denom)
-        state["gb"] = gb * (s + k) / (k + 1)
-        state["qhk"] = qhk * qq
-        return t
-
-    return sum_series_geometric(term, abs(qq), abs(s), cfg)
+    return _kseries(s, None, h, q, config, deriv=False)
 
 
-def qzeta_hurwitz(req: ZetaRequest) -> SeriesValue:
-    """The Hurwitz-type variant at (s, x, h).
+def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
+    """The Hurwitz-type variant at (s, x, h); the shift needs Re(x) >= 0.
 
     At s = -n with integer x the series terminates at k = n and equals the
     q-Euler polynomial E_n(x, h | q); the terminating sum is evaluated on the
@@ -126,81 +139,18 @@ def qzeta_hurwitz(req: ZetaRequest) -> SeriesValue:
     underlying n = 0 term is singular) and the truncation contract reports
     non-convergence rather than a value.
     """
-    s, x, h, qp, cfg = req.s, req.x, req.h, req.q, req.config
-    n = _nonpositive_int_order(s)
-    if n is not None and x.imag == 0.0 and x.real >= 0 and x.real == int(x.real):
-        value = terminating_alt_sum(n, h, qp.q, int(x.real))
-        return SeriesValue(value, 0.0, n + 1, True)
-    qq = qp.q
-    pref = (1.0 + qq) * cpow(1.0 - qq, s)
-    qx = cpow(qq, x)
-    state = {"gb": 1 + 0j, "qhk": qq**h, "qxk": 1 + 0j}
-
-    def term(k: int) -> complex:
-        denom = 1.0 + state["qhk"]
-        if denom == 0:
-            raise ArithmeticError("1 + q^(h+k) vanished")
-        t = pref * state["gb"] * state["qxk"] / denom
-        state["gb"] = state["gb"] * (s + k) / (k + 1)
-        state["qhk"] = state["qhk"] * qq
-        state["qxk"] = state["qxk"] * qx
-        return t
-
-    return sum_series_geometric(term, abs(qq), abs(s), cfg)
+    return _kseries(s, x, h, q, config, deriv=False)
 
 
 def qzeta_deriv(s, h: int, q, x=None, config: EngineConfig | None = None) -> SeriesValue:
     """Order-derivative of the q-deformed zeta (plain, or Hurwitz when x given).
 
-    Each k-term of the series picks up the factor log(1-q) + sum_{j<k} 1/(s+j)
-    wherever gb(s,k) != 0.  At nonpositive-integer s the terms beyond the
-    vanishing point have gb = 0 but a nonzero derivative: exactly one product
-    factor vanishes, so the product rule leaves the product of the remaining
-    factors over k!, maintained incrementally below.  The derivative series
-    does not terminate, but it converges geometrically like the others.
+    Each term of the value's k-series picks up the factor log(1-q) +
+    sum_{j<k} 1/(s+j), with the product rule taking over at nonpositive
+    integer s (see _kseries_terms).  The derivative series is summed there
+    too: unlike the value's, it does not terminate.
     """
-    _check_h(h)
-    qp = as_qparameter(q)
-    cfg = config or DEFAULT_CONFIG
-    s = complex(s)
-    qq = qp.q
-    pref = (1.0 + qq) * cpow(1.0 - qq, s)
-    log1mq = cmath.log(1.0 - qq)
-    n = _nonpositive_int_order(s)
-    qx = cpow(qq, complex(x)) if x is not None else None
-    state = {"gb": 1 + 0j, "harm": 0j, "qhk": qq**h, "qxk": 1 + 0j, "dprod": 0j}
-
-    def factor(k: int) -> complex:
-        denom = 1.0 + state["qhk"]
-        if denom == 0:
-            raise ArithmeticError("1 + q^(h+k) vanished")
-        if qx is None:
-            return -state["qhk"] / denom
-        return state["qxk"] / denom
-
-    def advance(k: int) -> None:
-        state["qhk"] = state["qhk"] * qq
-        if qx is not None:
-            state["qxk"] = state["qxk"] * qx
-
-    def term(k: int) -> complex:
-        c = factor(k)
-        if n is None or k <= n:
-            t = pref * c * state["gb"] * (log1mq + state["harm"])
-            if n is None or k < n:
-                state["harm"] = state["harm"] + 1.0 / (s + k)
-            state["gb"] = state["gb"] * (s + k) / (k + 1)
-            if n is not None and k == n:
-                # gb just became 0; seed the product-rule remainder
-                # prod_{j<k+1, j != n} (s+j) / (k+1)! = (-1)^n / (n+1).
-                state["dprod"] = complex((-1.0) ** n / (n + 1))
-        else:
-            t = pref * c * state["dprod"]
-            state["dprod"] = state["dprod"] * (k - n) / (k + 1)
-        advance(k)
-        return t
-
-    return sum_series_geometric(term, abs(qq), abs(s), cfg)
+    return _kseries(s, x, h, q, config, deriv=True)
 
 
 # -- classical alternating zeta -------------------------------------------------
@@ -270,8 +220,9 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
         if xv.real == 0.0 and s.real > 0:
             raise ValueError("x = 0 with Re(s) > 0 makes the n = 0 term singular")
 
-    if s.imag == 0.0 and s.real <= 0 and s.real == int(s.real):
-        n = -int(s.real)
+    n = as_int(s)
+    if n is not None and n <= 0:
+        n = -n
         if xv is None:
             exact = -2 * _alternating_poly_sum_exact(n, Fraction(1))
         else:

@@ -68,6 +68,11 @@ class TestPoly:
         code, _ = run_cli(capsys, ["poly", "--q", "0.5", "--n", "2", "--x", "0.5", "--exact"])
         assert code == 2
 
+    def test_exact_rejects_infinite_shift(self, capsys):
+        code = main(["poly", "--q", "0.5", "--n", "2", "--x", "1e999", "--exact"])
+        assert code == 2
+        assert "nonnegative integer" in capsys.readouterr().err
+
     def test_csv_round_trip(self, capsys):
         code, out = run_cli(
             capsys,
@@ -102,6 +107,11 @@ class TestZeta:
         )
         assert code == 0
         assert json.loads(out)["kind"] == "zeta-derivative"
+
+    def test_deriv_rejects_negative_shift(self, capsys):
+        code, out = run_cli(capsys, ["zeta", "--q", "0.5", "--s", "2.5", "--x", "-0.5", "--deriv"])
+        assert code == 2
+        assert "inf" not in out
 
     def test_non_convergence_exit(self, capsys):
         code, _ = run_cli(

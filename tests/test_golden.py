@@ -1,0 +1,139 @@
+"""Pinned outputs: the README command-line examples, a curve JSON request and
+the float bits of the k-series evaluators at seeded non-integer orders.
+
+Refactors of the k-series driver, the integer test or the CLI must leave
+every byte of these unchanged.  A correctness fix that changes one on
+purpose rewrites the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which outputs moved, and why, in CHANGES.md.
+"""
+
+import cmath
+import contextlib
+import hashlib
+import io
+import json
+import math
+import pathlib
+import random
+import re
+import shlex
+
+import pytest
+
+import qeuler
+from qeuler.cli import main
+
+HERE = pathlib.Path(__file__).parent
+GOLDEN_CLI = HERE / "golden" / "cli.json"
+GOLDEN_ZETA = HERE / "golden" / "zeta_hex.json"
+README = HERE.parent / "README.md"
+
+# Extra requests beyond the README: the curve JSON schema, and a curve CSV
+# small enough to keep in full.
+EXTRA_COMMANDS = (
+    "qeuler curve --q 0.5 --s-range 2:3:0.25 --w-range -0.5:0.5:0.25 --format json",
+    "qeuler curve --q 0.3+0.4i --s-range 0.5:2.5:0.5 --w-range -1:1:0.5",
+)
+# Outputs longer than this are pinned by their SHA-256 digest.
+MAX_INLINE = 4096
+
+
+def readme_commands() -> list[str]:
+    """The `qeuler ...` lines of README.md, without comments or redirection."""
+    out = []
+    for line in README.read_text().splitlines():
+        if line.startswith("qeuler "):
+            out.append(re.sub(r"\s*(#.*|>\s*\S+)$", "", line).strip())
+    return out
+
+
+def run_command(command: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(shlex.split(command)[1:])
+    return rc, buf.getvalue()
+
+
+def pin(rc: int, stdout: str) -> dict:
+    if len(stdout) > MAX_INLINE:
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        return {"rc": rc, "sha256": digest, "lines": stdout.count("\n")}
+    return {"rc": rc, "stdout": stdout}
+
+
+def zeta_inputs() -> list[tuple]:
+    """Thirty seeded (s, x, h, q): non-integer complex orders, real x >= 1
+    (so |q^x| <= |q|), h <= 2 and q over the disk |q| <= 0.9."""
+    rng = random.Random(20080801)
+    cases = []
+    while len(cases) < 30:
+        s = complex(rng.uniform(-8.0, 8.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+        if s.imag == 0.0 and s.real == round(s.real):
+            continue
+        r = rng.uniform(0.05, 0.9)
+        q = complex(r, 0.0) if rng.random() < 0.4 else r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        cases.append((s, rng.uniform(1.0, 3.0), rng.randrange(3), q))
+    return cases
+
+
+def _bits(fn) -> list:
+    try:
+        sv = fn()
+    except qeuler.QEulerError as exc:
+        return [type(exc).__name__]
+    return [sv.value.real.hex(), sv.value.imag.hex(), sv.error_bound.hex(), sv.terms_used, sv.converged]
+
+
+def zeta_record(s, x, h, q) -> dict:
+    return {
+        "qzeta": _bits(lambda: qeuler.qzeta(s, h, q)),
+        "qzeta_deriv": _bits(lambda: qeuler.qzeta_deriv(s, h, q)),
+        "qzeta_deriv_x": _bits(lambda: qeuler.qzeta_deriv(s, h, q, x=x)),
+        "qzeta_hurwitz": _bits(lambda: qeuler.qzeta_hurwitz(s, x, h, q)),
+    }
+
+
+def _load(path: pathlib.Path) -> dict:
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", readme_commands() + list(EXTRA_COMMANDS))
+def test_cli_output_unchanged(command):
+    golden = _load(GOLDEN_CLI)
+    assert command in golden, f"no pinned output for {command!r}"
+    assert pin(*run_command(command)) == golden[command]
+
+
+def test_readme_examples_all_pinned():
+    assert len(readme_commands()) == 10
+    assert set(readme_commands()) <= set(_load(GOLDEN_CLI))
+
+
+def test_zeta_bits_unchanged():
+    golden = _load(GOLDEN_ZETA)
+    cases = zeta_inputs()
+    assert len(golden) == len(cases)
+    for (s, x, h, q), want in zip(cases, golden):
+        assert want["args"] == [s.real.hex(), s.imag.hex(), x.hex(), h, q.real.hex(), q.imag.hex()]
+        assert zeta_record(s, x, h, q) == want["out"], (s, x, h, q)
+
+
+def write_golden() -> None:
+    GOLDEN_CLI.parent.mkdir(exist_ok=True)
+    cli = {c: pin(*run_command(c)) for c in readme_commands() + list(EXTRA_COMMANDS)}
+    GOLDEN_CLI.write_text(json.dumps(cli, indent=1) + "\n")
+    zeta = [
+        {
+            "args": [s.real.hex(), s.imag.hex(), x.hex(), h, q.real.hex(), q.imag.hex()],
+            "out": zeta_record(s, x, h, q),
+        }
+        for s, x, h, q in zeta_inputs()
+    ]
+    GOLDEN_ZETA.write_text(json.dumps(zeta, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

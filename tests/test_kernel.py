@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -7,13 +8,11 @@ import pytest
 from qeuler import (
     EngineConfig,
     QParameter,
-    gen_binomial,
-    gen_binomial_log_deriv,
     log_gamma,
     q_bracket,
 )
 from qeuler.errors import NonConvergenceError, PoleError
-from qeuler.kernel import DEFAULT_CONFIG, sum_series_geometric
+from qeuler.kernel import DEFAULT_CONFIG, as_int, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 
@@ -78,46 +77,14 @@ class TestQBracket:
                 assert rel_err(lhs, rhs) <= 1e-13
 
 
-class TestGenBinomial:
-    def test_k_zero_is_one(self):
-        for s in (0, 3.7, -2, 1 + 2j):
-            assert gen_binomial(s, 0) == 1
+class TestAsInt:
+    @pytest.mark.parametrize("z,expect", [(3, 3), (-2, -2), (4.0, 4), (-0.0, 0), (5 + 0j, 5), (2**60, 2**60)])
+    def test_integers(self, z, expect):
+        assert as_int(z) == expect
 
-    def test_hand_value(self):
-        assert gen_binomial(3, 2) == pytest.approx(6.0)
-
-    def test_exact_zero_at_nonpositive_integers(self):
-        assert gen_binomial(-2, 3) == 0
-        assert gen_binomial(-5.0, 7) == 0
-        assert gen_binomial(0, 1) == 0
-
-    def test_recurrence(self):
-        rng = random.Random(1301)
-        for _ in range(100):
-            s = complex(rng.uniform(-10, 10), rng.uniform(-5, 5))
-            for k in range(0, 51, 5):
-                lhs = gen_binomial(s, k + 1) * (k + 1)
-                rhs = gen_binomial(s, k) * (s + k)
-                assert rel_err(lhs, rhs) <= 1e-14 or abs(rhs) < 1e-280
-
-    def test_alternating_binomials_at_negative_integers(self):
-        for n in range(13):
-            for k in range(n + 1):
-                v = gen_binomial(-n, k)
-                assert round(v.real) == (-1) ** k * math.comb(n, k)
-                assert abs(v.imag) == 0.0
-
-
-class TestGenBinomialLogDeriv:
-    def test_empty_sum(self):
-        assert gen_binomial_log_deriv(2.3 + 1j, 0) == 0
-
-    def test_hand_value(self):
-        assert gen_binomial_log_deriv(1, 2) == pytest.approx(1.5)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            gen_binomial_log_deriv(-1, 3)
+    @pytest.mark.parametrize("z", [0.5, 1 + 1e-12j, 3j, math.inf, -math.inf, math.nan, complex(math.inf, 0)])
+    def test_non_integers(self, z):
+        assert as_int(z) is None
 
 
 class TestLogGamma:
@@ -161,7 +128,7 @@ class TestLogGamma:
 
 class TestSeriesEngine:
     def test_geometric_sum(self):
-        sv = sum_series_geometric(lambda k: 0.5**k, 0.5, 0.0, DEFAULT_CONFIG)
+        sv = sum_series_geometric((0.5**k for k in itertools.count()), 0.5, 0.0, DEFAULT_CONFIG)
         assert sv.converged
         assert sv.value == pytest.approx(2.0, rel=1e-12)
         assert sv.error_bound <= DEFAULT_CONFIG.rel_tol * abs(sv.value)
@@ -169,8 +136,16 @@ class TestSeriesEngine:
     def test_non_convergence_raises_with_partial(self):
         cfg = EngineConfig(max_terms=32)
         with pytest.raises(NonConvergenceError) as info:
-            sum_series_geometric(lambda k: 1.0, 0.999999, 0.0, cfg)
+            sum_series_geometric(itertools.repeat(1.0), 0.999999, 0.0, cfg)
         partial = info.value.partial
         assert partial is not None
         assert not partial.converged
         assert partial.terms_used == 32
+
+    def test_non_finite_total_raises(self):
+        # an infinite total meets bound <= rel_tol * |total| for any finite
+        # bound; it must not be reported as converged
+        terms = itertools.chain([math.inf], itertools.repeat(1.0))
+        with pytest.raises(NonConvergenceError) as info:
+            sum_series_geometric(terms, 0.5, 0.0, DEFAULT_CONFIG)
+        assert not info.value.partial.converged

@@ -13,7 +13,6 @@ from qeuler import (
     euler_number,
     euler_poly,
     euler_poly_series_oracle,
-    euler_table,
     q_bracket,
 )
 from qeuler.errors import NonConvergenceError
@@ -43,16 +42,14 @@ class TestEulerNumbers:
 
     def test_table_invariants(self):
         for qv in Q_SET:
-            table = euler_table(10, qv)
-            q = table.q.q
-            assert table.values[0] == (1 + q) / 2
+            values = [euler_number(n, qv) for n in range(11)]
+            q = complex(qv)
+            assert values[0] == (1 + q) / 2
             # re-substitute each value into the recurrence
             for n in range(1, 11):
-                acc = sum(
-                    math.comb(n, l) * q**l * table.values[l] for l in range(n)
-                )
-                resid = table.values[n] + acc / (1 + q**n)
-                assert abs(resid) <= 1e-13 * max(1.0, abs(table.values[n]))
+                acc = sum(math.comb(n, l) * q**l * values[l] for l in range(n))
+                resid = values[n] + acc / (1 + q**n)
+                assert abs(resid) <= 1e-13 * max(1.0, abs(values[n]))
 
     def test_classical_limit(self):
         for n in range(7):
@@ -77,6 +74,30 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+
+class TestTableBound:
+    def test_distinct_q_stay_bounded_and_pooled_q_stays_cached(self):
+        # 2,000 distinct q, with one pooled q read again between them: the
+        # tables keep at most the bound, and the pooled q keeps its table
+        from qeuler import numeric
+
+        pooled = QParameter(0.61)
+        euler_number(4, pooled)
+        euler_poly(4, 0.5, 1, pooled)
+        number_table = numeric._NUMBER_TABLES[pooled.q]
+        shift_table = numeric._SHIFT_COEFF_TABLES[(1, pooled.q)]
+        for i in range(2000):
+            qp = QParameter(0.3 + 1e-4 * (i + 1))
+            euler_number(2, qp)
+            euler_poly(0, 0.5, 1, qp)
+            if i % 50 == 0:
+                assert euler_number(4, pooled) == number_table[4]
+                euler_poly(4, 0.5, 1, pooled)
+        assert len(numeric._NUMBER_TABLES) <= numeric._TABLES_MAX
+        assert len(numeric._SHIFT_COEFF_TABLES) <= numeric._TABLES_MAX
+        assert numeric._NUMBER_TABLES[pooled.q] is number_table
+        assert numeric._SHIFT_COEFF_TABLES[(1, pooled.q)] is shift_table
 
 
 class TestClassical:

@@ -6,7 +6,6 @@ import pytest
 from qeuler import (
     EngineConfig,
     QParameter,
-    ZetaRequest,
     classical_euler_number,
     classical_euler_poly,
     classical_zeta_E,
@@ -97,9 +96,9 @@ class TestPlainZeta:
 class TestHurwitzZeta:
     def test_terminating_examples(self):
         qp = QParameter(0.5)
-        sv = qzeta_hurwitz(ZetaRequest(-2, 0, 0, qp))
+        sv = qzeta_hurwitz(-2, 0, 0, qp)
         assert sv.value == pytest.approx(-0.2)
-        sv = qzeta_hurwitz(ZetaRequest(0, 0, 0, qp))
+        sv = qzeta_hurwitz(0, 0, 0, qp)
         assert sv.value == pytest.approx(0.75)
         assert sv.terms_used == 1
 
@@ -109,49 +108,94 @@ class TestHurwitzZeta:
             for n in range(9):
                 for x in range(4):
                     for h in range(3):
-                        sv = qzeta_hurwitz(ZetaRequest(-n, x, h, qp))
+                        sv = qzeta_hurwitz(-n, x, h, qp)
                         assert sv.terms_used <= n + 1
                         assert rel_err(sv.value, euler_poly(n, x, h, qp)) <= 1e-10
 
     def test_matches_exact_engine(self):
         # the terminating values agree with the symbolic engine evaluated at q
-        from qeuler import exact_euler_poly, ratq_eval
+        from qeuler import exact_euler_poly
 
         for qv in (0.5, 0.9, 0.3 + 0.4j):
             qp = QParameter(qv)
             for n in range(7):
                 for x in range(4):
                     for h in range(3):
-                        sv = qzeta_hurwitz(ZetaRequest(-n, x, h, qp))
-                        ref = ratq_eval(exact_euler_poly(n, x, h), qv)
+                        sv = qzeta_hurwitz(-n, x, h, qp)
+                        ref = exact_euler_poly(n, x, h).eval(complex(qv))
                         assert rel_err(sv.value, ref) <= 1e-10
 
     def test_plain_equals_hurwitz_at_zero_shift_for_negative_orders(self):
         qp = QParameter(0.5)
         for n in range(1, 11):
             a = qzeta(-n, 0, qp).value
-            b = qzeta_hurwitz(ZetaRequest(-n, 0, 0, qp)).value
+            b = qzeta_hurwitz(-n, 0, 0, qp).value
             assert a == b
 
     def test_plain_and_hurwitz_differ_by_two_q_at_zero(self):
         qp = QParameter(0.5)
         a = qzeta(0, 0, qp).value
-        b = qzeta_hurwitz(ZetaRequest(0, 0, 0, qp)).value
+        b = qzeta_hurwitz(0, 0, 0, qp).value
         assert b - a == pytest.approx(1.5)
 
     def test_convergent_positive_shift(self):
         qp = QParameter(0.5)
-        sv = qzeta_hurwitz(ZetaRequest(2.5, 2.0, 0, qp))
+        sv = qzeta_hurwitz(2.5, 2.0, 0, qp)
         assert sv.converged
 
     def test_zero_shift_positive_order_diverges(self):
         qp = QParameter(0.5)
         with pytest.raises(NonConvergenceError):
-            qzeta_hurwitz(ZetaRequest(2.5, 0, 0, qp, EngineConfig(max_terms=64)))
+            qzeta_hurwitz(2.5, 0, 0, qp, EngineConfig(max_terms=64))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
-            ZetaRequest(1, -0.5, 0, QParameter(0.5))
+            qzeta_hurwitz(1, -0.5, 0, QParameter(0.5))
+        with pytest.raises(ValueError):
+            qzeta_deriv(2.5, 0, QParameter(0.5), x=-0.5)
+
+    def test_non_integer_shift_at_negative_integer_order(self):
+        # at s = -n the rising-factorial binomials are (-1)^k C(n, k) and
+        # vanish beyond k = n, so the series stops after one zero term
+        qp = QParameter(0.5)
+        q, x, n = 0.5, 0.75, 4
+        ref = (1 + q) * (1 - q) ** -n * sum(
+            (-1) ** k * math.comb(n, k) * q ** (x * k) / (1 + q**k) for k in range(n + 1)
+        )
+        sv = qzeta_hurwitz(-n, x, 0, qp)
+        assert sv.terms_used == n + 2 and sv.error_bound == 0.0
+        assert rel_err(sv.value, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "s,x,h,q",
+        [
+            (2.5, 0.2, 0, 0.9),
+            (0.5, 0.05, 0, 0.9),
+            (1.5, 0.1, 0, 0.5),
+            (-1.5, 0.2, 1, 0.9),
+            (1.5 + 2j, 0.3, 0, 0.5 + 0.5j),
+        ],
+    )
+    def test_slow_shift_tail_within_bound(self, s, x, h, q):
+        # with 0 < Re x < 1 the terms shrink by |q^x| > |q| per step; the
+        # error against the same k-series summed in 40 digits must stay
+        # within the reported bound
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ms, mx, mq = mp.mpc(s), mp.mpc(x), mp.mpc(q)
+            qx = mp.power(mq, mx)
+            gb, qhk, qxk, total = mp.mpc(1), mp.power(mq, h), mp.mpc(1), mp.mpc(0)
+            k = 0
+            while True:
+                t = gb * qxk / (1 + qhk)
+                total += t
+                if k > abs(s) + 10 and abs(t) < mp.mpf(10) ** -22 * abs(total):
+                    break
+                gb, qhk, qxk, k = gb * (ms + k) / (k + 1), qhk * mq, qxk * qx, k + 1
+            ref = complex((1 + mq) * mp.power(1 - mq, ms) * total)
+        sv = qzeta_hurwitz(s, x, h, QParameter(q))
+        assert sv.converged
+        assert abs(sv.value - ref) <= sv.error_bound
 
 
 class TestZetaDerivative:
@@ -189,8 +233,8 @@ class TestZetaDerivative:
         s = 1.5
         d = qzeta_deriv(s, 0, qp, x=2.0).value
         fd = (
-            qzeta_hurwitz(ZetaRequest(s + h, 2.0, 0, qp)).value
-            - qzeta_hurwitz(ZetaRequest(s - h, 2.0, 0, qp)).value
+            qzeta_hurwitz(s + h, 2.0, 0, qp).value
+            - qzeta_hurwitz(s - h, 2.0, 0, qp).value
         ) / (2 * h)
         assert rel_err(d, fd) <= 1e-6
 
