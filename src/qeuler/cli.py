@@ -3,6 +3,9 @@
 Subcommands: numbers, poly, zeta, continue, curve, verify.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 numerical
 non-convergence.
+
+Each subcommand builds its text lines and a list of rows (dicts), and one
+emitter writes them as text, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import re
 import sys
 
-from .continuation import curve_grid, euler_continuation, euler_continuation_deriv, euler_poly_continuation
+from .continuation import curve_grid, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
 from .exact import exact_euler_number, exact_euler_poly
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter
@@ -26,6 +29,9 @@ _FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(f"^({_FLOAT})$")
 _RE_IMAG = re.compile(f"^({_FLOAT})i$")
 _RE_BOTH = re.compile(rf"^({_FLOAT})([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i$")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+# CSV field templates by value type (an int or a bool prints as str() does).
+_CSV_FIELD = {float: "{%d:.17g}", str: '"{%d}"'}
 
 
 def parse_complex(text: str) -> complex:
@@ -44,16 +50,25 @@ def parse_complex(text: str) -> complex:
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"range must be min:max:step, got {text!r}")
+    # Only splits the fields; inclusive_range checks their values.
     try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from None
-    if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"range must run upward with positive step: {text!r}")
+        lo, hi, step = map(float, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"range must be min:max:step, got {text!r}") from None
     return lo, hi, step
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    # "--w -0.3" becomes "--w=-0.3", so that argparse reads a value that
+    # begins with a minus sign as the value of the option before it.  No
+    # option name starts with a digit, so nothing else is joined.
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _fmt_complex(z: complex, sig: int = 10) -> str:
@@ -63,190 +78,119 @@ def _fmt_complex(z: complex, sig: int = 10) -> str:
     return f"{z.real:.{sig}g}{op}{abs(z.imag):.{sig}g}i"
 
 
-def _series_payload(sv: SeriesValue) -> dict:
-    return {
-        "re": sv.value.real,
-        "im": sv.value.imag,
-        "error_bound": sv.error_bound,
-        "terms_used": sv.terms_used,
-        "converged": sv.converged,
-    }
+def _emit(fmt: str, meta: dict, text: list[str], rows: list[dict], key=None, body=None) -> int:
+    """Write one result and return exit code 0.
 
-
-def _emit_series(sv: SeriesValue, fmt: str, meta: dict) -> None:
+    text is written as it is.  JSON is {**meta, **rows[0]} when key is None,
+    else {**meta, key: rows}, with body in place of rows where given; a
+    complex field x is written [re, im].  CSV is a header and one line per
+    row: a complex field x fills the columns x_re,x_im, floats are written
+    .17g and strings quoted.  The fields of the first row fix the columns.
+    """
     if fmt == "json":
-        print(json.dumps({**meta, **_series_payload(sv)}))
+        obj = {**meta, **rows[0]} if key is None else {**meta, key: rows if body is None else body}
+        text = [json.dumps(obj, default=lambda z: [z.real, z.imag])]
     elif fmt == "csv":
-        print("re,im,error_bound,terms_used,converged")
-        print(
-            f"{sv.value.real:.17g},{sv.value.imag:.17g},{sv.error_bound:.17g},"
-            f"{sv.terms_used},{sv.converged}"
-        )
-    else:
-        print(f"value       = {_fmt_complex(sv.value, 15)}")
-        print(f"error_bound = {sv.error_bound:.3e}")
-        print(f"terms_used  = {sv.terms_used}")
-        print(f"converged   = {sv.converged}")
-
-
-def _config_from_args(args) -> EngineConfig:
-    return EngineConfig(rel_tol=args.tol, max_terms=args.max_terms)
-
-
-def _meta(args, cfg: EngineConfig) -> dict:
-    return {
-        "q": {"re": args.q.real, "im": args.q.imag},
-        "config": {"rel_tol": cfg.rel_tol, "max_terms": cfg.max_terms},
-    }
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _cmd_numbers(args) -> int:
-    cfg = _config_from_args(args)
-    qp = as_qparameter(args.q)
-    rows = list(range(args.n + 1))
-    if args.exact:
-        rendered = [str(exact_euler_number(n)) for n in rows]
-        if args.format == "json":
-            print(json.dumps({**_meta(args, cfg), "exact": dict(zip(map(str, rows), rendered))}))
-        elif args.format == "csv":
-            print("n,exact")
-            for n, s in zip(rows, rendered):
-                print(f'{n},"{s}"')
-        else:
-            for n, s in zip(rows, rendered):
-                print(f"E_{n} = {s}")
-        return 0
-    values = [euler_number(n, qp) for n in rows]
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    **_meta(args, cfg),
-                    "values": [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(rows, values)],
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("n,re,im")
-        for n, v in zip(rows, values):
-            print(f"{n},{v.real:.17g},{v.imag:.17g}")
-    else:
-        print(f"q-Euler numbers at q = {_fmt_complex(qp.q)}")
-        for n, v in zip(rows, values):
-            print(f"  E_{n} = {_fmt_complex(v)}")
+        names, fields = [], []
+        for i, (name, value) in enumerate(rows[0].items()):
+            if isinstance(value, complex):
+                names += [f"{name}_re", f"{name}_im"]
+                fields.append("{%d.real:.17g},{%d.imag:.17g}" % (i, i))
+            else:
+                names.append(name)
+                fields.append(_CSV_FIELD.get(type(value), "{%d}") % i)
+        line = ",".join(fields)
+        text = [",".join(names)] + [line.format(*row.values()) for row in rows]
+    print("\n".join(text))
     return 0
 
 
-def _cmd_poly(args) -> int:
-    cfg = _config_from_args(args)
-    qp = as_qparameter(args.q)
+def _series(sv: SeriesValue) -> tuple[list[str], list[dict]]:
+    # Text lines and the one row of a zeta or continuation value.
+    text = [
+        f"value       = {_fmt_complex(sv.value, 15)}",
+        f"error_bound = {sv.error_bound:.3e}",
+        f"terms_used  = {sv.terms_used}",
+        f"converged   = {sv.converged}",
+    ]
+    row = {"re": sv.value.real, "im": sv.value.imag, "error_bound": sv.error_bound,
+           "terms_used": sv.terms_used, "converged": sv.converged}
+    return text, [row]
+
+
+def _cmd_numbers(args, cfg, qp, meta) -> int:
+    if args.n < 0:
+        raise ValueError("--n must be a nonnegative integer")
+    ns = range(args.n + 1)
+    if args.exact:
+        rendered = [str(exact_euler_number(n)) for n in ns]
+        text = [f"E_{n} = {r}" for n, r in zip(ns, rendered)]
+        rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
+        # The JSON maps each n, as a string, to its rendered value.
+        return _emit(args.format, meta, text, rows, "exact", dict(zip(map(str, ns), rendered)))
+    values = [euler_number(n, qp) for n in ns]
+    text = [f"q-Euler numbers at q = {_fmt_complex(qp.q)}"]
+    text += [f"  E_{n} = {_fmt_complex(v)}" for n, v in zip(ns, values)]
+    rows = [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(ns, values)]
+    return _emit(args.format, meta, text, rows, "values")
+
+
+def _cmd_poly(args, cfg, qp, meta) -> int:
     if args.exact:
         x = as_int(args.x)
         if x is None or x < 0:
-            return _usage_error("--x must be a nonnegative integer for --exact")
-        value = exact_euler_poly(args.n, x, args.h)
-        if args.format == "json":
-            print(json.dumps({**_meta(args, cfg), "n": args.n, "x": x, "h": args.h, "exact": str(value)}))
-        elif args.format == "csv":
-            print("n,x,h,exact")
-            print(f'{args.n},{x},{args.h},"{value}"')
-        else:
-            print(f"E_{args.n}({x}, {args.h} | q) = {value}")
-        return 0
+            raise ValueError("--x must be a nonnegative integer for --exact")
+        value = str(exact_euler_poly(args.n, x, args.h))
+        text = [f"E_{args.n}({x}, {args.h} | q) = {value}"]
+        return _emit(args.format, meta, text, [{"n": args.n, "x": x, "h": args.h, "exact": value}])
     v = euler_poly(args.n, args.x, args.h, qp)
-    if args.format == "json":
-        print(json.dumps({**_meta(args, cfg), "n": args.n, "x": [args.x.real, args.x.imag], "h": args.h, "re": v.real, "im": v.imag}))
-    elif args.format == "csv":
-        print("n,x_re,x_im,h,re,im")
-        print(f"{args.n},{args.x.real:.17g},{args.x.imag:.17g},{args.h},{v.real:.17g},{v.imag:.17g}")
-    else:
-        print(f"E_{args.n}({_fmt_complex(args.x)}, {args.h} | q) = {_fmt_complex(v)}")
-    return 0
+    text = [f"E_{args.n}({_fmt_complex(args.x)}, {args.h} | q) = {_fmt_complex(v)}"]
+    return _emit(args.format, meta, text, [{"n": args.n, "x": args.x, "h": args.h, "re": v.real, "im": v.imag}])
 
 
-def _cmd_zeta(args) -> int:
-    cfg = _config_from_args(args)
-    qp = as_qparameter(args.q)
+def _cmd_zeta(args, cfg, qp, meta) -> int:
     if args.deriv:
-        sv = qzeta_deriv(args.s, args.h, qp, x=args.x, config=cfg)
-        kind = "zeta-derivative"
+        sv, kind = qzeta_deriv(args.s, args.h, qp, x=args.x, config=cfg), "zeta-derivative"
     elif args.x is not None:
-        sv = qzeta_hurwitz(args.s, args.x, args.h, qp, cfg)
-        kind = "zeta-hurwitz"
+        sv, kind = qzeta_hurwitz(args.s, args.x, args.h, qp, cfg), "zeta-hurwitz"
     else:
-        sv = qzeta(args.s, args.h, qp, cfg)
-        kind = "zeta"
-    meta = {**_meta(args, cfg), "kind": kind, "s": [args.s.real, args.s.imag], "h": args.h}
+        sv, kind = qzeta(args.s, args.h, qp, cfg), "zeta"
+    meta = {**meta, "kind": kind, "s": args.s, "h": args.h}
     if args.x is not None:
-        meta["x"] = [args.x.real, args.x.imag]
-    _emit_series(sv, args.format, meta)
-    return 0
+        meta["x"] = args.x
+    return _emit(args.format, meta, *_series(sv))
 
 
-def _cmd_continue(args) -> int:
-    cfg = _config_from_args(args)
-    qp = as_qparameter(args.q)
+def _cmd_continue(args, cfg, qp, meta) -> int:
+    if args.s < 0:
+        raise ValueError("continue needs --s >= 0")
     if args.w is not None:
         if args.deriv:
-            return _usage_error("--deriv cannot be combined with --w")
+            raise ValueError("--deriv cannot be combined with --w")
         v = euler_poly_continuation(args.s, args.w, qp, cfg)
-        meta = {**_meta(args, cfg), "s": args.s, "w": [args.w.real, args.w.imag]}
-        if args.format == "json":
-            print(json.dumps({**meta, "re": v.real, "im": v.imag}))
-        elif args.format == "csv":
-            print("s,w_re,w_im,re,im")
-            print(f"{args.s:.17g},{args.w.real:.17g},{args.w.imag:.17g},{v.real:.17g},{v.imag:.17g}")
-        else:
-            print(f"E_q({args.s:g}, {_fmt_complex(args.w)}) = {_fmt_complex(v)}")
-        return 0
+        text = [f"E_q({args.s:g}, {_fmt_complex(args.w)}) = {_fmt_complex(v)}"]
+        return _emit(args.format, meta, text, [{"s": args.s, "w": args.w, "re": v.real, "im": v.imag}])
     if args.deriv:
         sv = qzeta_deriv(-args.s, 0, qp, config=cfg)
-        sv = SeriesValue(-sv.value, sv.error_bound, sv.terms_used, sv.converged)
-        kind = "continuation-derivative"
+        sv, kind = SeriesValue(-sv.value, sv.error_bound, sv.terms_used, sv.converged), "continuation-derivative"
     else:
-        sv = qzeta(-args.s, 0, qp, cfg)
-        kind = "continuation"
-    _emit_series(sv, args.format, {**_meta(args, cfg), "kind": kind, "s": args.s})
-    return 0
+        sv, kind = qzeta(-args.s, 0, qp, cfg), "continuation"
+    return _emit(args.format, {**meta, "kind": kind, "s": args.s}, *_series(sv))
 
 
-def _cmd_curve(args) -> int:
-    cfg = _config_from_args(args)
-    qp = as_qparameter(args.q)
-    fmt = args.format
-    s_lo, s_hi, s_step = args.s_range
-    w_lo, w_hi, w_step = args.w_range
-    grid = curve_grid(s_lo, s_hi, s_step, w_lo, w_hi, w_step, qp, cfg)
-    if fmt == "csv":
-        print("s,w,re,im")
-        for i, sv in enumerate(grid.s_values):
-            for j, wv in enumerate(grid.w_values):
-                z = grid.values[i][j]
-                print(f"{sv:.17g},{wv:.17g},{z.real:.17g},{z.imag:.17g}")
-    else:
-        samples = [
-            {"s": sv, "w": wv, "re": grid.values[i][j].real, "im": grid.values[i][j].imag}
-            for i, sv in enumerate(grid.s_values)
-            for j, wv in enumerate(grid.w_values)
-        ]
-        payload = {
-            "q": {"re": qp.q.real, "im": qp.q.imag},
-            "config": grid.metadata,
-            "samples": samples,
-        }
-        print(json.dumps(payload))
-    return 0
+def _cmd_curve(args, cfg, qp, meta) -> int:
+    grid = curve_grid(*args.s_range, *args.w_range, qp, cfg)
+    rows = [
+        {"s": s, "w": w, "re": z.real, "im": z.imag}
+        for s, row in zip(grid.s_values, grid.values)
+        for w, z in zip(grid.w_values, row)
+    ]
+    return _emit(args.format, {**meta, "config": grid.metadata}, [], rows, "samples")
 
 
-def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_verify(args, cfg, qp, meta) -> int:
     results = run_checks(
-        args.q,
+        qp,
         max_n=args.max_n,
         max_k=args.max_k,
         config=cfg,
@@ -266,14 +210,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # Accept option values that begin with a minus sign, such as negative
-    # complex literals and range specs like -0.5:0.5:0.05.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=parse_complex, required=True, help="deformation parameter, |q| < 1")
@@ -283,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format")
 
-    parser = _Parser(prog="qeuler", description="q-Euler numbers, polynomials, zeta values, and deformation curves")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="qeuler", description="q-Euler numbers, polynomials, zeta values, and deformation curves")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("numbers", parents=[common, fmt], help="q-Euler numbers E_0..E_n")
     p.add_argument("--n", type=int, required=True)
@@ -329,20 +265,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        if args.command == "continue" and args.s < 0:
-            return _usage_error("continue needs --s >= 0")
-        return args.func(args)
+        # One prologue for every subcommand: the engine policy, the validated
+        # q, and the fields every JSON document starts with.
+        cfg = EngineConfig(rel_tol=args.tol, max_terms=args.max_terms)
+        qp = as_qparameter(args.q)
+        meta = {
+            "q": {"re": qp.q.real, "im": qp.q.imag},
+            "config": {"rel_tol": cfg.rel_tol, "max_terms": cfg.max_terms},
+        }
+        return args.func(args, cfg, qp, meta)
     except NonConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
     except (PoleError, ValueError, ZeroDivisionError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except QEulerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

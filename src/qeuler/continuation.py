@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CurveSampleError, QEulerError
+from .errors import CurveSampleError, NonConvergenceError, QEulerError
 from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -91,11 +91,13 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
     sv = sc.real
-    if sv < 0:
-        raise ValueError("the polynomial continuation needs s >= 0")
+    if not 0.0 <= sv < math.inf:
+        raise ValueError(f"the polynomial continuation needs a finite s >= 0, got {sv!r}")
     qp = as_qparameter(q)
     cfg = config or DEFAULT_CONFIG
     fs = math.floor(sv)
+    if fs + 2 > cfg.max_terms:
+        raise NonConvergenceError(f"order {sv!r} has {fs + 2} terms, above max_terms={cfg.max_terms}")
     frac = sv - fs
     qq = qp.q
     ww = complex(w)
@@ -135,6 +137,8 @@ class CurveGrid:
 
 def inclusive_range(lo: float, hi: float, step: float) -> list[float]:
     """Points lo, lo+step, ...; endpoints inclusive, final point clamped to hi."""
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range bounds and step must be finite, got {lo!r}:{hi!r}:{step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:

@@ -86,6 +86,12 @@ class EngineConfig:
 
 DEFAULT_CONFIG = EngineConfig()
 
+# Integer shifts up to this are evaluated exactly (q_bracket's finite
+# geometric sum, euler_poly's terminating sum).  Larger ones take the float
+# paths of non-integer shifts: the exact powers q^(x k) grow to x k times
+# 53 bits, and x = 20000 at n = 4 did not finish in a minute.
+EXACT_SHIFT_MAX = 256
+
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -145,7 +151,7 @@ def q_bracket(x, q) -> complex:
     """
     qq = as_qparameter(q).q
     xi = as_int(x)
-    if xi is not None and 0 <= xi <= 256:
+    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         # Horner form of the finite geometric sum.
         acc = 0j
         for _ in range(xi):

@@ -6,12 +6,12 @@ The defining alternating series for the polynomial family diverges for
 assigns it the iterated-averaging value of its partial sums, which is the
 standard regularized reading and is what the direct evaluators reproduce.
 
-Evaluation strategy: values at integer shifts are computed from the
-terminating alternating sum in exact complex-rational arithmetic (see
-_exactcomplex), because the floating-point sum cancels down by a factor of
-order (1-q)^n and would lose 6-12 digits for the larger n and q of interest.
-Non-integer shifts go through the binomial-shift expansion, whose terms are
-well scaled, using exact-path values for the order coefficients.
+Evaluation strategy: values at integer shifts up to EXACT_SHIFT_MAX are
+computed from the terminating alternating sum in exact complex-rational
+arithmetic (see _exactcomplex), because the floating-point sum cancels down
+by a factor of order (1-q)^n and would lose 6-12 digits for the larger n and
+q of interest.  Other shifts go through the binomial-shift expansion, whose
+terms are well scaled, using exact-path values for the order coefficients.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ._exactcomplex import terminating_alt_sum
 from .errors import NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
+    EXACT_SHIFT_MAX,
     EngineConfig,
     QParameter,
     SeriesValue,
@@ -110,8 +111,8 @@ def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
 def euler_poly(n: int, x, h: int, q) -> complex:
     """The q-Euler polynomial E_n(x, h | q).
 
-    Integer x >= 0 uses the terminating alternating sum on the exact path;
-    other x use the binomial-shift expansion
+    Integer 0 <= x <= EXACT_SHIFT_MAX uses the terminating alternating sum on
+    the exact path; other x use the binomial-shift expansion
         sum_l C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l),
     which the generating series forces and which stays well conditioned.
     At x = 0 this reduces to the q-Euler numbers (h = 0) by definition.
@@ -122,7 +123,7 @@ def euler_poly(n: int, x, h: int, q) -> complex:
         raise ValueError("h must be a nonnegative integer")
     qp = as_qparameter(q)
     xi = as_int(x)
-    if xi is not None and xi >= 0:
+    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return terminating_alt_sum(n, h, qp.q, xi)
     coeffs = _shift_coefficients(n, h, qp)
     bx = q_bracket(x, qp)

@@ -240,6 +240,11 @@ def run_checks(
     """Run the verification suite and return one CheckResult per check."""
     if exact_only and numeric_only:
         raise ValueError("exact_only and numeric_only are mutually exclusive")
+    # Smaller counts would leave checks that cover nothing and still pass.
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    if max_k < 2:
+        raise ValueError(f"max_k must be at least 2 so that both shift parities are checked, got {max_k}")
     cfg = config or DEFAULT_CONFIG
     results: list[CheckResult] = []
     if not numeric_only:

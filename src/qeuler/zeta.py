@@ -14,9 +14,10 @@ their order-derivatives, carrying gb, q^(h+k) and q^(xk) from one k to the
 next.  The k-series converges geometrically for every complex order s on
 the plain side, terminates at k = n when s = -n, and agrees with the
 iterated-averaging value of the defining sum; it is adopted here as the
-definition of the continuation.  Terminating orders are evaluated in exact
-complex-rational arithmetic (one rounding at the end), which keeps the
-interpolation property at machine precision.
+definition of the continuation.  Terminating orders are finite sums: the
+plain one is evaluated in exact complex-rational arithmetic (one rounding at
+the end), which keeps the interpolation property at machine precision, and
+one at an integer shift is E_n(x, h | q), left to euler_poly.
 
 As the real order grows, the plain variant tends to -(1 + q): only the
 first alternating term survives.  The classically quoted limit -2 is the
@@ -41,6 +42,7 @@ from .kernel import (
     cpow,
     sum_series_geometric,
 )
+from .numeric import euler_poly
 
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
@@ -97,16 +99,25 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
     qq = as_qparameter(q).q
     cfg = config or DEFAULT_CONFIG
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"the order must be finite, got {s!r}")
     if x is not None:
         x = complex(x)
-        if x.real < 0:
-            raise ValueError("the Hurwitz variant needs Re(x) >= 0")
+        if not (cmath.isfinite(x) and x.real >= 0):
+            raise ValueError("the Hurwitz variant needs a finite x with Re(x) >= 0")
     n = as_int(s)
     n = -n if n is not None and n <= 0 else None
     if n is not None and not deriv:
-        xi = None if x is None else as_int(x)
-        if x is None or xi is not None:
-            return SeriesValue(terminating_alt_sum(n, h, qq, xi), 0.0, n + 1, True)
+        if n + 1 > cfg.max_terms:
+            raise NonConvergenceError(
+                f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
+            )
+        if x is None:
+            return SeriesValue(terminating_alt_sum(n, h, qq, None), 0.0, n + 1, True)
+        xi = as_int(x)
+        if xi is not None:
+            # The finite sum is E_n(x, h | q); euler_poly picks its path.
+            return SeriesValue(euler_poly(n, xi, h, qq), 0.0, n + 1, True)
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
     ratio = abs(qq)
@@ -116,6 +127,9 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
         # the slower rate when Re(x) < 1.
         qx = cpow(qq, x)
         ratio = max(ratio, abs(qx))
+    if ratio >= 1.0:
+        # The terms never shrink, so no budget can meet the stopping test.
+        raise NonConvergenceError(f"the k-series terms do not shrink: |q^x| = {ratio:.6g} >= 1")
     terms = _kseries_terms(s, h, qq, qx, pref, log1mq, n)
     return sum_series_geometric(terms, ratio, abs(s), cfg)
 
@@ -134,10 +148,9 @@ def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> Series
     """The Hurwitz-type variant at (s, x, h); the shift needs Re(x) >= 0.
 
     At s = -n with integer x the series terminates at k = n and equals the
-    q-Euler polynomial E_n(x, h | q); the terminating sum is evaluated on the
-    exact path.  For x = 0 and Re(s) > 0 the k-series genuinely diverges (the
-    underlying n = 0 term is singular) and the truncation contract reports
-    non-convergence rather than a value.
+    q-Euler polynomial E_n(x, h | q), which euler_poly evaluates.  For x = 0
+    and Re(s) > 0 the k-series genuinely diverges (the underlying n = 0 term
+    is singular), and NonConvergenceError is raised before any summing.
     """
     return _kseries(s, x, h, q, config, deriv=False)
 

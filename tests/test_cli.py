@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -6,10 +10,34 @@ from qeuler import QParameter, euler_number, euler_poly
 from qeuler.cli import main, parse_complex
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(capsys, args):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def _limit_memory():
+    # A request that builds an unbounded list fails here instead of
+    # exhausting the machine before the timeout.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli_process(args, timeout=10):
+    """Run the CLI in a fresh interpreter; returns the exit code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from qeuler.cli import run; run()", *args],
+        capture_output=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=_limit_memory if os.name == "posix" else None,
+    )
+    return proc.returncode
 
 
 class TestParseComplex:
@@ -139,6 +167,11 @@ class TestContinue:
         code, _ = run_cli(capsys, ["continue", "--q", "0.5", "--s", "-1"])
         assert code == 2
 
+    def test_leading_dot_negative_literal(self, capsys):
+        code, out = run_cli(capsys, ["continue", "--q", "0.5", "--s", "2", "--w", "-.25"])
+        assert code == 0
+        assert out == "E_q(2, -0.25) = " + f"{euler_poly(2, -0.25, 0, QParameter(0.5)).real:.10g}\n"
+
     def test_negative_w_literal(self, capsys):
         code, out = run_cli(
             capsys, ["continue", "--q", "0.5", "--s", "2", "--w", "-0.25", "--format", "json"]
@@ -240,3 +273,37 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "continue --q 0.5 --s inf --w 0",
+            "curve --q 0.5 --s-range 0:inf:1 --w-range 0:0:1",
+            "continue --q 0.5 --s nan",
+            "numbers --q 0.5 --n -1",
+            "verify --q 0.5 --max-n -1",
+            "verify --q 0.5 --max-k 1",
+            "verify --q 2 --exact-only",
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, capsys, command):
+        assert main(command.split()) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestBudget:
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            # more terms than max_terms: stop at once with exit 3
+            ("zeta --q 0.5 --s -1e20", 3),
+            ("continue --q 0.5 --s 1e300", 3),
+            ("continue --q 0.5 --s 1e300 --w 0", 3),
+            ("curve --q 0.5 --s-range 1e300:1e300:1 --w-range 0:0:1", 3),
+            # large integer shifts take the float path
+            ("poly --q 0.3 --n 4 --x 20000", 0),
+            ("zeta --q 0.3 --s -4 --x 20000", 0),
+        ],
+    )
+    def test_finishes_in_time(self, command, code):
+        assert run_cli_process(command.split()) == code

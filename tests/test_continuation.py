@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -168,3 +169,8 @@ class TestCurveGrid:
             inclusive_range(0, 1, 0)
         with pytest.raises(ValueError):
             inclusive_range(1, 0, 0.5)
+        with pytest.raises(ValueError):
+            inclusive_range(0, math.inf, 1)
+        for s in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                euler_poly_continuation(s, 0, QParameter(0.5))

@@ -1,5 +1,6 @@
-"""Pinned outputs: the README command-line examples, a curve JSON request and
-the float bits of the k-series evaluators at seeded non-integer orders.
+"""Pinned outputs: the README command-line examples, every subcommand variant
+in each of its output formats, and the float bits of the k-series evaluators
+at seeded non-integer orders.
 
 Refactors of the k-series driver, the integer test or the CLI must leave
 every byte of these unchanged.  A correctness fix that changes one on
@@ -31,11 +32,31 @@ GOLDEN_CLI = HERE / "golden" / "cli.json"
 GOLDEN_ZETA = HERE / "golden" / "zeta_hex.json"
 README = HERE.parent / "README.md"
 
-# Extra requests beyond the README: the curve JSON schema, and a curve CSV
+# Extra requests beyond the README: every subcommand variant in each of its
+# output formats, with negative-valued flags among them, and curve grids
 # small enough to keep in full.
-EXTRA_COMMANDS = (
+_VARIANTS = (
+    "numbers --q -0.3-0.2i --n 4",
+    "numbers --q 0.5 --n 3 --exact",
+    "poly --q 0.5 --n 3 --x 0.7-0.1i --h 1",
+    "poly --q -0.3-0.2i --n 3 --x 2 --h 1 --exact",
+    "zeta --q -0.3-0.2i --s 2.5",
+    "zeta --q 0.5 --s 1.5 --x 1.5",
+    "zeta --q -0.3-0.2i --s 0.75 --deriv",
+    "zeta --q 0.5 --s 1.25 --x 2 --deriv",
+    "zeta --q 0.5 --s -1.5-2i",
+    "continue --q -0.3-0.2i --s 2.5",
+    "continue --q 0.5 --s 1.75 --deriv",
+    "continue --q 0.5 --s 2.5 --w -0.3+0.2i",
+)
+EXTRA_COMMANDS = tuple(
+    f"qeuler {v}{fmt}" for v in _VARIANTS for fmt in ("", " --format json", " --format csv")
+) + (
     "qeuler curve --q 0.5 --s-range 2:3:0.25 --w-range -0.5:0.5:0.25 --format json",
     "qeuler curve --q 0.3+0.4i --s-range 0.5:2.5:0.5 --w-range -1:1:0.5",
+    "qeuler curve --q -0.3-0.2i --s-range 0.5:1.5:0.5 --w-range -0.5:0.5:0.5 --format csv",
+    "qeuler curve --q -0.3-0.2i --s-range 0.5:1.5:0.5 --w-range -0.5:0.5:0.5 --format json",
+    "qeuler verify --q -0.3-0.2i --max-n 3 --max-k 2 --exact-only",
 )
 # Outputs longer than this are pinned by their SHA-256 digest.
 MAX_INLINE = 4096

@@ -14,6 +14,7 @@ from qeuler import (
     euler_poly,
     euler_poly_series_oracle,
     q_bracket,
+    qzeta_hurwitz,
 )
 from qeuler.errors import NonConvergenceError
 
@@ -159,6 +160,22 @@ class TestEulerPoly:
             for l in range(4)
         )
         assert rel_err(euler_poly(3, x, 0, qp), total) <= 1e-12
+
+    @pytest.mark.parametrize("n,x", [(4, 20000), (12, 257)])
+    @pytest.mark.parametrize("q", [0.3, 0.9, -0.9, 0.95j])
+    def test_large_integer_shift_against_mpmath(self, n, x, q):
+        # shifts beyond EXACT_SHIFT_MAX take the binomial-shift path
+        mp = pytest.importorskip("mpmath")
+        h = 1
+        with mp.workdps(60):
+            mq = mp.mpc(q)
+            total = sum(
+                mp.binomial(n, l) * (-1) ** l * mq ** (l * x) / (1 + mq ** (l + h))
+                for l in range(n + 1)
+            )
+            ref = complex((1 + mq) / (1 - mq) ** n * total)
+        assert rel_err(euler_poly(n, x, h, q), ref) <= 1e-13
+        assert rel_err(qzeta_hurwitz(-n, x, h, q).value, ref) <= 1e-13
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,9 @@ class TestPlainZeta:
     def test_validation(self):
         with pytest.raises(ValueError):
             qzeta(1, -1, QParameter(0.5))
+        for s in (math.nan, math.inf, complex(1, math.inf)):
+            with pytest.raises(ValueError):
+                qzeta(s, 0, QParameter(0.5))
 
 
 class TestHurwitzZeta:
@@ -147,6 +150,19 @@ class TestHurwitzZeta:
         qp = QParameter(0.5)
         with pytest.raises(NonConvergenceError):
             qzeta_hurwitz(2.5, 0, 0, qp, EngineConfig(max_terms=64))
+
+    @pytest.mark.parametrize(
+        "s,x,q,deriv",
+        [(2.5, 0, 0.5, False), (2.5, 0, 0.5, True), (1.5, 0.1 - 1j, 0.5j, False)],
+    )
+    def test_shift_whose_terms_never_shrink_fails_before_summing(self, s, x, q, deriv):
+        # |q^x| >= 1: the stopping test can never pass, so no terms are spent
+        with pytest.raises(NonConvergenceError) as info:
+            if deriv:
+                qzeta_deriv(s, 0, QParameter(q), x=x)
+            else:
+                qzeta_hurwitz(s, x, 0, QParameter(q))
+        assert info.value.partial is None
 
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
