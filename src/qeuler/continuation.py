@@ -33,11 +33,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import CurveSampleError, NonConvergenceError, QEulerError
+from .errors import CurveSampleError, NonConvergenceError, PoleError
 from .kernel import (
     DEFAULT_CONFIG,
+    FD_STEP,
     EngineConfig,
     QParameter,
     as_qparameter,
@@ -70,13 +70,42 @@ def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> comple
     return -qzeta_deriv(-complex(s), 0, q, config=config).value
 
 
-@lru_cache(maxsize=8192)
-def _order_coefficient(a: float, qc: complex, cfg: EngineConfig) -> complex:
-    # Continued coefficient C(a) with the order-0 defect blended back in.
-    v = qzeta(complex(-a), 0, QParameter(qc), cfg).value
-    if abs(a) < 1.0:
-        v += (1.0 + qc) * (1.0 - abs(a))
-    return v
+def _order_terms(s, qp: QParameter, cfg: EngineConfig) -> list[tuple[float, complex, int]]:
+    # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
+    sc = complex(s)
+    if sc.imag != 0.0:
+        raise ValueError("the polynomial continuation takes a real order")
+    sv = sc.real
+    if not 0.0 <= sv < math.inf:
+        raise ValueError(f"the polynomial continuation needs a finite s >= 0, got {sv!r}")
+    fs = math.floor(sv)
+    if fs + 2 > cfg.max_terms:
+        raise NonConvergenceError(f"order {sv!r} has {fs + 2} terms, above max_terms={cfg.max_terms}")
+    frac = sv - fs
+    lg_top = log_gamma(1.0 + sv)
+    terms = []
+    for k in range(-1 if frac else 0, fs + 1):  # at integer s, k = -1 has 1/Gamma(0) = 0
+        arg = k + frac
+        weight = cmath.exp(lg_top - log_gamma(1.0 + k + frac) - log_gamma(1.0 + fs - k))
+        # C(arg), with the order-0 defect blended back in
+        coeff = qzeta(complex(-arg), 0, qp, cfg).value
+        if abs(arg) < 1.0:
+            coeff += (1.0 + qp.q) * (1.0 - abs(arg))
+        terms.append((arg, weight * coeff, fs - k))
+    return terms
+
+
+def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter) -> complex:
+    # The part of E_q(s, w) that depends on w, summed in the order of the terms.
+    ww = complex(w)
+    bw = q_bracket(ww, qp)
+    bw_pows = [1 + 0j]
+    for _ in range(terms[0][2]):  # the first term has the highest power
+        bw_pows.append(bw_pows[-1] * bw)
+    total = 0j
+    for arg, weighted, power in terms:
+        total += weighted * cpow(qp.q, arg * ww) * bw_pows[power]
+    return total
 
 
 def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> complex:
@@ -87,34 +116,8 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     polynomial curve into the next.  Gamma ratios are taken in log space so
     orders up to ~50 stay in range.
     """
-    sc = complex(s)
-    if sc.imag != 0.0:
-        raise ValueError("the polynomial continuation takes a real order")
-    sv = sc.real
-    if not 0.0 <= sv < math.inf:
-        raise ValueError(f"the polynomial continuation needs a finite s >= 0, got {sv!r}")
     qp = as_qparameter(q)
-    cfg = config or DEFAULT_CONFIG
-    fs = math.floor(sv)
-    if fs + 2 > cfg.max_terms:
-        raise NonConvergenceError(f"order {sv!r} has {fs + 2} terms, above max_terms={cfg.max_terms}")
-    frac = sv - fs
-    qq = qp.q
-    ww = complex(w)
-    bw = q_bracket(ww, qp)
-    bw_pows = [1 + 0j]
-    for _ in range(fs + 1):
-        bw_pows.append(bw_pows[-1] * bw)
-    lg_top = log_gamma(1.0 + sv)
-    total = 0j
-    for k in range(-1, fs + 1):
-        if k == -1 and frac == 0.0:
-            continue  # 1/Gamma(0) = 0
-        arg = k + frac
-        weight = cmath.exp(lg_top - log_gamma(1.0 + k + frac) - log_gamma(1.0 + fs - k))
-        coeff = _order_coefficient(arg, qq, cfg)
-        total += weight * coeff * cpow(qq, arg * ww) * bw_pows[fs - k]
-    return total
+    return _sum_over_w(_order_terms(s, qp, config or DEFAULT_CONFIG), w, qp)
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,28 @@ class CurveGrid:
                 raise ValueError("grid column count does not match w sampling")
 
 
-def inclusive_range(lo: float, hi: float, step: float) -> list[float]:
-    """Points lo, lo+step, ...; endpoints inclusive, final point clamped to hi."""
+# A curve grid holds at most this many samples; both axes are counted, and a
+# larger grid refused, before any point is built.
+MAX_GRID_CELLS = 10**6
+
+
+def _point_count(lo: float, hi: float, step: float) -> int:
+    # The number of points of inclusive_range(lo, hi, step).
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"range bounds and step must be finite, got {lo!r}:{hi!r}:{step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError("range must run upward")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    pts = [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_CELLS:
+        raise ValueError(f"range {lo!r}:{hi!r}:{step!r} has more than {MAX_GRID_CELLS} points")
+    return math.floor(span) + 1
+
+
+def inclusive_range(lo: float, hi: float, step: float) -> list[float]:
+    """Points lo, lo+step, ...; endpoints inclusive, final point clamped to hi."""
+    pts = [lo + i * step for i in range(_point_count(lo, hi, step))]
     if pts[-1] > hi:
         pts[-1] = hi
     return pts
@@ -162,11 +177,14 @@ def curve_grid(
 ) -> CurveGrid:
     """Sample euler_poly_continuation over an inclusive (s, w) grid.
 
-    Samples are independent; they are evaluated in deterministic order
-    (s outer, w inner) and a failing sample aborts with its grid indices.
+    Rows (s outer, w inner) run in order, each computing its order terms once;
+    a failing sample aborts with its grid indices.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
+    cells = _point_count(s_min, s_max, s_step) * _point_count(w_min, w_max, w_step)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"the grid has {cells} samples, above {MAX_GRID_CELLS}")
     qp = as_qparameter(q)
     cfg = config or DEFAULT_CONFIG
     svals = inclusive_range(s_min, s_max, s_step)
@@ -174,23 +192,25 @@ def curve_grid(
     rows = []
     for i, sv in enumerate(svals):
         row = []
-        for j, wv in enumerate(wvals):
-            try:
-                z = euler_poly_continuation(sv, wv, qp, cfg)
-            except (QEulerError, ValueError, OverflowError) as exc:
-                raise CurveSampleError(
-                    f"sample failed at s[{i}]={sv!r}, w[{j}]={wv!r}: {exc}", i, j
-                ) from exc
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise CurveSampleError(
-                    f"non-finite sample at s[{i}]={sv!r}, w[{j}]={wv!r}", i, j
-                )
-            row.append(z)
+        try:
+            terms = _order_terms(sv, qp, cfg)  # a failure here is reported at w[0]
+            for j, wv in enumerate(wvals):
+                z = _sum_over_w(terms, wv, qp)
+                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                    raise CurveSampleError(
+                        f"non-finite sample at s[{i}]={sv!r}, w[{j}]={wv!r}", i, j
+                    )
+                row.append(z)
+        except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
+            j = len(row)
+            raise CurveSampleError(
+                f"sample failed at s[{i}]={sv!r}, w[{j}]={wvals[j]!r}: {exc}", i, j
+            ) from exc
         rows.append(tuple(row))
     metadata = {
         "rel_tol": cfg.rel_tol,
         "max_terms": cfg.max_terms,
-        "fd_step": cfg.fd_step,
+        "fd_step": FD_STEP,
         "s_range": {"min": s_min, "max": s_max, "step": s_step},
         "w_range": {"min": w_min, "max": w_max, "step": w_step},
     }

@@ -73,18 +73,19 @@ class EngineConfig:
 
     rel_tol: float = 1e-12
     max_terms: int = 10000
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
         if self.max_terms < 16:
             raise ValueError("max_terms must be at least 16")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 DEFAULT_CONFIG = EngineConfig()
+
+# Central-difference step of the derivative checks in `qeuler verify`; the
+# curve JSON echoes it.
+FD_STEP = 1e-5
 
 # Integer shifts up to this are evaluated exactly (q_bracket's finite
 # geometric sum, euler_poly's terminating sum).  Larger ones take the float

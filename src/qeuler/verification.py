@@ -13,9 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .continuation import euler_continuation, euler_continuation_deriv, euler_poly_continuation
+from .continuation import curve_grid, euler_continuation, euler_continuation_deriv
 from .exact import exact_euler_number, verify_identity
-from .kernel import DEFAULT_CONFIG, EngineConfig, as_qparameter
+from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, as_qparameter
 from .numeric import (
     classical_euler_number,
     euler_number,
@@ -134,7 +134,7 @@ def _numeric_checks(q, max_n: int, max_k: int, config: EngineConfig) -> list[Che
 
     def derivative_fd():
         rng = random.Random(90125)
-        h = config.fd_step
+        h = FD_STEP
         worst = 0.0
         for _ in range(50):
             s = complex(rng.uniform(-5, 5), rng.uniform(-2, 2))
@@ -171,29 +171,27 @@ def _numeric_checks(q, max_n: int, max_k: int, config: EngineConfig) -> list[Che
             )
         return worst <= 1e-2, f"q = 0.9999 vs classical numbers, worst {worst:.2e}"
 
+    def on_w_grid(s):
+        # E_q(s, w) at w = -0.5, -0.45, ..., 0.5
+        grid = curve_grid(s, s, 1.0, -0.5, 0.5, 0.05, qp, config)
+        return grid.w_values, grid.values[0]
+
     def continuation_consistency():
         worst = 0.0
-        wgrid = [-0.5 + i * 0.05 for i in range(21)]
         for n in range(4):
-            for w in wgrid:
-                a = euler_poly_continuation(n, w, qp, config)
+            for w, a in zip(*on_w_grid(n)):
                 b = euler_poly(n, w, 0, qp)
                 worst = max(worst, abs(a - b))
         return worst <= 1e-9, f"orders 0..3 on 21 w-points, worst abs err {worst:.2e}"
 
     def continuation_continuity():
-        worst = 0.0
-        for w in [-0.5 + i * 0.05 for i in range(21)]:
-            gap = abs(
-                euler_poly_continuation(3.0 - 1e-6, w, qp, config)
-                - euler_poly_continuation(3.0, w, qp, config)
-            )
-            worst = max(worst, gap)
+        below, at = on_w_grid(3.0 - 1e-6)[1], on_w_grid(3.0)[1]
+        worst = max(abs(a - b) for a, b in zip(below, at))
         return worst <= 1e-4, f"gap across order 3, worst {worst:.2e}"
 
     def continuation_deriv():
         rng = random.Random(5150)
-        h = config.fd_step
+        h = FD_STEP
         worst = 0.0
         for _ in range(50):
             s = rng.uniform(-4.0, 4.0)

@@ -220,7 +220,8 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     the acceleration no longer converges, but the Euler series transform of a
     polynomial sequence terminates; the finite transform value is computed
     there in exact rational arithmetic, reproducing the classical Euler
-    numbers and polynomials to the last bit.  x = 0 with Re(s) > 0 is
+    numbers and polynomials to the last bit; an order -n whose n + 1 terms
+    exceed max_terms raises NonConvergenceError.  x = 0 with Re(s) > 0 is
     rejected (the n = 0 term is singular).
     """
     cfg = config or DEFAULT_CONFIG
@@ -236,6 +237,10 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     n = as_int(s)
     if n is not None and n <= 0:
         n = -n
+        if n + 1 > cfg.max_terms:
+            raise NonConvergenceError(
+                f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
+            )
         if xv is None:
             exact = -2 * _alternating_poly_sum_exact(n, Fraction(1))
         else:

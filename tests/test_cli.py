@@ -27,17 +27,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_cli_process(args, timeout=10):
-    """Run the CLI in a fresh interpreter; returns the exit code."""
+def run_process(code, *args, timeout=10):
+    """Run code in a fresh interpreter under the memory limit; returns the exit code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", "from qeuler.cli import run; run()", *args],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         timeout=timeout,
         env=env,
         preexec_fn=_limit_memory if os.name == "posix" else None,
     )
     return proc.returncode
+
+
+def run_cli_process(args, timeout=10):
+    """Run the CLI in a fresh interpreter; returns the exit code."""
+    return run_process("from qeuler.cli import run; run()", *args, timeout=timeout)
 
 
 class TestParseComplex:
@@ -300,6 +305,8 @@ class TestBudget:
             ("continue --q 0.5 --s 1e300", 3),
             ("continue --q 0.5 --s 1e300 --w 0", 3),
             ("curve --q 0.5 --s-range 1e300:1e300:1 --w-range 0:0:1", 3),
+            # grids above MAX_GRID_CELLS are refused before any point is built
+            ("curve --q 0.5 --s-range 0:1e12:1 --w-range 0:0:1", 2),
             # large integer shifts take the float path
             ("poly --q 0.3 --n 4 --x 20000", 0),
             ("zeta --q 0.3 --s -4 --x 20000", 0),
@@ -307,3 +314,12 @@ class TestBudget:
     )
     def test_finishes_in_time(self, command, code):
         assert run_cli_process(command.split()) == code
+
+    def test_classical_zeta_at_huge_nonpositive_order(self):
+        # n + 1 terms above max_terms: refused before the exact sum starts
+        code = (
+            "from qeuler import NonConvergenceError, classical_zeta_E\n"
+            "try:\n    classical_zeta_E(-1e20)\n"
+            "except NonConvergenceError:\n    raise SystemExit(3)"
+        )
+        assert run_process(code) == 3

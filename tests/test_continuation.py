@@ -15,7 +15,7 @@ from qeuler import (
     qzeta,
     qzeta_deriv,
 )
-from qeuler.continuation import inclusive_range
+from qeuler.continuation import MAX_GRID_CELLS, inclusive_range
 from qeuler.errors import CurveSampleError
 
 W_GRID = [-0.5 + i * 0.05 for i in range(21)]
@@ -161,6 +161,31 @@ class TestCurveGrid:
             curve_grid(0.5, 0.6, 0.1, 0.0, 0.1, 0.1, QParameter(0.5), cfg)
         assert info.value.s_index == 0
         assert info.value.w_index == 0
+
+    def test_cell_failure_keeps_its_column(self):
+        # the row's order terms are fine; q^(s w) overflows only at w = 4000
+        with pytest.raises(CurveSampleError) as info:
+            curve_grid(0.5, 0.5, 1, 0, 4000, 2000, 0.5)
+        assert info.value.s_index == 0
+        assert info.value.w_index == 2
+
+    def test_cells_equal_point_values(self):
+        # one row's order terms serve every w with the bits of a point call
+        for qv in (0.5, -0.3 - 0.2j):
+            g = curve_grid(0, 3, 0.25, -1, 1, 0.25, qv)
+            for sv, row in zip(g.s_values, g.values):
+                assert list(row) == [euler_poly_continuation(sv, wv, qv) for wv in g.w_values]
+
+    def test_grid_size_checked_before_building(self):
+        # 2001 x 500 cells; every row would fail its term budget at once, so
+        # only a size check made first raises ValueError.  The unbounded
+        # ranges run in a memory-limited process in test_cli.TestBudget.
+        with pytest.raises(ValueError, match="samples"):
+            curve_grid(20, 2020, 1, 0, 499, 1, 0.5, EngineConfig(max_terms=16))
+        assert len(inclusive_range(0, 999_999, 1)) == MAX_GRID_CELLS
+        for hi, step in ((1e6, 1), (1, 1e-320)):  # 10^6 + 1 points; a count beyond floats
+            with pytest.raises(ValueError, match="points"):
+                inclusive_range(0, hi, step)
 
     def test_validation(self):
         with pytest.raises(ValueError):

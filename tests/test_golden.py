@@ -1,9 +1,10 @@
 """Pinned outputs: the README command-line examples, every subcommand variant
-in each of its output formats, and the float bits of the k-series evaluators
-at seeded non-integer orders.
+in each of its output formats, the float bits of the k-series evaluators
+at seeded non-integer orders, and the float bits of the polynomial
+continuation at seeded (s, w, q).
 
-Refactors of the k-series driver, the integer test or the CLI must leave
-every byte of these unchanged.  A correctness fix that changes one on
+Refactors of the k-series driver, the integer test, the continuation or the
+CLI must leave every byte of these unchanged.  A correctness fix that changes one on
 purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +31,7 @@ from qeuler.cli import main
 HERE = pathlib.Path(__file__).parent
 GOLDEN_CLI = HERE / "golden" / "cli.json"
 GOLDEN_ZETA = HERE / "golden" / "zeta_hex.json"
+GOLDEN_CONTINUATION = HERE / "golden" / "continuation_hex.json"
 README = HERE.parent / "README.md"
 
 # Extra requests beyond the README: every subcommand variant in each of its
@@ -117,6 +119,34 @@ def zeta_record(s, x, h, q) -> dict:
     }
 
 
+def continuation_inputs() -> list[tuple]:
+    """Thirty seeded (s, w, q): orders in [0, 6] (integers and integers
+    +- 1e-6 among them), real and complex w in [-1, 1] and real and complex
+    q over the disk |q| <= 0.9."""
+    rng = random.Random(20080802)
+    cases = []
+    for i in range(30):
+        n = rng.randint(1, 5)
+        s = (rng.uniform(0.0, 6.0), float(rng.randint(0, 6)), n + 1e-6, n - 1e-6)[i % 4]
+        w = complex(rng.uniform(-1.0, 1.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        r = rng.uniform(0.05, 0.9)
+        q = r * rng.choice((-1.0, 1.0)) + 0j if rng.random() < 0.4 else r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        cases.append((s, w, q))
+    return cases
+
+
+def _continuation_args(s, w, q) -> list:
+    return [s.hex(), w.real.hex(), w.imag.hex(), q.real.hex(), q.imag.hex()]
+
+
+def continuation_record(s, w, q) -> list:
+    try:
+        z = qeuler.euler_poly_continuation(s, w, q)
+    except qeuler.QEulerError as exc:
+        return [type(exc).__name__]
+    return [z.real.hex(), z.imag.hex()]
+
+
 def _load(path: pathlib.Path) -> dict:
     return json.loads(path.read_text())
 
@@ -142,6 +172,15 @@ def test_zeta_bits_unchanged():
         assert zeta_record(s, x, h, q) == want["out"], (s, x, h, q)
 
 
+def test_continuation_bits_unchanged():
+    golden = _load(GOLDEN_CONTINUATION)
+    cases = continuation_inputs()
+    assert len(golden) == len(cases)
+    for (s, w, q), want in zip(cases, golden):
+        assert want["args"] == _continuation_args(s, w, q)
+        assert continuation_record(s, w, q) == want["out"], (s, w, q)
+
+
 def write_golden() -> None:
     GOLDEN_CLI.parent.mkdir(exist_ok=True)
     cli = {c: pin(*run_command(c)) for c in readme_commands() + list(EXTRA_COMMANDS)}
@@ -154,6 +193,11 @@ def write_golden() -> None:
         for s, x, h, q in zeta_inputs()
     ]
     GOLDEN_ZETA.write_text(json.dumps(zeta, indent=1) + "\n")
+    continuation = [
+        {"args": _continuation_args(s, w, q), "out": continuation_record(s, w, q)}
+        for s, w, q in continuation_inputs()
+    ]
+    GOLDEN_CONTINUATION.write_text(json.dumps(continuation, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -36,11 +36,10 @@ class TestEngineConfig:
     def test_defaults(self):
         assert DEFAULT_CONFIG.rel_tol == 1e-12
         assert DEFAULT_CONFIG.max_terms == 10000
-        assert DEFAULT_CONFIG.fd_step == 1e-5
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rel_tol": 0.0}, {"rel_tol": 1.5}, {"max_terms": 8}, {"fd_step": 0.0}],
+        [{"rel_tol": 0.0}, {"rel_tol": 1.5}, {"max_terms": 8}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -292,6 +292,13 @@ class TestClassicalZeta:
         with pytest.raises(ValueError):
             classical_zeta_E(2, x=1.5)
 
+    def test_term_budget_at_nonpositive_integers(self):
+        cfg = EngineConfig(max_terms=16)
+        assert classical_zeta_E(-15, config=cfg).terms_used == 16
+        for x in (None, 0.5):
+            with pytest.raises(NonConvergenceError):
+                classical_zeta_E(-16, x, config=cfg)
+
     def test_bridge_to_q_side(self):
         # at q = 0.9999 the geometric tail ratio is 0.9999, so honest
         # convergence takes ~1e5 terms; widen the budget accordingly
