@@ -40,6 +40,7 @@ from .numeric import (
     classical_euler_number,
     classical_euler_poly,
     euler_number,
+    euler_numbers,
     euler_poly,
     euler_poly_series_oracle,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "euler_continuation",
     "euler_continuation_deriv",
     "euler_number",
+    "euler_numbers",
     "euler_poly",
     "euler_poly_continuation",
     "euler_poly_series_oracle",

@@ -2,7 +2,7 @@
 
 Subcommands: numbers, poly, zeta, continue, curve, verify.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 numerical
-non-convergence.
+non-convergence or overflow.
 
 Each subcommand builds its text lines and a list of rows (dicts), and one
 emitter writes them as text, JSON or CSV.
@@ -19,7 +19,7 @@ from .continuation import curve_grid, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
 from .exact import exact_euler_number, exact_euler_poly
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter
-from .numeric import euler_number, euler_poly
+from .numeric import euler_numbers, euler_poly
 from .verification import run_checks
 from .zeta import qzeta, qzeta_deriv, qzeta_hurwitz
 
@@ -128,7 +128,7 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
         rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
         # The JSON maps each n, as a string, to its rendered value.
         return _emit(args.format, meta, text, rows, "exact", dict(zip(map(str, ns), rendered)))
-    values = [euler_number(n, qp) for n in ns]
+    values = euler_numbers(args.n, qp)
     text = [f"q-Euler numbers at q = {_fmt_complex(qp.q)}"]
     text += [f"  E_{n} = {_fmt_complex(v)}" for n, v in zip(ns, values)]
     rows = [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(ns, values)]
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     except (PoleError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
+        return 3
     except QEulerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

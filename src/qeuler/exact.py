@@ -139,10 +139,7 @@ class PolyZ:
     # -- content and division --------------------------------------------
 
     def content(self) -> int:
-        g = 0
-        for v in self.coeffs:
-            g = math.gcd(g, v)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "PolyZ":
         c = self.content()
@@ -194,9 +191,10 @@ class PolyZ:
     def gcd(a: "PolyZ", b: "PolyZ") -> "PolyZ":
         """Primitive gcd with positive leading coefficient.
 
-        Subresultant pseudo-remainder sequence on integer coefficients, which
-        keeps the intermediate coefficient growth polynomial instead of the
-        exponential blowup of the naive Euclidean PRS.
+        Primitive pseudo-remainder sequence: each pseudo-remainder is divided
+        by its integer content before the next step, which holds back the
+        coefficient growth of the plain Euclidean sequence at the price of
+        one integer gcd per step.
         """
         if a.is_zero and b.is_zero:
             return PolyZ()
@@ -206,23 +204,12 @@ class PolyZ:
         A, B = a.primitive(), b.primitive()
         if A.degree < B.degree:
             A, B = B, A
-        gg, hh = 1, 1
-        while True:
-            if B.degree == 0:
-                result = PolyZ.one()
-                break
-            delta = A.degree - B.degree
+        while B.degree > 0:
             R = _pseudo_rem(A, B)
             if R.is_zero:
-                result = B.primitive()
-                break
-            if R.degree == 0:
-                result = PolyZ.one()
-                break
-            A, B = B, R.div_scalar(gg * hh**delta)
-            gg = A.leading
-            hh = hh if delta == 0 else (gg**delta) // (hh ** (delta - 1))
-        return -result if result.leading < 0 else result
+                return -B if B.leading < 0 else B
+            A, B = B, R.primitive()
+        return PolyZ.one()
 
     # -- rendering ---------------------------------------------------------
 

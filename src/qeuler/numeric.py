@@ -11,7 +11,11 @@ computed from the terminating alternating sum in exact complex-rational
 arithmetic (see _exactcomplex), because the floating-point sum cancels down
 by a factor of order (1-q)^n and would lose 6-12 digits for the larger n and
 q of interest.  Other shifts go through the binomial-shift expansion, whose
-terms are well scaled, using exact-path values for the order coefficients.
+terms are well scaled, using exact-path values for the order coefficients;
+those coefficients are the one table this module keeps (per h and q, at
+most _TABLES_MAX keys).  The q-Euler numbers come from one float pass of
+their recurrence, and the classical Euler numbers from one integer pass of
+theirs, each uncached.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .kernel import (
 
 __all__ = [
     "euler_number",
+    "euler_numbers",
     "euler_poly",
     "classical_euler_number",
     "classical_euler_poly",
@@ -47,62 +52,43 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 
 _LOCK = threading.Lock()
-# Per-q tables, each holding at most _TABLES_MAX keys; the least recently
-# used key is dropped first, so a long-running process keeps bounded memory.
+# E_l(0, h | q) per (h, q), holding at most _TABLES_MAX keys; the least
+# recently used key is dropped first, so a long-running process keeps
+# bounded memory.
 _TABLES_MAX = 256
-_NUMBER_TABLES: OrderedDict[complex, list[complex]] = OrderedDict()
 _SHIFT_COEFF_TABLES: OrderedDict[tuple[int, complex], list[complex]] = OrderedDict()
-_CLASSICAL: list[Fraction] = [Fraction(1)]
 
 
-def _table(tables: OrderedDict, key) -> list:
-    # The table for key, created empty on a miss; the caller holds _LOCK.
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = []
-        if len(tables) > _TABLES_MAX:
-            tables.popitem(last=False)
-    else:
-        tables.move_to_end(key)
+def euler_numbers(n: int, q) -> list[complex]:
+    """The q-Euler numbers E_0..E_n: E_0 = (1+q)/2 and
+    E_m = -(1/(1+q^m)) sum_{l<m} C(m,l) q^l E_l."""
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    qq = as_qparameter(q).q
+    table = [(1.0 + qq) / 2.0]
+    for m in range(1, n + 1):
+        acc = 0j
+        qpow = 1 + 0j
+        for l in range(m):
+            acc += math.comb(m, l) * qpow * table[l]
+            qpow *= qq
+        table.append(-acc / (1.0 + qq**m))
     return table
 
 
-def _numbers_up_to(n: int, qp: QParameter) -> list[complex]:
-    # Memo keyed by the exact bit pattern of q so repeated queries are
-    # reproducible; the lock keeps concurrent readers on a consistent prefix.
-    key = qp.q
-    with _LOCK:
-        table = _table(_NUMBER_TABLES, key)
-        while len(table) <= n:
-            m = len(table)
-            if m == 0:
-                table.append((1.0 + key) / 2.0)
-                continue
-            acc = 0j
-            qpow = 1 + 0j
-            for l in range(m):
-                acc += math.comb(m, l) * qpow * table[l]
-                qpow *= key
-            denom = 1.0 + key**m
-            if denom == 0:  # unreachable for |q| < 1
-                raise ArithmeticError("1 + q^n vanished")
-            table.append(-acc / denom)
-        return table[: n + 1]
-
-
 def euler_number(n: int, q) -> complex:
-    """The n-th q-Euler number: E_0 = (1+q)/2 and
-    E_n = -(1/(1+q^n)) sum_{l<n} C(n,l) q^l E_l."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    return _numbers_up_to(n, as_qparameter(q))[n]
+    """The n-th q-Euler number; see euler_numbers."""
+    return euler_numbers(n, q)[n]
 
 
 def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
-    # E_l(0, h | q) for l = 0..n, exact terminating sums, cached per (h, q).
+    # E_l(0, h | q) for l = 0..n, exact terminating sums, kept per (h, q).
     key = (h, qp.q)
     with _LOCK:
-        table = _table(_SHIFT_COEFF_TABLES, key)
+        table = _SHIFT_COEFF_TABLES.setdefault(key, [])
+        _SHIFT_COEFF_TABLES.move_to_end(key)
+        if len(_SHIFT_COEFF_TABLES) > _TABLES_MAX:
+            _SHIFT_COEFF_TABLES.popitem(last=False)
         while len(table) <= n:
             table.append(terminating_alt_sum(len(table), h, qp.q, 0))
         return table[: n + 1]
@@ -139,27 +125,33 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     return total
 
 
+def scaled_classical_euler(n: int) -> list[int]:
+    """The integers 2^m E_m, m = 0..n, of the classical Euler numbers below.
+
+    E_0 = 1 and E_m = -(1/2) sum_{l<m} C(m,l) E_l make every E_m dyadic, so
+    a_m = 2^m E_m = -sum_{l<m} C(m,l) a_l 2^(m-1-l) stays in the integers.
+    """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(-sum(math.comb(m, l) * a[l] << (m - 1 - l) for l in range(m)))
+    return a
+
+
 def classical_euler_number(n: int) -> Fraction:
     """Euler number of the classical generating function 2/(e^t + 1):
     E_0 = 1 and E_n = -(1/2) sum_{l<n} C(n,l) E_l, exact."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    with _LOCK:
-        while len(_CLASSICAL) <= n:
-            m = len(_CLASSICAL)
-            acc = sum(math.comb(m, l) * _CLASSICAL[l] for l in range(m))
-            _CLASSICAL.append(Fraction(-1, 2) * acc)
-        return _CLASSICAL[n]
+    return Fraction(scaled_classical_euler(n)[n], 2**n)
 
 
 def classical_euler_poly(n: int, x) -> complex:
     """Classical Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k)."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    a = scaled_classical_euler(n)
     z = complex(x)
     total = 0j
     for k in range(n + 1):
-        total += math.comb(n, k) * float(classical_euler_number(k)) * z ** (n - k)
+        total += math.comb(n, k) * (a[k] / 2**k) * z ** (n - k)
     return total
 
 

@@ -17,7 +17,9 @@ iterated-averaging value of the defining sum; it is adopted here as the
 definition of the continuation.  Terminating orders are finite sums: the
 plain one is evaluated in exact complex-rational arithmetic (one rounding at
 the end), which keeps the interpolation property at machine precision, and
-one at an integer shift is E_n(x, h | q), left to euler_poly.
+the shifted one is E_n(x, h | q) at every shift, left to euler_poly.  The
+classical zeta at order -n is likewise the exact classical Euler polynomial,
+rounded once.
 
 As the real order grows, the plain variant tends to -(1 + q): only the
 first alternating term survives.  The classically quoted limit -2 is the
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
 from .errors import NonConvergenceError
@@ -42,7 +43,7 @@ from .kernel import (
     cpow,
     sum_series_geometric,
 )
-from .numeric import euler_poly
+from .numeric import euler_poly, scaled_classical_euler
 
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
@@ -112,12 +113,9 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
             raise NonConvergenceError(
                 f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
             )
-        if x is None:
-            return SeriesValue(terminating_alt_sum(n, h, qq, None), 0.0, n + 1, True)
-        xi = as_int(x)
-        if xi is not None:
-            # The finite sum is E_n(x, h | q); euler_poly picks its path.
-            return SeriesValue(euler_poly(n, xi, h, qq), 0.0, n + 1, True)
+        # The shifted finite sum is E_n(x, h | q); euler_poly picks its path.
+        value = terminating_alt_sum(n, h, qq, None) if x is None else euler_poly(n, x, h, qq)
+        return SeriesValue(value, 0.0, n + 1, True)
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
     ratio = abs(qq)
@@ -147,10 +145,11 @@ def qzeta(s, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
 def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
     """The Hurwitz-type variant at (s, x, h); the shift needs Re(x) >= 0.
 
-    At s = -n with integer x the series terminates at k = n and equals the
-    q-Euler polynomial E_n(x, h | q), which euler_poly evaluates.  For x = 0
-    and Re(s) > 0 the k-series genuinely diverges (the underlying n = 0 term
-    is singular), and NonConvergenceError is raised before any summing.
+    At s = -n the series terminates at k = n and equals the q-Euler
+    polynomial E_n(x, h | q) at every shift, which euler_poly evaluates
+    (terms_used = n + 1, error_bound = 0).  For x = 0 and Re(s) > 0 the
+    k-series genuinely diverges (the underlying n = 0 term is singular), and
+    NonConvergenceError is raised before any summing.
     """
     return _kseries(s, x, h, q, config, deriv=False)
 
@@ -194,21 +193,6 @@ def _safe_power(base: float, exponent: complex) -> complex:
     return cmath.exp(exponent * math.log(base))
 
 
-def _alternating_poly_sum_exact(n: int, x: Fraction) -> Fraction:
-    """Exact regularized value of sum_{k>=0} (-1)^k (k+x)^n.
-
-    For a polynomial sequence the Euler series transform terminates: the
-    value is sum_{j<=n} (-1)^j (Delta^j a)(0) / 2^(j+1) with forward
-    differences Delta, and every difference of order > n vanishes.
-    """
-    row = [(x + k) ** n for k in range(n + 1)]
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += Fraction((-1) ** j, 2 ** (j + 1)) * row[0]
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return total
-
-
 def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesValue:
     """Classical alternating Euler zeta, plain or shifted.
 
@@ -217,12 +201,11 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
 
     Evaluated with the Cohen-Villegas-Zagier alternating-series acceleration.
     At nonpositive integer orders the terms are polynomial in the index and
-    the acceleration no longer converges, but the Euler series transform of a
-    polynomial sequence terminates; the finite transform value is computed
-    there in exact rational arithmetic, reproducing the classical Euler
-    numbers and polynomials to the last bit; an order -n whose n + 1 terms
-    exceed max_terms raises NonConvergenceError.  x = 0 with Re(s) > 0 is
-    rejected (the n = 0 term is singular).
+    the acceleration no longer converges; there the regularized value is the
+    classical Euler polynomial, -E_n(1) plain and E_n(x) shifted, computed
+    in exact integer arithmetic and rounded once; an order -n whose n + 1
+    terms exceed max_terms raises NonConvergenceError.  x = 0 with
+    Re(s) > 0 is rejected (the n = 0 term is singular).
     """
     cfg = config or DEFAULT_CONFIG
     s = complex(s)
@@ -241,11 +224,14 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
             raise NonConvergenceError(
                 f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
             )
-        if xv is None:
-            exact = -2 * _alternating_poly_sum_exact(n, Fraction(1))
-        else:
-            exact = 2 * _alternating_poly_sum_exact(n, Fraction(xv.real))
-        return SeriesValue(complex(float(exact)), 0.0, n + 1, True)
+        # 2 sum_k (-1)^k (k+x)^n = E_n(x) = sum_k C(n,k) E_k x^(n-k), and
+        # the plain sum is -E_n(1).  With E_k = e_k / 2^k and x = p/d this
+        # is N / (2d)^n for the integer N below, rounded once.
+        e = scaled_classical_euler(n)
+        p, d = (1, 1) if xv is None else xv.real.as_integer_ratio()
+        N = sum(math.comb(n, k) * e[k] * (2 * p) ** (n - k) * d**k for k in range(n + 1))
+        value = (-N if xv is None else N) / (2 * d) ** n
+        return SeriesValue(complex(value), 0.0, n + 1, True)
 
     if xv is None:
         a = lambda k: _safe_power(k + 1.0, -s)

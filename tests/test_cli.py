@@ -27,17 +27,22 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_process(code, *args, timeout=10):
-    """Run code in a fresh interpreter under the memory limit; returns the exit code."""
+def spawn(code, *args, timeout=10) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter under the memory limit."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
+        text=True,
         timeout=timeout,
         env=env,
         preexec_fn=_limit_memory if os.name == "posix" else None,
     )
-    return proc.returncode
+
+
+def run_process(code, *args, timeout=10):
+    """Run code in a fresh interpreter under the memory limit; returns the exit code."""
+    return spawn(code, *args, timeout=timeout).returncode
 
 
 def run_cli_process(args, timeout=10):
@@ -323,3 +328,16 @@ class TestBudget:
             "except NonConvergenceError:\n    raise SystemExit(3)"
         )
         assert run_process(code) == 3
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "command",
+        ["continue --q 0.5 --s 0.5 --w 4000", "poly --q 0.5 --n 2 --x -4000"],
+    )
+    def test_overflow_exits_three_with_one_error_line(self, command):
+        # q^w overflows a float: a numerical failure, not a crash
+        proc = spawn("from qeuler.cli import run; run()", *command.split())
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

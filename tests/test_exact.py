@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,24 @@ class TestPolyZ:
     def test_divexact_rejects_inexact(self):
         with pytest.raises(ValueError):
             PolyZ((1, 1, 1)).divexact(PolyZ((1, 1)))
+
+    def test_gcd_of_random_pairs_with_a_planted_factor(self):
+        # a = f*u and b = f*v: the gcd is divisible by f's primitive part,
+        # divides both, is primitive with a positive leading coefficient,
+        # and leaves coprime cofactors
+        rng = random.Random(20080803)
+
+        def poly(degree):
+            coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+            return PolyZ(coeffs + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+
+        for _ in range(200):
+            f = poly(rng.randint(0, 4))
+            a, b = f * poly(rng.randint(0, 5)), f * poly(rng.randint(0, 5))
+            g = PolyZ.gcd(a, b)
+            assert g.leading > 0 and g.content() == 1
+            g.divexact(f.primitive())
+            assert PolyZ.gcd(a.divexact(g), b.divexact(g)) == PolyZ.one()
 
 
 class TestCanonicalForm:

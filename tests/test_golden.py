@@ -1,10 +1,14 @@
 """Pinned outputs: the README command-line examples, every subcommand variant
 in each of its output formats, the float bits of the k-series evaluators
-at seeded non-integer orders, and the float bits of the polynomial
-continuation at seeded (s, w, q).
+at seeded non-integer orders, the float bits of the polynomial
+continuation at seeded (s, w, q), and the finite and exact sums (exact
+Q(q) values by the SHA-256 of their canonical string, classical values
+at order -n, Hurwitz values at order -n and integer shifts, q-Euler
+numbers).
 
-Refactors of the k-series driver, the integer test, the continuation or the
-CLI must leave every byte of these unchanged.  A correctness fix that changes one on
+Refactors of the k-series driver, the integer test, the continuation, the
+exact engine, the finite sums or the CLI must leave every byte of these
+unchanged.  A correctness fix that changes one on
 purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,6 +36,7 @@ HERE = pathlib.Path(__file__).parent
 GOLDEN_CLI = HERE / "golden" / "cli.json"
 GOLDEN_ZETA = HERE / "golden" / "zeta_hex.json"
 GOLDEN_CONTINUATION = HERE / "golden" / "continuation_hex.json"
+GOLDEN_FINITE = HERE / "golden" / "finite_hex.json"
 README = HERE.parent / "README.md"
 
 # Extra requests beyond the README: every subcommand variant in each of its
@@ -147,6 +152,41 @@ def continuation_record(s, w, q) -> list:
     return [z.real.hex(), z.imag.hex()]
 
 
+def _sha(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()
+
+
+def _hex(z: complex) -> list:
+    return [z.real.hex(), z.imag.hex()]
+
+
+FINITE_Q = (0.5, 0.9, -0.7, 0.3 + 0.4j)
+EXACT_POLY_ARGS = [(n, x, h) for n in range(9) for x in range(4) for h in range(3)] + [(12, 1, 2), (12, 3, 0)]
+CLASSICAL_POLY_ARGS = ((0, 0.3), (1, 0.5), (5, 0.25), (12, 1.5), (17, -2.0), (9, 0.5 + 0.25j), (20, 1 - 1j))
+
+
+def finite_record() -> dict:
+    """Each section maps the arguments, as a string, to the pinned output."""
+    return {
+        "exact_euler_number": {str(n): _sha(qeuler.exact_euler_number(n)) for n in range(15)},
+        "exact_euler_poly": {str(a): _sha(qeuler.exact_euler_poly(*a)) for a in EXACT_POLY_ARGS},
+        "classical_zeta_E": {
+            str((-n, x)): _bits(lambda: qeuler.classical_zeta_E(-n, x))
+            for n in range(41)
+            for x in (None, 0.0, 0.25, 0.7, 0.999)
+        },
+        "classical_euler_poly": {str(a): _hex(qeuler.classical_euler_poly(*a)) for a in CLASSICAL_POLY_ARGS},
+        "qzeta_hurwitz": {
+            str((-n, x, h, q)): _bits(lambda: qeuler.qzeta_hurwitz(-n, x, h, q))
+            for q in FINITE_Q
+            for h in range(3)
+            for x in (0, 1, 2, 3, 300)
+            for n in range(13)
+        },
+        "euler_number": {str((n, q)): _hex(qeuler.euler_number(n, q)) for q in FINITE_Q for n in range(31)},
+    }
+
+
 def _load(path: pathlib.Path) -> dict:
     return json.loads(path.read_text())
 
@@ -181,6 +221,16 @@ def test_continuation_bits_unchanged():
         assert continuation_record(s, w, q) == want["out"], (s, w, q)
 
 
+def test_finite_and_exact_bits_unchanged():
+    golden = _load(GOLDEN_FINITE)
+    record = finite_record()
+    assert record.keys() == golden.keys()
+    for section, values in record.items():
+        assert values.keys() == golden[section].keys(), section
+        for args, out in values.items():
+            assert out == golden[section][args], (section, args)
+
+
 def write_golden() -> None:
     GOLDEN_CLI.parent.mkdir(exist_ok=True)
     cli = {c: pin(*run_command(c)) for c in readme_commands() + list(EXTRA_COMMANDS)}
@@ -198,6 +248,7 @@ def write_golden() -> None:
         for s, w, q in continuation_inputs()
     ]
     GOLDEN_CONTINUATION.write_text(json.dumps(continuation, indent=1) + "\n")
+    GOLDEN_FINITE.write_text(json.dumps(finite_record(), indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -80,24 +80,19 @@ class TestConcurrency:
 class TestTableBound:
     def test_distinct_q_stay_bounded_and_pooled_q_stays_cached(self):
         # 2,000 distinct q, with one pooled q read again between them: the
-        # tables keep at most the bound, and the pooled q keeps its table
+        # shift-coefficient tables keep at most the bound, and the pooled q
+        # keeps its table
         from qeuler import numeric
 
         pooled = QParameter(0.61)
-        euler_number(4, pooled)
         euler_poly(4, 0.5, 1, pooled)
-        number_table = numeric._NUMBER_TABLES[pooled.q]
         shift_table = numeric._SHIFT_COEFF_TABLES[(1, pooled.q)]
         for i in range(2000):
             qp = QParameter(0.3 + 1e-4 * (i + 1))
-            euler_number(2, qp)
             euler_poly(0, 0.5, 1, qp)
             if i % 50 == 0:
-                assert euler_number(4, pooled) == number_table[4]
                 euler_poly(4, 0.5, 1, pooled)
-        assert len(numeric._NUMBER_TABLES) <= numeric._TABLES_MAX
         assert len(numeric._SHIFT_COEFF_TABLES) <= numeric._TABLES_MAX
-        assert numeric._NUMBER_TABLES[pooled.q] is number_table
         assert numeric._SHIFT_COEFF_TABLES[(1, pooled.q)] is shift_table
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -172,15 +173,42 @@ class TestHurwitzZeta:
 
     def test_non_integer_shift_at_negative_integer_order(self):
         # at s = -n the rising-factorial binomials are (-1)^k C(n, k) and
-        # vanish beyond k = n, so the series stops after one zero term
+        # vanish beyond k = n, so the finite sum has n + 1 terms
         qp = QParameter(0.5)
         q, x, n = 0.5, 0.75, 4
         ref = (1 + q) * (1 - q) ** -n * sum(
             (-1) ** k * math.comb(n, k) * q ** (x * k) / (1 + q**k) for k in range(n + 1)
         )
         sv = qzeta_hurwitz(-n, x, 0, qp)
-        assert sv.terms_used == n + 2 and sv.error_bound == 0.0
+        assert sv.terms_used == n + 1 and sv.error_bound == 0.0
         assert rel_err(sv.value, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,x,h,q",
+        [
+            (20, 0.5, 0, 0.9),
+            (10, 0.5, 0, 0.97),
+            (12, 3.5, 0, 0.999),
+            (12, 0.7 - 0.1j, 1, 0.3 + 0.4j),
+            (20, 1.5, 0, 0.9 * cmath.exp(2j)),
+            (16, 2.25, 2, -0.9),
+        ],
+    )
+    def test_negative_integer_order_against_finite_sum(self, n, x, h, q):
+        # at s = -n every shift gives the finite sum E_n(x, h | q)
+        # = [2]_q (1-q)^(-n) sum_{k<=n} (-1)^k C(n,k) q^(xk) / (1 + q^(h+k)),
+        # here summed in 50 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            mq = mp.mpc(q)
+            qx = mp.power(mq, mp.mpc(x))
+            total = mp.fsum(
+                (-1) ** k * math.comb(n, k) * qx**k / (1 + mq ** (h + k)) for k in range(n + 1)
+            )
+            ref = complex((1 + mq) * (1 - mq) ** -n * total)
+        sv = qzeta_hurwitz(-n, x, h, QParameter(q))
+        assert rel_err(sv.value, ref) <= 1e-10
+        assert sv.terms_used == n + 1 and sv.error_bound == 0.0 and sv.converged
 
     @pytest.mark.parametrize(
         "s,x,h,q",
