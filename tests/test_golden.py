@@ -3,8 +3,10 @@ in each of its output formats, the float bits of the k-series evaluators
 at seeded non-integer orders, the float bits of the polynomial
 continuation at seeded (s, w, q), and the finite and exact sums (exact
 Q(q) values by the SHA-256 of their canonical string, classical values
-at order -n, Hurwitz values at order -n and integer shifts, q-Euler
-numbers).
+at order -n, Hurwitz values at order -n and integer shifts, plain values
+at order -n, q-Euler polynomials at integer, fractional and large shifts,
+small orders at dyadic q where a zero's sign or a tie decides the bits,
+q-Euler numbers).
 
 Refactors of the k-series driver, the integer test, the continuation, the
 exact engine, the finite sums or the CLI must leave every byte of these
@@ -163,6 +165,18 @@ def _hex(z: complex) -> list:
 FINITE_Q = (0.5, 0.9, -0.7, 0.3 + 0.4j)
 EXACT_POLY_ARGS = [(n, x, h) for n in range(9) for x in range(4) for h in range(3)] + [(12, 1, 2), (12, 3, 0)]
 CLASSICAL_POLY_ARGS = ((0, 0.3), (1, 0.5), (5, 0.25), (12, 1.5), (17, -2.0), (9, 0.5 + 0.25j), (20, 1 - 1j))
+# The terminating sums at order -n: q on both axes, near 1, complex and
+# rounded-decimal.  Fractional x reads the shift-coefficient table.
+TERMINATING_Q = (0.5, 0.9, 0.97, cmath.rect(0.95, 0.02), -0.9, 0.3 + 0.4j, cmath.rect(0.6, 2.2))
+TERMINATING_POLY_ARGS = (
+    [(n, x) for x in range(4) for n in range(41)]
+    + [(n, x) for x in (0.5, 1.37, 2.2) for n in range(25)]
+    + [(n, 256) for n in range(13)]
+)
+# Small orders at dyadic q, where the value can be exact, zero in one
+# component (the sign of that zero is pinned) or a binary64 tie, as
+# (1 + q)/2 is at q = 0.9.
+SMALL_Q = (0.0, 5e-324, 0.5, -0.5, 0.25j, 0.5 + 0.5j, -0.75 - 0.25j, 0.9, 0.3 + 0.4j)
 
 
 def finite_record() -> dict:
@@ -184,6 +198,25 @@ def finite_record() -> dict:
             for n in range(13)
         },
         "euler_number": {str((n, q)): _hex(qeuler.euler_number(n, q)) for q in FINITE_Q for n in range(31)},
+        "qzeta_order": {
+            str((-n, h, q)): _bits(lambda: qeuler.qzeta(-n, h, q))
+            for q in TERMINATING_Q
+            for h in range(3)
+            for n in range(41)
+        },
+        "euler_poly": {
+            str((n, x, h, q)): _hex(qeuler.euler_poly(n, x, h, q))
+            for q in TERMINATING_Q
+            for h in range(3)
+            for n, x in TERMINATING_POLY_ARGS
+        },
+        "small_order": {
+            str((n, x, h, q)): _hex(qeuler.qzeta(-n, h, q).value if x is None else qeuler.euler_poly(n, x, h, q))
+            for q in SMALL_Q
+            for h in range(3)
+            for x in (None, 0, 1, 2, 3)
+            for n in range(4)
+        },
     }
 
 
