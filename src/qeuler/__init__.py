@@ -18,7 +18,7 @@ from .continuation import (
     euler_continuation_deriv,
     euler_poly_continuation,
 )
-from .errors import CurveSampleError, NonConvergenceError, PoleError, QEulerError
+from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError, QEulerError
 from .exact import (
     IDENTITY_NAMES,
     PolyZ,
@@ -55,6 +55,7 @@ __all__ = [
     "CurveSampleError",
     "DEFAULT_CONFIG",
     "EngineConfig",
+    "FloatRangeError",
     "IDENTITY_NAMES",
     "NonConvergenceError",
     "PoleError",

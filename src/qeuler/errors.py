@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["QEulerError", "PoleError", "NonConvergenceError", "CurveSampleError"]
+__all__ = ["QEulerError", "PoleError", "NonConvergenceError", "FloatRangeError", "CurveSampleError"]
 
 
 class QEulerError(Exception):
@@ -21,6 +21,11 @@ class NonConvergenceError(QEulerError, ArithmeticError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class FloatRangeError(QEulerError, OverflowError):
+    """A finite sum's value lies beyond the float range; the underlying
+    OverflowError rides along as ``__cause__``."""
 
 
 class CurveSampleError(QEulerError):

@@ -7,11 +7,11 @@ assigns it the iterated-averaging value of its partial sums, which is the
 standard regularized reading and is what the direct evaluators reproduce.
 
 Evaluation strategy: values at integer shifts up to EXACT_SHIFT_MAX are
-computed from the terminating alternating sum in exact complex-rational
-arithmetic (see _exactcomplex), because the floating-point sum cancels down
+the terminating alternating sum in big-integer fixed point, rounded once,
+correctly (see _exactcomplex), because the floating-point sum cancels down
 by a factor of order (1-q)^n and would lose 6-12 digits for the larger n and
 q of interest.  Other shifts go through the binomial-shift expansion, whose
-terms are well scaled, using exact-path values for the order coefficients;
+terms are well scaled, using correctly rounded order coefficients;
 those coefficients are the one table this module keeps (per h and q, at
 most _TABLES_MAX keys).  The q-Euler numbers come from one float pass of
 their recurrence, and the classical Euler numbers from one integer pass of
@@ -27,7 +27,7 @@ from collections import OrderedDict
 from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
-from .errors import NonConvergenceError
+from .errors import FloatRangeError, NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
     EXACT_SHIFT_MAX,
@@ -82,7 +82,8 @@ def euler_number(n: int, q) -> complex:
 
 
 def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
-    # E_l(0, h | q) for l = 0..n, exact terminating sums, kept per (h, q).
+    # E_l(0, h | q) for l = 0..n, correctly rounded terminating sums, kept
+    # per (h, q).
     key = (h, qp.q)
     with _LOCK:
         table = _SHIFT_COEFF_TABLES.setdefault(key, [])
@@ -97,8 +98,8 @@ def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
 def euler_poly(n: int, x, h: int, q) -> complex:
     """The q-Euler polynomial E_n(x, h | q).
 
-    Integer 0 <= x <= EXACT_SHIFT_MAX uses the terminating alternating sum on
-    the exact path; other x use the binomial-shift expansion
+    Integer 0 <= x <= EXACT_SHIFT_MAX uses the terminating alternating sum,
+    correctly rounded; other x use the binomial-shift expansion
         sum_l C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l),
     which the generating series forces and which stays well conditioned.
     At x = 0 this reduces to the q-Euler numbers (h = 0) by definition.
@@ -150,8 +151,13 @@ def classical_euler_poly(n: int, x) -> complex:
     a = scaled_classical_euler(n)
     z = complex(x)
     total = 0j
-    for k in range(n + 1):
-        total += math.comb(n, k) * (a[k] / 2**k) * z ** (n - k)
+    try:
+        for k in range(n + 1):
+            total += math.comb(n, k) * (a[k] / 2**k) * z ** (n - k)
+    except OverflowError as exc:
+        raise FloatRangeError(
+            f"the classical Euler polynomial of order {n} at x = {x!r} lies beyond the float range"
+        ) from exc
     return total
 
 

@@ -15,11 +15,11 @@ next.  The k-series converges geometrically for every complex order s on
 the plain side, terminates at k = n when s = -n, and agrees with the
 iterated-averaging value of the defining sum; it is adopted here as the
 definition of the continuation.  Terminating orders are finite sums: the
-plain one is evaluated in exact complex-rational arithmetic (one rounding at
-the end), which keeps the interpolation property at machine precision, and
-the shifted one is E_n(x, h | q) at every shift, left to euler_poly.  The
-classical zeta at order -n is likewise the exact classical Euler polynomial,
-rounded once.
+plain one is evaluated in big-integer fixed point and rounded once,
+correctly (see _exactcomplex), which keeps the interpolation property at
+machine precision, and the shifted one is E_n(x, h | q) at every shift,
+left to euler_poly.  The classical zeta at order -n is likewise the exact
+classical Euler polynomial, rounded once.
 
 As the real order grows, the plain variant tends to -(1 + q): only the
 first alternating term survives.  The classically quoted limit -2 is the
@@ -33,7 +33,7 @@ import cmath
 import math
 
 from ._exactcomplex import terminating_alt_sum
-from .errors import NonConvergenceError
+from .errors import FloatRangeError, NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -93,7 +93,7 @@ def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n)
 
 
 def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> SeriesValue:
-    # Shared driver: validation, the exact path at terminating orders, and
+    # Shared driver: validation, the finite sums at terminating orders, and
     # the summed k-series with its tail ratio.
     if not isinstance(h, int) or h < 0:
         raise ValueError("h must be a nonnegative integer")
@@ -230,7 +230,12 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
         e = scaled_classical_euler(n)
         p, d = (1, 1) if xv is None else xv.real.as_integer_ratio()
         N = sum(math.comb(n, k) * e[k] * (2 * p) ** (n - k) * d**k for k in range(n + 1))
-        value = (-N if xv is None else N) / (2 * d) ** n
+        try:
+            value = (-N if xv is None else N) / (2 * d) ** n
+        except OverflowError as exc:
+            raise FloatRangeError(
+                f"the classical zeta at order {-n} lies beyond the float range"
+            ) from exc
         return SeriesValue(complex(value), 0.0, n + 1, True)
 
     if xv is None:

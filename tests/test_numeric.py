@@ -7,15 +7,20 @@ import pytest
 
 from qeuler import (
     EngineConfig,
+    QEulerError,
     QParameter,
     classical_euler_number,
     classical_euler_poly,
+    classical_zeta_E,
     euler_number,
     euler_poly,
     euler_poly_series_oracle,
     q_bracket,
+    qzeta,
     qzeta_hurwitz,
 )
+from qeuler._exactcomplex import terminating_alt_sum
+from qeuler.cli import main
 from qeuler.errors import NonConvergenceError
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
@@ -177,6 +182,95 @@ class TestEulerPoly:
             euler_poly(-1, 0, 0, QParameter(0.5))
         with pytest.raises(ValueError):
             euler_poly(2, 0, -1, QParameter(0.5))
+
+
+def fraction_alt_sum(n: int, h: int, q: complex, x) -> complex:
+    """The same finite sum as terminating_alt_sum, in Fractions over Q(i),
+    each component rounded once by float(Fraction): the oracle."""
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        d = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+    def power(a, k):
+        out = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    qe = (Fraction(q.real), Fraction(q.imag))
+    qm, qx = power(qe, h), power(qe, x or 0)
+    qxk = (Fraction(1), Fraction(0))
+    total = (Fraction(0), Fraction(0))
+    for k in range(n + 1):
+        f = div(qxk if x is not None else (-qm[0], -qm[1]), (1 + qm[0], qm[1]))
+        c = (-1) ** k * math.comb(n, k)
+        total = (total[0] + c * f[0], total[1] + c * f[1])
+        qm, qxk = mul(qm, qe), mul(qxk, qx)
+    value = div(mul(total, (1 + qe[0], qe[1])), power((1 - qe[0], -qe[1]), n))
+    return complex(float(value[0]), float(value[1]))
+
+
+def _draw_q(rng: random.Random) -> complex:
+    # q on both axes, imaginary, complex, rounded-decimal, near 1 and tiny
+    r = rng.uniform(0.0, 0.97)
+    return (
+        complex(r, 0.0),
+        complex(-r, 0.0),
+        complex(0.0, rng.choice((r, -r))),
+        cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+        complex(round(rng.uniform(-0.7, 0.7), 2), round(rng.uniform(-0.7, 0.7), 2)),
+        cmath.rect(1.0 - 10.0 ** rng.uniform(-2.5, -1.0), rng.uniform(-0.05, 0.05)),
+        complex(rng.choice((5e-324, 2.0**-600, 0.0)), 0.0),
+    )[rng.randrange(7)]
+
+
+def _draw_case(rng: random.Random) -> tuple:
+    # (n, h, q, x), with the orders held lower where the Fraction oracle's
+    # gcds grow fastest: large shifts and q below 1e-100.
+    q = _draw_q(rng)
+    x = rng.choice((None, *range(13)))
+    n = rng.randrange(7 if abs(q) < 1e-100 else 35 if x is None or x < 4 else 17)
+    return n, rng.randrange(3), q, x
+
+
+def _hex(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestTerminatingSum:
+    def test_bits_match_the_fraction_sum(self):
+        # Seeded draws, plus every small order at dyadic q, where the value
+        # may be exact, zero in one component (E_1 = -1/2 + 0i at every q)
+        # or a binary64 tie (E_0 = (1 + q)/2 at q = 0.9).
+        rng = random.Random(20080807)
+        cases = [_draw_case(rng) for _ in range(300)]
+        cases += [
+            (n, h, q, x)
+            for n in range(4)
+            for h in range(3)
+            for q in (0.0, 0.5, -0.5, 0.25j, 0.5 + 0.5j, 0.9, 0.3 + 0.4j)
+            for x in (None, 0, 1, 2)
+        ]
+        for n, h, q, x in cases:
+            q = complex(q)
+            want = _hex(fraction_alt_sum(n, h, q, x))
+            assert _hex(terminating_alt_sum(n, h, q, x)) == want, (n, h, q, x)
+
+    def test_value_beyond_the_float_range_raises(self):
+        cases = (
+            lambda: classical_zeta_E(-301),
+            lambda: classical_euler_poly(56, 1e10),
+            lambda: qzeta(-400, 0, 0.97),
+        )
+        for case in cases:
+            with pytest.raises(QEulerError) as info:
+                case()
+            assert isinstance(info.value.__cause__, OverflowError)
+        assert main(["zeta", "--q", "0.97", "--s", "-400"]) == 3
 
 
 class TestNumericShiftIdentities:
