@@ -129,8 +129,10 @@ def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
         out_im = 0.0 if Q[1] == 0 else _decided(vi, err, den)  # real q, real sum
         return None if out_im is None else complex(out_re, out_im)
 
-    # 72 bits beyond the n + n log2(1/|1-q|) that the sum cancels.
+    # 72 bits beyond the n + n log2(1/|1-q|) that the sum cancels, and h
+    # log2(1/|q|) more for the plain form, whose value is of order q^h.
     p = 72 + n + math.ceil(n * -math.log2(abs(1.0 - q)))
+    p += math.ceil(h * -math.log2(abs(q))) if x is None and 0 < abs(q) < 1 else 0
     try:
         for _ in range(3):
             value = finish(*_fixed_sum(_terms(n, h, Q, e, x), p), 1 << p, 1 << n)

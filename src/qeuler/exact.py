@@ -3,15 +3,15 @@
 PolyZ is a dense integer-coefficient polynomial in the indeterminate q;
 RationalQ is a quotient of two of them kept in canonical form (coprime,
 denominator with positive leading coefficient, no common integer content).
-On top of those sit closed forms for the q-Euler numbers and polynomials and
-an identity checker that decides the shift/expansion identities by exact
-cross-multiplied equality.
+On top of those sit the q-Euler numbers and polynomials, each summed as a
+PolyZ numerator over its known denominator and reduced once, and an identity
+checker that decides the shift/expansion identities by exact equality.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from fractions import Fraction
 
 from .errors import PoleError
 
@@ -322,10 +322,10 @@ class RationalQ:
         return hash((self.num.coeffs, self.den.coeffs))
 
     def eval(self, q0):
-        den = self.den.eval(q0)
+        num, den = self.num.eval(q0), self.den.eval(q0)
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")
-        return self.num.eval(q0) / den
+        return Fraction(num, den) if isinstance(q0, (int, Fraction)) else num / den
 
     def __str__(self):
         return f"({self.num})/({self.den})"
@@ -334,14 +334,23 @@ class RationalQ:
         return f"RationalQ({self.num.coeffs!r}, {self.den.coeffs!r})"
 
 
-_RQ_ZERO = RationalQ(0)
-_RQ_TWO_Q = RationalQ(PolyZ.bracket(2))  # [2]_q = 1 + q
-
-
 # -- q-Euler closed forms -----------------------------------------------------
 
-_LOCK = threading.Lock()
-_EULER_TABLE: list[RationalQ] = []
+
+def _euler_numerators(count: int) -> tuple[list[PolyZ], list[PolyZ], PolyZ]:
+    # N_m and f_m = 1+q^m for m < count, and D_(count-1), where E_m = N_m / D_m
+    # and D_m = prod_{j<=m} f_j: N_0 = 1+q, N_m = -sum_{l<m} C(m,l) q^l N_l
+    # prod_{l<j<m} f_j, summed by Horner over l with no gcd.  The sparse f_j
+    # go left of *, which skips zero coefficients of its left operand.
+    fs = [PolyZ.one() + PolyZ.monomial(1, j) for j in range(count)]
+    nums, den = [], PolyZ.one()
+    for m in range(count):
+        acc = PolyZ()
+        for l in range(m):
+            acc = fs[l] * acc + PolyZ.monomial(math.comb(m, l), l) * nums[l]
+        nums.append(-acc if m else PolyZ.bracket(2))
+        den = fs[m] * den
+    return nums, fs, den
 
 
 def exact_euler_number(n: int) -> RationalQ:
@@ -349,23 +358,13 @@ def exact_euler_number(n: int) -> RationalQ:
 
     E_0 = (1+q)/2 and, for n >= 1,
     E_n = -(1/(1+q^n)) * sum_{l<n} C(n,l) q^l E_l.
-    Values are memoized; the table is guarded so concurrent readers see a
-    consistent prefix.
+    The numerator is summed over the known denominator 2 prod_{1<=m<=n} (1+q^m)
+    and reduced once; nothing is cached.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    with _LOCK:
-        while len(_EULER_TABLE) <= n:
-            m = len(_EULER_TABLE)
-            if m == 0:
-                _EULER_TABLE.append(RationalQ(PolyZ((1, 1)), PolyZ((2,))))
-                continue
-            acc = _RQ_ZERO
-            for l in range(m):
-                acc = acc + RationalQ(PolyZ.monomial(math.comb(m, l), l)) * _EULER_TABLE[l]
-            one_plus_qm = RationalQ(PolyZ.one() + PolyZ.monomial(1, m))
-            _EULER_TABLE.append(-(acc / one_plus_qm))
-        return _EULER_TABLE[n]
+    nums, _, den = _euler_numerators(n + 1)
+    return RationalQ(nums[n], den)
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
@@ -373,25 +372,25 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
 
     Built from the explicit alternating sum
         ([2]_q / (1-q)^n) * sum_{l<=n} C(n,l) (-1)^l q^(l x) / (1 + q^(l+h)),
-    with integer x, h >= 0 so every ingredient stays inside Q(q).  The
-    apparent (1-q)^n pole must cancel in canonical form; this is asserted by
-    checking the reduced denominator at q = 1.
+    with integer x, h >= 0 so every ingredient stays inside Q(q), summed over
+    the known denominator prod_l (1 + q^(l+h)) and reduced once.  The apparent
+    (1-q)^n pole must cancel; the reduced denominator is checked at q = 1.
     """
     if n < 0 or x < 0 or h < 0:
         raise ValueError("n, x, h must be nonnegative integers")
-    acc = _RQ_ZERO
+    num, den = PolyZ(), PolyZ.one()
     for l in range(n + 1):
-        coef = math.comb(n, l) if l % 2 == 0 else -math.comb(n, l)
-        num = PolyZ.monomial(coef, l * x) * PolyZ.bracket(2)
-        den = PolyZ.one() + PolyZ.monomial(1, l + h)
-        acc = acc + RationalQ(num, den)
-    out = acc / RationalQ(PolyZ((1, -1)) ** n)
+        f = PolyZ.one() + PolyZ.monomial(1, l + h)
+        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
+        den = f * den
+    out = RationalQ(num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n)
     assert out.den.eval(1) != 0, "the (1-q)^n pole failed to cancel"
     return out
 
 
 # -- identity checking ---------------------------------------------------------
 
+_RQ_TWO_Q = RationalQ(PolyZ.bracket(2))  # [2]_q = 1 + q
 IDENTITY_NAMES = (
     "poly-vs-recurrence",
     "binomial-expansion",
@@ -415,13 +414,14 @@ def _signed_bracket_power_sum(n: int, k: int, flip: bool) -> RationalQ:
 
 
 def _binomial_shift_sum(n: int, k: int, upper: int) -> RationalQ:
-    # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l)
-    acc = _RQ_ZERO
+    # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l), over D_(upper-1)
+    nums, fs, den = _euler_numerators(upper)
+    acc = PolyZ()
     bk = PolyZ.bracket(k)
     for l in range(upper):
         weight = PolyZ.monomial(math.comb(n, l), k * l) * (bk ** (n - l))
-        acc = acc + RationalQ(weight) * exact_euler_number(l)
-    return acc
+        acc = fs[l] * acc + weight * nums[l]
+    return RationalQ(acc, den)
 
 
 def verify_identity(identity: str, n: int, k: int = 0) -> bool:

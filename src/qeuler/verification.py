@@ -79,11 +79,9 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         return ok, "the flipped-sign variant must fail at (n=2, k=2)"
 
     def classical_limit():
-        bad = []
-        for n in range(min(max_n, 8) + 1):
-            val = exact_euler_number(n).eval(1)
-            if val != classical_euler_number(n):
-                bad.append(n)
+        bad = [
+            n for n in range(max_n + 1) if exact_euler_number(n).eval(1) != classical_euler_number(n)
+        ]
         return not bad, "q = 1 specialization matches the classical recurrence"
 
     record("exact/poly-vs-recurrence", poly_vs_recurrence)

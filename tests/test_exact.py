@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -120,6 +121,11 @@ class TestEval:
         with pytest.raises(PoleError):
             RQ((1,), (1, -1)).eval(complex(1.0))
 
+    def test_exact_at_a_rational_point(self):
+        # beyond 2^53 a rounded float would no longer equal the value
+        assert RationalQ(PolyZ((2**60 + 1,)), PolyZ((2,))).eval(1) == Fraction(2**60 + 1, 2)
+        assert RQ((1, 1), (3,)).eval(Fraction(1, 2)) == Fraction(1, 2)
+
 
 class TestExactEulerNumbers:
     def test_order_zero(self):
@@ -169,6 +175,53 @@ class TestExactEulerPoly:
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
             exact_euler_poly(2, -1, 0)
+
+
+def per_term_numbers(n: int) -> list:
+    """E_0..E_n by the recurrence with a canonical RationalQ after every
+    addition, one gcd per term: the oracle."""
+    table = [RQ((1, 1), (2,))]
+    for m in range(1, n + 1):
+        acc = RationalQ(0)
+        for l in range(m):
+            acc = acc + RationalQ(PolyZ.monomial(math.comb(m, l), l)) * table[l]
+        table.append(-(acc / RationalQ(PolyZ.one() + PolyZ.monomial(1, m))))
+    return table
+
+
+def per_term_poly(n: int, x: int, h: int) -> RationalQ:
+    """E_n(x, h | q) summed term by term in canonical RationalQs: the oracle."""
+    acc = RationalQ(0)
+    for l in range(n + 1):
+        num = PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * PolyZ.bracket(2)
+        acc = acc + RationalQ(num, PolyZ.one() + PolyZ.monomial(1, l + h))
+    return acc / RationalQ(PolyZ((1, -1)) ** n)
+
+
+def canonical(r: RationalQ) -> tuple:
+    return r.num.coeffs, r.den.coeffs
+
+
+class TestKnownDenominators:
+    """Values summed over their known denominators and reduced once carry
+    the same canonical coefficients as the per-term canonical sums."""
+
+    def test_numbers_match_the_per_term_recurrence(self):
+        for n, want in enumerate(per_term_numbers(16)):
+            assert canonical(exact_euler_number(n)) == canonical(want), n
+
+    def test_polys_match_the_per_term_sum(self):
+        for n in range(13):
+            for x in range(4):
+                for h in range(3):
+                    want = canonical(per_term_poly(n, x, h))
+                    assert canonical(exact_euler_poly(n, x, h)) == want, (n, x, h)
+
+    def test_identities_at_order_twenty(self):
+        assert verify_identity("poly-vs-recurrence", 20)
+        assert verify_identity("binomial-expansion", 20, 2)
+        assert verify_identity("odd-shift", 20, 3)
+        assert verify_identity("even-shift-recombined", 20, 2)
 
 
 class TestIdentities:

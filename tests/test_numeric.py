@@ -19,6 +19,7 @@ from qeuler import (
     qzeta,
     qzeta_hurwitz,
 )
+from qeuler import _exactcomplex
 from qeuler._exactcomplex import terminating_alt_sum
 from qeuler.cli import main
 from qeuler.errors import NonConvergenceError
@@ -259,6 +260,20 @@ class TestTerminatingSum:
             q = complex(q)
             want = _hex(fraction_alt_sum(n, h, q, x))
             assert _hex(terminating_alt_sum(n, h, q, x)) == want, (n, h, q, x)
+
+    def test_tiny_q_plain_sums_decided_in_fixed_point(self, monkeypatch):
+        # The plain value is of order q^h, far below the starting 2^-72 at
+        # these q; the bits were pinned from the exact sum, which must not run.
+        def exact_sum(terms):
+            raise AssertionError("the exact fallback ran")
+
+        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        cases = {
+            5e-324: ("-0x0.0000000000001p-1022", "0x0.0p+0"),
+            2.0**-600: ("-0x1.0000000000000p-600", "0x0.0p+0"),
+        }
+        for q, want in cases.items():
+            assert _hex(terminating_alt_sum(40, 1, complex(q), None)) == want, q
 
     def test_value_beyond_the_float_range_raises(self):
         cases = (
