@@ -4,8 +4,11 @@ PolyZ is a dense integer-coefficient polynomial in the indeterminate q;
 RationalQ is a quotient of two of them kept in canonical form (coprime,
 denominator with positive leading coefficient, no common integer content).
 On top of those sit the q-Euler numbers and polynomials, each summed as a
-PolyZ numerator over its known denominator and reduced once, and an identity
-checker that decides the shift/expansion identities by exact equality.
+PolyZ numerator over its known denominator and reduced once by trial division
+by the cyclotomic factors of that denominator, and an identity checker that
+decides the shift/expansion identities by exact equality, cross-multiplying
+unreduced pairs.  No q-Euler path takes a polynomial gcd; PolyZ.gcd and the
+RationalQ arithmetic serve rational functions a caller builds.
 """
 
 from __future__ import annotations
@@ -163,17 +166,17 @@ class PolyZ:
         if self.degree < d.degree:
             raise ValueError("division is not exact")
         r = list(self.coeffs)
-        dd, dl, dc = d.degree, d.leading, d.coeffs
+        dd, dl = d.degree, d.leading
+        terms = [(j, c) for j, c in enumerate(d.coeffs[:dd]) if c]  # below the leading term
         out = [0] * (self.degree - dd + 1)
         for i in range(self.degree - dd, -1, -1):
-            top = r[dd + i]
-            qc, rem = divmod(top, dl)
+            qc, rem = divmod(r[dd + i], dl)
             if rem:
                 raise ValueError("division is not exact")
             out[i] = qc
             if qc:
-                for j in range(dd + 1):
-                    r[i + j] -= qc * dc[j]
+                for j, c in terms:
+                    r[i + j] -= qc * c
         if any(r[:dd]):
             raise ValueError("division is not exact")
         return PolyZ(out)
@@ -248,7 +251,8 @@ def _pseudo_rem(a: PolyZ, b: PolyZ) -> PolyZ:
         if top == 0:
             continue
         qc, rem = divmod(top, lb)
-        assert rem == 0, "pseudo-division lost exactness"
+        if rem:
+            raise ArithmeticError("pseudo-division lost exactness")
         for j in range(db + 1):
             r[i + j] -= qc * bc[j]
     return PolyZ(r[:db])
@@ -283,6 +287,14 @@ class RationalQ:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: PolyZ, den: PolyZ) -> "RationalQ":
+        # a pair the caller has already put in canonical form, taken as is
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @staticmethod
     def _coerce_poly(p) -> PolyZ:
@@ -335,22 +347,92 @@ class RationalQ:
 
 
 # -- q-Euler closed forms -----------------------------------------------------
+#
+# Every denominator below is a constant times a product of the cyclotomic
+# polynomials Phi_d: 1 + q^m = prod Phi_d over d | 2m with d not dividing m,
+# and 1 - q = -Phi_1.  The Phi_d are irreducible over Q, so dividing each one
+# out of the numerator while that division is exact leaves a coprime pair,
+# with no remainder sequence.
 
 
-def _euler_numerators(count: int) -> tuple[list[PolyZ], list[PolyZ], PolyZ]:
-    # N_m and f_m = 1+q^m for m < count, and D_(count-1), where E_m = N_m / D_m
-    # and D_m = prod_{j<=m} f_j: N_0 = 1+q, N_m = -sum_{l<m} C(m,l) q^l N_l
+def _cyclotomic(d: int, table: dict) -> PolyZ:
+    # Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e; table holds those built so far
+    phi = table.get(d)
+    if phi is None:
+        phi = PolyZ.monomial(1, d) - PolyZ.one()
+        for e in range(1, d // 2 + 1):
+            if d % e == 0:
+                phi = phi.divexact(_cyclotomic(e, table))
+        table[d] = phi
+    return phi
+
+
+def _add_one_plus_q_power(exps: dict, m: int) -> None:
+    # count the Phi_d of 1 + q^m, m >= 1, into exps (d -> multiplicity)
+    for d in range(1, 2 * m + 1):
+        if (2 * m) % d == 0 and m % d:
+            exps[d] = exps.get(d, 0) + 1
+
+
+def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
+    """num / (const * prod_d Phi_d^exps[d]) in canonical form.
+
+    Each Phi_d is divided out of the numerator while that is exact, at most
+    exps[d] times, and exps is left holding the multiplicities that remain.
+    The denominator is then built from those, and the integer content the
+    two share is cleared with the sign that makes its leading coefficient
+    positive (a product of monic Phi_d has content 1).
+    """
+    if num.is_zero:
+        exps.clear()
+        return RationalQ(0)
+    table: dict = {}
+    den = PolyZ.one()
+    for d in sorted(exps):
+        phi = _cyclotomic(d, table)
+        while exps[d]:
+            try:
+                num = num.divexact(phi)
+            except ValueError:
+                break
+            exps[d] -= 1
+        den = phi ** exps[d] * den
+    c = math.gcd(num.content(), const) * (1 if const > 0 else -1)
+    if c != 1:
+        num = num.div_scalar(c)
+    return RationalQ._canonical(num, den * (const // c))
+
+
+def _one_plus_q_power(m: int) -> PolyZ:
+    return PolyZ.one() + PolyZ.monomial(1, m)
+
+
+def _euler_numerators(count: int) -> tuple[list[PolyZ], list[PolyZ]]:
+    # N_m and D_m for m < count, where E_m = N_m / D_m and D_m = prod_{j<=m} f_j
+    # with f_j = 1+q^j (f_0 = 2): N_0 = 1+q, N_m = -sum_{l<m} C(m,l) q^l N_l
     # prod_{l<j<m} f_j, summed by Horner over l with no gcd.  The sparse f_j
     # go left of *, which skips zero coefficients of its left operand.
-    fs = [PolyZ.one() + PolyZ.monomial(1, j) for j in range(count)]
-    nums, den = [], PolyZ.one()
+    fs = [_one_plus_q_power(j) for j in range(count)]
+    nums, dens, den = [], [], PolyZ.one()
     for m in range(count):
         acc = PolyZ()
         for l in range(m):
             acc = fs[l] * acc + PolyZ.monomial(math.comb(m, l), l) * nums[l]
         nums.append(-acc if m else PolyZ.bracket(2))
         den = fs[m] * den
-    return nums, fs, den
+        dens.append(den)
+    return nums, dens
+
+
+def _euler_poly_pair(n: int, x: int, h: int) -> tuple[PolyZ, PolyZ]:
+    # E_n(x, h | q) as [2]_q sum_l C(n,l) (-1)^l q^(l x) over its known
+    # denominator prod_l (1 + q^(l+h)) (1-q)^n, unreduced
+    num, den = PolyZ(), PolyZ.one()
+    for l in range(n + 1):
+        f = _one_plus_q_power(l + h)
+        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
+        den = f * den
+    return num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n
 
 
 def exact_euler_number(n: int) -> RationalQ:
@@ -359,12 +441,16 @@ def exact_euler_number(n: int) -> RationalQ:
     E_0 = (1+q)/2 and, for n >= 1,
     E_n = -(1/(1+q^n)) * sum_{l<n} C(n,l) q^l E_l.
     The numerator is summed over the known denominator 2 prod_{1<=m<=n} (1+q^m)
-    and reduced once; nothing is cached.
+    and reduced once, by dividing out the cyclotomic factors of that
+    denominator; nothing is cached.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    nums, _, den = _euler_numerators(n + 1)
-    return RationalQ(nums[n], den)
+    nums, _ = _euler_numerators(n + 1)
+    exps: dict = {}
+    for m in range(1, n + 1):
+        _add_one_plus_q_power(exps, m)
+    return _reduced(nums[n], 2, exps)
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
@@ -373,24 +459,29 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
     Built from the explicit alternating sum
         ([2]_q / (1-q)^n) * sum_{l<=n} C(n,l) (-1)^l q^(l x) / (1 + q^(l+h)),
     with integer x, h >= 0 so every ingredient stays inside Q(q), summed over
-    the known denominator prod_l (1 + q^(l+h)) and reduced once.  The apparent
-    (1-q)^n pole must cancel; the reduced denominator is checked at q = 1.
+    the known denominator prod_l (1 + q^(l+h)) (1-q)^n and reduced once, by
+    dividing out its cyclotomic factors.  The apparent (1-q)^n pole must
+    cancel: PoleError if a factor 1-q is left in the denominator.
     """
     if n < 0 or x < 0 or h < 0:
         raise ValueError("n, x, h must be nonnegative integers")
-    num, den = PolyZ(), PolyZ.one()
+    num, _ = _euler_poly_pair(n, x, h)
+    exps = {1: n}
     for l in range(n + 1):
-        f = PolyZ.one() + PolyZ.monomial(1, l + h)
-        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
-        den = f * den
-    out = RationalQ(num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n)
-    assert out.den.eval(1) != 0, "the (1-q)^n pole failed to cancel"
+        if l + h:
+            _add_one_plus_q_power(exps, l + h)
+    out = _reduced(num, (-1) ** n * (1 if h else 2), exps)
+    if exps.get(1):
+        raise PoleError("the (1-q)^n pole failed to cancel")
     return out
 
 
 # -- identity checking ---------------------------------------------------------
+#
+# Both sides of an identity are unreduced (numerator, denominator) pairs of
+# PolyZ, added and multiplied with no reduction and compared by
+# cross-multiplication, which decides equality in Q(q) without a gcd.
 
-_RQ_TWO_Q = RationalQ(PolyZ.bracket(2))  # [2]_q = 1 + q
 IDENTITY_NAMES = (
     "poly-vs-recurrence",
     "binomial-expansion",
@@ -402,26 +493,55 @@ IDENTITY_NAMES = (
 )
 
 
-def _signed_bracket_power_sum(n: int, k: int, flip: bool) -> RationalQ:
-    # sum_{l<k} (-1)^l [l]_q^n, negated when flip is True ((-1)^(l-1) variant).
-    # [0]_q^0 contributes 1 via the 0^0 = 1 convention.
+def _equal(a: tuple[PolyZ, PolyZ], b: tuple[PolyZ, PolyZ]) -> bool:
+    return a[0] * b[1] == b[0] * a[1]
+
+
+def _signed_bracket_power_sum(n: int, k: int, flip: bool) -> PolyZ:
+    # [2]_q sum_{l<k} (-1)^l [l]_q^n, negated when flip is True ((-1)^(l-1)
+    # variant).  [0]_q^0 contributes 1 via the 0^0 = 1 convention.
     acc = PolyZ.zero()
     for l in range(k):
         term = PolyZ.bracket(l) ** n
         sign = -1 if (l % 2 == 1) != flip else 1
         acc = acc + term * sign
-    return RationalQ(acc)
+    return PolyZ.bracket(2) * acc
 
 
-def _binomial_shift_sum(n: int, k: int, upper: int) -> RationalQ:
+def _binomial_shift_sum(n: int, k: int, upper: int, table: tuple) -> tuple[PolyZ, PolyZ]:
     # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l), over D_(upper-1)
-    nums, fs, den = _euler_numerators(upper)
+    nums, dens = table
     acc = PolyZ()
     bk = PolyZ.bracket(k)
     for l in range(upper):
         weight = PolyZ.monomial(math.comb(n, l), k * l) * (bk ** (n - l))
-        acc = fs[l] * acc + weight * nums[l]
-    return RationalQ(acc, den)
+        acc = _one_plus_q_power(l) * acc + weight * nums[l]
+    return acc, dens[upper - 1] if upper else PolyZ.one()
+
+
+def _verify_identity(identity: str, n: int, k: int, table: tuple) -> bool:
+    # verify_identity on checked arguments, with table = _euler_numerators(c)
+    # for some c > n; N_m and D_m do not depend on c.
+    nums, dens = table
+    e_n = nums[n], dens[n]
+    if identity == "poly-vs-recurrence":
+        return _equal(_euler_poly_pair(n, 0, 0), e_n)
+    if identity == "binomial-expansion":
+        return _equal(_euler_poly_pair(n, k, 0), _binomial_shift_sum(n, k, n + 1, table))
+
+    sign = -1 if identity.startswith("even") else 1
+    flip = identity in ("even-shift", "even-shift-recombined")
+    bracket_sum = (_signed_bracket_power_sum(n, k, flip), PolyZ.one())
+    if identity in ("even-shift", "odd-shift", "even-shift-wrong-sign"):
+        # E_n(k) + sign * E_n
+        p_num, p_den = _euler_poly_pair(n, k, 0)
+        lhs = p_num * e_n[1] + sign * (e_n[0] * p_den), p_den * e_n[1]
+        return _equal(lhs, bracket_sum)
+    # recombined forms: (q^(k n) + sign) E_n + tail
+    t_num, t_den = _binomial_shift_sum(n, k, n, table)
+    shift = PolyZ.monomial(1, k * n) + PolyZ.const(sign)
+    rhs = shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den
+    return _equal(bracket_sum, rhs)
 
 
 def verify_identity(identity: str, n: int, k: int = 0) -> bool:
@@ -443,49 +563,21 @@ def verify_identity(identity: str, n: int, k: int = 0) -> bool:
       re-expressed through the binomial expansion, with the second sum
       running to n-1 (the limit forced by the expansion itself).
 
-    Returns True when both sides agree as elements of Q(q).
+    Returns True when both sides agree as elements of Q(q).  Both sides are
+    kept over their known denominators and compared by cross-multiplication,
+    with no gcd.
     """
     if identity not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_NAMES}")
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-
-    if identity == "poly-vs-recurrence":
-        return exact_euler_poly(n, 0, 0) == exact_euler_number(n)
-
     if identity == "binomial-expansion":
         if k < 0:
             raise ValueError("the shift x = k must be a nonnegative integer")
-        return exact_euler_poly(n, k, 0) == _binomial_shift_sum(n, k, n + 1)
-
-    if identity in ("even-shift", "even-shift-recombined", "even-shift-wrong-sign"):
+    elif identity in ("even-shift", "even-shift-recombined", "even-shift-wrong-sign"):
         if k <= 0 or k % 2 != 0:
             raise ValueError(f"{identity} requires a positive even k, got {k}")
-    else:
+    elif identity != "poly-vs-recurrence":
         if k <= 0 or k % 2 != 1:
             raise ValueError(f"{identity} requires a positive odd k, got {k}")
-
-    e_n = exact_euler_number(n)
-    if identity == "even-shift":
-        lhs = exact_euler_poly(n, k, 0) - e_n
-        rhs = _RQ_TWO_Q * _signed_bracket_power_sum(n, k, flip=True)
-        return lhs == rhs
-    if identity == "even-shift-wrong-sign":
-        lhs = exact_euler_poly(n, k, 0) - e_n
-        rhs = _RQ_TWO_Q * _signed_bracket_power_sum(n, k, flip=False)
-        return lhs == rhs
-    if identity == "odd-shift":
-        lhs = exact_euler_poly(n, k, 0) + e_n
-        rhs = _RQ_TWO_Q * _signed_bracket_power_sum(n, k, flip=False)
-        return lhs == rhs
-
-    # recombined forms
-    shift = RationalQ(PolyZ.monomial(1, k * n))
-    tail = _binomial_shift_sum(n, k, n)
-    if identity == "even-shift-recombined":
-        lhs = _RQ_TWO_Q * _signed_bracket_power_sum(n, k, flip=True)
-        rhs = (shift - RationalQ(1)) * e_n + tail
-    else:  # odd-shift-recombined
-        lhs = _RQ_TWO_Q * _signed_bracket_power_sum(n, k, flip=False)
-        rhs = (shift + RationalQ(1)) * e_n + tail
-    return lhs == rhs
+    return _verify_identity(identity, n, k, _euler_numerators(n + 1))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .continuation import curve_grid, euler_continuation, euler_continuation_deriv
-from .exact import exact_euler_number, verify_identity
+from .exact import _euler_numerators, _verify_identity, exact_euler_number, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, as_qparameter
 from .numeric import (
     classical_euler_number,
@@ -48,6 +48,11 @@ def _rel_err(a: complex, b: complex) -> float:
 
 def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
     out = []
+    # N_0..N_max_n and their denominators, shared by every identity check
+    table = _euler_numerators(max_n + 1)
+
+    def holds(name, n, k=0):
+        return _verify_identity(name, n, k, table)
 
     def record(name, fn):
         try:
@@ -57,7 +62,7 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         out.append(CheckResult(name, ok, detail))
 
     def poly_vs_recurrence():
-        bad = [n for n in range(max_n + 1) if not verify_identity("poly-vs-recurrence", n)]
+        bad = [n for n in range(max_n + 1) if not holds("poly-vs-recurrence", n)]
         return not bad, f"n <= {max_n}" + (f", failed at {bad}" if bad else "")
 
     def binomial_expansion():
@@ -65,13 +70,13 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
             (n, x)
             for n in range(max_n + 1)
             for x in range(0, 5)
-            if not verify_identity("binomial-expansion", n, x)
+            if not holds("binomial-expansion", n, x)
         ]
         return not bad, f"n <= {max_n}, x <= 4" + (f", failed at {bad}" if bad else "")
 
     def shifts(name, parity):
         ks = [k for k in range(1, max_k + 1) if k % 2 == parity]
-        bad = [(n, k) for n in range(max_n + 1) for k in ks if not verify_identity(name, n, k)]
+        bad = [(n, k) for n in range(max_n + 1) for k in ks if not holds(name, n, k)]
         return not bad, f"n <= {max_n}, k in {ks}" + (f", failed at {bad}" if bad else "")
 
     def wrong_sign_rejected():

@@ -13,7 +13,9 @@ from qeuler import (
     exact_euler_poly,
     verify_identity,
 )
+from qeuler import exact
 from qeuler.errors import PoleError
+from qeuler.verification import run_checks
 
 
 def RQ(num, den=None):
@@ -176,6 +178,12 @@ class TestExactEulerPoly:
         with pytest.raises(ValueError):
             exact_euler_poly(2, -1, 0)
 
+    def test_uncancelled_pole_raises(self, monkeypatch):
+        # a numerator that leaves (1-q)^n standing is a PoleError, also under -O
+        monkeypatch.setattr(exact, "_euler_poly_pair", lambda n, x, h: (PolyZ.one(), None))
+        with pytest.raises(PoleError):
+            exact_euler_poly(3, 1, 0)
+
 
 def per_term_numbers(n: int) -> list:
     """E_0..E_n by the recurrence with a canonical RationalQ after every
@@ -224,7 +232,69 @@ class TestKnownDenominators:
         assert verify_identity("even-shift-recombined", 20, 2)
 
 
+class TestCyclotomicReduction:
+    """Canonical forms by trial division by the cyclotomic factors of the
+    known denominators, with no remainder sequence."""
+
+    def test_cyclotomic_polynomials(self):
+        table = {}
+        for m in range(1, 61):
+            phi = exact._cyclotomic(m, table)
+            assert phi.degree == sum(math.gcd(m, j) == 1 for j in range(1, m + 1)), m
+            product = PolyZ.one()
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    product = product * exact._cyclotomic(d, table)
+            assert product == PolyZ.monomial(1, m) - PolyZ.one(), m
+
+    def test_numbers_match_the_prs_reduction(self):
+        nums, dens = exact._euler_numerators(21)
+        for n in range(21):
+            want = canonical(RationalQ(nums[n], dens[n]))
+            assert canonical(exact_euler_number(n)) == want, n
+
+    def test_polys_match_the_prs_reduction(self):
+        for n in range(13):
+            for x in range(4):
+                for h in range(3):
+                    want = canonical(RationalQ(*exact._euler_poly_pair(n, x, h)))
+                    assert canonical(exact_euler_poly(n, x, h)) == want, (n, x, h)
+
+    def test_no_library_path_takes_a_gcd(self, monkeypatch):
+        def no_gcd(a, b):
+            raise AssertionError("PolyZ.gcd called")
+
+        want = canonical(per_term_numbers(6)[6]), canonical(per_term_poly(7, 2, 1))
+        monkeypatch.setattr(PolyZ, "gcd", staticmethod(no_gcd))
+        assert (canonical(exact_euler_number(6)), canonical(exact_euler_poly(7, 2, 1))) == want
+        for name, ks in PINNED_VERDICTS.items():
+            for k, row in ks.items():
+                assert verify_identity(name, 4, k) == (row[4] == "T"), (name, k)
+        assert all(r.passed for r in run_checks(0.5, max_n=4, max_k=4, exact_only=True))
+
+
+# The verdicts of verify_identity, computed with canonical RationalQ
+# comparisons: name -> {k: verdict at n = 0..8}.  The wrong-sign control holds only at
+# n = 0, where both of its sides vanish.
+PINNED_VERDICTS = {
+    "poly-vs-recurrence": {0: "TTTTTTTTT"},
+    "binomial-expansion": {k: "TTTTTTTTT" for k in range(5)},
+    "even-shift": {2: "TTTTTTTTT", 4: "TTTTTTTTT"},
+    "odd-shift": {1: "TTTTTTTTT", 3: "TTTTTTTTT"},
+    "even-shift-recombined": {2: "TTTTTTTTT", 4: "TTTTTTTTT"},
+    "odd-shift-recombined": {1: "TTTTTTTTT", 3: "TTTTTTTTT"},
+    "even-shift-wrong-sign": {2: "TFFFFFFFF", 4: "TFFFFFFFF"},
+}
+
+
 class TestIdentities:
+    def test_pinned_verdicts(self):
+        assert set(PINNED_VERDICTS) == set(exact.IDENTITY_NAMES)
+        for name, ks in PINNED_VERDICTS.items():
+            for k, row in ks.items():
+                got = "".join("T" if verify_identity(name, n, k) else "F" for n in range(9))
+                assert got == row, (name, k)
+
     def test_poly_vs_recurrence(self):
         assert all(verify_identity("poly-vs-recurrence", n) for n in range(9))
 
