@@ -11,13 +11,14 @@ emitter writes them as text, JSON or CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 
 from .continuation import curve_grid, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
-from .exact import exact_euler_number, exact_euler_poly
+from .exact import _euler_numerators, _reduced_euler_number, exact_euler_poly
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter
 from .numeric import euler_numbers, euler_poly
 from .verification import run_checks
@@ -123,7 +124,8 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
         raise ValueError("--n must be a nonnegative integer")
     ns = range(args.n + 1)
     if args.exact:
-        rendered = [str(exact_euler_number(n)) for n in ns]
+        nums, _ = _euler_numerators(args.n + 1)  # one table for every E_n
+        rendered = [str(_reduced_euler_number(nums, n)) for n in ns]
         text = [f"E_{n} = {r}" for n, r in zip(ns, rendered)]
         rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
         # The JSON maps each n, as a string, to its rendered value.
@@ -210,7 +212,11 @@ def _cmd_verify(args, cfg, qp, meta) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and shared by every later one in the process:
+    # parse_args leaves the parser as it found it, and building it costs
+    # more than most requests.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=parse_complex, required=True, help="deformation parameter, |q| < 1")
     common.add_argument("--tol", type=float, default=DEFAULT_CONFIG.rel_tol, help="relative series tolerance")

@@ -45,7 +45,7 @@ from .kernel import (
     log_gamma,
     q_bracket,
 )
-from .zeta import qzeta, qzeta_deriv
+from .zeta import _kseries, _PlainFactors, qzeta, qzeta_deriv
 
 __all__ = [
     "CurveGrid",
@@ -70,8 +70,11 @@ def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> comple
     return -qzeta_deriv(-complex(s), 0, q, config=config).value
 
 
-def _order_terms(s, qp: QParameter, cfg: EngineConfig) -> list[tuple[float, complex, int]]:
+def _order_terms(
+    s, qp: QParameter, cfg: EngineConfig, factors: _PlainFactors
+) -> list[tuple[float, complex, int]]:
     # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
+    # factors is the plain zeta's table at (0, q), which every C(k + frac) reads.
     sc = complex(s)
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
@@ -88,14 +91,19 @@ def _order_terms(s, qp: QParameter, cfg: EngineConfig) -> list[tuple[float, comp
         arg = k + frac
         weight = cmath.exp(lg_top - log_gamma(1.0 + k + frac) - log_gamma(1.0 + fs - k))
         # C(arg), with the order-0 defect blended back in
-        coeff = qzeta(complex(-arg), 0, qp, cfg).value
+        coeff = _kseries(complex(-arg), None, 0, qp, cfg, False, factors).value
         if abs(arg) < 1.0:
             coeff += (1.0 + qp.q) * (1.0 - abs(arg))
         terms.append((arg, weight * coeff, fs - k))
     return terms
 
 
-def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter) -> complex:
+def _log_q(qp: QParameter) -> complex | None:
+    # log q for cpow, taken once per grid or point; cpow handles q = 0 itself.
+    return cmath.log(qp.q) if qp.q else None
+
+
+def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter, logq) -> complex:
     # The part of E_q(s, w) that depends on w, summed in the order of the terms.
     ww = complex(w)
     bw = q_bracket(ww, qp)
@@ -104,7 +112,7 @@ def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter) -> c
         bw_pows.append(bw_pows[-1] * bw)
     total = 0j
     for arg, weighted, power in terms:
-        total += weighted * cpow(qp.q, arg * ww) * bw_pows[power]
+        total += weighted * cpow(qp.q, arg * ww, logq) * bw_pows[power]
     return total
 
 
@@ -117,7 +125,8 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     orders up to ~50 stay in range.
     """
     qp = as_qparameter(q)
-    return _sum_over_w(_order_terms(s, qp, config or DEFAULT_CONFIG), w, qp)
+    terms = _order_terms(s, qp, config or DEFAULT_CONFIG, _PlainFactors(0, qp.q))
+    return _sum_over_w(terms, w, qp, _log_q(qp))
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,9 @@ def curve_grid(
 ) -> CurveGrid:
     """Sample euler_poly_continuation over an inclusive (s, w) grid.
 
-    Rows (s outer, w inner) run in order, each computing its order terms once;
-    a failing sample aborts with its grid indices.
+    Rows (s outer, w inner) run in order, each computing its order terms once
+    from one table of plain zeta factors shared by the whole grid; a failing
+    sample aborts with its grid indices.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
@@ -189,13 +199,14 @@ def curve_grid(
     cfg = config or DEFAULT_CONFIG
     svals = inclusive_range(s_min, s_max, s_step)
     wvals = inclusive_range(w_min, w_max, w_step)
+    factors, logq = _PlainFactors(0, qp.q), _log_q(qp)
     rows = []
     for i, sv in enumerate(svals):
         row = []
         try:
-            terms = _order_terms(sv, qp, cfg)  # a failure here is reported at w[0]
+            terms = _order_terms(sv, qp, cfg, factors)  # a failure here is reported at w[0]
             for j, wv in enumerate(wvals):
-                z = _sum_over_w(terms, wv, qp)
+                z = _sum_over_w(terms, wv, qp, logq)
                 if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                     raise CurveSampleError(
                         f"non-finite sample at s[{i}]={sv!r}, w[{j}]={wv!r}", i, j

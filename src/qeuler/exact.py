@@ -446,7 +446,12 @@ def exact_euler_number(n: int) -> RationalQ:
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    nums, _ = _euler_numerators(n + 1)
+    return _reduced_euler_number(_euler_numerators(n + 1)[0], n)
+
+
+def _reduced_euler_number(nums: list[PolyZ], n: int) -> RationalQ:
+    # E_n in canonical form from the numerators of an _euler_numerators(c)
+    # table, c > n; a caller that wants E_0..E_n builds one table for all.
     exps: dict = {}
     for m in range(1, n + 1):
         _add_one_plus_q_power(exps, m)
@@ -513,8 +518,11 @@ def _binomial_shift_sum(n: int, k: int, upper: int, table: tuple) -> tuple[PolyZ
     nums, dens = table
     acc = PolyZ()
     bk = PolyZ.bracket(k)
+    bk_pows = [PolyZ.one()]  # [k]_q^j, one product each, read from j = n down
+    for _ in range(n):
+        bk_pows.append(bk_pows[-1] * bk)
     for l in range(upper):
-        weight = PolyZ.monomial(math.comb(n, l), k * l) * (bk ** (n - l))
+        weight = PolyZ.monomial(math.comb(n, l), k * l) * bk_pows[n - l]
         acc = _one_plus_q_power(l) * acc + weight * nums[l]
     return acc, dens[upper - 1] if upper else PolyZ.one()
 

@@ -122,12 +122,14 @@ def as_int(z) -> int | None:
     return None
 
 
-def cpow(base: complex, exponent: complex) -> complex:
+def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> complex:
     """base**exponent on the principal branch of the logarithm.
 
     Integer exponents are dispatched to exact binary powering so that, e.g.,
     q**3 carries no log/exp rounding.  A zero base demands Re(exponent) > 0
-    (0**0 = 1 by convention).
+    (0**0 = 1 by convention).  log_base, when given, must be cmath.log(base)
+    of a nonzero base: a caller raising one base to many powers takes the
+    logarithm once, with the same bits.
     """
     base = complex(base)
     exponent = complex(exponent)
@@ -140,7 +142,7 @@ def cpow(base: complex, exponent: complex) -> complex:
         if exponent.real > 0:
             return 0j
         raise PoleError(f"0 raised to power {exponent!r}")
-    return cmath.exp(exponent * cmath.log(base))
+    return cmath.exp(exponent * (cmath.log(base) if log_base is None else log_base))
 
 
 def q_bracket(x, q) -> complex:

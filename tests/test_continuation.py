@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -170,9 +171,11 @@ class TestCurveGrid:
         assert info.value.w_index == 2
 
     def test_cells_equal_point_values(self):
-        # one row's order terms serve every w with the bits of a point call
-        for qv in (0.5, -0.3 - 0.2j):
-            g = curve_grid(0, 3, 0.25, -1, 1, 0.25, qv)
+        # one row's order terms serve every w with the bits of a point call;
+        # the tall grid at |q| near 1 reads long runs of the shared factor table
+        tall = 0.92 * cmath.exp(0.3j)
+        for qv, s_range in ((0.5, (0, 3, 0.25)), (-0.3 - 0.2j, (0, 3, 0.25)), (tall, (1.5, 2.5, 0.04))):
+            g = curve_grid(*s_range, -1, 1, 0.25, qv)
             for sv, row in zip(g.s_values, g.values):
                 assert list(row) == [euler_poly_continuation(sv, wv, qv) for wv in g.w_values]
 

@@ -1,9 +1,11 @@
 import cmath
 import math
 import random
+from itertools import islice
 
 import pytest
 
+from qeuler import zeta
 from qeuler import (
     EngineConfig,
     QParameter,
@@ -17,6 +19,7 @@ from qeuler import (
     qzeta_hurwitz,
 )
 from qeuler.errors import NonConvergenceError
+from qeuler.kernel import DEFAULT_CONFIG, cpow, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 
@@ -289,6 +292,108 @@ class TestZetaDerivative:
         sv = qzeta_deriv(-3, 0, qp)
         assert sv.converged
         assert sv.terms_used > 4
+
+
+def _reference_kseries_terms(s, h, q, qx, pref, log1mq, n):
+    # The k-series generator as it was before the plain factors moved into a
+    # table: every term computes 1 + q^(h+k) and its quotient inline.
+    gb, harm, dprod = 1 + 0j, 0j, 0j
+    qhk, qxk = q**h, 1 + 0j
+    k = 0
+    while True:
+        denom = 1.0 + qhk
+        if denom == 0:
+            raise ArithmeticError("1 + q^(h+k) vanished")
+        if log1mq is None:
+            yield pref * gb * (-qhk / denom) if qx is None else pref * gb * qxk / denom
+        else:
+            c = -qhk / denom if qx is None else qxk / denom
+            if n is None or k <= n:
+                yield pref * c * gb * (log1mq + harm)
+                if n is None or k < n:
+                    harm = harm + 1.0 / (s + k)
+                else:
+                    dprod = complex((-1.0) ** n / (n + 1))
+            else:
+                yield pref * c * dprod
+                dprod = dprod * (k - n) / (k + 1)
+        gb = gb * (s + k) / (k + 1)
+        qhk = qhk * q
+        if qx is not None:
+            qxk = qxk * qx
+        k += 1
+
+
+def _reference_plain(s, h, q, deriv, cfg):
+    # The plain value or derivative at a non-integer order, summed as before.
+    s = complex(s)
+    pref = (1.0 + q) * cpow(1.0 - q, s)
+    log1mq = cmath.log(1.0 - q) if deriv else None
+    terms = _reference_kseries_terms(s, h, q, None, pref, log1mq, None)
+    return sum_series_geometric(terms, abs(q), abs(s), cfg)
+
+
+def _outcome(call):
+    # Everything a caller can observe of one series, NonConvergenceError's
+    # partial included, with the floats as hex.
+    try:
+        sv, how = call(), "returned"
+    except NonConvergenceError as exc:
+        sv, how = exc.partial, "raised"
+    return how, sv.value.real.hex(), sv.value.imag.hex(), sv.error_bound.hex(), sv.terms_used, sv.converged
+
+
+class TestPlainFactorTable:
+    """The plain k-series reads its factors c_k from a table: the same bits,
+    term counts and failures as computing each factor inline."""
+
+    @staticmethod
+    def _draw_q(rng):
+        r = rng.uniform(0.9, 0.97) if rng.random() < 0.4 else rng.uniform(0.05, 0.9)  # |q| near 1 too
+        kind = rng.choice(("negative", "imaginary", "complex"))
+        if kind == "negative":
+            return complex(-r)
+        if kind == "imaginary":
+            return complex(0.0, rng.choice((-r, r)))
+        return cmath.rect(r, rng.uniform(-math.pi, math.pi))
+
+    @staticmethod
+    def _draw_orders(rng, count):
+        out = []
+        for _ in range(count):
+            if rng.random() < 0.3:  # just off an integer order
+                out.append(complex(rng.randint(-8, 8) + rng.choice((-1e-7, 1e-7))))
+            else:
+                out.append(complex(rng.uniform(-12, 12), rng.choice((0.0, rng.uniform(-5, 5)))))
+        return out
+
+    def test_matches_inline_factors(self):
+        rng = random.Random(20240611)
+        starved = EngineConfig(max_terms=16)
+        raised = 0
+        for _ in range(40):
+            h, q = rng.randint(0, 2), self._draw_q(rng)
+            shared = zeta._PlainFactors(h, q)  # one table for every order, as in a curve grid
+            for s in self._draw_orders(rng, 4):
+                for cfg in (DEFAULT_CONFIG, starved):
+                    want = _outcome(lambda: _reference_plain(s, h, q, False, cfg))
+                    assert _outcome(lambda: qzeta(s, h, q, cfg)) == want, (s, h, q)
+                    got = _outcome(lambda: zeta._kseries(s, None, h, q, cfg, False, shared))
+                    assert got == want, (s, h, q)
+                    want = _outcome(lambda: _reference_plain(s, h, q, True, cfg))
+                    assert _outcome(lambda: qzeta_deriv(s, h, q, config=cfg)) == want, (s, h, q)
+                    raised += want[0] == "raised"
+        assert raised > 100  # the starved budget exercises the partials
+
+    def test_vanishing_factor_raises_only_where_reached(self):
+        # 1 + q^(h+k) cannot vanish inside the unit disk; q = -1 makes the
+        # factor at k = 1 vanish, so a series reaching only c_0 must not raise
+        table = zeta._PlainFactors(0, -1 + 0j)
+        assert list(islice(table, 1)) == [-0.5]
+        for _ in range(2):  # a failed entry stays failed on a later read
+            with pytest.raises(ArithmeticError, match="vanished"):
+                list(islice(table, 2))
+        assert list(islice(table, 1)) == [-0.5]
 
 
 class TestClassicalZeta:
