@@ -88,9 +88,12 @@ DEFAULT_CONFIG = EngineConfig()
 FD_STEP = 1e-5
 
 # Integer shifts up to this are evaluated exactly (q_bracket's finite
-# geometric sum, euler_poly's terminating sum).  Larger ones take the float
-# paths of non-integer shifts: the exact powers q^(x k) grow to x k times
-# 53 bits, and x = 20000 at n = 4 did not finish in a minute.
+# geometric sum, euler_poly's terminating sum, correctly rounded).  Larger
+# ones take the float paths of non-integer shifts.  The fixed-point pass of
+# the terminating sum truncates q^(x k) to its working precision, so its cost
+# hardly grows with x; its exact fallback still carries q^(x k) at x k times
+# 53 bits, and there x = 20000 at n = 4 did not finish in a minute.  Raising
+# the limit changes the outputs at the shifts it moves.
 EXACT_SHIFT_MAX = 256
 
 

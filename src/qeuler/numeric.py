@@ -11,8 +11,9 @@ the terminating alternating sum in big-integer fixed point, rounded once,
 correctly (see _exactcomplex), because the floating-point sum cancels down
 by a factor of order (1-q)^n and would lose 6-12 digits for the larger n and
 q of interest.  Other shifts go through the binomial-shift expansion, whose
-terms are well scaled, using correctly rounded order coefficients;
-those coefficients are the one table this module keeps (per h and q, at
+terms are well scaled, using correctly rounded order coefficients, and
+euler_poly_bounded bounds its rounding error to first order; those
+coefficients are the one table this module keeps (per h and q, at
 most _TABLES_MAX keys).  The q-Euler numbers come from one float pass of
 their recurrence, and the classical Euler numbers from one integer pass of
 theirs, each uncached.
@@ -20,6 +21,7 @@ theirs, each uncached.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import threading
@@ -112,18 +114,68 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     xi = as_int(x)
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return terminating_alt_sum(n, h, qp.q, xi)
+    total = 0j
+    for term in _shift_terms(n, x, h, qp)[0]:
+        total += term
+    return total
+
+
+def _shift_terms(n: int, x, h: int, qp: QParameter) -> tuple[list[complex], complex]:
+    # The terms C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l) of the binomial-shift
+    # expansion, l = 0..n, and q^x.
     coeffs = _shift_coefficients(n, h, qp)
     bx = q_bracket(x, qp)
     qx = cpow(qp.q, x)
     bx_pows = [1 + 0j]
     for _ in range(n):
         bx_pows.append(bx_pows[-1] * bx)
-    total = 0j
+    terms = []
     qxl = 1 + 0j
     for l in range(n + 1):
-        total += math.comb(n, l) * qxl * coeffs[l] * bx_pows[n - l]
+        terms.append(math.comb(n, l) * qxl * coeffs[l] * bx_pows[n - l])
         qxl *= qx
-    return total
+    return terms, qx
+
+
+def euler_poly_bounded(n: int, x, h: int, q) -> tuple[complex, float]:
+    """euler_poly(n, x, h, q) and a bound on its error.
+
+    The terminating sum is correctly rounded and reports 0.  The binomial
+    shift expansion reports sum_l gamma_l |t_l| over its terms t_l, a
+    first-order bound on its rounding error with u = 2^-53:
+    * q^x = exp(x log q) is within rho_x = u (4 + 5 |x| (|log q| + 1_int))
+      of itself, relatively (log q good to 2u relatively, the product and
+      exp to about 3u; an integer x takes float powering, whose error grows
+      with |x| rather than with |x log q|);
+    * [x]_q = (1 - q^x) / (1 - q) loses the digits that 1 - q^x cancels:
+      rho_b = kappa rho_x + 7u, kappa = |q^x| / |1 - q^x|;
+    * t_l = C(n,l) q^(x l) E_l [x]_q^(n-l) carries l rho_x and (n-l) rho_b
+      from the two powers, 3u per product and about 9u from the correctly
+      rounded E_l, the binomial and the three factors' products;
+    * summing n + 1 terms adds at most n u sum_l |t_l|.
+    So gamma_l = u (9 + 4n) + l rho_x + (n - l) rho_b, and the bound is
+    u (9 + 4n) A + rho_x (n A - B) + rho_b B with A = sum_l |t_l| and
+    B = sum_l (n - l) |t_l|.  The terms are formed again for the bound.
+    """
+    value = euler_poly(n, x, h, q)
+    qp = as_qparameter(q)
+    xi = as_int(x)
+    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
+        return value, 0.0
+    terms, qx = _shift_terms(n, x, h, qp)
+    A = B = 0.0
+    for l, term in enumerate(terms):
+        a = abs(term)
+        A += a
+        B += (n - l) * a
+    if A == 0.0:
+        return value, 0.0
+    u = _EPS / 2
+    rho_x = 0.0 if qx == 0 else u * (4 + 5 * abs(x) * (abs(cmath.log(qp.q)) + (xi is not None)))
+    if B and qx == 1:
+        return value, math.inf  # 1 - q^x cancels completely
+    rho_b = abs(qx) / abs(1.0 - qx) * rho_x + 7 * u if B else 0.0
+    return value, u * (9 + 4 * n) * A + rho_x * max(n * A - B, 0.0) + rho_b * B
 
 
 def scaled_classical_euler(n: int) -> list[int]:

@@ -22,7 +22,8 @@ defining sum; it is adopted here as the definition of the continuation.
 Terminating orders are finite sums: the plain one is evaluated in
 big-integer fixed point and rounded once, correctly (see _exactcomplex),
 which keeps the interpolation property at machine precision, and the
-shifted one is E_n(x, h | q) at every shift, left to euler_poly.  The
+shifted one is E_n(x, h | q) at every shift, left to euler_poly, which
+bounds the rounding error of its binomial-shift path.  The
 classical zeta at order -n is likewise the exact classical Euler
 polynomial, rounded once.
 
@@ -49,7 +50,7 @@ from .kernel import (
     cpow,
     sum_series_geometric,
 )
-from .numeric import euler_poly, scaled_classical_euler
+from .numeric import euler_poly_bounded, scaled_classical_euler
 
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
@@ -163,9 +164,13 @@ def _kseries(
             raise NonConvergenceError(
                 f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
             )
-        # The shifted finite sum is E_n(x, h | q); euler_poly picks its path.
-        value = terminating_alt_sum(n, h, qq, None) if x is None else euler_poly(n, x, h, qq)
-        return SeriesValue(value, 0.0, n + 1, True)
+        # The shifted finite sum is E_n(x, h | q): euler_poly's value, with a
+        # bound on its error (0 where it is correctly rounded).
+        if x is None:
+            value, bound = terminating_alt_sum(n, h, qq, None), 0.0
+        else:
+            value, bound = euler_poly_bounded(n, x, h, qq)
+        return SeriesValue(value, bound, n + 1, True)
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
     ratio = abs(qq)
@@ -200,9 +205,12 @@ def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> Series
 
     At s = -n the series terminates at k = n and equals the q-Euler
     polynomial E_n(x, h | q) at every shift, which euler_poly evaluates
-    (terms_used = n + 1, error_bound = 0).  For x = 0 and Re(s) > 0 the
-    k-series genuinely diverges (the underlying n = 0 term is singular), and
-    NonConvergenceError is raised before any summing.
+    (terms_used = n + 1); error_bound is 0 where that value is correctly
+    rounded (integer 0 <= x <= 256) and a first-order bound on the rounding
+    error of the binomial-shift expansion elsewhere (see euler_poly_bounded).
+    For x = 0 and Re(s) > 0 the k-series genuinely diverges (the underlying
+    n = 0 term is singular), and NonConvergenceError is raised before any
+    summing.
     """
     return _kseries(s, x, h, q, config, deriv=False)
 

@@ -275,6 +275,72 @@ class TestTerminatingSum:
         for q, want in cases.items():
             assert _hex(terminating_alt_sum(40, 1, complex(q), None)) == want, q
 
+    def test_fixed_point_radius_holds(self, monkeypatch):
+        # At the first precision tried, the exact sum lies within the radius
+        # that the truncated fixed-point sum reports, and the final bits are
+        # those of the exact sum rounded once (the exact fallback, fed the
+        # same exact sum).  q is dyadic, over the disk, near the circle,
+        # imaginary, negative, tiny, or real but for a 2^-600 imaginary part
+        # (wider than the working precision, so truncated).  The orders stay
+        # where that exact sum is cheap.
+        rng = random.Random(20261018)
+        seen = {}
+        truncated_sum, radius_of = _exactcomplex._truncated_sum, _exactcomplex._radius
+
+        def record(*args):
+            out = truncated_sum(*args)
+            seen.setdefault("first", (args, out))
+            return out
+
+        def record_radius(*args):
+            seen["radius"] = radius_of(*args)
+            return seen["radius"]
+
+        def draw_q():
+            r = rng.uniform(0.3, 0.97)
+            return complex(rng.choice((
+                lambda: rng.choice((0.5, -0.25, 0.75)),
+                lambda: cmath.rect(math.sqrt(rng.random()) * 0.99, rng.uniform(-math.pi, math.pi)),
+                lambda: cmath.rect(rng.uniform(0.99, 0.999), rng.uniform(-math.pi, math.pi)),
+                lambda: complex(0.0, rng.choice((r, -r))),
+                lambda: -r,
+                lambda: rng.choice((5e-324, 2.0**-600)),
+                lambda: complex(rng.choice((r, -r)), rng.choice((1, -1)) * 2.0**-600),
+            ))())
+
+        for _ in range(500):
+            q, h, x = draw_q(), rng.randrange(4), rng.choice((None, 0, 1, 2, 3, 17, 256))
+            # bits of _exact_sum's denominator, about e ((n+1) 2h + n^2 (1 + x/2))
+            e = max(q.real.as_integer_ratio()[1], q.imag.as_integer_ratio()[1]).bit_length()
+            n = rng.randrange(61)
+            while n and e * ((n + 1) * 2 * h + n * n * (1 + (x or 0) / 2)) > 40_000:
+                n //= 2
+            seen.clear()
+            monkeypatch.setattr(_exactcomplex, "_truncated_sum", record)
+            monkeypatch.setattr(_exactcomplex, "_radius", record_radius)
+            got = terminating_alt_sum(n, h, q, x)
+            radius, ((_, _, Q, e, _, W), fixed) = seen["radius"], seen["first"]
+            exact = _exactcomplex._exact_sum(_exactcomplex._terms(n, h, Q, e, x))
+            assert radius is not None and fixed is not None, (n, h, q, x)
+            den = exact[2]
+            for a, b in zip(fixed, exact):
+                assert abs(a * den - (b << W)) <= radius * den, (n, h, q, x)
+            monkeypatch.setattr(_exactcomplex, "_truncated_sum", lambda *args: None)
+            monkeypatch.setattr(_exactcomplex, "_exact_sum", lambda terms: exact)
+            want = terminating_alt_sum(n, h, q, x)
+            monkeypatch.undo()
+            assert _hex(got) == _hex(want), (n, h, q, x)
+
+    def test_large_shift_decided_in_fixed_point(self, monkeypatch):
+        # q^(256 k) truncates to 0 at k = 1; the bits were pinned from the
+        # exact sum, which must not run.
+        def exact_sum(terms):
+            raise AssertionError("the exact fallback ran")
+
+        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        got = euler_poly(12, 256, 0, 0.3 + 0.4j)
+        assert _hex(got) == ("0x1.17ee7175ff5d3p+3", "0x1.180958c4244c0p+1")
+
     def test_value_beyond_the_float_range_raises(self):
         cases = (
             lambda: classical_zeta_E(-301),

@@ -28,6 +28,21 @@ def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _finite_sum_error(value: complex, n: int, x, h: int, q: complex):
+    """|value - E_n(x, h | q)| and E_n, the finite sum
+    [2]_q (1-q)^(-n) sum_{k<=n} (-1)^k C(n,k) q^(xk) / (1 + q^(h+k)) at the
+    float inputs, in 60 digits beyond those the sum cancels."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60 + math.ceil(n * math.log10(2 / abs(1 - q)))):
+        mq = mp.mpc(q)
+        qx = mp.power(mq, mp.mpc(x))
+        total = mp.fsum(
+            (-1) ** k * math.comb(n, k) * qx**k / (1 + mq ** (h + k)) for k in range(n + 1)
+        )
+        ref = (1 + mq) * (1 - mq) ** -n * total
+        return float(abs(mp.mpc(value) - ref)), complex(ref)
+
+
 def averaged_defining_series(q: float, s: float, terms: int = 400, rounds: int = 6) -> float:
     """Independent oracle: iterated pair-averaging of the partial sums of
     [2]_q sum_{n>=1} (-1)^n / [n]_q^s for real q in (0,1)."""
@@ -183,7 +198,7 @@ class TestHurwitzZeta:
             (-1) ** k * math.comb(n, k) * q ** (x * k) / (1 + q**k) for k in range(n + 1)
         )
         sv = qzeta_hurwitz(-n, x, 0, qp)
-        assert sv.terms_used == n + 1 and sv.error_bound == 0.0
+        assert sv.terms_used == n + 1 and 0.0 < sv.error_bound <= 1e-13
         assert rel_err(sv.value, ref) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -195,23 +210,42 @@ class TestHurwitzZeta:
             (12, 0.7 - 0.1j, 1, 0.3 + 0.4j),
             (20, 1.5, 0, 0.9 * cmath.exp(2j)),
             (16, 2.25, 2, -0.9),
+            (6, 0.0016095045986006665 + 0.000254920485049134j, 2, 0.4152953041809441),
         ],
     )
     def test_negative_integer_order_against_finite_sum(self, n, x, h, q):
-        # at s = -n every shift gives the finite sum E_n(x, h | q)
-        # = [2]_q (1-q)^(-n) sum_{k<=n} (-1)^k C(n,k) q^(xk) / (1 + q^(h+k)),
-        # here summed in 50 digits
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
-            mq = mp.mpc(q)
-            qx = mp.power(mq, mp.mpc(x))
-            total = mp.fsum(
-                (-1) ** k * math.comb(n, k) * qx**k / (1 + mq ** (h + k)) for k in range(n + 1)
-            )
-            ref = complex((1 + mq) * (1 - mq) ** -n * total)
+        # at s = -n every shift gives the finite sum E_n(x, h | q), which the
+        # binomial-shift expansion rounds; its error against the sum in 60
+        # digits stays within the reported bound.  At (20, 1.5, 0, 0.9 e^2i)
+        # the relative error is 6.2e-12; at (12, 3.5, 0, 0.999) the error is
+        # 7.6 u times the sum of the expansion's |terms|, and at the shift
+        # near 0, where 1 - q^x cancels, 167 u times it.
         sv = qzeta_hurwitz(-n, x, h, QParameter(q))
-        assert rel_err(sv.value, ref) <= 1e-10
-        assert sv.terms_used == n + 1 and sv.error_bound == 0.0 and sv.converged
+        err, ref = _finite_sum_error(sv.value, n, x, h, q)
+        assert err <= 1e-10 * abs(ref)
+        assert err <= sv.error_bound
+        assert sv.terms_used == n + 1 and sv.converged
+
+    def test_binomial_shift_bound_on_seeded_draws(self):
+        # non-integer, complex, near-zero (where 1 - q^x cancels) and
+        # above-256 integer shifts at order -n: the bound holds against the
+        # 60-digit sum and the value is euler_poly's
+        rng = random.Random(20261019)
+        for _ in range(200):
+            r = rng.choice((rng.uniform(0.05, 0.9), rng.uniform(0.9, 0.995)))
+            arg = rng.choice((0.0, math.pi, math.pi / 2, rng.uniform(-math.pi, math.pi)))
+            q = cmath.rect(r, arg)
+            x = rng.choice((
+                rng.uniform(0.01, 6.0),
+                complex(rng.uniform(0.0, 3.0), rng.uniform(-2.0, 2.0)),
+                10 ** rng.uniform(-6.0, -2.0) * cmath.exp(1j * rng.uniform(-1.5, 1.5)),
+                rng.randrange(257, 400),
+            ))
+            n, h = rng.randrange(25), rng.randrange(3)
+            sv = qzeta_hurwitz(-n, x, h, q)
+            assert sv.value == euler_poly(n, x, h, q)
+            err, _ = _finite_sum_error(sv.value, n, x, h, q)
+            assert 0.0 < sv.error_bound and err <= sv.error_bound, (n, x, h, q)
 
     @pytest.mark.parametrize(
         "s,x,h,q",
