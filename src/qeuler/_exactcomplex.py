@@ -12,21 +12,32 @@ rigorous radius in closed form (see _radius) that counts the floors,
 the truncation of q, the growth of the errors in the carried powers and the
 lower bound |1 + q^m| >= 1 - |q|; it is carried exactly through the
 prefactor (1+q)/(1-q)^n.  When both ends of that interval round to the same
-nonzero float, so does every value inside it (Ziv's rounding test;
-CPython's int / int is correctly rounded); otherwise p doubles.  After two
-doublings the sum is taken exactly from the exact powers (_terms), as a
-Gaussian-integer numerator over an integer denominator with no gcd, and
-divided once.  Exact zeros and binary64 ties, as (1+q)/2 is at q = 0.9, end
-there.
+float, and the interval excludes 0 where that float is a zero, so does
+every value inside it (Ziv's rounding test; CPython's int / int is
+correctly rounded); otherwise p doubles.  After two doublings the sum is
+taken exactly from the exact powers (_terms), as a Gaussian-integer
+numerator over an integer denominator times one power of two, with no gcd,
+and divided once.  Exact zeros and binary64 ties, as (1+q)/2 is at q = 0.9,
+end there.
+
+The coefficients E_0..E_n(0, h | q) of the binomial-shift expansion are
+all x = 0 sums of the same terms 1/(1 + q^(h+k)) under other binomial
+weights.  terminating_alt_sums takes the n + 1 quotients once, at the
+largest W any order starts at, gets every order's sum from one difference
+table in exact integers, and rounds each order with its own radius and
+prefactor; an order left undecided goes to terminating_alt_sum.  The bits
+are those of n + 1 terminating_alt_sum calls, since a correctly rounded
+value has only one set of bits.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from .errors import FloatRangeError
 
-__all__ = ["terminating_alt_sum"]
+__all__ = ["terminating_alt_sum", "terminating_alt_sums"]
 
 
 def _mul(a, b):
@@ -45,19 +56,20 @@ def _pow(a, k: int):
 
 
 def _terms(n: int, h: int, Q, e: int, x: int | None):
-    # (c_k, a_k, d_k) with (-1)^k C(n,k) f_k = c_k a_k / d_k for a Gaussian
-    # integer a_k and a positive integer d_k: f_k = num / w with
-    # w = 2^(e m) (1 + q^m), m = h + k, is num conj(w) / |w|^2.
+    # (c_k, a_k, d_k, t_k) with (-1)^k C(n,k) f_k = c_k a_k / (d_k 2^t_k) for a
+    # Gaussian integer a_k, a positive integer d_k and t_k nondecreasing in k:
+    # f_k = num / w with w = 2^(e m) (1 + q^m), m = h + k, is
+    # num conj(w) / |w|^2.
     qm, qx, qxk = _pow(Q, h), _pow(Q, x or 0), (1, 0)
     c = 1
     for k in range(n + 1):
         m = h + k
         w = ((1 << e * m) + qm[0], qm[1])
         if x is None:  # num = -Q^m
-            yield c, _mul((-qm[0], -qm[1]), (w[0], -w[1])), w[0] * w[0] + w[1] * w[1]
+            yield c, _mul((-qm[0], -qm[1]), (w[0], -w[1])), w[0] * w[0] + w[1] * w[1], 0
         else:  # num = Q^(x k) 2^(e m - e x k)
             a = _mul(qxk, (w[0], -w[1]))
-            yield c, (a[0] << e * m, a[1] << e * m), (w[0] * w[0] + w[1] * w[1]) << e * x * k
+            yield c, (a[0] << e * m, a[1] << e * m), w[0] * w[0] + w[1] * w[1], e * x * k
             qxk = _mul(qxk, qx)
         qm = _mul(qm, Q)
         c = -c * (n - k) // (k + 1)
@@ -115,70 +127,108 @@ def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
     return radius
 
 
+def _carried(h: int, Q, e: int, W: int):
+    # q~ = Qt / 2^et and P~_h = N / 2^s, or None when |q~| > 1, possible only
+    # once q is truncated: _radius's bound fails there.
+    Qt, et = _fixed(Q, e, W)
+    if et < e and Qt[0] ** 2 + Qt[1] ** 2 > 1 << 2 * et:
+        return None
+    N, s = _fixed(_pow(Q, h), e * h, W) if h else ((1, 0), 0)
+    return Qt, et, N, s
+
+
+def _quotients(n: int, h: int, Q, e: int, W: int):
+    """The quotients u_k = 2^W / (1 + P~_(h+k)), k = 0..n, floored per component.
+
+    Returns (re, im), two lists, with im None when q~ and P~_h are real; or
+    None when |q~| > 1.  P~_m is carried exactly while it fits in W
+    fractional bits and truncated to W bits after, as _radius assumes.
+    """
+    start = _carried(h, Q, e, W)
+    if start is None:
+        return None
+    (Q0, Q1), et, (N0, N1), s = start
+    re = []
+    if not (Q1 or N1):  # real q~: u_k = 2^(W + s) / w, w = 2^s + N
+        for k in range(n + 1):
+            re.append((1 << W + s) // ((1 << s) + N0))
+            if k == n:
+                break
+            N0 *= Q0
+            s += et
+            if s > W:
+                N0 >>= s - W
+                s = W
+        return re, None
+    im = []
+    for k in range(n + 1):  # u_k = 2^(W + s) conj(w) / |w|^2, w = 2^s + N
+        w0 = (1 << s) + N0
+        d = w0 * w0 + N1 * N1
+        re.append((w0 << W + s) // d)
+        im.append(-((N1 << W + s) // d))
+        if k == n:
+            break
+        N0, N1 = N0 * Q0 - N1 * Q1, N0 * Q1 + N1 * Q0
+        s += et
+        if s > W:
+            N0 >>= s - W
+            N1 >>= s - W
+            s = W
+    return re, im
+
+
 def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
     """The sum times 2^W as (re, im), or None when q~ or q^x~ lies outside the unit disk.
 
     The sum is S = sum_k (-1)^k C(n,k) f_k with P_m = q^m, m = h + k, and
     f_k = 1/(1 + P_m) - 1 (plain, x is None) or X_k/(1 + P_m), X_k = q^(x k).
-    The plain form is taken as the x = 0 sum less sum_k (-1)^k C(n,k), which
-    is 1 at n = 0 and 0 after.  P~_m and X~_k are carried exactly while they
-    fit in W fractional bits and truncated to W bits after; _radius bounds
-    the error of each component.
+    At x = 0 (and at n = 0, where X_0 = 1) the terms are the quotients
+    _quotients takes; the plain form is the x = 0 sum less
+    sum_k (-1)^k C(n,k), which is 1 at n = 0 and 0 after.  P~_m and X~_k are
+    carried exactly while they fit in W fractional bits and truncated to W
+    bits after; _radius bounds the error of each component.
     """
-    Qt, et = _fixed(Q, e, W)
-    N, s = _fixed(_pow(Q, h), e * h, W) if h else ((1, 0), 0)
-    M, xs = _fixed(_pow(Q, x), e * x, W) if x and n else (None, 0)  # X_0 = 1
-    # |q~| or |x~| above 1, possible only once truncated: _radius's bound fails.
-    if et < e and Qt[0] ** 2 + Qt[1] ** 2 > 1 << 2 * et:
+    if not (x and n):
+        u = _quotients(n, h, Q, e, W)
+        if u is None:
+            return None
+        c = 1
+        re = im = 0
+        for k, (a, b) in enumerate(zip(u[0], u[1] or repeat(0))):
+            re += c * a
+            im += c * b
+            c = -c * (n - k) // (k + 1)
+        if x is None and n == 0:
+            re -= 1 << W
+        return re, im
+    start = _carried(h, Q, e, W)
+    M, xs = _fixed(_pow(Q, x), e * x, W)
+    if start is None or xs < e * x and M[0] ** 2 + M[1] ** 2 > 1 << 2 * xs:
         return None
-    if M and xs < e * x and M[0] ** 2 + M[1] ** 2 > 1 << 2 * xs:
-        return None
-    Q0, Q1 = Qt
-    N0, N1 = N
-    re = im = 0
+    (Q0, Q1), et, (N0, N1), s = start
+    M0, M1 = M
     c = 1
-    if not (Q1 or N1 or M and M[1]):  # real q~: f_k = X_k 2^s / w, w = 2^s + N
+    re = im = 0
+    if not (Q1 or N1 or M1):  # real q~: f_k = X_k 2^s / w, w = 2^s + N
         Xr, t = 1, 0
         for k in range(n + 1):
             re += c * ((Xr << W + s - t) // ((1 << s) + N0))
             if k == n:
                 break
-            if M:
-                Xr *= M[0]
-                t += xs
-                if t > W:
-                    Xr = Xr >> t - W if Xr >= 0 else -(-Xr >> t - W)
-                    t = W
-                    if not Xr:
-                        break  # every later X~_k, and so every later term, is 0
+            Xr *= M0
+            t += xs
+            if t > W:
+                Xr = Xr >> t - W if Xr >= 0 else -(-Xr >> t - W)
+                t = W
+                if not Xr:
+                    break  # every later X~_k, and so every later term, is 0
             N0 *= Q0
             s += et
             if s > W:
                 N0 >>= s - W
                 s = W
             c = -c * (n - k) // (k + 1)
-        if x is None and n == 0:
-            re -= 1 << W
         return re, 0
-    if M is None:  # f_k = 1/(1 + P_m) = 2^s conj(w) / |w|^2, w = 2^s + N
-        for k in range(n + 1):
-            w0 = (1 << s) + N0
-            d = w0 * w0 + N1 * N1
-            re += c * ((w0 << W + s) // d)
-            im -= c * ((N1 << W + s) // d)
-            if k == n:
-                break
-            N0, N1 = N0 * Q0 - N1 * Q1, N0 * Q1 + N1 * Q0
-            s += et
-            if s > W:
-                N0 >>= s - W
-                N1 >>= s - W
-                s = W
-            c = -c * (n - k) // (k + 1)
-        if x is None and n == 0:
-            re -= 1 << W
-        return re, im
-    M0, M1 = M
     X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
     for k in range(n + 1):
         w0 = (1 << s) + N0
@@ -207,15 +257,33 @@ def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
     return re, im
 
 
+def _differences(u: list[int]) -> list[int]:
+    # S_l = sum_k (-1)^k C(l,k) u_k for l = 0..n, exactly: D^l u_0 in the
+    # backward difference table D^j u_k = D^(j-1) u_k - D^(j-1) u_(k+1), one
+    # subtraction per entry and no binomials.  diag holds D^j u_(l-j),
+    # j = 0..l, the newest diagonal.
+    diag, out = [], []
+    for v in u:
+        for j, t in enumerate(diag):
+            diag[j], v = v, t - v
+        diag.append(v)
+        out.append(v)
+    return out
+
+
 def _exact_sum(terms):
-    # The sum as (re + i im) / den, on one running denominator.
+    # The sum as (re + i im) / den: the terms go on one running denominator
+    # times one power of two, the largest t_k, so the powers of two of the
+    # Hurwitz terms add no bits to den.
     re = im = 0
     den = 1
-    for c, a, d in terms:
-        re = re * d + c * a[0] * den
-        im = im * d + c * a[1] * den
+    t = 0
+    for c, a, d, tk in terms:
+        re = (re * d << tk - t) + c * a[0] * den
+        im = (im * d << tk - t) + c * a[1] * den
         den *= d
-    return re, im, den
+        t = tk
+    return re, im, den << t
 
 
 def _rounded(v: int, den: int) -> float:
@@ -228,15 +296,60 @@ def _rounded(v: int, den: int) -> float:
 def _decided(v: int, err: int, den: int) -> float | None:
     # v / den correctly rounded, when every value within err of v rounds
     # alike.  An end beyond the float range counts as infinite, so a value
-    # that overflows is decided too, and v / den raises.
+    # that overflows is decided too, and v / den raises.  Ends that round to
+    # zero decide only when the interval excludes 0: both then carry its
+    # sign, so a value below the float range is decided as a signed zero.
     if not err:
         return v / den
     end = _rounded(v - err, den)
-    if not end == _rounded(v + err, den) != 0.0:
+    if end != _rounded(v + err, den) or end == 0.0 and -err <= v <= err:
         return None
     if math.isinf(end):
         raise OverflowError("the value lies beyond the float range")
     return end  # v lies between the ends, so it rounds to the same float
+
+
+def _dyadic(q: complex):
+    # q = Q / 2^e with Q a Gaussian integer, exactly.
+    (ar, br), (ai, bi) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
+    e = max(br, bi).bit_length() - 1  # br and bi are powers of two
+    return (ar * ((1 << e) // br), ai * ((1 << e) // bi)), e
+
+
+def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):
+    # The starting precision p, the guard bits and _radius at p (valid at any
+    # W >= p).  p is 72 bits beyond the n + n log2(1/|1-q|) that the sum
+    # cancels, and h log2(1/|q|) more for the plain form, whose value is of
+    # order q^h, and for the x = 0 form at n >= 1, which is the same sum;
+    # the guard bits keep the radius in units of 2^-W near 2^n.
+    p = 72 + n + math.ceil(n * -math.log2(abs(1.0 - q)))
+    if (x is None or x == 0 and n) and 0 < abs(q) < 1:
+        p += math.ceil(h * -math.log2(abs(q)))
+    radius = _radius(n, h, Q, e, x, p)
+    guard = ((radius >> n) - 1).bit_length() if radius else 0
+    return p, guard, radius
+
+
+def _finish(re: int, im: int, den: int, t: int, radius: int, z, scale: int, real: bool) -> complex | None:
+    # The sum (re + i im) / den, within radius / den per component, times
+    # 2^t z / scale, correctly rounded, or None when the rounding test leaves
+    # it undecided; the radius becomes radius (|Re z| + |Im z|).  The power
+    # of two is a shift, not a product.  At real q the sum is real.
+    vr, vi = _mul((re, im), z)
+    err, den = radius * (abs(z[0]) + abs(z[1])), den * scale
+    if t >= 0:
+        vr, vi, err = vr << t, vi << t, err << t
+    else:
+        den <<= -t
+    out_re = _decided(vr, err, den)
+    if out_re is None:
+        return None
+    out_im = 0.0 if real else _decided(vi, err, den)
+    return None if out_im is None else complex(out_re, out_im)
+
+
+def _range_error(n: int) -> FloatRangeError:
+    return FloatRangeError(f"the sum at order {-n} lies beyond the float range")
 
 
 def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
@@ -255,43 +368,66 @@ def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
     if x is not None and x < 0:
         raise ValueError("x must be a nonnegative integer")
     q = complex(q)
-    (ar, br), (ai, bi) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
-    e = max(br, bi).bit_length() - 1  # br and bi are powers of two
-    Q = (ar * ((1 << e) // br), ai * ((1 << e) // bi))
+    Q, e = _dyadic(q)
     D = 1 << e
-    # (1+q)/(1-q)^n = z / scale with z = (D+Q) conj(D-Q)^n D^n and
+    # (1+q)/(1-q)^n = 2^(e n) z / scale with z = (D+Q) conj(D-Q)^n and
     # scale = D |D-Q|^(2n).
     z = _mul((D + Q[0], Q[1]), _pow((D - Q[0], Q[1]), n))
-    z = (z[0] << e * n, z[1] << e * n)
     scale = ((D - Q[0]) ** 2 + Q[1] ** 2) ** n << e
-
-    def finish(re: int, im: int, den: int, radius: int) -> complex | None:
-        # The sum (re + i im) / den, within radius / den per component,
-        # times the prefactor; the radius becomes radius (|Re z| + |Im z|).
-        vr, vi = _mul((re, im), z)
-        err, den = radius * (abs(z[0]) + abs(z[1])), den * scale
-        out_re = _decided(vr, err, den)
-        if out_re is None:
-            return None
-        out_im = 0.0 if Q[1] == 0 else _decided(vi, err, den)  # real q, real sum
-        return None if out_im is None else complex(out_re, out_im)
-
-    # 72 bits beyond the n + n log2(1/|1-q|) that the sum cancels, and h
-    # log2(1/|q|) more for the plain form, whose value is of order q^h.
-    p = 72 + n + math.ceil(n * -math.log2(abs(1.0 - q)))
-    p += math.ceil(h * -math.log2(abs(q))) if x is None and 0 < abs(q) < 1 else 0
-    # Guard bits, so that the radius in units of 2^-W stays near 2^n.
-    radius = _radius(n, h, Q, e, x, p)
-    guard = ((radius >> n) - 1).bit_length() if radius else 0
+    real = Q[1] == 0
+    p, guard, radius = _start(n, h, q, Q, e, x)
     try:
         for _ in range(3 if radius else 0):
             W = p + guard
             fixed = _truncated_sum(n, h, Q, e, x, W)
             if fixed is not None:
-                value = finish(fixed[0], fixed[1], 1 << W, radius)
+                value = _finish(fixed[0], fixed[1], 1, e * n - W, radius, z, scale, real)
                 if value is not None:
                     return value
             p *= 2
-        return finish(*_exact_sum(_terms(n, h, Q, e, x)), 0)
+        return _finish(*_exact_sum(_terms(n, h, Q, e, x)), e * n, 0, z, scale, real)
     except OverflowError as exc:
-        raise FloatRangeError(f"the sum at order {-n} lies beyond the float range") from exc
+        raise _range_error(n) from exc
+
+
+def terminating_alt_sums(n: int, h: int, q: complex) -> list[complex]:
+    """[terminating_alt_sum(l, h, q, 0) for l in range(n + 1)], the same bits, from one pass.
+
+    Every order sums the same f_k = 1/(1 + q^(h+k)) under its own binomial
+    weights.  So the quotients u_k = 2^W f_k are taken once, k = 0..n, at the
+    largest W = p_l + guard_l that any order starts at, and each
+    S_l = sum_k (-1)^k C(l,k) u_k comes from one difference table in exact
+    integers (_differences).  S_l is the integer _truncated_sum(l, h, Q, e,
+    0, W) would return, so _radius(l, ..., p_l), valid at any W >= p_l,
+    bounds it, and each order is finished with its own prefactor and
+    rounding test.  An order the test leaves undecided (an exact zero or a
+    tie, as E_1 = -1/2 + 0i or E_0 = (1+q)/2 at q = 0.9) or that has no
+    radius goes to terminating_alt_sum alone.  The first order whose value
+    lies beyond the float range raises FloatRangeError.
+    """
+    if n < 0 or h < 0:
+        raise ValueError("n and h must be nonnegative integers")
+    q = complex(q)
+    Q, e = _dyadic(q)
+    starts = [_start(l, h, q, Q, e, 0) for l in range(n + 1)]
+    W = max((p + guard for p, guard, radius in starts if radius), default=None)
+    u = None if W is None else _quotients(n, h, Q, e, W)
+    sums = None if u is None else (_differences(u[0]), _differences(u[1]) if u[1] else [0] * (n + 1))
+    D = 1 << e
+    # The prefactor 2^(e l) z / scale of order l, as in terminating_alt_sum:
+    # z picks up conj(D-Q) and scale |D-Q|^2 per order.
+    z, scale = (D + Q[0], Q[1]), D
+    step, step_scale = (D - Q[0], Q[1]), (D - Q[0]) ** 2 + Q[1] ** 2
+    real = Q[1] == 0
+    out = []
+    for l, (_, _, radius) in enumerate(starts):
+        value = None
+        if sums and radius:
+            try:
+                value = _finish(sums[0][l], sums[1][l], 1, e * l - W, radius, z, scale, real)
+            except OverflowError as exc:
+                raise _range_error(l) from exc
+        out.append(terminating_alt_sum(l, h, q, 0) if value is None else value)
+        z = _mul(z, step)
+        scale *= step_scale
+    return out

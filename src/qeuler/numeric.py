@@ -12,11 +12,13 @@ correctly (see _exactcomplex), because the floating-point sum cancels down
 by a factor of order (1-q)^n and would lose 6-12 digits for the larger n and
 q of interest.  Other shifts go through the binomial-shift expansion, whose
 terms are well scaled, using correctly rounded order coefficients, and
-euler_poly_bounded bounds its rounding error to first order; those
-coefficients are the one table this module keeps (per h and q, at
-most _TABLES_MAX keys).  The q-Euler numbers come from one float pass of
-their recurrence, and the classical Euler numbers from one integer pass of
-theirs, each uncached.
+euler_poly_bounded sums the same terms and bounds their rounding error to
+first order.  Those coefficients are the one table this module keeps (per h
+and q, at most _TABLES_MAX keys); a table is filled or grown by one
+fixed-point pass over all its orders (_exactcomplex.terminating_alt_sums),
+with the bits of one correctly rounded sum per order.  The q-Euler numbers
+come from one float pass of their recurrence, and the classical Euler
+numbers from one integer pass of theirs, each uncached.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 from collections import OrderedDict
 from fractions import Fraction
 
-from ._exactcomplex import terminating_alt_sum
+from ._exactcomplex import terminating_alt_sum, terminating_alt_sums
 from .errors import FloatRangeError, NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
@@ -85,15 +87,15 @@ def euler_number(n: int, q) -> complex:
 
 def _shift_coefficients(n: int, h: int, qp: QParameter) -> list[complex]:
     # E_l(0, h | q) for l = 0..n, correctly rounded terminating sums, kept
-    # per (h, q).
+    # per (h, q); a table that is too short is refilled from one pass.
     key = (h, qp.q)
     with _LOCK:
         table = _SHIFT_COEFF_TABLES.setdefault(key, [])
         _SHIFT_COEFF_TABLES.move_to_end(key)
         if len(_SHIFT_COEFF_TABLES) > _TABLES_MAX:
             _SHIFT_COEFF_TABLES.popitem(last=False)
-        while len(table) <= n:
-            table.append(terminating_alt_sum(len(table), h, qp.q, 0))
+        if len(table) <= n:
+            table += terminating_alt_sums(n, h, qp.q)[len(table) :]
         return table[: n + 1]
 
 
@@ -106,16 +108,25 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     which the generating series forces and which stays well conditioned.
     At x = 0 this reduces to the q-Euler numbers (h = 0) by definition.
     """
+    qp = _poly_q(n, h, q)
+    xi = as_int(x)
+    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
+        return terminating_alt_sum(n, h, qp.q, xi)
+    return _summed(_shift_terms(n, x, h, qp)[0])
+
+
+def _poly_q(n: int, h: int, q) -> QParameter:
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     if not isinstance(h, int) or h < 0:
         raise ValueError("h must be a nonnegative integer")
-    qp = as_qparameter(q)
-    xi = as_int(x)
-    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
-        return terminating_alt_sum(n, h, qp.q, xi)
+    return as_qparameter(q)
+
+
+def _summed(terms: list[complex]) -> complex:
+    # In order, from 0j: the bits of every binomial-shift value.
     total = 0j
-    for term in _shift_terms(n, x, h, qp)[0]:
+    for term in terms:
         total += term
     return total
 
@@ -155,14 +166,15 @@ def euler_poly_bounded(n: int, x, h: int, q) -> tuple[complex, float]:
     * summing n + 1 terms adds at most n u sum_l |t_l|.
     So gamma_l = u (9 + 4n) + l rho_x + (n - l) rho_b, and the bound is
     u (9 + 4n) A + rho_x (n A - B) + rho_b B with A = sum_l |t_l| and
-    B = sum_l (n - l) |t_l|.  The terms are formed again for the bound.
+    B = sum_l (n - l) |t_l|.  The value is the sum of the same terms, in
+    the same order, so it has euler_poly's bits.
     """
-    value = euler_poly(n, x, h, q)
-    qp = as_qparameter(q)
+    qp = _poly_q(n, h, q)
     xi = as_int(x)
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
-        return value, 0.0
+        return terminating_alt_sum(n, h, qp.q, xi), 0.0
     terms, qx = _shift_terms(n, x, h, qp)
+    value = _summed(terms)
     A = B = 0.0
     for l, term in enumerate(terms):
         a = abs(term)

@@ -20,9 +20,9 @@ from qeuler import (
     qzeta_hurwitz,
 )
 from qeuler import _exactcomplex
-from qeuler._exactcomplex import terminating_alt_sum
+from qeuler._exactcomplex import terminating_alt_sum, terminating_alt_sums
 from qeuler.cli import main
-from qeuler.errors import NonConvergenceError
+from qeuler.errors import FloatRangeError, NonConvergenceError
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 
@@ -341,6 +341,17 @@ class TestTerminatingSum:
         got = euler_poly(12, 256, 0, 0.3 + 0.4j)
         assert _hex(got) == ("0x1.17ee7175ff5d3p+3", "0x1.180958c4244c0p+1")
 
+    def test_exact_sum_keeps_one_power_of_two(self):
+        # The exact fallback's value is the Fraction sum of its terms, over a
+        # denominator that carries only the largest power of two, once.
+        for n, h, q, x in ((12, 0, 0.3 + 0.4j, 17), (9, 2, 0.5, 3), (7, 1, -0.6 + 0.1j, 256), (15, 1, 0.7j, None)):
+            Q, e = _exactcomplex._dyadic(complex(q))
+            terms = list(_exactcomplex._terms(n, h, Q, e, x))
+            re, im, den = _exactcomplex._exact_sum(terms)
+            assert Fraction(re, den) == sum(Fraction(c * a[0], d << t) for c, a, d, t in terms)
+            assert Fraction(im, den) == sum(Fraction(c * a[1], d << t) for c, a, d, t in terms)
+            assert den == math.prod(d for _, _, d, _ in terms) << terms[-1][3]
+
     def test_value_beyond_the_float_range_raises(self):
         cases = (
             lambda: classical_zeta_E(-301),
@@ -352,6 +363,82 @@ class TestTerminatingSum:
                 case()
             assert isinstance(info.value.__cause__, OverflowError)
         assert main(["zeta", "--q", "0.97", "--s", "-400"]) == 3
+
+
+class TestShiftTable:
+    def test_one_pass_matches_the_per_order_sums(self, monkeypatch):
+        # The one-pass table of E_0..E_n(0, h | q) against n + 1 separate
+        # terminating_alt_sum calls: the same bits, and each order finished
+        # from the integer sum _truncated_sum gives at the table's precision,
+        # which is at least the order's own, with the radius that the
+        # order's own call starts with.  q is over the disk, on both real
+        # half-axes and the imaginary axis, near the circle, tiny or dyadic.
+        rng = random.Random(20261019)
+        finish, per_order = _exactcomplex._finish, _exactcomplex.terminating_alt_sum
+        calls, nested = [], []
+
+        def record(*args):
+            if not nested:
+                calls.append(args)
+            return finish(*args)
+
+        def alone(*args):  # a fallback order, finished apart from the table
+            nested.append(args)
+            try:
+                return per_order(*args)
+            finally:
+                nested.pop()
+
+        def draw_q():
+            r = rng.uniform(0.0, 0.97)
+            return complex(rng.choice((
+                lambda: cmath.rect(math.sqrt(rng.random()) * 0.99, rng.uniform(-math.pi, math.pi)),
+                lambda: r,
+                lambda: -r,
+                lambda: complex(0.0, rng.choice((r, -r))),
+                lambda: cmath.rect(rng.uniform(0.99, 0.999), rng.uniform(-math.pi, math.pi)),
+                lambda: rng.choice((5e-324, 2.0**-600)),
+                lambda: rng.choice((0.5, -0.25)),
+            ))())
+
+        monkeypatch.setattr(_exactcomplex, "_finish", record)
+        monkeypatch.setattr(_exactcomplex, "terminating_alt_sum", alone)
+        for _ in range(300):
+            q, h, n = draw_q(), rng.randrange(4), rng.randrange(61)
+            Q, e = _exactcomplex._dyadic(q)
+            calls.clear()
+            table = terminating_alt_sums(n, h, q)
+            fixed = calls[:]
+            assert len(fixed) == n + 1, (n, h, q)
+            for l, (re, im, den, t, radius, *_) in enumerate(fixed):
+                calls.clear()
+                want = per_order(l, h, q, 0)
+                assert _hex(table[l]) == _hex(want), (l, h, q)
+                # a fixed-point sum is S 2^W over den = 1, and its prefactor
+                # carries 2^(e l), so t = e l - W
+                own_t, own_radius = calls[0][3], calls[0][4]
+                assert den == 1 and radius == own_radius and t <= own_t, (l, h, q)
+                W = e * l - t
+                assert (re, im) == _exactcomplex._truncated_sum(l, h, Q, e, 0, W), (l, h, q)
+
+    def test_grown_table_equals_a_fresh_one(self):
+        from qeuler import numeric
+
+        qp = QParameter(0.45 - 0.65j)
+        for m, n in ((0, 12), (5, 40), (12, 13)):
+            numeric._SHIFT_COEFF_TABLES.pop((1, qp.q), None)
+            numeric._shift_coefficients(m, 1, qp)
+            grown = numeric._shift_coefficients(n, 1, qp)
+            assert [_hex(v) for v in grown] == [_hex(v) for v in terminating_alt_sums(n, 1, qp.q)]
+            assert len(numeric._SHIFT_COEFF_TABLES[(1, qp.q)]) == n + 1
+
+    def test_first_order_beyond_the_float_range_is_named(self):
+        from qeuler import numeric
+
+        numeric._SHIFT_COEFF_TABLES.pop((0, 0.95 + 0.1j), None)
+        with pytest.raises(FloatRangeError, match=r"at order -291 ") as info:
+            euler_poly(300, 0.5, 0, 0.95 + 0.1j)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 class TestNumericShiftIdentities:
