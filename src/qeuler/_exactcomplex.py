@@ -14,11 +14,14 @@ lower bound |1 + q^m| >= 1 - |q|; it is carried exactly through the
 prefactor (1+q)/(1-q)^n.  When both ends of that interval round to the same
 float, and the interval excludes 0 where that float is a zero, so does
 every value inside it (Ziv's rounding test; CPython's int / int is
-correctly rounded); otherwise p doubles.  After two doublings the sum is
-taken exactly from the exact powers (_terms), as a Gaussian-integer
-numerator over an integer denominator times one power of two, with no gcd,
-and divided once.  Exact zeros and binary64 ties, as (1+q)/2 is at q = 0.9,
-end there.
+correctly rounded); otherwise p grows, at least doubling, by as many bits
+as the smaller component of that attempt lacks against its radius, and far
+enough to carry a truncated q whole: a q whose imaginary part is tiny, as
+0.5 + 2^-600 i, goes straight to the bits that part needs.  After three
+attempts the sum is taken exactly from the exact powers (_terms), as a
+Gaussian-integer numerator over an integer denominator times one power of
+two, with no gcd, and divided once.  Exact zeros and binary64 ties, as
+(1+q)/2 is at q = 0.9, end there.
 
 The coefficients E_0..E_n(0, h | q) of the binomial-shift expansion are
 all x = 0 sums of the same terms 1/(1 + q^(h+k)) under other binomial
@@ -348,6 +351,17 @@ def _finish(re: int, im: int, den: int, t: int, radius: int, z, scale: int, real
     return None if out_im is None else complex(out_re, out_im)
 
 
+def _shortfall(fixed, radius: int, z, real: bool) -> int:
+    # The bits by which the radius of an undecided attempt, carried through
+    # z as in _finish, exceeds the smaller nonzero component of the sum times
+    # z: the precision that component, the one that lacks the most, lacks.
+    # A component that reads 0 tells nothing.
+    v = _mul(fixed, z)
+    err = radius * (abs(z[0]) + abs(z[1]))
+    sizes = [abs(c).bit_length() for c in (v[:1] if real else v) if c]
+    return err.bit_length() - min(sizes) if sizes else 0
+
+
 def _range_error(n: int) -> FloatRangeError:
     return FloatRangeError(f"the sum at order {-n} lies beyond the float range")
 
@@ -380,11 +394,17 @@ def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
         for _ in range(3 if radius else 0):
             W = p + guard
             fixed = _truncated_sum(n, h, Q, e, x, W)
+            step = p
             if fixed is not None:
                 value = _finish(fixed[0], fixed[1], 1, e * n - W, radius, z, scale, real)
                 if value is not None:
                     return value
-            p *= 2
+                # At least double p; give the smaller component the bits it
+                # lacks, 53 for the float and 11 to spare; and once q was
+                # truncated, carry it whole, since a component may hang on
+                # the bits cut off (Im q = -2^-600 reads as -2^-W).
+                step = max(p, _shortfall(fixed, radius, z, real) + 64, e + 64 - W)
+            p += step
         return _finish(*_exact_sum(_terms(n, h, Q, e, x)), e * n, 0, z, scale, real)
     except OverflowError as exc:
         raise _range_error(n) from exc

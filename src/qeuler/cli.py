@@ -124,8 +124,8 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
         raise ValueError("--n must be a nonnegative integer")
     ns = range(args.n + 1)
     if args.exact:
-        nums, _ = _euler_numerators(args.n + 1)  # one table for every E_n
-        rendered = [str(_reduced_euler_number(nums, n)) for n in ns]
+        table, cyclotomics = _euler_numerators(args.n + 1), {}  # one of each for every E_n
+        rendered = [str(_reduced_euler_number(table, n, cyclotomics)) for n in ns]
         text = [f"E_{n} = {r}" for n, r in zip(ns, rendered)]
         rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
         # The JSON maps each n, as a string, to its rendered value.

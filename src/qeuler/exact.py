@@ -4,16 +4,29 @@ PolyZ is a dense integer-coefficient polynomial in the indeterminate q;
 RationalQ is a quotient of two of them kept in canonical form (coprime,
 denominator with positive leading coefficient, no common integer content).
 On top of those sit the q-Euler numbers and polynomials, each summed as a
-PolyZ numerator over its known denominator and reduced once by trial division
-by the cyclotomic factors of that denominator, and an identity checker that
+numerator over its known denominator and reduced once by trial division by
+the cyclotomic factors of that denominator, and an identity checker that
 decides the shift/expansion identities by exact equality, cross-multiplying
 unreduced pairs.  No q-Euler path takes a polynomial gcd; PolyZ.gcd and the
 RationalQ arithmetic serve rational functions a caller builds.
+
+The sums and the identity checks run on packed integers (Kronecker
+substitution): a polynomial P is carried as the one integer P(2^w), so a
+Horner step by 1 + q^m is v + (v << m w) and a product of polynomials is one
+product of integers.  Evaluation at 2^w is a ring homomorphism, so this
+arithmetic is exact at any w.  The width matters only where a value is read
+back: by the width lemma (see "packed polynomials" below), when every
+coefficient lies below 2^(w-1) in magnitude, the digits of P(2^w) are those
+coefficients and P(2^w) = 0 only for P = 0.  w is taken from l1 bounds that
+follow the same recurrences as the values, so each numerator is decoded
+once, into the PolyZ that the cyclotomic reduction divides, and each
+identity is decided by one integer comparison.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import PoleError
@@ -32,13 +45,14 @@ class PolyZ:
     """Integer-coefficient polynomial in q, coefficients indexed by power.
 
     Invariant: the trailing (highest-power) coefficient is nonzero; the zero
-    polynomial has an empty coefficient tuple.
+    polynomial has an empty coefficient tuple.  Coefficients must be integers:
+    a float or Fraction raises TypeError instead of being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [int(v) for v in coeffs]
+        c = list(map(operator.index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -346,6 +360,45 @@ class RationalQ:
         return f"RationalQ({self.num.coeffs!r}, {self.den.coeffs!r})"
 
 
+# -- packed polynomials -------------------------------------------------------
+#
+# The q-Euler engine carries each P in Z[q] as the one integer P(2^w), w a
+# multiple of 8.  Evaluation at 2^w is a ring homomorphism Z[q] -> Z, so sums
+# and products of packed values are exact at any w: 1 + q^m multiplies by
+# v + (v << m w), c q^l by (c v) << l w, and [k]_q^j is one integer power.
+#
+# Width lemma.  If every coefficient of P lies below 2^(w-1) in magnitude,
+# then (a) P(2^w) = 0 only when P = 0, since a top term c_d 2^(w d) outweighs
+# the sum of all lower ones, which is below 2^(w d) / 2; and (b) adding
+# 2^(w-1) to each of the digits 0..K-1, K > deg P, turns P(2^w) into the
+# integer whose base-2^w digits are c_i + 2^(w-1), all in [1, 2^w - 1], with
+# no carry, so one to_bytes call reads them off.  Every coefficient is at most
+# the l1 norm, so a bound on ||P||_1 below 2^(w-1) suffices, for the value
+# decoded or, to decide a0 b1 == b0 a1, for the difference a0 b1 - b0 a1.
+# The bounds follow the recurrences with ||f g||_1 <= ||f||_1 ||g||_1,
+# ||1 + q^m||_1 = 2 (m = 0 included) and ||[k]_q^j||_1 = k^j.
+
+
+def _width(bound: int) -> int:
+    # the least multiple of 8, w, with bound < 2^(w-1)
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _ones(k: int, w: int) -> int:
+    # sum_{i<k} 2^(w i): [k]_q packed, and the digit pattern of the bias
+    return int.from_bytes((b"\x01" + bytes(w // 8 - 1)) * k, "little")
+
+
+def _unpack(v: int, w: int) -> PolyZ:
+    # The P with P(2^w) = v, every coefficient below 2^(w-1) in magnitude.
+    # By the width lemma |v| > 2^(w deg P - 1) when P != 0, so the K digits
+    # read cover deg P + 1; any beyond it read as 0 and PolyZ trims them.
+    size, bias = w // 8, 1 << w - 1
+    k = abs(v).bit_length() // w + 1
+    raw = (v + (_ones(k, w) << w - 1)).to_bytes(k * size, "little")
+    return PolyZ([int.from_bytes(raw[i:i + size], "little") - bias for i in range(0, k * size, size)])
+
+
 # -- q-Euler closed forms -----------------------------------------------------
 #
 # Every denominator below is a constant times a product of the cyclotomic
@@ -374,22 +427,22 @@ def _add_one_plus_q_power(exps: dict, m: int) -> None:
             exps[d] = exps.get(d, 0) + 1
 
 
-def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
+def _reduced(num: PolyZ, const: int, exps: dict, cyclotomics: dict) -> RationalQ:
     """num / (const * prod_d Phi_d^exps[d]) in canonical form.
 
     Each Phi_d is divided out of the numerator while that is exact, at most
     exps[d] times, and exps is left holding the multiplicities that remain.
     The denominator is then built from those, and the integer content the
     two share is cleared with the sign that makes its leading coefficient
-    positive (a product of monic Phi_d has content 1).
+    positive (a product of monic Phi_d has content 1).  cyclotomics is the
+    _cyclotomic table, which a caller reducing many values shares.
     """
     if num.is_zero:
         exps.clear()
         return RationalQ(0)
-    table: dict = {}
     den = PolyZ.one()
     for d in sorted(exps):
-        phi = _cyclotomic(d, table)
+        phi = _cyclotomic(d, cyclotomics)
         while exps[d]:
             try:
                 num = num.divexact(phi)
@@ -403,36 +456,64 @@ def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
     return RationalQ._canonical(num, den * (const // c))
 
 
-def _one_plus_q_power(m: int) -> PolyZ:
-    return PolyZ.one() + PolyZ.monomial(1, m)
-
-
-def _euler_numerators(count: int) -> tuple[list[PolyZ], list[PolyZ]]:
-    # N_m and D_m for m < count, where E_m = N_m / D_m and D_m = prod_{j<=m} f_j
-    # with f_j = 1+q^j (f_0 = 2): N_0 = 1+q, N_m = -sum_{l<m} C(m,l) q^l N_l
-    # prod_{l<j<m} f_j, summed by Horner over l with no gcd.  The sparse f_j
-    # go left of *, which skips zero coefficients of its left operand.
-    fs = [_one_plus_q_power(j) for j in range(count)]
-    nums, dens, den = [], [], PolyZ.one()
+def _numerator_norms(count: int) -> list[int]:
+    # nu_m >= ||N_m||_1, from N_m's recurrence: nu_0 = ||1 + q||_1 = 2 and
+    # nu_m = sum_{l<m} C(m,l) nu_l 2^(m-1-l).  Nondecreasing, as the l = m-1
+    # term alone gives nu_m >= m nu_(m-1).
+    nu: list[int] = []
     for m in range(count):
-        acc = PolyZ()
+        nu.append(sum(math.comb(m, l) * v << m - 1 - l for l, v in enumerate(nu)) if m else 2)
+    return nu
+
+
+def _identity_bound(n: int, k: int, nu: list[int]) -> int:
+    """A bound on ||a0 b1 - b0 a1||_1 for every identity at order n, shift k.
+
+    With P = 2^(2n+1) bounding both parts of _euler_poly_pair, ||D_n||_1 =
+    2^(n+1), beta = 2 sum_{l<k} max(l, 1)^n >= ||bracket sum||_1 and
+    sigma = sum_{l<=n} C(n,l) nu_l k^(n-l) 2^(n-l) >= ||t_num|| of the
+    binomial sum to n + 1 (and >= nu_n + 2 ||t_num|| of the sum to n), each
+    identity's difference is at most P (2^(n+1) (1 + beta) + sigma).  Every
+    term is nondecreasing in n and in k, so the bound at (n, k) holds at
+    every n' <= n, k' <= k.
+    """
+    beta = 2 * sum(max(l, 1) ** n for l in range(k))
+    sigma = sum(math.comb(n, l) * nu[l] * k ** (n - l) << n - l for l in range(n + 1))
+    return ((1 + beta << n + 1) + sigma) << 2 * n + 1
+
+
+def _euler_numerators(count: int, k: int | None = None) -> tuple[int, list[int], list[int]]:
+    """(w, [N_m(2^w)], [D_m(2^w)]) for m < count, with E_m = N_m / D_m.
+
+    D_m = prod_{j<=m} f_j with f_j = 1+q^j (f_0 = 2), N_0 = 1+q and
+    N_m = -sum_{l<m} C(m,l) q^l N_l prod_{l<j<m} f_j, summed by Horner over
+    l with no gcd.  The width covers every N_m and, when k is given, the
+    cross-multiplied difference of every identity at n < count and shift
+    <= k, so _verify_identity can run on the table.
+    """
+    nu = _numerator_norms(count)
+    w = _width(nu[-1] if k is None else _identity_bound(count - 1, k, nu))
+    nums, dens, den = [], [], 1
+    for m in range(count):
+        acc = 0
         for l in range(m):
-            acc = fs[l] * acc + PolyZ.monomial(math.comb(m, l), l) * nums[l]
-        nums.append(-acc if m else PolyZ.bracket(2))
-        den = fs[m] * den
+            acc += (acc << l * w) + (math.comb(m, l) * nums[l] << l * w)
+        nums.append(-acc if m else 1 + (1 << w))
+        den += den << m * w
         dens.append(den)
-    return nums, dens
+    return w, nums, dens
 
 
-def _euler_poly_pair(n: int, x: int, h: int) -> tuple[PolyZ, PolyZ]:
+def _euler_poly_pair(n: int, x: int, h: int, w: int) -> tuple[int, int]:
     # E_n(x, h | q) as [2]_q sum_l C(n,l) (-1)^l q^(l x) over its known
-    # denominator prod_l (1 + q^(l+h)) (1-q)^n, unreduced
-    num, den = PolyZ(), PolyZ.one()
+    # denominator prod_l (1 + q^(l+h)) (1-q)^n, unreduced and packed at w.
+    # Both parts have l1 norm at most 2^(2n+1).
+    num, den = 0, 1
     for l in range(n + 1):
-        f = _one_plus_q_power(l + h)
-        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
-        den = f * den
-    return num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n
+        shift = (l + h) * w
+        num += (num << shift) + ((-1) ** l * math.comb(n, l) * den << l * x * w)
+        den += den << shift
+    return num + (num << w), den * (1 - (1 << w)) ** n
 
 
 def exact_euler_number(n: int) -> RationalQ:
@@ -446,16 +527,17 @@ def exact_euler_number(n: int) -> RationalQ:
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    return _reduced_euler_number(_euler_numerators(n + 1)[0], n)
+    return _reduced_euler_number(_euler_numerators(n + 1), n, {})
 
 
-def _reduced_euler_number(nums: list[PolyZ], n: int) -> RationalQ:
-    # E_n in canonical form from the numerators of an _euler_numerators(c)
-    # table, c > n; a caller that wants E_0..E_n builds one table for all.
+def _reduced_euler_number(table: tuple, n: int, cyclotomics: dict) -> RationalQ:
+    # E_n in canonical form from an _euler_numerators(c) table, c > n; a
+    # caller that wants E_0..E_n builds one table and one cyclotomics for all.
     exps: dict = {}
     for m in range(1, n + 1):
         _add_one_plus_q_power(exps, m)
-    return _reduced(nums[n], 2, exps)
+    w, nums, _ = table
+    return _reduced(_unpack(nums[n], w), 2, exps, cyclotomics)
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
@@ -470,12 +552,13 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
     """
     if n < 0 or x < 0 or h < 0:
         raise ValueError("n, x, h must be nonnegative integers")
-    num, _ = _euler_poly_pair(n, x, h)
+    w = _width(1 << 2 * n + 1)
+    num, _ = _euler_poly_pair(n, x, h, w)
     exps = {1: n}
     for l in range(n + 1):
         if l + h:
             _add_one_plus_q_power(exps, l + h)
-    out = _reduced(num, (-1) ** n * (1 if h else 2), exps)
+    out = _reduced(_unpack(num, w), (-1) ** n * (1 if h else 2), exps, {})
     if exps.get(1):
         raise PoleError("the (1-q)^n pole failed to cancel")
     return out
@@ -483,9 +566,10 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
 
 # -- identity checking ---------------------------------------------------------
 #
-# Both sides of an identity are unreduced (numerator, denominator) pairs of
-# PolyZ, added and multiplied with no reduction and compared by
-# cross-multiplication, which decides equality in Q(q) without a gcd.
+# Both sides of an identity are unreduced (numerator, denominator) pairs,
+# packed at the table's width, added and multiplied with no reduction and
+# compared by cross-multiplication, which decides equality in Q(q) without a
+# gcd: the width lemma with _identity_bound makes integer equality exact.
 
 IDENTITY_NAMES = (
     "poly-vs-recurrence",
@@ -498,56 +582,55 @@ IDENTITY_NAMES = (
 )
 
 
-def _equal(a: tuple[PolyZ, PolyZ], b: tuple[PolyZ, PolyZ]) -> bool:
+def _equal(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] == b[0] * a[1]
 
 
-def _signed_bracket_power_sum(n: int, k: int, flip: bool) -> PolyZ:
+def _signed_bracket_power_sum(n: int, k: int, flip: bool, w: int) -> int:
     # [2]_q sum_{l<k} (-1)^l [l]_q^n, negated when flip is True ((-1)^(l-1)
     # variant).  [0]_q^0 contributes 1 via the 0^0 = 1 convention.
-    acc = PolyZ.zero()
+    acc = 0
     for l in range(k):
-        term = PolyZ.bracket(l) ** n
         sign = -1 if (l % 2 == 1) != flip else 1
-        acc = acc + term * sign
-    return PolyZ.bracket(2) * acc
+        acc += sign * _ones(l, w) ** n
+    return acc + (acc << w)
 
 
-def _binomial_shift_sum(n: int, k: int, upper: int, table: tuple) -> tuple[PolyZ, PolyZ]:
-    # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l), over D_(upper-1)
-    nums, dens = table
-    acc = PolyZ()
-    bk = PolyZ.bracket(k)
-    bk_pows = [PolyZ.one()]  # [k]_q^j, one product each, read from j = n down
-    for _ in range(n):
-        bk_pows.append(bk_pows[-1] * bk)
+def _binomial_shift_sum(n: int, k: int, upper: int, table: tuple) -> tuple[int, int]:
+    # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l), over D_(upper-1), upper
+    # <= n + 1: by Horner over l, acc <- [k]_q f_l acc + C(n,l) q^(k l) N_l,
+    # which leaves term l times [k]_q^(upper-1-l) prod_{l<j<upper} f_j, and
+    # one factor [k]_q^(n+1-upper) after.
+    w, nums, dens = table
+    bk = _ones(k, w)
+    acc = 0
     for l in range(upper):
-        weight = PolyZ.monomial(math.comb(n, l), k * l) * bk_pows[n - l]
-        acc = _one_plus_q_power(l) * acc + weight * nums[l]
-    return acc, dens[upper - 1] if upper else PolyZ.one()
+        acc = (acc + (acc << l * w)) * bk + (math.comb(n, l) * nums[l] << k * l * w)
+    return acc * bk ** (n + 1 - upper), dens[upper - 1] if upper else 1
 
 
 def _verify_identity(identity: str, n: int, k: int, table: tuple) -> bool:
-    # verify_identity on checked arguments, with table = _euler_numerators(c)
-    # for some c > n; N_m and D_m do not depend on c.
-    nums, dens = table
+    # verify_identity on checked arguments, with table = _euler_numerators(c,
+    # K) for some c > n and K >= k.  The polynomials N_m and D_m do not
+    # depend on c or K; every value here is packed at the table's width.
+    w, nums, dens = table
     e_n = nums[n], dens[n]
     if identity == "poly-vs-recurrence":
-        return _equal(_euler_poly_pair(n, 0, 0), e_n)
+        return _equal(_euler_poly_pair(n, 0, 0, w), e_n)
     if identity == "binomial-expansion":
-        return _equal(_euler_poly_pair(n, k, 0), _binomial_shift_sum(n, k, n + 1, table))
+        return _equal(_euler_poly_pair(n, k, 0, w), _binomial_shift_sum(n, k, n + 1, table))
 
     sign = -1 if identity.startswith("even") else 1
     flip = identity in ("even-shift", "even-shift-recombined")
-    bracket_sum = (_signed_bracket_power_sum(n, k, flip), PolyZ.one())
+    bracket_sum = (_signed_bracket_power_sum(n, k, flip, w), 1)
     if identity in ("even-shift", "odd-shift", "even-shift-wrong-sign"):
         # E_n(k) + sign * E_n
-        p_num, p_den = _euler_poly_pair(n, k, 0)
-        lhs = p_num * e_n[1] + sign * (e_n[0] * p_den), p_den * e_n[1]
+        p_num, p_den = _euler_poly_pair(n, k, 0, w)
+        lhs = p_num * e_n[1] + sign * e_n[0] * p_den, p_den * e_n[1]
         return _equal(lhs, bracket_sum)
     # recombined forms: (q^(k n) + sign) E_n + tail
     t_num, t_den = _binomial_shift_sum(n, k, n, table)
-    shift = PolyZ.monomial(1, k * n) + PolyZ.const(sign)
+    shift = (1 << k * n * w) + sign
     rhs = shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den
     return _equal(bracket_sum, rhs)
 
@@ -588,4 +671,5 @@ def verify_identity(identity: str, n: int, k: int = 0) -> bool:
     elif identity != "poly-vs-recurrence":
         if k <= 0 or k % 2 != 1:
             raise ValueError(f"{identity} requires a positive odd k, got {k}")
-    return _verify_identity(identity, n, k, _euler_numerators(n + 1))
+    shift = 0 if identity == "poly-vs-recurrence" else k  # k is ignored there
+    return _verify_identity(identity, n, k, _euler_numerators(n + 1, shift))

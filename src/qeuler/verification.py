@@ -48,8 +48,10 @@ def _rel_err(a: complex, b: complex) -> float:
 
 def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
     out = []
-    # N_0..N_max_n and their denominators, shared by every identity check
-    table = _euler_numerators(max_n + 1)
+    # N_0..N_max_n and their denominators, packed wide enough for every
+    # identity check below (shifts up to max_k, binomial x up to 4), and the
+    # cyclotomic factors, shared by every reduction
+    table, cyclotomics = _euler_numerators(max_n + 1, max(max_k, 4)), {}
 
     def holds(name, n, k=0):
         return _verify_identity(name, n, k, table)
@@ -87,7 +89,7 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         bad = [
             n
             for n in range(max_n + 1)
-            if _reduced_euler_number(table[0], n).eval(1) != classical_euler_number(n)
+            if _reduced_euler_number(table, n, cyclotomics).eval(1) != classical_euler_number(n)
         ]
         return not bad, "q = 1 specialization matches the classical recurrence"
 

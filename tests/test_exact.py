@@ -27,6 +27,13 @@ class TestPolyZ:
         assert PolyZ((1, 2, 0, 0)).coeffs == (1, 2)
         assert PolyZ((0, 0)).is_zero
 
+    def test_non_integral_coefficients_rejected(self):
+        # truncating 1.5 to 1 would build a different polynomial
+        for bad in ((1.5, 2.7), (2.0,), (Fraction(1, 2),), ("1",)):
+            with pytest.raises(TypeError):
+                PolyZ(bad)
+        assert PolyZ((True, 2)).coeffs == (1, 2)
+
     def test_zero_power_convention(self):
         assert PolyZ.zero() ** 0 == PolyZ.one()
         assert PolyZ.zero() ** 3 == PolyZ.zero()
@@ -180,7 +187,7 @@ class TestExactEulerPoly:
 
     def test_uncancelled_pole_raises(self, monkeypatch):
         # a numerator that leaves (1-q)^n standing is a PoleError, also under -O
-        monkeypatch.setattr(exact, "_euler_poly_pair", lambda n, x, h: (PolyZ.one(), None))
+        monkeypatch.setattr(exact, "_euler_poly_pair", lambda n, x, h, w: (1, None))
         with pytest.raises(PoleError):
             exact_euler_poly(3, 1, 0)
 
@@ -248,7 +255,7 @@ class TestCyclotomicReduction:
             assert product == PolyZ.monomial(1, m) - PolyZ.one(), m
 
     def test_numbers_match_the_prs_reduction(self):
-        nums, dens = exact._euler_numerators(21)
+        nums, dens = oracle_numerators(21)
         for n in range(21):
             want = canonical(RationalQ(nums[n], dens[n]))
             assert canonical(exact_euler_number(n)) == want, n
@@ -257,7 +264,7 @@ class TestCyclotomicReduction:
         for n in range(13):
             for x in range(4):
                 for h in range(3):
-                    want = canonical(RationalQ(*exact._euler_poly_pair(n, x, h)))
+                    want = canonical(RationalQ(*oracle_poly_pair(n, x, h)))
                     assert canonical(exact_euler_poly(n, x, h)) == want, (n, x, h)
 
     def test_no_library_path_takes_a_gcd(self, monkeypatch):
@@ -344,3 +351,129 @@ class TestIdentities:
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("nope", 2, 2)
+
+
+# -- the packed engine against PolyZ ----------------------------------------------
+#
+# The oracle is the engine on PolyZ coefficient tuples: the same Horner
+# recurrences with schoolbook products, and identities decided by PolyZ
+# cross-multiplication.
+
+
+def oracle_numerators(count: int) -> tuple[list, list]:
+    fs = [PolyZ.one() + PolyZ.monomial(1, j) for j in range(count)]
+    nums, dens, den = [], [], PolyZ.one()
+    for m in range(count):
+        acc = PolyZ()
+        for l in range(m):
+            acc = fs[l] * acc + PolyZ.monomial(math.comb(m, l), l) * nums[l]
+        nums.append(-acc if m else PolyZ.bracket(2))
+        den = fs[m] * den
+        dens.append(den)
+    return nums, dens
+
+
+def oracle_poly_pair(n: int, x: int, h: int) -> tuple[PolyZ, PolyZ]:
+    num, den = PolyZ(), PolyZ.one()
+    for l in range(n + 1):
+        f = PolyZ.one() + PolyZ.monomial(1, l + h)
+        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
+        den = f * den
+    return num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n
+
+
+def oracle_verdict(identity: str, n: int, k: int, nums: list, dens: list) -> bool:
+    def equal(a, b):
+        return a[0] * b[1] == b[0] * a[1]
+
+    def shift_sum(upper):
+        acc, bk = PolyZ(), PolyZ.bracket(k)
+        for l in range(upper):
+            weight = PolyZ.monomial(math.comb(n, l), k * l) * bk ** (n - l)
+            acc = (PolyZ.one() + PolyZ.monomial(1, l)) * acc + weight * nums[l]
+        return acc, dens[upper - 1] if upper else PolyZ.one()
+
+    e_n = nums[n], dens[n]
+    if identity == "poly-vs-recurrence":
+        return equal(oracle_poly_pair(n, 0, 0), e_n)
+    if identity == "binomial-expansion":
+        return equal(oracle_poly_pair(n, k, 0), shift_sum(n + 1))
+    sign = -1 if identity.startswith("even") else 1
+    flip = identity in ("even-shift", "even-shift-recombined")
+    acc = PolyZ()
+    for l in range(k):
+        acc = acc + PolyZ.bracket(l) ** n * (-1 if (l % 2 == 1) != flip else 1)
+    bracket_sum = PolyZ.bracket(2) * acc, PolyZ.one()
+    if identity in ("even-shift", "odd-shift", "even-shift-wrong-sign"):
+        p_num, p_den = oracle_poly_pair(n, k, 0)
+        return equal((p_num * e_n[1] + e_n[0] * p_den * sign, p_den * e_n[1]), bracket_sum)
+    t_num, t_den = shift_sum(n)
+    shift = PolyZ.monomial(1, k * n) + PolyZ.const(sign)
+    return equal(bracket_sum, (shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den))
+
+
+def shifts_of(identity: str, top: int) -> list[int]:
+    if identity == "poly-vs-recurrence":
+        return [0]
+    if identity == "binomial-expansion":
+        return list(range(top + 1))
+    return [k for k in range(1, top + 1) if k % 2 == (0 if identity.startswith("even") else 1)]
+
+
+class TestPacked:
+    """Each polynomial of the q-Euler engine is carried as its value at 2^w."""
+
+    def test_width_is_the_least_that_holds_the_bound(self):
+        for bits in range(0, 300):
+            for bound in {max(0, (1 << bits) - 1), 1 << bits}:
+                w = exact._width(bound)
+                assert w % 8 == 0 and bound < 1 << w - 1, bound
+                assert w == 8 or bound >= 1 << w - 9, bound
+
+    @pytest.mark.parametrize("w", [8, 16, 64, 136])
+    def test_signed_digit_round_trips(self, w):
+        top = (1 << w - 1) - 1  # the largest digit the width lemma allows
+        rng = random.Random(w)
+        cases = [
+            (), (top,), (-top,), (0, 0, -top), (top, -top, top, -top),
+            (-top, 0, 0, top), (1, 2, -top), (-1,), (top, 0, -1),
+            tuple(rng.randint(-top, top) for _ in range(40)) + (-top,),
+        ]
+        for coeffs in cases:
+            p = PolyZ(coeffs)
+            assert exact._unpack(p.eval(1 << w), w) == p, coeffs
+
+    def test_round_trips_at_the_width_of_the_bound(self):
+        # a coefficient equal to the bound itself must still decode
+        for bits in range(1, 200, 3):
+            for c in ((1 << bits) - 1, 1 << bits):
+                w = exact._width(c)
+                p = PolyZ((c, -c, 0, -c))
+                assert exact._unpack(p.eval(1 << w), w) == p, c
+
+    def test_numerator_table_matches_the_oracle(self):
+        nums, dens = oracle_numerators(31)
+        for k in (None, 0, 5):
+            w, packed_nums, packed_dens = exact._euler_numerators(31, k)
+            for m in range(31):
+                assert packed_nums[m] == nums[m].eval(1 << w), (k, m)
+                assert packed_dens[m] == dens[m].eval(1 << w), (k, m)
+                assert exact._unpack(packed_nums[m], w) == nums[m], (k, m)
+
+    def test_poly_pairs_match_the_oracle(self):
+        for n in range(31):
+            w = exact._width(1 << 2 * n + 1)
+            for x, h in ((0, 0), (1, 0), (3, 1), (2, 2)):
+                num, den = exact._euler_poly_pair(n, x, h, w)
+                want = oracle_poly_pair(n, x, h)
+                assert (exact._unpack(num, w), exact._unpack(den, w)) == want, (n, x, h)
+
+    def test_identity_verdicts_match_polyz_cross_multiplication(self):
+        nums, dens = oracle_numerators(25)
+        table = exact._euler_numerators(25, 5)
+        for identity in exact.IDENTITY_NAMES:
+            for k in shifts_of(identity, 5):
+                for n in range(25):
+                    want = oracle_verdict(identity, n, k, nums, dens)
+                    assert exact._verify_identity(identity, n, k, table) == want, (identity, n, k)
+                    assert want == (identity != "even-shift-wrong-sign" or n == 0)

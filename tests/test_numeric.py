@@ -275,6 +275,36 @@ class TestTerminatingSum:
         for q, want in cases.items():
             assert _hex(terminating_alt_sum(40, 1, complex(q), None)) == want, q
 
+    def test_tiny_imaginary_part_decided_in_fixed_point(self, monkeypatch):
+        # An imaginary part of q as small as 2^-600 or 5e-324 makes the
+        # imaginary component that small too, hundreds of bits below the
+        # first attempt's precision.  The later attempts are sized from the
+        # first (and carry the truncated q whole) and decide it.  The bits
+        # were pinned from the exact sum, which agrees with the Fraction sum
+        # and must not run.
+        def exact_sum(terms):
+            raise AssertionError("the exact fallback ran")
+
+        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        cases = {
+            (0.5157 + 2.0**-600 * 1j, 24, 2, 0): ("-0x1.223f70118bb40p+10", "0x1.6af86aa72ce6bp-584"),
+            (0.5157 + 2.0**-600 * 1j, 12, 0, 1): ("0x1.de7e8df5d5857p+4", "-0x1.4a87f0e716c4bp-593"),
+            (0.5157 + 2.0**-600 * 1j, 16, 1, None): ("-0x1.e95b83d8dd414p+6", "-0x1.78f9821e4bc28p-594"),
+            (-0.25 - 2.0**-600 * 1j, 24, 2, 0): ("-0x1.7ffc5ea1808a6p-5", "-0x1.400fd7ab6520ap-602"),
+            (-0.25 - 2.0**-600 * 1j, 12, 0, 1): ("0x1.880d0c8e6fe0ap-1", "-0x1.a7f249bf7eb40p-601"),
+            (0.3 + 5e-324j, 24, 2, 0): ("0x1.aed16b0fd65dbp+1", "0x0.0000000000050p-1022"),
+            (0.3 + 5e-324j, 12, 0, 1): ("-0x1.a95782009b2e9p+0", "0x0.0000000000029p-1022"),
+        }
+        for (q, n, h, x), want in cases.items():
+            assert _hex(terminating_alt_sum(n, h, q, x)) == want, (q, n, h, x)
+        # Where the first attempt already sees the tiny component (q~ real,
+        # the prefactor exact), the second attempt is sized to decide it.
+        attempts = []
+        truncated_sum = _exactcomplex._truncated_sum
+        monkeypatch.setattr(_exactcomplex, "_truncated_sum", lambda *a: attempts.append(a) or truncated_sum(*a))
+        terminating_alt_sum(24, 2, 0.5157 + 2.0**-600 * 1j, 0)
+        assert len(attempts) == 2
+
     def test_fixed_point_radius_holds(self, monkeypatch):
         # At the first precision tried, the exact sum lies within the radius
         # that the truncated fixed-point sum reports, and the final bits are
