@@ -1,14 +1,13 @@
 """Exact arithmetic in Q(q) and symbolic verification of the q-Euler identities.
 
 PolyZ is a dense integer-coefficient polynomial in the indeterminate q;
-RationalQ is a quotient of two of them kept in canonical form (coprime,
-denominator with positive leading coefficient, no common integer content).
+RationalQ is the canonical value the engine returns, a coprime pair of them
+(denominator with positive leading coefficient, no common integer content).
 On top of those sit the q-Euler numbers and polynomials, each summed as a
-numerator over its known denominator and reduced once by trial division by
-the cyclotomic factors of that denominator, and an identity checker that
-decides the shift/expansion identities by exact equality, cross-multiplying
-unreduced pairs.  No q-Euler path takes a polynomial gcd; PolyZ.gcd and the
-RationalQ arithmetic serve rational functions a caller builds.
+numerator over its known denominator and reduced once, by _reduced, by trial
+division by the cyclotomic factors of that denominator, and an identity
+checker that decides the shift/expansion identities by exact equality,
+cross-multiplying unreduced pairs.  No path takes a polynomial gcd.
 
 The sums and the identity checks run on packed integers (Kronecker
 substitution): a polynomial P is carried as the one integer P(2^w), so a
@@ -66,10 +65,6 @@ class PolyZ:
     @classmethod
     def one(cls) -> "PolyZ":
         return cls((1,))
-
-    @classmethod
-    def const(cls, c: int) -> "PolyZ":
-        return cls((c,))
 
     @classmethod
     def monomial(cls, c: int, k: int) -> "PolyZ":
@@ -158,10 +153,6 @@ class PolyZ:
     def content(self) -> int:
         return math.gcd(*self.coeffs)
 
-    def primitive(self) -> "PolyZ":
-        c = self.content()
-        return self if c in (0, 1) else self.div_scalar(c)
-
     def div_scalar(self, c: int) -> "PolyZ":
         out = []
         for v in self.coeffs:
@@ -202,32 +193,6 @@ class PolyZ:
             acc = acc * x + v
         return acc
 
-    # -- gcd --------------------------------------------------------------
-
-    @staticmethod
-    def gcd(a: "PolyZ", b: "PolyZ") -> "PolyZ":
-        """Primitive gcd with positive leading coefficient.
-
-        Primitive pseudo-remainder sequence: each pseudo-remainder is divided
-        by its integer content before the next step, which holds back the
-        coefficient growth of the plain Euclidean sequence at the price of
-        one integer gcd per step.
-        """
-        if a.is_zero and b.is_zero:
-            return PolyZ()
-        if a.is_zero or b.is_zero:
-            g = (b if a.is_zero else a).primitive()
-            return -g if g.leading < 0 else g
-        A, B = a.primitive(), b.primitive()
-        if A.degree < B.degree:
-            A, B = B, A
-        while B.degree > 0:
-            R = _pseudo_rem(A, B)
-            if R.is_zero:
-                return -B if B.leading < 0 else B
-            A, B = B, R.primitive()
-        return PolyZ.one()
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
@@ -253,96 +218,28 @@ class PolyZ:
         return f"PolyZ({self.coeffs!r})"
 
 
-def _pseudo_rem(a: PolyZ, b: PolyZ) -> PolyZ:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, by pre-scaled exact long division
-    da, db = a.degree, b.degree
-    lb = b.leading
-    scale = lb ** (da - db + 1)
-    r = [c * scale for c in a.coeffs]
-    bc = b.coeffs
-    for i in range(da - db, -1, -1):
-        top = r[db + i]
-        if top == 0:
-            continue
-        qc, rem = divmod(top, lb)
-        if rem:
-            raise ArithmeticError("pseudo-division lost exactness")
-        for j in range(db + 1):
-            r[i + j] -= qc * bc[j]
-    return PolyZ(r[:db])
-
-
 class RationalQ:
-    """Canonical rational function in q over arbitrary-precision integers.
+    """A rational function in q, as the engine returns it: num / den.
 
-    Canonical form: numerator and denominator coprime in Q[q], denominator
-    leading coefficient positive, and no integer content shared between the
-    two.  Equality is decided by cross-multiplication (structural equality
-    would do, given canonicity, but cross-multiplication is self-checking).
+    The pair is stored as given, with no reduction, so a caller builds one
+    only from a canonical pair: numerator and denominator coprime in Q[q],
+    denominator leading coefficient positive, and no integer content shared
+    between the two (zero is 0 / 1).  Every value the engine returns is in
+    that form, so equality and hashing are structural.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = self._coerce_poly(num)
-        den = PolyZ.one() if den is None else self._coerce_poly(den)
+    def __init__(self, num: PolyZ, den: PolyZ):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = PolyZ(), PolyZ.one()
-        else:
-            g = PolyZ.gcd(num, den)
-            if g.degree > 0:
-                num, den = num.divexact(g), den.divexact(g)
-            c = math.gcd(num.content(), den.content())
-            if c > 1:
-                num, den = num.div_scalar(c), den.div_scalar(c)
-            if den.leading < 0:
-                num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _canonical(cls, num: PolyZ, den: PolyZ) -> "RationalQ":
-        # a pair the caller has already put in canonical form, taken as is
-        out = object.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
-        return out
-
-    @staticmethod
-    def _coerce_poly(p) -> PolyZ:
-        if isinstance(p, PolyZ):
-            return p
-        if isinstance(p, int):
-            return PolyZ.const(p)
-        raise TypeError(f"cannot build a rational function from {type(p).__name__}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RationalQ") -> "RationalQ":
-        return RationalQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalQ") -> "RationalQ":
-        return RationalQ(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RationalQ":
-        return RationalQ(-self.num, self.den)
-
-    def __mul__(self, other: "RationalQ") -> "RationalQ":
-        return RationalQ(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalQ") -> "RationalQ":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalQ(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         if not isinstance(other, RationalQ):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num.coeffs, self.den.coeffs))
@@ -439,7 +336,7 @@ def _reduced(num: PolyZ, const: int, exps: dict, cyclotomics: dict) -> RationalQ
     """
     if num.is_zero:
         exps.clear()
-        return RationalQ(0)
+        return RationalQ(PolyZ(), PolyZ.one())
     den = PolyZ.one()
     for d in sorted(exps):
         phi = _cyclotomic(d, cyclotomics)
@@ -453,7 +350,7 @@ def _reduced(num: PolyZ, const: int, exps: dict, cyclotomics: dict) -> RationalQ
     c = math.gcd(num.content(), const) * (1 if const > 0 else -1)
     if c != 1:
         num = num.div_scalar(c)
-    return RationalQ._canonical(num, den * (const // c))
+    return RationalQ(num, den * (const // c))
 
 
 def _numerator_norms(count: int) -> list[int]:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .continuation import curve_grid, euler_continuation, euler_continuation_deriv
-from .exact import _euler_numerators, _reduced_euler_number, _verify_identity, verify_identity
+from .exact import _euler_numerators, _unpack, _verify_identity, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, as_qparameter
 from .numeric import (
     classical_euler_number,
@@ -49,9 +50,8 @@ def _rel_err(a: complex, b: complex) -> float:
 def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
     out = []
     # N_0..N_max_n and their denominators, packed wide enough for every
-    # identity check below (shifts up to max_k, binomial x up to 4), and the
-    # cyclotomic factors, shared by every reduction
-    table, cyclotomics = _euler_numerators(max_n + 1, max(max_k, 4)), {}
+    # identity check below (shifts up to max_k, binomial x up to 4)
+    table = _euler_numerators(max_n + 1, max(max_k, 4))
 
     def holds(name, n, k=0):
         return _verify_identity(name, n, k, table)
@@ -86,10 +86,13 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         return ok, "the flipped-sign variant must fail at (n=2, k=2)"
 
     def classical_limit():
+        # E_n = N_n / D_n with D_n(1) = 2^(n+1) != 0, so the unreduced pair
+        # gives the value at q = 1 with no reduction
+        w, nums, _ = table
         bad = [
             n
             for n in range(max_n + 1)
-            if _reduced_euler_number(table, n, cyclotomics).eval(1) != classical_euler_number(n)
+            if Fraction(_unpack(nums[n], w).eval(1), 2 ** (n + 1)) != classical_euler_number(n)
         ]
         return not bad, "q = 1 specialization matches the classical recurrence"
 

@@ -13,13 +13,67 @@ from qeuler import (
     exact_euler_poly,
     verify_identity,
 )
-from qeuler import exact
+from qeuler import exact, verification
 from qeuler.errors import PoleError
 from qeuler.verification import run_checks
 
 
-def RQ(num, den=None):
-    return RationalQ(PolyZ(num), PolyZ(den) if den is not None else None)
+# -- the canonical-form oracle ---------------------------------------------------
+#
+# The library reaches canonical form only by cyclotomic trial division over a
+# known denominator.  The oracle reaches it by the primitive pseudo-remainder
+# sequence, which needs no knowledge of the denominator's factors.
+
+
+def primitive(p: PolyZ) -> PolyZ:
+    c = p.content()
+    return p if c in (0, 1) else p.div_scalar(c)
+
+
+def pseudo_rem(a: PolyZ, b: PolyZ) -> PolyZ:
+    # lc(b)^(deg a - deg b + 1) * a  mod  b, by pre-scaled exact long division
+    da, db, lb = a.degree, b.degree, b.leading
+    r = [c * lb ** (da - db + 1) for c in a.coeffs]
+    for i in range(da - db, -1, -1):
+        qc, rem = divmod(r[db + i], lb)
+        assert not rem, "pseudo-division lost exactness"
+        for j, c in enumerate(b.coeffs):
+            r[i + j] -= qc * c
+    return PolyZ(r[:db])
+
+
+def prs_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
+    """Primitive gcd with positive leading coefficient, by the primitive PRS:
+    each pseudo-remainder is divided by its integer content before the next
+    step."""
+    if a.is_zero and b.is_zero:
+        return PolyZ()
+    if a.is_zero or b.is_zero:
+        g = primitive(b if a.is_zero else a)
+        return -g if g.leading < 0 else g
+    A, B = primitive(a), primitive(b)
+    if A.degree < B.degree:
+        A, B = B, A
+    while B.degree > 0:
+        R = pseudo_rem(A, B)
+        if R.is_zero:
+            return -B if B.leading < 0 else B
+        A, B = B, primitive(R)
+    return PolyZ.one()
+
+
+def canonical_form(num: PolyZ, den: PolyZ) -> RationalQ:
+    """num / den in canonical form by one PRS gcd: the oracle."""
+    if num.is_zero:
+        return RationalQ(PolyZ(), PolyZ.one())
+    g = prs_gcd(num, den)
+    num, den = num.divexact(g), den.divexact(g)
+    c = math.gcd(num.content(), den.content()) * (1 if den.leading > 0 else -1)
+    return RationalQ(num.div_scalar(c), den.div_scalar(c))
+
+
+def RQ(num, den=(1,)):
+    return canonical_form(PolyZ(num), PolyZ(den))
 
 
 class TestPolyZ:
@@ -43,20 +97,20 @@ class TestPolyZ:
         assert PolyZ.bracket(3).coeffs == (1, 1, 1)
 
     def test_gcd_subresultant(self):
-        # (1+q)(1-q+q^2) = 1+q^3 shares (1+q) with (1+q)^2
+        # the oracle's gcd: (1+q)(1-q+q^2) = 1+q^3 shares (1+q) with (1+q)^2
         a = PolyZ((1, 0, 0, 1))
         b = PolyZ((1, 2, 1))
-        assert PolyZ.gcd(a, b) == PolyZ((1, 1))
-        assert PolyZ.gcd(a, PolyZ((7,))) == PolyZ.one()
+        assert prs_gcd(a, b) == PolyZ((1, 1))
+        assert prs_gcd(a, PolyZ((7,))) == PolyZ.one()
 
     def test_divexact_rejects_inexact(self):
         with pytest.raises(ValueError):
             PolyZ((1, 1, 1)).divexact(PolyZ((1, 1)))
 
     def test_gcd_of_random_pairs_with_a_planted_factor(self):
-        # a = f*u and b = f*v: the gcd is divisible by f's primitive part,
-        # divides both, is primitive with a positive leading coefficient,
-        # and leaves coprime cofactors
+        # the oracle's gcd of a = f*u and b = f*v is divisible by f's
+        # primitive part, divides both, is primitive with a positive leading
+        # coefficient, and leaves coprime cofactors
         rng = random.Random(20080803)
 
         def poly(degree):
@@ -66,13 +120,16 @@ class TestPolyZ:
         for _ in range(200):
             f = poly(rng.randint(0, 4))
             a, b = f * poly(rng.randint(0, 5)), f * poly(rng.randint(0, 5))
-            g = PolyZ.gcd(a, b)
+            g = prs_gcd(a, b)
             assert g.leading > 0 and g.content() == 1
-            g.divexact(f.primitive())
-            assert PolyZ.gcd(a.divexact(g), b.divexact(g)) == PolyZ.one()
+            g.divexact(primitive(f))
+            assert prs_gcd(a.divexact(g), b.divexact(g)) == PolyZ.one()
 
 
 class TestCanonicalForm:
+    """The oracle's canonical form, and RationalQ's construction contract:
+    the pair is stored as given."""
+
     def test_shared_content_removed(self):
         r = RQ((2, 2), (4,))
         assert (str(r.num), str(r.den)) == ("1 + q", "2")
@@ -94,27 +151,17 @@ class TestCanonicalForm:
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RQ((1,), (0,))
+            RationalQ(PolyZ((1,)), PolyZ((0,)))
 
-
-class TestArithmetic:
-    def test_add_example(self):
-        # (1+q)/2 + (-1)/2 = q/2
-        out = RQ((1, 1), (2,)) + RQ((-1,), (2,))
-        assert out == RQ((0, 1), (2,))
-
-    def test_mul_cancellation(self):
-        # ((1-q)/(1+q)) * ((1+q)/1) = 1-q
-        out = RQ((1, -1), (1, 1)) * RQ((1, 1))
-        assert out == RQ((1, -1))
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            RQ((1,)) / RQ((0,))
-
-    def test_equality_cross_multiplied(self):
+    def test_equality_is_structural(self):
         assert RQ((1, 1), (2,)) == RQ((2, 2), (4,))
         assert RQ((1,)) != RQ((0, 1))
+        # a pair built unreduced is stored as given, so == and hash tell it apart
+        r = RationalQ(PolyZ((2, 2)), PolyZ((4,)))
+        assert (r.num.coeffs, r.den.coeffs) == ((2, 2), (4,))
+        assert r != RQ((1, 1), (2,))
+        assert r == RationalQ(PolyZ((2, 2)), PolyZ((4,)))
+        assert hash(r) == hash(RationalQ(PolyZ((2, 2)), PolyZ((4,))))
 
 
 class TestEval:
@@ -172,6 +219,7 @@ class TestExactEulerPoly:
     def test_reduces_to_numbers(self):
         for n in range(11):
             assert exact_euler_poly(n, 0, 0) == exact_euler_number(n)
+            assert hash(exact_euler_poly(n, 0, 0)) == hash(exact_euler_number(n))
 
     def test_hand_value_at_shift_two(self):
         assert exact_euler_poly(2, 2, 0).eval(complex(0.5)).real == pytest.approx(1.3, rel=1e-14)
@@ -192,25 +240,30 @@ class TestExactEulerPoly:
             exact_euler_poly(3, 1, 0)
 
 
+def add_term(acc: RationalQ, num: PolyZ, den: PolyZ) -> RationalQ:
+    # acc + num / den, put in canonical form by the oracle
+    return canonical_form(acc.num * den + num * acc.den, acc.den * den)
+
+
 def per_term_numbers(n: int) -> list:
-    """E_0..E_n by the recurrence with a canonical RationalQ after every
+    """E_0..E_n by the recurrence with a canonical pair after every
     addition, one gcd per term: the oracle."""
     table = [RQ((1, 1), (2,))]
     for m in range(1, n + 1):
-        acc = RationalQ(0)
-        for l in range(m):
-            acc = acc + RationalQ(PolyZ.monomial(math.comb(m, l), l)) * table[l]
-        table.append(-(acc / RationalQ(PolyZ.one() + PolyZ.monomial(1, m))))
+        acc = RQ(())
+        for l, e in enumerate(table):
+            acc = add_term(acc, PolyZ.monomial(math.comb(m, l), l) * e.num, e.den)
+        table.append(canonical_form(-acc.num, acc.den * (PolyZ.one() + PolyZ.monomial(1, m))))
     return table
 
 
 def per_term_poly(n: int, x: int, h: int) -> RationalQ:
-    """E_n(x, h | q) summed term by term in canonical RationalQs: the oracle."""
-    acc = RationalQ(0)
+    """E_n(x, h | q) summed term by term in canonical pairs: the oracle."""
+    acc = RQ(())
     for l in range(n + 1):
         num = PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * PolyZ.bracket(2)
-        acc = acc + RationalQ(num, PolyZ.one() + PolyZ.monomial(1, l + h))
-    return acc / RationalQ(PolyZ((1, -1)) ** n)
+        acc = add_term(acc, num, PolyZ.one() + PolyZ.monomial(1, l + h))
+    return canonical_form(acc.num, acc.den * PolyZ((1, -1)) ** n)
 
 
 def canonical(r: RationalQ) -> tuple:
@@ -257,22 +310,19 @@ class TestCyclotomicReduction:
     def test_numbers_match_the_prs_reduction(self):
         nums, dens = oracle_numerators(21)
         for n in range(21):
-            want = canonical(RationalQ(nums[n], dens[n]))
+            want = canonical(canonical_form(nums[n], dens[n]))
             assert canonical(exact_euler_number(n)) == want, n
 
     def test_polys_match_the_prs_reduction(self):
         for n in range(13):
             for x in range(4):
                 for h in range(3):
-                    want = canonical(RationalQ(*oracle_poly_pair(n, x, h)))
+                    want = canonical(canonical_form(*oracle_poly_pair(n, x, h)))
                     assert canonical(exact_euler_poly(n, x, h)) == want, (n, x, h)
 
-    def test_no_library_path_takes_a_gcd(self, monkeypatch):
-        def no_gcd(a, b):
-            raise AssertionError("PolyZ.gcd called")
-
+    def test_no_library_path_takes_a_gcd(self):
+        assert not hasattr(PolyZ, "gcd") and not hasattr(exact, "_pseudo_rem")
         want = canonical(per_term_numbers(6)[6]), canonical(per_term_poly(7, 2, 1))
-        monkeypatch.setattr(PolyZ, "gcd", staticmethod(no_gcd))
         assert (canonical(exact_euler_number(6)), canonical(exact_euler_poly(7, 2, 1))) == want
         for name, ks in PINNED_VERDICTS.items():
             for k, row in ks.items():
@@ -280,7 +330,26 @@ class TestCyclotomicReduction:
         assert all(r.passed for r in run_checks(0.5, max_n=4, max_k=4, exact_only=True))
 
 
-# The verdicts of verify_identity, computed with canonical RationalQ
+class TestExactChecks:
+    def test_classical_limit_fails_on_a_corrupted_numerator(self, monkeypatch):
+        # N_5 + 1 moves N_5(1) by one, so E_5 at q = 1 no longer matches
+        build = verification._euler_numerators
+
+        def corrupted(count, k=None):
+            w, nums, dens = build(count, k)
+            nums[5] += 1
+            return w, nums, dens
+
+        monkeypatch.setattr(verification, "_euler_numerators", corrupted)
+        results = {r.name: r for r in run_checks(0.5, max_n=8, exact_only=True)}
+        check = results["exact/classical-limit-at-q1"]
+        assert not check.passed
+        assert check.detail == "q = 1 specialization matches the classical recurrence"
+        monkeypatch.undo()
+        assert all(r.passed for r in run_checks(0.5, max_n=8, exact_only=True))
+
+
+# The verdicts of verify_identity, computed with canonical-form
 # comparisons: name -> {k: verdict at n = 0..8}.  The wrong-sign control holds only at
 # n = 0, where both of its sides vanish.
 PINNED_VERDICTS = {
@@ -408,7 +477,7 @@ def oracle_verdict(identity: str, n: int, k: int, nums: list, dens: list) -> boo
         p_num, p_den = oracle_poly_pair(n, k, 0)
         return equal((p_num * e_n[1] + e_n[0] * p_den * sign, p_den * e_n[1]), bracket_sum)
     t_num, t_den = shift_sum(n)
-    shift = PolyZ.monomial(1, k * n) + PolyZ.const(sign)
+    shift = PolyZ.monomial(1, k * n) + PolyZ((sign,))
     return equal(bracket_sum, (shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den))
 
 
