@@ -33,7 +33,6 @@ from .kernel import (
     QParameter,
     SeriesValue,
     as_qparameter,
-    log_gamma,
     q_bracket,
 )
 from .numeric import (
@@ -78,7 +77,6 @@ __all__ = [
     "euler_poly_series_oracle",
     "exact_euler_number",
     "exact_euler_poly",
-    "log_gamma",
     "q_bracket",
     "qzeta",
     "qzeta_deriv",

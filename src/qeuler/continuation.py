@@ -6,15 +6,21 @@ zeta values at negative arguments.  Its derivative is -zeta_q'(-s) by the
 chain rule (the reflection flips the sign of the derivative, whatever the
 evaluation point).
 
-The polynomial family deforms through a Gamma-weighted sum over the integer
-part of the order,
+The polynomial family deforms through a binomial-weighted sum over the
+integer part of the order,
 
-    E_q(s, w) = sum_{k=-1}^{[s]} Gamma(1+s) C(k+s-[s]) q^((k+s-[s])w)
-                [w]_q^([s]-k) / (Gamma(1+k+s-[s]) Gamma(1+[s]-k)),
+    E_q(s, w) = sum_{k=-1}^{[s]} binom(s, [s]-k) C(k+s-[s]) q^((k+s-[s])w)
+                [w]_q^([s]-k),
 
-with [s] the floor and C the continued order-coefficient function.  At
-integer s the k = -1 term is 0 (a 1/Gamma(0) factor) and the sum collapses
-to the binomial expansion of E_{s,q}(w).
+with [s] the floor, binom(s, m) = s(s-1)...(s-m+1)/m! the generalized
+binomial Gamma(1+s) / (Gamma(1+s-m) Gamma(1+m)) and C the continued
+order-coefficient function.  At integer s the k = -1 term is 0
+(binom(s, s+1) = 0) and the sum collapses to the binomial expansion of
+E_{s,q}(w).  The weights are one running product, binom(s, m) =
+binom(s, m-1) (s-m+1) / m, whose rounding is at most gamma_2m relatively
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 3) and which
+is exact at integer s while the products stay below 2^53.  A weight, a
+weighted coefficient or a sum beyond the float range raises FloatRangeError.
 
 One wrinkle: the plain zeta continuation misses the n = 0 term of the
 defining series, so its value at order 0 sits exactly [2]_q below the
@@ -34,7 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CurveSampleError, NonConvergenceError, PoleError
+from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
 from .kernel import (
     DEFAULT_CONFIG,
     FD_STEP,
@@ -42,7 +48,6 @@ from .kernel import (
     QParameter,
     as_qparameter,
     cpow,
-    log_gamma,
     q_bracket,
 )
 from .zeta import _kseries, _PlainFactors, qzeta, qzeta_deriv
@@ -70,6 +75,14 @@ def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> comple
     return -qzeta_deriv(-complex(s), 0, q, config=config).value
 
 
+def _binomials(s: float, top: int) -> list[float]:
+    # binom(s, m) for m = 0..top, as one running product.
+    out = [1.0]
+    for m in range(1, top + 1):
+        out.append(out[-1] * (s - m + 1) / m)
+    return out
+
+
 def _order_terms(
     s, qp: QParameter, cfg: EngineConfig, factors: _PlainFactors
 ) -> list[tuple[float, complex, int]]:
@@ -85,16 +98,18 @@ def _order_terms(
     if fs + 2 > cfg.max_terms:
         raise NonConvergenceError(f"order {sv!r} has {fs + 2} terms, above max_terms={cfg.max_terms}")
     frac = sv - fs
-    lg_top = log_gamma(1.0 + sv)
+    binom = _binomials(sv, fs + 1)  # the weight of k is binom(s, [s] - k)
     terms = []
-    for k in range(-1 if frac else 0, fs + 1):  # at integer s, k = -1 has 1/Gamma(0) = 0
+    for k in range(-1 if frac else 0, fs + 1):  # at integer s, k = -1 has binom(s, s+1) = 0
         arg = k + frac
-        weight = cmath.exp(lg_top - log_gamma(1.0 + k + frac) - log_gamma(1.0 + fs - k))
         # C(arg), with the order-0 defect blended back in
         coeff = _kseries(complex(-arg), None, 0, qp, cfg, False, factors).value
         if abs(arg) < 1.0:
             coeff += (1.0 + qp.q) * (1.0 - abs(arg))
-        terms.append((arg, weight * coeff, fs - k))
+        weighted = binom[fs - k] * coeff
+        if not cmath.isfinite(weighted):
+            raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
+        terms.append((arg, weighted, fs - k))
     return terms
 
 
@@ -113,6 +128,8 @@ def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter, logq
     total = 0j
     for arg, weighted, power in terms:
         total += weighted * cpow(qp.q, arg * ww, logq) * bw_pows[power]
+    if not cmath.isfinite(total):
+        raise FloatRangeError(f"E_q(s, w) at w = {w!r} lies beyond the float range")
     return total
 
 
@@ -121,8 +138,8 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
 
     At integer s this telescopes to the binomial expansion
     sum_k C(s,k) E_{k,q} q^(k w) [w]_q^(s-k); between integers it deforms one
-    polynomial curve into the next.  Gamma ratios are taken in log space so
-    orders up to ~50 stay in range.
+    polynomial curve into the next.  A value whose weights or sum lie
+    beyond the float range raises FloatRangeError.
     """
     qp = as_qparameter(q)
     terms = _order_terms(s, qp, config or DEFAULT_CONFIG, _PlainFactors(0, qp.q))
@@ -205,13 +222,8 @@ def curve_grid(
         row = []
         try:
             terms = _order_terms(sv, qp, cfg, factors)  # a failure here is reported at w[0]
-            for j, wv in enumerate(wvals):
-                z = _sum_over_w(terms, wv, qp, logq)
-                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                    raise CurveSampleError(
-                        f"non-finite sample at s[{i}]={sv!r}, w[{j}]={wv!r}", i, j
-                    )
-                row.append(z)
+            for wv in wvals:
+                row.append(_sum_over_w(terms, wv, qp, logq))
         except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
             j = len(row)
             raise CurveSampleError(

@@ -8,8 +8,8 @@ class QEulerError(Exception):
 
 
 class PoleError(QEulerError, ArithmeticError):
-    """Evaluation hit a pole: Gamma at a nonpositive integer, a vanishing
-    rational-function denominator, or a zero base raised to a bad power."""
+    """Evaluation hit a pole: a vanishing rational-function denominator or a
+    zero base raised to a bad power."""
 
 
 class NonConvergenceError(QEulerError, ArithmeticError):

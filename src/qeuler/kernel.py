@@ -1,15 +1,14 @@
 """Scalar kernels shared by every evaluator in the package.
 
 Hosts the validated deformation parameter, the one integer test every
-module uses, the q-bracket, a complex log-Gamma, and the truncation
-contract used by all geometric-tail series.  Everything here is a pure
-function of its arguments; nothing keeps state.
+module uses, the q-bracket, and the truncation contract used by all
+geometric-tail series.  Everything here is a pure function of its
+arguments; nothing keeps state.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
@@ -25,26 +24,8 @@ __all__ = [
     "as_qparameter",
     "cpow",
     "q_bracket",
-    "log_gamma",
     "sum_series_geometric",
 ]
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Lanczos coefficients, g = 7, 9 terms; roughly 15 significant digits on the
-# right half-plane, which reflection extends to Re(z) < 0.5.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class QParameter:
@@ -164,27 +145,6 @@ def q_bracket(x, q) -> complex:
             acc = 1.0 + qq * acc
         return acc
     return (1.0 - cpow(qq, x)) / (1.0 - qq)
-
-
-def log_gamma(z) -> complex:
-    """Principal-branch log-Gamma via the Lanczos approximation.
-
-    Accurate to about 14 significant digits for Re(z) in [0.5, 50]; the
-    reflection formula covers Re(z) < 0.5.  Nonpositive integers raise
-    PoleError.
-    """
-    z = complex(z)
-    if z.real <= 0.0 and as_int(z) is not None:
-        raise PoleError(f"log-Gamma pole at {z!r}")
-    if z.real < 0.5:
-        # log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return math.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
-    zz = z - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (zz + i)
-    t = zz + 7.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def sum_series_geometric(

@@ -105,14 +105,15 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     Integer 0 <= x <= EXACT_SHIFT_MAX uses the terminating alternating sum,
     correctly rounded; other x use the binomial-shift expansion
         sum_l C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l),
-    which the generating series forces and which stays well conditioned.
-    At x = 0 this reduces to the q-Euler numbers (h = 0) by definition.
+    which the generating series forces and which stays well conditioned;
+    a sum beyond the float range raises FloatRangeError.  At x = 0 this
+    reduces to the q-Euler numbers (h = 0) by definition.
     """
     qp = _poly_q(n, h, q)
     xi = as_int(x)
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return terminating_alt_sum(n, h, qp.q, xi)
-    return _summed(_shift_terms(n, x, h, qp)[0])
+    return _shift_sum(n, x, h, qp)[0]
 
 
 def _poly_q(n: int, h: int, q) -> QParameter:
@@ -123,17 +124,10 @@ def _poly_q(n: int, h: int, q) -> QParameter:
     return as_qparameter(q)
 
 
-def _summed(terms: list[complex]) -> complex:
-    # In order, from 0j: the bits of every binomial-shift value.
-    total = 0j
-    for term in terms:
-        total += term
-    return total
-
-
-def _shift_terms(n: int, x, h: int, qp: QParameter) -> tuple[list[complex], complex]:
-    # The terms C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l) of the binomial-shift
-    # expansion, l = 0..n, and q^x.
+def _shift_sum(n: int, x, h: int, qp: QParameter) -> tuple[complex, list[complex], complex]:
+    # The binomial-shift value, its terms C(n,l) q^(x l) E_l(0,h|q) [x]_q^(n-l),
+    # l = 0..n, and q^x.  The terms are summed in order, from 0j: the bits of
+    # every binomial-shift value.
     coeffs = _shift_coefficients(n, h, qp)
     bx = q_bracket(x, qp)
     qx = cpow(qp.q, x)
@@ -141,11 +135,15 @@ def _shift_terms(n: int, x, h: int, qp: QParameter) -> tuple[list[complex], comp
     for _ in range(n):
         bx_pows.append(bx_pows[-1] * bx)
     terms = []
+    total = 0j
     qxl = 1 + 0j
     for l in range(n + 1):
         terms.append(math.comb(n, l) * qxl * coeffs[l] * bx_pows[n - l])
+        total += terms[-1]
         qxl *= qx
-    return terms, qx
+    if not cmath.isfinite(total):
+        raise FloatRangeError(f"E_{n}({x!r}, {h} | q) lies beyond the float range")
+    return total, terms, qx
 
 
 def euler_poly_bounded(n: int, x, h: int, q) -> tuple[complex, float]:
@@ -173,8 +171,7 @@ def euler_poly_bounded(n: int, x, h: int, q) -> tuple[complex, float]:
     xi = as_int(x)
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return terminating_alt_sum(n, h, qp.q, xi), 0.0
-    terms, qx = _shift_terms(n, x, h, qp)
-    value = _summed(terms)
+    value, terms, qx = _shift_sum(n, x, h, qp)
     A = B = 0.0
     for l, term in enumerate(terms):
         a = abs(term)

@@ -333,10 +333,17 @@ class TestBudget:
 class TestOverflow:
     @pytest.mark.parametrize(
         "command",
-        ["continue --q 0.5 --s 0.5 --w 4000", "poly --q 0.5 --n 2 --x -4000"],
+        [
+            "continue --q 0.5 --s 0.5 --w 4000",
+            "poly --q 0.5 --n 2 --x -4000",
+            "continue --q 0.5 --s 3.01 --w -299",
+            "continue --q 0.1 --s 1030.5 --w 0.5",
+            "poly --q 0.5 --n 3 --x -700",
+        ],
     )
     def test_overflow_exits_three_with_one_error_line(self, command):
-        # q^w overflows a float: a numerical failure, not a crash
+        # q^w, a power of [w]_q or a binomial weight overflows a float: a
+        # numerical failure, not a crash and not a printed inf or nan
         proc = spawn("from qeuler.cli import run; run()", *command.split())
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -16,8 +16,9 @@ from qeuler import (
     qzeta,
     qzeta_deriv,
 )
+from qeuler import continuation
 from qeuler.continuation import MAX_GRID_CELLS, inclusive_range
-from qeuler.errors import CurveSampleError
+from qeuler.errors import CurveSampleError, FloatRangeError
 
 W_GRID = [-0.5 + i * 0.05 for i in range(21)]
 
@@ -68,6 +69,30 @@ class TestNumberContinuation:
         d = euler_continuation_deriv(3, qp)
         fd = (euler_continuation(3 + h, qp) - euler_continuation(3 - h, qp)) / (2 * h)
         assert rel_err(d, fd) <= 1e-6
+
+
+class TestWeights:
+    # The weight of the order term k is the generalized binomial binom(s, [s] - k).
+    @pytest.mark.parametrize("s", [2.5, 7.3, 19.99, 35.25, 49.5, 80.5, 150.75])
+    def test_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        top = math.floor(s) + 1
+        weights = continuation._binomials(s, top)
+        assert len(weights) == top + 1
+        with mp.workdps(40):
+            for m, c in enumerate(weights):
+                ref = mp.binomial(s, m)
+                assert abs(c - ref) <= 2e-15 * abs(ref), (s, m)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 33, 50])
+    def test_exact_at_integer_orders(self, n):
+        assert continuation._binomials(float(n), n) == [math.comb(n, m) for m in range(n + 1)]
+
+    @pytest.mark.parametrize("s,w,q", [(3.01, -299, 0.5), (1030.5, 0.5, 0.1)])
+    def test_beyond_the_float_range_raises(self, s, w, q):
+        # a power of [w]_q, or the weights themselves, overflow: no inf or nan
+        with pytest.raises(FloatRangeError):
+            euler_poly_continuation(s, w, q)
 
 
 class TestPolyContinuation:
@@ -169,6 +194,13 @@ class TestCurveGrid:
             curve_grid(0.5, 0.5, 1, 0, 4000, 2000, 0.5)
         assert info.value.s_index == 0
         assert info.value.w_index == 2
+
+    def test_cell_beyond_the_float_range_keeps_its_location(self):
+        # row s = 0.01 is finite; at s = 3.01, [-299]_q^4 overflows
+        with pytest.raises(CurveSampleError, match="float range") as info:
+            curve_grid(0.01, 3.01, 3, -299, 0, 299, 0.5)
+        assert (info.value.s_index, info.value.w_index) == (1, 0)
+        assert isinstance(info.value.__cause__, FloatRangeError)
 
     def test_cells_equal_point_values(self):
         # one row's order terms serve every w with the bits of a point call;

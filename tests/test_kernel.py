@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import math
 import random
@@ -8,10 +7,9 @@ import pytest
 from qeuler import (
     EngineConfig,
     QParameter,
-    log_gamma,
     q_bracket,
 )
-from qeuler.errors import NonConvergenceError, PoleError
+from qeuler.errors import NonConvergenceError
 from qeuler.kernel import DEFAULT_CONFIG, as_int, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
@@ -84,45 +82,6 @@ class TestAsInt:
     @pytest.mark.parametrize("z", [0.5, 1 + 1e-12j, 3j, math.inf, -math.inf, math.nan, complex(math.inf, 0)])
     def test_non_integers(self, z):
         assert as_int(z) is None
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert abs(log_gamma(1)) <= 1e-14
-        assert log_gamma(5).real == pytest.approx(math.log(24), rel=1e-13)
-        # log sqrt(pi), cross-checked against a high-precision evaluation
-        assert log_gamma(0.5).real == pytest.approx(0.57236494292470008707, rel=1e-12)
-
-    def test_against_stdlib_on_reals(self):
-        for i in range(200):
-            z = 0.5 + i * (49.5 / 199)
-            ref = math.lgamma(z)
-            assert abs(log_gamma(z).real - ref) <= 1e-12 * max(1.0, abs(ref))
-            assert log_gamma(z).imag == 0.0
-
-    def test_against_mpmath_on_complex(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        rng = random.Random(1401)
-        for _ in range(60):
-            z = complex(rng.uniform(0.5, 50), rng.uniform(-10, 10))
-            ref = complex(mp.loggamma(z))
-            assert rel_err(log_gamma(z), ref) <= 1e-12
-
-    def test_ratio_property(self):
-        rng = random.Random(1501)
-        for _ in range(200):
-            z = complex(rng.uniform(0.5, 20), rng.uniform(-5, 5))
-            ratio = cmath.exp(log_gamma(z + 1) - log_gamma(z))
-            assert rel_err(ratio, z) <= 1e-12
-
-    @pytest.mark.parametrize("z", [0, -1, -3.0, -7])
-    def test_poles(self, z):
-        with pytest.raises(PoleError):
-            log_gamma(z)
-
-    def test_reflection_zone(self):
-        assert log_gamma(0.25).real == pytest.approx(math.lgamma(0.25), rel=1e-13)
 
 
 class TestSeriesEngine:

@@ -125,6 +125,14 @@ class TestEulerPoly:
             for n in range(9):
                 assert rel_err(euler_poly(n, 0, 0, qp), euler_number(n, qp)) <= 1e-13
 
+    def test_sum_beyond_the_float_range_raises(self):
+        # [x]_q^3 overflows at x = -700, and the sum would be nan
+        from qeuler.numeric import euler_poly_bounded
+
+        for evaluate in (euler_poly, euler_poly_bounded):
+            with pytest.raises(FloatRangeError, match="float range"):
+                evaluate(3, -700, 0, 0.5)
+
     def test_shift_one_order_one(self):
         # binomial-shift expansion: E_1(x) = E_0 [x]_q + q^x E_1,
         # so at x = 1 the value is (1+q)/2 - q/2 = 1/2 for every q
