@@ -1,42 +1,46 @@
 """Order -n values of the re-expanded alternating series, rounded once.
 
-At s = -n the k-series terminates in a finite sum whose value is smaller
-than its largest term by a factor on the order of (1-q)^n, so a float sum
-loses most of its digits.  A binary64 q is an exact dyadic Q / 2^e with Q a
-Gaussian integer, so the sum is taken in big-integer fixed point, 2^W units
-to 1, W = p + guard bits.  The powers q^(h+k) and q^(x k) are carried
-exactly while they fit in W fractional bits, and truncated to W bits after
-that; q and q^x themselves are truncated once when they are wider.  Each
-term is then one integer division, floored.  The sum comes back with a
-rigorous radius in closed form (see _radius) that counts the floors,
-the truncation of q, the growth of the errors in the carried powers and the
-lower bound |1 + q^m| >= 1 - |q|; it is carried exactly through the
-prefactor (1+q)/(1-q)^n.  When both ends of that interval round to the same
-float, and the interval excludes 0 where that float is a zero, so does
-every value inside it (Ziv's rounding test; CPython's int / int is
-correctly rounded); otherwise p grows, at least doubling, by as many bits
-as the smaller component of that attempt lacks against its radius, and far
-enough to carry a truncated q whole: a q whose imaginary part is tiny, as
-0.5 + 2^-600 i, goes straight to the bits that part needs.  After three
-attempts the sum is taken exactly from the exact powers (_terms), as a
-Gaussian-integer numerator over an integer denominator times one power of
-two, with no gcd, and divided once.  Exact zeros and binary64 ties, as
-(1+q)/2 is at q = 0.9, end there.
+At s = -n the k-series terminates in the finite sum S = sum_{k<=n} (-1)^k
+C(n,k) f_k, f_k = q^(x k)/(1 + q^(h+k)); the plain form is the x = 0 sum
+less sum_k (-1)^k C(n,k).  S is smaller than its largest term by a factor
+on the order of (1-q)^n, so a float sum loses most of its digits.  A
+binary64 q is an exact dyadic Q / 2^e with Q a Gaussian integer, so the sum
+is taken in big-integer fixed point, 2^W units to 1, W = p + guard bits.
+
+Every sum here reads one term list, v_k = 2^W f_k for k = 0..n
+(_quotients).  The powers q^(h+k) and q^(x k) are carried exactly while
+they fit in W fractional bits, and truncated to W bits after that; q, q^h
+and q^x themselves are truncated once when they are wider.  Each term is
+one integer division, and the list stops where the truncated q^(x k)
+reaches 0.  A single sum is the binomially weighted sum of that list
+(_truncated_sum).  It comes back with a rigorous radius in closed form (see
+_radius) that counts the floors, the truncation of q, the growth of the
+errors in the carried powers and the lower bound |1 + q^m| >= 1 - |q|; it
+is carried exactly through the prefactor (1+q)/(1-q)^n.  When both ends of
+that interval round to the same float, and the interval excludes 0 where
+that float is a zero, so does every value inside it (Ziv's rounding test;
+CPython's int / int is correctly rounded); otherwise p grows, at least
+doubling, by as many bits as the smaller component of that attempt lacks
+against its radius, and far enough to carry a truncated q whole: a q whose
+imaginary part is tiny, as 0.5 + 2^-600 i, goes straight to the bits that
+part needs.  After three attempts the sum is taken exactly from the exact
+powers (_terms), as a Gaussian-integer numerator over an integer
+denominator times one power of two, with no gcd, and divided once.  Exact
+zeros and binary64 ties, as (1+q)/2 is at q = 0.9, end there.
 
 The coefficients E_0..E_n(0, h | q) of the binomial-shift expansion are
-all x = 0 sums of the same terms 1/(1 + q^(h+k)) under other binomial
-weights.  terminating_alt_sums takes the n + 1 quotients once, at the
-largest W any order starts at, gets every order's sum from one difference
-table in exact integers, and rounds each order with its own radius and
-prefactor; an order left undecided goes to terminating_alt_sum.  The bits
-are those of n + 1 terminating_alt_sum calls, since a correctly rounded
-value has only one set of bits.
+all x = 0 sums of the same list under other binomial weights.
+terminating_alt_sums builds the list once, at the largest W any order
+starts at, gets every order's sum from one difference table in exact
+integers, and rounds each order with its own radius and prefactor; an
+order left undecided goes to terminating_alt_sum.  The bits are those of
+n + 1 terminating_alt_sum calls, since a correctly rounded value has only
+one set of bits.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 from .errors import FloatRangeError
 
@@ -96,7 +100,7 @@ def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
     (1 - |q|^2)/2 <= 1 - |q| <= 1 - |q|^m (and |1 + P_0| = 2).
 
     With u = 2^-W:
-    * each f_k is floored per component, < 1 unit each, 2^n units in all;
+    * each f_k is rounded per component, < 1 unit each, 2^n units in all;
     * q~ = q when e <= W, else q floored to W bits, so |q~ - q| < sqrt2 u;
       q~^h is P_h exact or floored once, and P~_(m+1) is P~_m q~ floored,
       so e_(m+1) <= |q~| e_m + |q|^m |q~ - q| + sqrt2 u and with
@@ -130,33 +134,45 @@ def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
     return radius
 
 
-def _carried(h: int, Q, e: int, W: int):
-    # q~ = Qt / 2^et and P~_h = N / 2^s, or None when |q~| > 1, possible only
-    # once q is truncated: _radius's bound fails there.
-    Qt, et = _fixed(Q, e, W)
-    if et < e and Qt[0] ** 2 + Qt[1] ** 2 > 1 << 2 * et:
-        return None
-    N, s = _fixed(_pow(Q, h), e * h, W) if h else ((1, 0), 0)
-    return Qt, et, N, s
+def _toward_zero(v: int, r: int) -> int:
+    return v >> r if v >= 0 else -(-v >> r)
 
 
-def _quotients(n: int, h: int, Q, e: int, W: int):
-    """The quotients u_k = 2^W / (1 + P~_(h+k)), k = 0..n, floored per component.
+def _quotients(n: int, h: int, Q, e: int, x: int | None, W: int):
+    """The terms v_k = 2^W X~_k / (1 + P~_(h+k)) of every order -n sum, k = 0..n.
 
-    Returns (re, im), two lists, with im None when q~ and P~_h are real; or
-    None when |q~| > 1.  P~_m is carried exactly while it fits in W
-    fractional bits and truncated to W bits after, as _radius assumes.
+    P~_m stands for q^m and X~_k for q^(x k), X~_k = 1 when x is 0 or None.
+    q, q^h and q^x are computed exactly and floored once to W fractional
+    bits when wider, as q~, P~_h and x~; P~_m is carried exactly while it
+    fits in W fractional bits and floored to W bits after, and X~_k is
+    carried alike but truncated toward zero, as _radius assumes.  So the lists stop at the
+    last k before X~_k reaches 0: every later term is 0.  Each component of
+    a term is one integer division, within 1 unit of its exact value.
+    Returns (re, im), two lists, with im None when q~, P~_h and x~
+    are real; or None when |q~| > 1 or |x~| > 1, possible only once they are
+    truncated: _radius's bound fails there.
     """
-    start = _carried(h, Q, e, W)
-    if start is None:
+    x = x or 0
+    (Q0, Q1), et = _fixed(Q, e, W)
+    (N0, N1), s = _fixed(_pow(Q, h), e * h, W)
+    (M0, M1), xs = _fixed(_pow(Q, x), e * x, W)
+    if (et < e and Q0 * Q0 + Q1 * Q1 > 1 << 2 * et
+            or xs < e * x and M0 * M0 + M1 * M1 > 1 << 2 * xs):
         return None
-    (Q0, Q1), et, (N0, N1), s = start
+    X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
     re = []
-    if not (Q1 or N1):  # real q~: u_k = 2^(W + s) / w, w = 2^s + N
+    if not (Q1 or N1 or M1):  # real q~: v_k = X~_k 2^(W + s) / w, w = 2^s + N
         for k in range(n + 1):
-            re.append((1 << W + s) // ((1 << s) + N0))
+            re.append((X0 << W + s - t) // ((1 << s) + N0))
             if k == n:
                 break
+            if x:
+                X0 *= M0
+                t += xs
+                if t > W:
+                    X0, t = _toward_zero(X0, t - W), W
+                    if not X0:
+                        break
             N0 *= Q0
             s += et
             if s > W:
@@ -164,13 +180,25 @@ def _quotients(n: int, h: int, Q, e: int, W: int):
                 s = W
         return re, None
     im = []
-    for k in range(n + 1):  # u_k = 2^(W + s) conj(w) / |w|^2, w = 2^s + N
+    for k in range(n + 1):  # v_k = X~_k 2^(W + s) conj(w) / |w|^2
         w0 = (1 << s) + N0
         d = w0 * w0 + N1 * N1
-        re.append((w0 << W + s) // d)
-        im.append(-((N1 << W + s) // d))
+        if x:  # X~_k conj(w) = (X0 w0 + X1 N1) + i (X1 w0 - X0 N1)
+            sh = W + s - t
+            re.append((X0 * w0 + X1 * N1 << sh) // d)
+            im.append((X1 * w0 - X0 * N1 << sh) // d)
+        else:
+            re.append((w0 << W + s) // d)
+            im.append(-((N1 << W + s) // d))
         if k == n:
             break
+        if x:
+            X0, X1 = X0 * M0 - X1 * M1, X0 * M1 + X1 * M0
+            t += xs
+            if t > W:
+                X0, X1, t = _toward_zero(X0, t - W), _toward_zero(X1, t - W), W
+                if not (X0 or X1):
+                    break
         N0, N1 = N0 * Q0 - N1 * Q1, N0 * Q1 + N1 * Q0
         s += et
         if s > W:
@@ -181,82 +209,30 @@ def _quotients(n: int, h: int, Q, e: int, W: int):
 
 
 def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
-    """The sum times 2^W as (re, im), or None when q~ or q^x~ lies outside the unit disk.
+    """The sum times 2^W as (re, im), or None when q~ or x~ lies outside the unit disk.
 
     The sum is S = sum_k (-1)^k C(n,k) f_k with P_m = q^m, m = h + k, and
-    f_k = 1/(1 + P_m) - 1 (plain, x is None) or X_k/(1 + P_m), X_k = q^(x k).
-    At x = 0 (and at n = 0, where X_0 = 1) the terms are the quotients
-    _quotients takes; the plain form is the x = 0 sum less
-    sum_k (-1)^k C(n,k), which is 1 at n = 0 and 0 after.  P~_m and X~_k are
-    carried exactly while they fit in W fractional bits and truncated to W
-    bits after; _radius bounds the error of each component.
+    f_k = X_k/(1 + P_m), X_k = q^(x k) (x >= 0), or f_k = 1/(1 + P_m) - 1
+    (plain, x is None).  The terms are _quotients' list, whose missing tail
+    is 0; the plain form is the x = 0 sum less sum_k (-1)^k C(n,k), which is
+    1 at n = 0 and 0 after.  _radius bounds the error of each component.
     """
-    if not (x and n):
-        u = _quotients(n, h, Q, e, W)
-        if u is None:
-            return None
-        c = 1
-        re = im = 0
-        for k, (a, b) in enumerate(zip(u[0], u[1] or repeat(0))):
+    v = _quotients(n, h, Q, e, x, W)
+    if v is None:
+        return None
+    c = 1
+    re = im = 0
+    if v[1] is None:
+        for k, a in enumerate(v[0]):
+            re += c * a
+            c = -c * (n - k) // (k + 1)
+    else:
+        for k, (a, b) in enumerate(zip(*v)):
             re += c * a
             im += c * b
             c = -c * (n - k) // (k + 1)
-        if x is None and n == 0:
-            re -= 1 << W
-        return re, im
-    start = _carried(h, Q, e, W)
-    M, xs = _fixed(_pow(Q, x), e * x, W)
-    if start is None or xs < e * x and M[0] ** 2 + M[1] ** 2 > 1 << 2 * xs:
-        return None
-    (Q0, Q1), et, (N0, N1), s = start
-    M0, M1 = M
-    c = 1
-    re = im = 0
-    if not (Q1 or N1 or M1):  # real q~: f_k = X_k 2^s / w, w = 2^s + N
-        Xr, t = 1, 0
-        for k in range(n + 1):
-            re += c * ((Xr << W + s - t) // ((1 << s) + N0))
-            if k == n:
-                break
-            Xr *= M0
-            t += xs
-            if t > W:
-                Xr = Xr >> t - W if Xr >= 0 else -(-Xr >> t - W)
-                t = W
-                if not Xr:
-                    break  # every later X~_k, and so every later term, is 0
-            N0 *= Q0
-            s += et
-            if s > W:
-                N0 >>= s - W
-                s = W
-            c = -c * (n - k) // (k + 1)
-        return re, 0
-    X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
-    for k in range(n + 1):
-        w0 = (1 << s) + N0
-        d = w0 * w0 + N1 * N1
-        sh = W + s - t
-        re += c * ((X0 * w0 + X1 * N1 << sh) // d)
-        im += c * ((X1 * w0 - X0 * N1 << sh) // d)
-        if k == n:
-            break
-        X0, X1 = X0 * M0 - X1 * M1, X0 * M1 + X1 * M0
-        t += xs
-        if t > W:
-            r = t - W
-            X0 = X0 >> r if X0 >= 0 else -(-X0 >> r)
-            X1 = X1 >> r if X1 >= 0 else -(-X1 >> r)
-            t = W
-            if not (X0 or X1):
-                break  # every later X~_k, and so every later term, is 0
-        N0, N1 = N0 * Q0 - N1 * Q1, N0 * Q1 + N1 * Q0
-        s += et
-        if s > W:
-            N0 >>= s - W
-            N1 >>= s - W
-            s = W
-        c = -c * (n - k) // (k + 1)
+    if x is None and n == 0:
+        re -= 1 << W
     return re, im
 
 
@@ -414,12 +390,12 @@ def terminating_alt_sums(n: int, h: int, q: complex) -> list[complex]:
     """[terminating_alt_sum(l, h, q, 0) for l in range(n + 1)], the same bits, from one pass.
 
     Every order sums the same f_k = 1/(1 + q^(h+k)) under its own binomial
-    weights.  So the quotients u_k = 2^W f_k are taken once, k = 0..n, at the
-    largest W = p_l + guard_l that any order starts at, and each
-    S_l = sum_k (-1)^k C(l,k) u_k comes from one difference table in exact
-    integers (_differences).  S_l is the integer _truncated_sum(l, h, Q, e,
-    0, W) would return, so _radius(l, ..., p_l), valid at any W >= p_l,
-    bounds it, and each order is finished with its own prefactor and
+    weights.  So the x = 0 term list v_k = 2^W f_k (_quotients) is built
+    once, k = 0..n, at the largest W = p_l + guard_l that any order starts
+    at, and each S_l = sum_k (-1)^k C(l,k) v_k comes from one difference
+    table in exact integers (_differences).  S_l is the integer
+    _truncated_sum(l, h, Q, e, 0, W) would return, so _radius(l, ..., p_l),
+    valid at any W >= p_l, bounds it, and each order is finished with its own prefactor and
     rounding test.  An order the test leaves undecided (an exact zero or a
     tie, as E_1 = -1/2 + 0i or E_0 = (1+q)/2 at q = 0.9) or that has no
     radius goes to terminating_alt_sum alone.  The first order whose value
@@ -431,8 +407,8 @@ def terminating_alt_sums(n: int, h: int, q: complex) -> list[complex]:
     Q, e = _dyadic(q)
     starts = [_start(l, h, q, Q, e, 0) for l in range(n + 1)]
     W = max((p + guard for p, guard, radius in starts if radius), default=None)
-    u = None if W is None else _quotients(n, h, Q, e, W)
-    sums = None if u is None else (_differences(u[0]), _differences(u[1]) if u[1] else [0] * (n + 1))
+    v = None if W is None else _quotients(n, h, Q, e, 0, W)
+    sums = None if v is None else (_differences(v[0]), _differences(v[1]) if v[1] else [0] * (n + 1))
     D = 1 << e
     # The prefactor 2^(e l) z / scale of order l, as in terminating_alt_sum:
     # z picks up conj(D-Q) and scale |D-Q|^2 per order.

@@ -119,9 +119,16 @@ def _series(sv: SeriesValue) -> tuple[list[str], list[dict]]:
     return text, [row]
 
 
+def _check_terms(n: int, cfg: EngineConfig) -> None:
+    # E_n and E_n(x, h | q), exact or not, sum n + 1 terms: zeta's rule at order -n.
+    if n + 1 > cfg.max_terms:
+        raise NonConvergenceError(f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}")
+
+
 def _cmd_numbers(args, cfg, qp, meta) -> int:
     if args.n < 0:
         raise ValueError("--n must be a nonnegative integer")
+    _check_terms(args.n, cfg)
     ns = range(args.n + 1)
     if args.exact:
         table, cyclotomics = _euler_numerators(args.n + 1), {}  # one of each for every E_n
@@ -138,6 +145,7 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
 
 
 def _cmd_poly(args, cfg, qp, meta) -> int:
+    _check_terms(args.n, cfg)
     if args.exact:
         x = as_int(args.x)
         if x is None or x < 0:

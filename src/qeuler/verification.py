@@ -3,8 +3,10 @@
 Each check returns a CheckResult; the CLI renders them as a pass/fail table
 and exits nonzero when anything failed.  The large-order limit check carries
 an informational note: the limit of the plain zeta for growing real order is
--(1 + q), and the classically quoted constant -2 is only its q -> 1 edge, so
-not reproducing -2 inside the unit disk is expected and is not a failure.
+-(1 + q) when |[n]_q| > 1 for every n >= 2 (not so at q = -0.9 or
+0.6 + 0.7i, where a later term dominates and the check fails), and the
+classically quoted constant -2 is only its q -> 1 edge, so not reproducing
+-2 inside the unit disk is expected and is not a failure.
 """
 
 from __future__ import annotations

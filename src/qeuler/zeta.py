@@ -27,10 +27,12 @@ bounds the rounding error of its binomial-shift path.  The
 classical zeta at order -n is likewise the exact classical Euler
 polynomial, rounded once.
 
-As the real order grows, the plain variant tends to -(1 + q): only the
-first alternating term survives.  The classically quoted limit -2 is the
-q -> 1 edge of that expression and is not attained inside the unit disk;
-the verification report annotates this as an expected deviation.
+As the real order grows, the plain variant tends to -(1 + q) when
+|[n]_q| > 1 for every n >= 2: only the first alternating term survives.
+Where that fails, as at q = -0.9 ([2]_q = 0.1) and q = 0.6 + 0.7i, a later
+term dominates instead.  The classically quoted limit -2 is the q -> 1 edge
+of -(1 + q) and is not attained inside the unit disk; the verification
+report annotates this as an expected deviation.
 """
 
 from __future__ import annotations

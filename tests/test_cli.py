@@ -29,9 +29,14 @@ def _limit_memory():
 
 def spawn(code, *args, timeout=10) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter under the memory limit."""
+    return spawn_python("-c", code, *args, timeout=timeout)
+
+
+def spawn_python(*argv, timeout=10) -> subprocess.CompletedProcess:
+    """Run the interpreter with argv, src first on its path, under the memory limit."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -320,6 +325,29 @@ class TestBudget:
     def test_finishes_in_time(self, command, code):
         assert run_cli_process(command.split()) == code
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "numbers --q 0.5 --n 16 --max-terms 16",
+            "numbers --q 0.5 --n 16 --max-terms 16 --exact",
+            "poly --q 0.5 --n 20 --x 0.5 --max-terms 16",
+            "poly --q 0.5 --n 20 --x 2 --max-terms 16 --exact",
+            "poly --q 0.5 --n 4000 --x 0.5 --max-terms 16",
+        ],
+    )
+    def test_numbers_and_poly_keep_the_term_budget(self, capsys, monkeypatch, command):
+        # E_0..E_n and E_n(x, h | q) are order -n sums of n + 1 terms: above
+        # max_terms they exit 3, as zeta does, before any value is computed.
+        from qeuler import cli
+
+        def refused(*args):
+            raise AssertionError("computed past the term budget")
+
+        for name in ("euler_numbers", "_euler_numerators", "euler_poly", "exact_euler_poly"):
+            monkeypatch.setattr(cli, name, refused)
+        assert main(command.split()) == 3
+        assert capsys.readouterr().out == ""
+
     def test_classical_zeta_at_huge_nonpositive_order(self):
         # n + 1 terms above max_terms: refused before the exact sum starts
         code = (
@@ -348,3 +376,17 @@ class TestOverflow:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestModuleEntry:
+    def test_python_m_qeuler_prints_what_main_prints(self, capsys):
+        args = ["numbers", "--q", "0.5", "--n", "3"]
+        assert main(args) == 0
+        proc = spawn_python("-m", "qeuler", *args)
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out and proc.stderr == ""
+
+    def test_python_m_qeuler_usage_error_exits_two(self):
+        proc = spawn_python("-m", "qeuler", "numbers", "--q", "0.5")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr

@@ -403,6 +403,84 @@ class TestTerminatingSum:
         assert main(["zeta", "--q", "0.97", "--s", "-400"]) == 3
 
 
+class TestTermList:
+    @staticmethod
+    def check_terms(n, h, q, x, W):
+        # Each v_k of _quotients lies within its own bound of
+        # 2^W q^(x k) / (1 + q^(h+k)), the exact term, per component; a
+        # term past the end of a list that stopped early is 0.  The bound
+        # is the one _radius sums: 1 unit for the rounding, plus 3 k / L
+        # once q^(x k) is truncated (e x k > W) and 3 (1 + k) / L^2 once
+        # q^(h+k) is (e (h + k) > W), with L = lower - 3 (n + 1) 2^-W,
+        # lower = 1 on [0, 1) and (1 - |q|^2) / 2 elsewhere.
+        Q, e = _exactcomplex._dyadic(q)
+        v = _exactcomplex._quotients(n, h, Q, e, x, W)
+        assert v is not None, (n, h, q, x, W)
+        re, im = v
+        assert im is None or len(im) == len(re), (n, h, q, x, W)
+        assert 1 <= len(re) <= n + 1, (n, h, q, x, W)
+        if Q[1] == 0 and Q[0] >= 0:
+            lower = Fraction(1)
+        else:
+            lower = Fraction((1 << 2 * e) - Q[0] ** 2 - Q[1] ** 2, 1 << 2 * e + 1)
+        L = lower - Fraction(3 * (n + 1), 1 << W)
+        assert L > 0
+        x = x or 0
+        qx = _exactcomplex._pow(Q, x)
+        qm, qxk = _exactcomplex._pow(Q, h), (1, 0)
+        for k in range(n + 1):
+            m = h + k
+            bound = 1 + (Fraction(3 * k) / L if e * x * k > W else 0)
+            bound += Fraction(3 * (1 + k)) / L**2 if e * m > W else 0
+            # 2^W X_k / (1 + P_m) = a 2^(W + e m) / (|w|^2 2^(e x k)) with
+            # w = 2^(e m) + Q^m and a = Q^(x k) conj(w), exactly
+            w = ((1 << e * m) + qm[0], qm[1])
+            a = _exactcomplex._mul(qxk, (w[0], -w[1]))
+            den = w[0] ** 2 + w[1] ** 2 << e * x * k
+            got = (re[k] if k < len(re) else 0, im[k] if im is not None and k < len(im) else 0)
+            for g, c in zip(got, a):
+                err = abs(g * den - (c << W + e * m))
+                assert err * bound.denominator <= bound.numerator * den, (n, h, q, x, W, k)
+            qm, qxk = _exactcomplex._mul(qm, Q), _exactcomplex._mul(qxk, qx)
+
+    def test_terms_within_their_bounds(self):
+        # q real, negative, imaginary or complex, out to |q| = 0.999, or
+        # real but for a 2^-600 imaginary part (so q itself is truncated);
+        # W is where the sum starts, and twice that.
+        rng = random.Random(20261020)
+
+        def draw_q():
+            r = rng.uniform(0.0, 0.999)
+            return complex(rng.choice((
+                lambda: r,
+                lambda: -r,
+                lambda: complex(0.0, rng.choice((r, -r))),
+                lambda: cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+                lambda: cmath.rect(rng.uniform(0.99, 0.999), rng.uniform(-math.pi, math.pi)),
+                lambda: complex(rng.uniform(-0.9, 0.9), rng.choice((2.0**-600, -(2.0**-600)))),
+            ))())
+
+        for _ in range(150):
+            q, h, x = draw_q(), rng.randrange(4), rng.choice((None, 0, 1, 3, 17, 256))
+            Q, e = _exactcomplex._dyadic(q)
+            # the exact q^(x n) stays below about 10^5 bits
+            n = rng.randrange(min(31, 3 + 100_000 // (e * (x or 1))))
+            p, guard, _ = _exactcomplex._start(n, h, q, Q, e, x)
+            for W in (p + guard, 2 * (p + guard)):
+                self.check_terms(n, h, q, x, W)
+
+    def test_list_stops_where_the_shifted_power_vanishes(self):
+        # q^(256 k) truncated to the working precision is 0 from k = 2 on,
+        # so the list holds two terms: what keeps the order -120 sum at
+        # shift 256 cheap.
+        n, h, q, x = 120, 0, 0.3 + 0.4j, 256
+        Q, e = _exactcomplex._dyadic(q)
+        p, guard, _ = _exactcomplex._start(n, h, q, Q, e, x)
+        re, im = _exactcomplex._quotients(n, h, Q, e, x, p + guard)
+        assert len(re) == len(im) == 2
+        self.check_terms(8, h, q, x, p + guard)
+
+
 class TestShiftTable:
     def test_one_pass_matches_the_per_order_sums(self, monkeypatch):
         # The one-pass table of E_0..E_n(0, h | q) against n + 1 separate
