@@ -10,41 +10,40 @@ is taken in big-integer fixed point, 2^W units to 1, W = p + guard bits.
 Every sum here reads one term list, v_k = 2^W f_k for k = 0..n
 (_quotients).  The powers q^(h+k) and q^(x k) are carried exactly while
 they fit in W fractional bits, and truncated to W bits after that; q, q^h
-and q^x themselves are truncated once when they are wider.  Each term is
+and, at an integer shift 0..EXACT_SHIFT_MAX, q^x are truncated once when
+they are wider.  Any other finite shift reads q^x = exp(x Log q) at W bits
+under a stated error (_Shift), on the branch of cmath.log(q).  Each term is
 one integer division, and the list stops where the truncated q^(x k)
 reaches 0.  A single sum is the binomially weighted sum of that list
 (_truncated_sum).  It comes back with a rigorous radius in closed form (see
-_radius) that counts the floors, the truncation of q, the growth of the
-errors in the carried powers and the lower bound |1 + q^m| >= 1 - |q|; it
-is carried exactly through the prefactor (1+q)/(1-q)^n.  When both ends of
-that interval round to the same float, and the interval excludes 0 where
-that float is a zero, so does every value inside it (Ziv's rounding test;
-CPython's int / int is correctly rounded); otherwise p grows, at least
-doubling, by as many bits as the smaller component of that attempt lacks
-against its radius, and far enough to carry a truncated q whole: a q whose
-imaginary part is tiny, as 0.5 + 2^-600 i, goes straight to the bits that
-part needs.  After three attempts the sum is taken exactly from the exact
-powers (_terms), as a Gaussian-integer numerator over an integer
-denominator times one power of two, with no gcd, and divided once.  Exact
-zeros and binary64 ties, as (1+q)/2 is at q = 0.9, end there.
-
-The coefficients E_0..E_n(0, h | q) of the binomial-shift expansion are
-all x = 0 sums of the same list under other binomial weights.
-terminating_alt_sums builds the list once, at the largest W any order
-starts at, gets every order's sum from one difference table in exact
-integers, and rounds each order with its own radius and prefactor; an
-order left undecided goes to terminating_alt_sum.  The bits are those of
-n + 1 terminating_alt_sum calls, since a correctly rounded value has only
-one set of bits.
+_radius) that counts the floors, the truncation of q, the error of q^x, the
+growth of the errors in the carried powers and the lower bound
+|1 + q^m| >= 1 - |q|; it is carried exactly through the prefactor
+(1+q)/(1-q)^n.  When both ends of that interval round to the same float,
+and the interval excludes 0 where that float is a zero, so does every value
+inside it (Ziv's rounding test; CPython's int / int is correctly rounded);
+otherwise p grows, at least doubling, by as many bits as the smaller
+component of that attempt lacks against its radius, and far enough to
+carry a truncated q whole: a q whose imaginary part is tiny, as 0.5 +
+2^-600 i, goes straight to the bits that part needs.  With exact powers,
+after three attempts the sum is taken exactly (_terms), as a
+Gaussian-integer numerator over an integer denominator times one power of
+two, with no gcd, and divided once; exact zeros and binary64 ties, as
+(1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
+after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
-from .errors import FloatRangeError
+from .errors import FloatRangeError, NonConvergenceError, PoleError
+from .kernel import EXACT_SHIFT_MAX, as_int
 
-__all__ = ["terminating_alt_sum", "terminating_alt_sums"]
+__all__ = ["terminating_alt_sum"]
+
+_LN2 = math.log(2.0)
 
 
 def _mul(a, b):
@@ -91,7 +90,144 @@ def _fixed(Z, bits: int, W: int):
     return (Z[0] >> r, Z[1] >> r), W
 
 
-def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
+def _exp(z, P: int):
+    """exp(z / 2^P) for a Gaussian integer z, as (w, err): w is a Gaussian
+    integer and |w / 2^P - exp(z / 2^P)| <= err / 2^P.
+
+    The argument is halved s times, to t = z / 2^(P+s) with |t| < 0.18, and
+    exp(z) = exp(t)^(2^s) (Brent and Zimmermann, Modern Computer Arithmetic,
+    ch. 4).  The Taylor series of exp(t) is summed at G = P + s + 8 bits,
+    where t is exact, each term T_j = T_(j-1) t / j floored once per
+    component, until both components of a term are within 1 unit of 0.  A
+    term is within e_j <= e_(j-1) |t| + sqrt2 <= 2 units of t^j / j!, so the
+    last is within 2 + sqrt2 of 0 and the tail beyond it within 1: J terms
+    give 2 J + 1 units.  A squaring takes an error e on w~ to
+    e (2 |w~| + e) / 2^G, plus its floors and a ceiling, 3 units, with
+    |w~| 2^G <= isqrt(|w~ 2^G|^2) + 1; the last floor to P bits adds 3 more.
+    """
+    z0, z1 = z
+    k = max(3, math.isqrt(P) >> 1)
+    s = max(0, max(abs(z0), abs(z1)).bit_length() - P + k)
+    G = P + s + 8
+    t0, t1 = z0 << 8, z1 << 8
+    w0 = a0 = 1 << G
+    w1 = a1 = j = 0
+    while abs(a0) > 1 or abs(a1) > 1:
+        j += 1
+        a0, a1 = (a0 * t0 - a1 * t1 >> G) // j, (a0 * t1 + a1 * t0 >> G) // j
+        w0 += a0
+        w1 += a1
+    err = 2 * j + 1
+    for _ in range(s):
+        a, b = w0 * w0, w1 * w1
+        err = (err * (2 * math.isqrt(a + b) + 2 + err) >> G) + 3
+        w0, w1 = a - b >> G, w0 * w1 >> G - 1
+    return (w0 >> G - P, w1 >> G - P), (err >> G - P) + 3
+
+
+def _log(lq: complex, Q, e: int, P: int):
+    """Log q at P fractional bits, as (Y, err) with |Y / 2^P - Log q| <= err / 2^P.
+
+    y is the float logarithm lq = cmath.log(q) floored to P bits, and
+    c = q exp(-y) - 1 is then of the order of its rounding error, so
+    Log q = y + log1p(c), with log1p summed as c - c^2/2 + c^3/3 - ...: the
+    logarithm within 2|c| of lq, on the branch that lq, and cpow, take.
+    Each power of c~ is floored once per component, within 2 units of c~^j
+    when |c~| < 0.18, and each term adds a floor more; the powers stop where
+    both components of one are within 1 unit of 0, which bounds the tail by
+    1 unit, so J terms are within 3 J units, and an error d on c~ moves
+    log1p by at most 2 d.
+    """
+    (a, b), f = _dyadic(lq)
+    y = (a << P - f, b << P - f) if f <= P else (a >> f - P, b >> f - P)
+    (E0, E1), err_E = _exp((-y[0], -y[1]), P)
+    c0 = (Q[0] * E0 - Q[1] * E1 >> e) - (1 << P)
+    c1 = Q[0] * E1 + Q[1] * E0 >> e
+    err_c = ((abs(Q[0]) + abs(Q[1])) * err_E >> e) + 3
+    if max(abs(c0), abs(c1)) > 1 << P - 3:
+        raise ArithmeticError(f"the float logarithm {lq!r} is too far off to refine")
+    L0, L1, p0, p1, j = c0, c1, c0, c1, 1
+    while abs(p0) > 1 or abs(p1) > 1:
+        p0, p1 = p0 * c0 - p1 * c1 >> P, p0 * c1 + p1 * c0 >> P
+        j += 1
+        if j & 1:
+            L0, L1 = L0 + p0 // j, L1 + p1 // j
+        else:
+            L0, L1 = L0 - p0 // j, L1 - p1 // j
+    return (y[0] + L0, y[1] + L1), 3 * j + 2 * err_c
+
+
+_CARRY_BITS = 1 << 16  # the widest n log2 |q^x| a sum carries
+_SHIFT_ATTEMPTS = 6  # the attempts at a shift with no exact fallback
+
+
+class _Shift:
+    """q^x = exp(x Log q) for a shift x with no exact power, at any precision.
+
+    Log q is the branch of cmath.log(q), the one cpow takes.  hi bounds
+    log2 |q^x| from above by a float estimate with a wide margin, and R =
+    R64 / 2^64 >= max(1, |q^x|, |x~|) for every x~ that power returns, so R
+    and the error bound 4 - sqrt2 of x~ (c = 4 in _radius) hold at every W.
+    Construction refuses a q^x too wide to carry: where the top term of the
+    sum outweighs all the others and puts the value beyond the float range,
+    it raises FloatRangeError, and elsewhere NonConvergenceError.
+    """
+
+    __slots__ = ("Q", "e", "lq", "x", "hi", "R64", "real")
+
+    def __init__(self, q: complex, Q, e: int, x: complex, n: int):
+        self.Q, self.e, self.x = Q, e, _dyadic(x)
+        self.lq = cmath.log(q)
+        lx = x * self.lq
+        slack = 1e-14 * (abs(x.real * self.lq.real) + abs(x.imag * self.lq.imag))
+        self.hi = (lx.real + slack) / _LN2
+        # q^x is real at real q > 0 and real x, and at real q and integer x
+        self.real = Q[1] == 0 and x.imag == 0 and (Q[0] > 0 or x.real.is_integer())
+        if math.isnan(self.hi) or n * self.hi > 1024:
+            # Where the top term (-1)^n q^(x n) / (1 + q^(h+n)) outweighs the
+            # others, whose moduli sum to at most |q^x|^n expm1(n / |q^x|) /
+            # lam, lam <= |1 + q^m|, the value is >= |1+q| |q^x|^n / (4 |1-q|^n).
+            lo = (lx.real - slack) / _LN2
+            lam = 1.0 if Q[1] == 0 and Q[0] > 0 else 0.99 * (1.0 - abs(q))
+            if lo > 1 and math.expm1(n * 2.0**-lo) <= lam / 4 and math.log2(abs(1 + q)) + n * (lo - 1) - 3 > 1024:
+                raise _range_error(n)
+            if not n * self.hi <= _CARRY_BITS:
+                raise NonConvergenceError(f"q^x at x = {x!r} is too wide to carry through the sum at order {-n}")
+        t = max(self.hi + 2.0**-20, 0.0)
+        self.R64 = 1 << 64 if t == 0 else math.ceil(2.0 ** (t % 1) * 2**52) + 1 << 12 + int(t)
+
+    def power(self, W: int):
+        """x~ = q^x floored to W bits as a Gaussian integer M, and d8 with
+        |M / 2^W - q^x| <= d8 / 2^(W+8), as (M, d8); or None where d8 / 2^8
+        exceeds 4 - sqrt2 or R fails the bound (neither is expected).
+
+        q^x is exp(z) with z = x Log q, at PZ = W + rho + 8 bits, where
+        2^rho >= |q^x|: Log q at P1 = PZ + bx + 4 bits, 2^bx >= |x|, is
+        within beta units (_log), so z, floored to PZ bits, is within
+        dz = |x| beta / 2^(P1 - PZ) + 2 units; exp(z~) is within err units
+        (_exp), and |exp(z) - exp(z~)| <= |exp(z~)| 2 dz.
+        """
+        if self.hi < -(W + 2):
+            return (0, 0), 64  # |q^x| < 2^-(W+2)
+        (xa, xb), fx = self.x
+        PZ = W + max(0, math.ceil(self.hi)) + 8
+        P1 = PZ + max(0, max(abs(xa), abs(xb)).bit_length() + 1 - fx) + 4
+        (Y0, Y1), beta = _log(self.lq, self.Q, self.e, P1)
+        sh = fx + P1 - PZ
+        (w0, w1), err = _exp((xa * Y0 - xb * Y1 >> sh, xa * Y1 + xb * Y0 >> sh), PZ)
+        dz = ((abs(xa) + abs(xb)) * beta >> sh) + 3
+        err += ((abs(w0) + abs(w1) + err) * 2 * dz >> PZ) + 1
+        r = PZ - W
+        M0, M1 = w0 >> r, 0 if self.real else w1 >> r
+        # delta <= d8 / 256 units: err / 2^r and sqrt2 for the floors
+        d8 = ((err << 8) >> r) + 364
+        reach = (self.R64 << W >> 64) - (d8 >> 8) - 1  # (R - delta) 2^W
+        if d8 > 661 or M0 * M0 + M1 * M1 > reach * reach:
+            return None
+        return (M0, M1), d8
+
+
+def _radius(n: int, h: int, Q, e: int, x, p: int) -> int | None:
     """The radius of _truncated_sum at any W >= p, in units of 2^-W, or None.
 
     Each component of _truncated_sum's result lies within this many units of
@@ -99,27 +235,33 @@ def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
     |1 + P_m| >= lower: 1 for q in [0, 1), else
     (1 - |q|^2)/2 <= 1 - |q| <= 1 - |q|^m (and |1 + P_0| = 2).
 
-    With u = 2^-W:
+    With u = 2^-W and R >= max(1, |q^x|, |x~|) (R = 1 at integer x >= 0):
     * each f_k is rounded per component, < 1 unit each, 2^n units in all;
     * q~ = q when e <= W, else q floored to W bits, so |q~ - q| < sqrt2 u;
       q~^h is P_h exact or floored once, and P~_(m+1) is P~_m q~ floored,
       so e_(m+1) <= |q~| e_m + |q|^m |q~ - q| + sqrt2 u and with
       |q|, |q~| <= 1, e_(h+k) <= (sqrt2 + k 2 sqrt2) u <= 3 (1 + k) u;
-    * likewise x~ = q^x floored once, and X~_k is X~_(k-1) x~ truncated
-      toward zero, so with |x~| <= 1, |X~_k - X_k| <= k 2 sqrt2 u <= 3 k u;
+    * x~ is within delta u of q^x (floored once at integer x, delta <=
+      sqrt2; delta <= 4 - sqrt2 from a _Shift), and X~_k is X~_(k-1) x~
+      truncated toward zero, so |X~_k - X_k| <= R e_(k-1) + (delta +
+      sqrt2) R^(k-1) u <= c k R^(k-1) u, c = 3 at integer x, 4 elsewhere;
     * with L = lower - 3 (n + 1) u <= |1 + P~_m|, |1 + P_m|,
-      |f~_k - f_k| <= |X~_k - X_k| / L + |X_k| e_(h+k) / L^2, and |X_k| <= 1.
-    Summed with the weights C(n,k), sum C(n,k) (1 + k) = 2^(n-1) (n + 2)
-    and sum C(n,k) k = 2^(n-1) n, so in units
-        radius = 2^n + 3 2^(n-1) (n + 2) / L^2 + 3 2^(n-1) n / L.
+      |f~_k - f_k| <= |X~_k - X_k| / L + |X_k| e_(h+k) / L^2, |X_k| <= R^k.
+    Summed with the weights C(n,k), sum C(n,k) (1 + k) R^k =
+    (1+R)^(n-1) (1 + R + n R) and sum C(n,k) k R^(k-1) = n (1+R)^(n-1), so
+    in units
+        radius = 2^n + 3 (1+R)^(n-1) (1 + R + n R) / L^2 + c n (1+R)^(n-1) / L,
+    which at R = 1 is 2^n + 3 2^(n-1) (n + 2) / L^2 + 3 2^(n-1) n / L.
     The second term drops when no P~_m is truncated (e (h + n) <= W) and
-    the third when no X~_k is (e x n <= W); at W >= p, that holds when it
-    holds at p.  L is taken as L64 / 2^64 with L64 = floor(lower 2^64) less
-    3 (n + 1) 2^(64 - p) rounded up, as u <= 2^-p.  So the radius does not
-    depend on W, and no term needs its own bound.
+    the third when no X~_k is (e x n <= W at integer x, which holds at
+    W >= p when it holds at p; never elsewhere).  L is taken as L64 / 2^64
+    with L64 = floor(lower 2^64) less 3 (n + 1) 2^(64 - p) rounded up, as
+    u <= 2^-p, and R as R64 / 2^64.  So the radius does not depend on W,
+    and no term needs its own bound.
     """
+    shifted = isinstance(x, _Shift)
     inexact_p = e * (h + n) > p
-    inexact_x = x and e * x * n > p
+    inexact_x = n > 0 if shifted else x and e * x * n > p
     radius = 1 << n
     if inexact_p or inexact_x:
         gap = (1 << 2 * e) - Q[0] * Q[0] - Q[1] * Q[1]  # 2^(2e) (1 - |q|^2)
@@ -129,8 +271,10 @@ def _radius(n: int, h: int, Q, e: int, x: int | None, p: int) -> int | None:
         L64 -= (3 * (n + 1) >> p - 64) + 1  # p >= 72
         if L64 <= 0:
             return None
-        num = ((n + 2) << 128 if inexact_p else 0) + (n * L64 << 64 if inexact_x else 0)
-        radius += (3 * num << n) // (2 * L64 * L64) + 1
+        R64, c = (x.R64, 4) if shifted else (1 << 64, 3)
+        A = (1 << 64) + R64  # (1 + R) 2^64
+        num = (3 * (A + n * R64) << 128 if inexact_p else 0) + (c * n * L64 << 128 if inexact_x else 0)
+        radius += num * A**n // (L64 * L64 * A << 64 * n) + 1
     return radius
 
 
@@ -138,27 +282,36 @@ def _toward_zero(v: int, r: int) -> int:
     return v >> r if v >= 0 else -(-v >> r)
 
 
-def _quotients(n: int, h: int, Q, e: int, x: int | None, W: int):
+def _quotients(n: int, h: int, Q, e: int, x, W: int):
     """The terms v_k = 2^W X~_k / (1 + P~_(h+k)) of every order -n sum, k = 0..n.
 
     P~_m stands for q^m and X~_k for q^(x k), X~_k = 1 when x is 0 or None.
-    q, q^h and q^x are computed exactly and floored once to W fractional
-    bits when wider, as q~, P~_h and x~; P~_m is carried exactly while it
-    fits in W fractional bits and floored to W bits after, and X~_k is
-    carried alike but truncated toward zero, as _radius assumes.  So the lists stop at the
+    q and q^h are computed exactly and floored once to W fractional bits
+    when wider, as q~ and P~_h; so is q^x, as x~, at an integer x, and a
+    _Shift gives x~ at W bits.  P~_m is carried exactly while it fits in W
+    fractional bits and floored to W bits after, and X~_k is carried alike
+    but truncated toward zero, as _radius assumes.  So the lists stop at the
     last k before X~_k reaches 0: every later term is 0.  Each component of
     a term is one integer division, within 1 unit of its exact value.
-    Returns (re, im), two lists, with im None when q~, P~_h and x~
-    are real; or None when |q~| > 1 or |x~| > 1, possible only once they are
-    truncated: _radius's bound fails there.
+    Returns (re, im), two lists, with im None when q~, P~_h and x~ are
+    real; or None when |q~| > 1 or |x~| > 1 at an integer x, possible only
+    once they are truncated, or when the _Shift refuses x~: _radius's bound
+    fails there.
     """
-    x = x or 0
     (Q0, Q1), et = _fixed(Q, e, W)
     (N0, N1), s = _fixed(_pow(Q, h), e * h, W)
-    (M0, M1), xs = _fixed(_pow(Q, x), e * x, W)
-    if (et < e and Q0 * Q0 + Q1 * Q1 > 1 << 2 * et
-            or xs < e * x and M0 * M0 + M1 * M1 > 1 << 2 * xs):
+    if et < e and Q0 * Q0 + Q1 * Q1 > 1 << 2 * et:
         return None
+    if isinstance(x, _Shift):
+        shifted = x.power(W)
+        if shifted is None:
+            return None
+        (M0, M1), xs = shifted[0], W
+    else:
+        x = x or 0
+        (M0, M1), xs = _fixed(_pow(Q, x), e * x, W)
+        if xs < e * x and M0 * M0 + M1 * M1 > 1 << 2 * xs:
+            return None
     X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
     re = []
     if not (Q1 or N1 or M1):  # real q~: v_k = X~_k 2^(W + s) / w, w = 2^s + N
@@ -234,20 +387,6 @@ def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
     if x is None and n == 0:
         re -= 1 << W
     return re, im
-
-
-def _differences(u: list[int]) -> list[int]:
-    # S_l = sum_k (-1)^k C(l,k) u_k for l = 0..n, exactly: D^l u_0 in the
-    # backward difference table D^j u_k = D^(j-1) u_k - D^(j-1) u_(k+1), one
-    # subtraction per entry and no binomials.  diag holds D^j u_(l-j),
-    # j = 0..l, the newest diagonal.
-    diag, out = [], []
-    for v in u:
-        for j, t in enumerate(diag):
-            diag[j], v = v, t - v
-        diag.append(v)
-        out.append(v)
-    return out
 
 
 def _exact_sum(terms):
@@ -342,32 +481,56 @@ def _range_error(n: int) -> FloatRangeError:
     return FloatRangeError(f"the sum at order {-n} lies beyond the float range")
 
 
-def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
+def _as_shift(n: int, q: complex, Q, e: int, x):
+    # x as an int 0..EXACT_SHIFT_MAX, whose powers are exact, or a _Shift.
+    xi = as_int(x)
+    if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
+        return xi
+    try:
+        x = complex(x)
+    except OverflowError:
+        x = complex(math.inf)
+    if not cmath.isfinite(x):
+        raise ValueError(f"the shift must be finite, got {x!r}")
+    if not (Q[0] or Q[1]):  # q^x is 0, as q^1 is, or a pole
+        if x.real > 0:
+            return 1
+        raise PoleError(f"0 raised to power {x!r}")
+    return 0 if n == 0 else _Shift(q, Q, e, x, n)  # f_0 does not depend on x
+
+
+def terminating_alt_sum(n: int, h: int, q: complex, x) -> complex:
     """The order -n value of the re-expanded alternating series.
 
     Returns [2]_q * (1-q)^(-n) * sum_{k=0}^{n} (-1)^k C(n,k) f_k, rounded
     once from its exact value, where
 
-        f_k = q^(x*k) / (1 + q^(h+k))   for integer x >= 0 (Hurwitz form),
-        f_k = -q^(h+k) / (1 + q^(h+k))  for x is None (plain form).
+        f_k = q^(x*k) / (1 + q^(h+k))   for a finite shift x (Hurwitz form),
+        f_k = -q^(h+k) / (1 + q^(h+k))  for x is None (plain form),
 
-    A value beyond the float range raises FloatRangeError.
+    with q^(x k) = exp(x k Log q) on the branch of cmath.log(q), as cpow
+    takes it.  An integer 0 <= x <= EXACT_SHIFT_MAX has exact powers and an
+    exact fallback; any other x is carried as q^x at the working precision
+    (_Shift), and a sum the rounding test leaves undecided after
+    _SHIFT_ATTEMPTS attempts raises NonConvergenceError.  A value beyond the
+    float range raises FloatRangeError.
     """
     if n < 0 or h < 0:
         raise ValueError("n and h must be nonnegative integers")
-    if x is not None and x < 0:
-        raise ValueError("x must be a nonnegative integer")
     q = complex(q)
     Q, e = _dyadic(q)
+    if x is not None:
+        x = _as_shift(n, q, Q, e, x)
     D = 1 << e
     # (1+q)/(1-q)^n = 2^(e n) z / scale with z = (D+Q) conj(D-Q)^n and
     # scale = D |D-Q|^(2n).
     z = _mul((D + Q[0], Q[1]), _pow((D - Q[0], Q[1]), n))
     scale = ((D - Q[0]) ** 2 + Q[1] ** 2) ** n << e
-    real = Q[1] == 0
+    exact = not isinstance(x, _Shift)
+    real = Q[1] == 0 and (exact or x.real)
     p, guard, radius = _start(n, h, q, Q, e, x)
     try:
-        for _ in range(3 if radius else 0):
+        for _ in range((3 if exact else _SHIFT_ATTEMPTS) if radius else 0):
             W = p + guard
             fixed = _truncated_sum(n, h, Q, e, x, W)
             step = p
@@ -381,49 +544,8 @@ def terminating_alt_sum(n: int, h: int, q: complex, x: int | None) -> complex:
                 # the bits cut off (Im q = -2^-600 reads as -2^-W).
                 step = max(p, _shortfall(fixed, radius, z, real) + 64, e + 64 - W)
             p += step
-        return _finish(*_exact_sum(_terms(n, h, Q, e, x)), e * n, 0, z, scale, real)
+        if exact:
+            return _finish(*_exact_sum(_terms(n, h, Q, e, x)), e * n, 0, z, scale, real)
     except OverflowError as exc:
         raise _range_error(n) from exc
-
-
-def terminating_alt_sums(n: int, h: int, q: complex) -> list[complex]:
-    """[terminating_alt_sum(l, h, q, 0) for l in range(n + 1)], the same bits, from one pass.
-
-    Every order sums the same f_k = 1/(1 + q^(h+k)) under its own binomial
-    weights.  So the x = 0 term list v_k = 2^W f_k (_quotients) is built
-    once, k = 0..n, at the largest W = p_l + guard_l that any order starts
-    at, and each S_l = sum_k (-1)^k C(l,k) v_k comes from one difference
-    table in exact integers (_differences).  S_l is the integer
-    _truncated_sum(l, h, Q, e, 0, W) would return, so _radius(l, ..., p_l),
-    valid at any W >= p_l, bounds it, and each order is finished with its own prefactor and
-    rounding test.  An order the test leaves undecided (an exact zero or a
-    tie, as E_1 = -1/2 + 0i or E_0 = (1+q)/2 at q = 0.9) or that has no
-    radius goes to terminating_alt_sum alone.  The first order whose value
-    lies beyond the float range raises FloatRangeError.
-    """
-    if n < 0 or h < 0:
-        raise ValueError("n and h must be nonnegative integers")
-    q = complex(q)
-    Q, e = _dyadic(q)
-    starts = [_start(l, h, q, Q, e, 0) for l in range(n + 1)]
-    W = max((p + guard for p, guard, radius in starts if radius), default=None)
-    v = None if W is None else _quotients(n, h, Q, e, 0, W)
-    sums = None if v is None else (_differences(v[0]), _differences(v[1]) if v[1] else [0] * (n + 1))
-    D = 1 << e
-    # The prefactor 2^(e l) z / scale of order l, as in terminating_alt_sum:
-    # z picks up conj(D-Q) and scale |D-Q|^2 per order.
-    z, scale = (D + Q[0], Q[1]), D
-    step, step_scale = (D - Q[0], Q[1]), (D - Q[0]) ** 2 + Q[1] ** 2
-    real = Q[1] == 0
-    out = []
-    for l, (_, _, radius) in enumerate(starts):
-        value = None
-        if sums and radius:
-            try:
-                value = _finish(sums[0][l], sums[1][l], 1, e * l - W, radius, z, scale, real)
-            except OverflowError as exc:
-                raise _range_error(l) from exc
-        out.append(terminating_alt_sum(l, h, q, 0) if value is None else value)
-        z = _mul(z, step)
-        scale *= step_scale
-    return out
+    raise NonConvergenceError(f"the sum at order {-n} was left undecided at {p} bits")

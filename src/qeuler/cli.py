@@ -19,7 +19,7 @@ import sys
 from .continuation import curve_grid, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
 from .exact import _euler_numerators, _reduced_euler_number, exact_euler_poly
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter, check_order_terms
 from .numeric import euler_numbers, euler_poly
 from .verification import run_checks
 from .zeta import qzeta, qzeta_deriv, qzeta_hurwitz
@@ -119,16 +119,10 @@ def _series(sv: SeriesValue) -> tuple[list[str], list[dict]]:
     return text, [row]
 
 
-def _check_terms(n: int, cfg: EngineConfig) -> None:
-    # E_n and E_n(x, h | q), exact or not, sum n + 1 terms: zeta's rule at order -n.
-    if n + 1 > cfg.max_terms:
-        raise NonConvergenceError(f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}")
-
-
 def _cmd_numbers(args, cfg, qp, meta) -> int:
     if args.n < 0:
         raise ValueError("--n must be a nonnegative integer")
-    _check_terms(args.n, cfg)
+    check_order_terms(args.n, cfg)
     ns = range(args.n + 1)
     if args.exact:
         table, cyclotomics = _euler_numerators(args.n + 1), {}  # one of each for every E_n
@@ -145,7 +139,7 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
 
 
 def _cmd_poly(args, cfg, qp, meta) -> int:
-    _check_terms(args.n, cfg)
+    check_order_terms(args.n, cfg)
     if args.exact:
         x = as_int(args.x)
         if x is None or x < 0:

@@ -493,7 +493,7 @@ def _signed_bracket_power_sum(n: int, k: int, flip: bool, w: int) -> int:
     return acc + (acc << w)
 
 
-def _binomial_shift_sum(n: int, k: int, upper: int, table: tuple) -> tuple[int, int]:
+def _binomial_expansion_sum(n: int, k: int, upper: int, table: tuple) -> tuple[int, int]:
     # sum_{l<upper} C(n,l) q^(k l) E_l [k]_q^(n-l), over D_(upper-1), upper
     # <= n + 1: by Horner over l, acc <- [k]_q f_l acc + C(n,l) q^(k l) N_l,
     # which leaves term l times [k]_q^(upper-1-l) prod_{l<j<upper} f_j, and
@@ -515,7 +515,7 @@ def _verify_identity(identity: str, n: int, k: int, table: tuple) -> bool:
     if identity == "poly-vs-recurrence":
         return _equal(_euler_poly_pair(n, 0, 0, w), e_n)
     if identity == "binomial-expansion":
-        return _equal(_euler_poly_pair(n, k, 0, w), _binomial_shift_sum(n, k, n + 1, table))
+        return _equal(_euler_poly_pair(n, k, 0, w), _binomial_expansion_sum(n, k, n + 1, table))
 
     sign = -1 if identity.startswith("even") else 1
     flip = identity in ("even-shift", "even-shift-recombined")
@@ -526,7 +526,7 @@ def _verify_identity(identity: str, n: int, k: int, table: tuple) -> bool:
         lhs = p_num * e_n[1] + sign * e_n[0] * p_den, p_den * e_n[1]
         return _equal(lhs, bracket_sum)
     # recombined forms: (q^(k n) + sign) E_n + tail
-    t_num, t_den = _binomial_shift_sum(n, k, n, table)
+    t_num, t_den = _binomial_expansion_sum(n, k, n, table)
     shift = (1 << k * n * w) + sign
     rhs = shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den
     return _equal(bracket_sum, rhs)

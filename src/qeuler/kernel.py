@@ -22,6 +22,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "as_int",
     "as_qparameter",
+    "check_order_terms",
     "cpow",
     "q_bracket",
     "sum_series_geometric",
@@ -62,19 +63,23 @@ class EngineConfig:
             raise ValueError("max_terms must be at least 16")
 
 
+def check_order_terms(n: int, config: EngineConfig) -> None:
+    """Refuse a sum at order -n, which has n + 1 terms, above config.max_terms."""
+    if n + 1 > config.max_terms:
+        raise NonConvergenceError(f"the sum at order {-n} has {n + 1} terms, above max_terms={config.max_terms}")
+
+
 DEFAULT_CONFIG = EngineConfig()
 
 # Central-difference step of the derivative checks in `qeuler verify`; the
 # curve JSON echoes it.
 FD_STEP = 1e-5
 
-# Integer shifts up to this are evaluated exactly (q_bracket's finite
-# geometric sum, euler_poly's terminating sum, correctly rounded).  Larger
-# ones take the float paths of non-integer shifts.  The fixed-point pass of
-# the terminating sum truncates q^(x k) to its working precision, so its cost
-# hardly grows with x; its exact fallback still carries q^(x k) at x k times
-# 53 bits, and there x = 20000 at n = 4 did not finish in a minute.  Raising
-# the limit changes the outputs at the shifts it moves.
+# Integer shifts 0..EXACT_SHIFT_MAX have exact powers: q_bracket sums its
+# finite geometric series by Horner there, and the order -n sums keep their
+# exact fallback, which carries q^(x k) exactly, x k times 53 bits wide (x =
+# 20000 at n = 4 did not finish in a minute).  Other shifts take cpow in
+# q_bracket and q^x at the working precision in the sums, with no fallback.
 EXACT_SHIFT_MAX = 256
 
 

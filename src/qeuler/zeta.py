@@ -19,13 +19,12 @@ of them are summed by kernel.sum_series_geometric.  The k-series converges
 geometrically for every complex order s on the plain side, terminates at
 k = n when s = -n, and agrees with the iterated-averaging value of the
 defining sum; it is adopted here as the definition of the continuation.
-Terminating orders are finite sums: the plain one is evaluated in
-big-integer fixed point and rounded once, correctly (see _exactcomplex),
-which keeps the interpolation property at machine precision, and the
-shifted one is E_n(x, h | q) at every shift, left to euler_poly, which
-bounds the rounding error of its binomial-shift path.  The
-classical zeta at order -n is likewise the exact classical Euler
-polynomial, rounded once.
+Terminating orders are finite sums, plain or E_n(x, h | q) at every
+shift, which one call to _exactcomplex.terminating_alt_sum evaluates in
+big-integer fixed point and rounds once, correctly, with bound 0; that
+keeps the interpolation property at machine precision.  The classical
+zeta at order -n is likewise the exact classical Euler polynomial, rounded
+once.
 
 As the real order grows, the plain variant tends to -(1 + q) when
 |[n]_q| > 1 for every n >= 2: only the first alternating term survives.
@@ -49,10 +48,11 @@ from .kernel import (
     SeriesValue,
     as_int,
     as_qparameter,
+    check_order_terms,
     cpow,
     sum_series_geometric,
 )
-from .numeric import euler_poly_bounded, scaled_classical_euler
+from .numeric import scaled_classical_euler
 
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
@@ -162,17 +162,9 @@ def _kseries(
     n = as_int(s)
     n = -n if n is not None and n <= 0 else None
     if n is not None and not deriv:
-        if n + 1 > cfg.max_terms:
-            raise NonConvergenceError(
-                f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
-            )
-        # The shifted finite sum is E_n(x, h | q): euler_poly's value, with a
-        # bound on its error (0 where it is correctly rounded).
-        if x is None:
-            value, bound = terminating_alt_sum(n, h, qq, None), 0.0
-        else:
-            value, bound = euler_poly_bounded(n, x, h, qq)
-        return SeriesValue(value, bound, n + 1, True)
+        # The finite sum, plain or E_n(x, h | q), correctly rounded.
+        check_order_terms(n, cfg)
+        return SeriesValue(terminating_alt_sum(n, h, qq, x), 0.0, n + 1, True)
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
     ratio = abs(qq)
@@ -206,10 +198,8 @@ def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> Series
     """The Hurwitz-type variant at (s, x, h); the shift needs Re(x) >= 0.
 
     At s = -n the series terminates at k = n and equals the q-Euler
-    polynomial E_n(x, h | q) at every shift, which euler_poly evaluates
-    (terms_used = n + 1); error_bound is 0 where that value is correctly
-    rounded (integer 0 <= x <= 256) and a first-order bound on the rounding
-    error of the binomial-shift expansion elsewhere (see euler_poly_bounded).
+    polynomial E_n(x, h | q) at every shift, euler_poly's correctly rounded
+    value, with error_bound 0 and terms_used = n + 1.
     For x = 0 and Re(s) > 0 the k-series genuinely diverges (the underlying
     n = 0 term is singular), and NonConvergenceError is raised before any
     summing.
@@ -283,10 +273,7 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     n = as_int(s)
     if n is not None and n <= 0:
         n = -n
-        if n + 1 > cfg.max_terms:
-            raise NonConvergenceError(
-                f"the sum at order {-n} has {n + 1} terms, above max_terms={cfg.max_terms}"
-            )
+        check_order_terms(n, cfg)
         # 2 sum_k (-1)^k (k+x)^n = E_n(x) = sum_k C(n,k) E_k x^(n-k), and
         # the plain sum is -E_n(1).  With E_k = e_k / 2^k and x = p/d this
         # is N / (2d)^n for the integer N below, rounded once.

@@ -166,7 +166,7 @@ FINITE_Q = (0.5, 0.9, -0.7, 0.3 + 0.4j)
 EXACT_POLY_ARGS = [(n, x, h) for n in range(9) for x in range(4) for h in range(3)] + [(12, 1, 2), (12, 3, 0)]
 CLASSICAL_POLY_ARGS = ((0, 0.3), (1, 0.5), (5, 0.25), (12, 1.5), (17, -2.0), (9, 0.5 + 0.25j), (20, 1 - 1j))
 # The terminating sums at order -n: q on both axes, near 1, complex and
-# rounded-decimal.  Fractional x reads the shift-coefficient table.
+# rounded-decimal.  Fractional x carries q^x at the working precision.
 TERMINATING_Q = (0.5, 0.9, 0.97, cmath.rect(0.95, 0.02), -0.9, 0.3 + 0.4j, cmath.rect(0.6, 2.2))
 TERMINATING_POLY_ARGS = (
     [(n, x) for x in range(4) for n in range(41)]

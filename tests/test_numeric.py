@@ -20,7 +20,7 @@ from qeuler import (
     qzeta_hurwitz,
 )
 from qeuler import _exactcomplex
-from qeuler._exactcomplex import terminating_alt_sum, terminating_alt_sums
+from qeuler._exactcomplex import terminating_alt_sum
 from qeuler.cli import main
 from qeuler.errors import FloatRangeError, NonConvergenceError
 
@@ -83,25 +83,6 @@ class TestConcurrency:
         assert all(r == results[0] for r in results)
 
 
-class TestTableBound:
-    def test_distinct_q_stay_bounded_and_pooled_q_stays_cached(self):
-        # 2,000 distinct q, with one pooled q read again between them: the
-        # shift-coefficient tables keep at most the bound, and the pooled q
-        # keeps its table
-        from qeuler import numeric
-
-        pooled = QParameter(0.61)
-        euler_poly(4, 0.5, 1, pooled)
-        shift_table = numeric._SHIFT_COEFF_TABLES[(1, pooled.q)]
-        for i in range(2000):
-            qp = QParameter(0.3 + 1e-4 * (i + 1))
-            euler_poly(0, 0.5, 1, qp)
-            if i % 50 == 0:
-                euler_poly(4, 0.5, 1, pooled)
-        assert len(numeric._SHIFT_COEFF_TABLES) <= numeric._TABLES_MAX
-        assert numeric._SHIFT_COEFF_TABLES[(1, pooled.q)] is shift_table
-
-
 class TestClassical:
     def test_numbers(self):
         assert classical_euler_number(0) == 1
@@ -126,12 +107,11 @@ class TestEulerPoly:
                 assert rel_err(euler_poly(n, 0, 0, qp), euler_number(n, qp)) <= 1e-13
 
     def test_sum_beyond_the_float_range_raises(self):
-        # [x]_q^3 overflows at x = -700, and the sum would be nan
-        from qeuler.numeric import euler_poly_bounded
-
-        for evaluate in (euler_poly, euler_poly_bounded):
-            with pytest.raises(FloatRangeError, match="float range"):
-                evaluate(3, -700, 0, 0.5)
+        # the top term q^(x n) proves the value beyond the float range at
+        # once: 2^2100 at (3, -700)
+        for n, x in ((3, -700), (2, -4000), (1, -1e300)):
+            with pytest.raises(FloatRangeError, match=f"order {-n} lies beyond the float range"):
+                euler_poly(n, x, 0, 0.5)
 
     def test_shift_one_order_one(self):
         # binomial-shift expansion: E_1(x) = E_0 [x]_q + q^x E_1,
@@ -140,8 +120,8 @@ class TestEulerPoly:
             assert euler_poly(1, 1, 0, QParameter(qv)) == pytest.approx(0.5, abs=1e-13)
 
     def test_integer_and_expansion_paths_agree(self):
-        # the exact integer-shift path and the binomial-shift expansion meet
-        # at integer x approached as a float computation
+        # the exact powers at an integer x and q^x carried at the working
+        # precision meet as x approaches that integer
         for qv in (0.3, 0.8):
             qp = QParameter(qv)
             for n in range(7):
@@ -173,7 +153,7 @@ class TestEulerPoly:
     @pytest.mark.parametrize("n,x", [(4, 20000), (12, 257)])
     @pytest.mark.parametrize("q", [0.3, 0.9, -0.9, 0.95j])
     def test_large_integer_shift_against_mpmath(self, n, x, q):
-        # shifts beyond EXACT_SHIFT_MAX take the binomial-shift path
+        # shifts beyond EXACT_SHIFT_MAX carry q^x at the working precision
         mp = pytest.importorskip("mpmath")
         h = 1
         with mp.workdps(60):
@@ -191,6 +171,13 @@ class TestEulerPoly:
             euler_poly(-1, 0, 0, QParameter(0.5))
         with pytest.raises(ValueError):
             euler_poly(2, 0, -1, QParameter(0.5))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(0.5, math.inf), complex(math.nan, 0)])
+    def test_non_finite_shift_rejected(self, x):
+        # as qzeta_hurwitz does; nan used to read as beyond the float range
+        # and inf as 6 at (3, 0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            euler_poly(3, x, 0, 0.5)
 
 
 def fraction_alt_sum(n: int, h: int, q: complex, x) -> complex:
@@ -481,80 +468,178 @@ class TestTermList:
         self.check_terms(8, h, q, x, p + guard)
 
 
-class TestShiftTable:
-    def test_one_pass_matches_the_per_order_sums(self, monkeypatch):
-        # The one-pass table of E_0..E_n(0, h | q) against n + 1 separate
-        # terminating_alt_sum calls: the same bits, and each order finished
-        # from the integer sum _truncated_sum gives at the table's precision,
-        # which is at least the order's own, with the radius that the
-        # order's own call starts with.  q is over the disk, on both real
-        # half-axes and the imaginary axis, near the circle, tiny or dyadic.
-        rng = random.Random(20261019)
-        finish, per_order = _exactcomplex._finish, _exactcomplex.terminating_alt_sum
-        calls, nested = [], []
+def _mp_value(n: int, x, h: int, q, dps: int):
+    """E_n(x, h | q) in mpmath at dps digits, with q^x = exp(x log q) on the
+    branch of cmath.log(q), and a bound on its error: the sum of the moduli
+    of its terms, times 10^(5 - dps)."""
+    mp = pytest.importorskip("mpmath")
+    q, x = complex(q), complex(x)
+    with mp.workdps(dps):
+        mq = mp.mpc(q)
+        lq = mp.log(mq)
+        if q.imag == 0 and math.copysign(1.0, q.imag) < 0 and q.real < 0:
+            lq = mp.conj(lq)  # cmath.log's branch at -0.0
+        qx = mq ** int(x.real) if x.imag == 0 and x.real.is_integer() else mp.exp(mp.mpc(x) * lq)
+        terms = [(-1) ** k * math.comb(n, k) * qx**k / (1 + mq ** (h + k)) for k in range(n + 1)]
+        pref = (1 + mq) * (1 - mq) ** -n
+        return pref * mp.fsum(terms), abs(pref) * mp.fsum(abs(t) for t in terms) * mp.mpf(10) ** (5 - dps)
 
-        def record(*args):
-            if not nested:
-                calls.append(args)
-            return finish(*args)
 
-        def alone(*args):  # a fallback order, finished apart from the table
-            nested.append(args)
-            try:
-                return per_order(*args)
-            finally:
-                nested.pop()
+def _to_float(c) -> float:
+    # an mpf rounded once to binary64, subnormals included (float(mpf) rounds
+    # to 53 bits before it scales, twice for a subnormal)
+    sign, man, exp, _ = c._mpf_
+    man = -int(man) if sign else int(man)
+    try:
+        return float(Fraction(man) * Fraction(2) ** int(exp))
+    except OverflowError:
+        return math.copysign(math.inf, man)
 
-        def draw_q():
-            r = rng.uniform(0.0, 0.97)
-            return complex(rng.choice((
-                lambda: cmath.rect(math.sqrt(rng.random()) * 0.99, rng.uniform(-math.pi, math.pi)),
-                lambda: r,
-                lambda: -r,
-                lambda: complex(0.0, rng.choice((r, -r))),
-                lambda: cmath.rect(rng.uniform(0.99, 0.999), rng.uniform(-math.pi, math.pi)),
-                lambda: rng.choice((5e-324, 2.0**-600)),
-                lambda: rng.choice((0.5, -0.25)),
-            ))())
 
-        monkeypatch.setattr(_exactcomplex, "_finish", record)
-        monkeypatch.setattr(_exactcomplex, "terminating_alt_sum", alone)
-        for _ in range(300):
-            q, h, n = draw_q(), rng.randrange(4), rng.randrange(61)
+def mp_euler_poly(n: int, x, h: int, q) -> complex:
+    """E_n(x, h | q), each component rounded to binary64 once the working
+    precision decides it, sign of a zero included (a Ziv loop on _mp_value's
+    bound); an exact 0 component stays 0, and n = 0 is the exact
+    (1+q)/(1+q^h)."""
+    if n == 0:
+        return fraction_alt_sum(0, h, complex(q), 0)
+    for dps in (50, 100, 200, 400, 800, 1600):
+        value, err = _mp_value(n, x, h, q, dps)
+        if all(not c or _to_float(c - err).hex() == _to_float(c + err).hex() for c in (value.real, value.imag)):
+            return complex(_to_float(value.real), _to_float(value.imag))
+    raise AssertionError(f"mpmath left E_{n}({x}, {h} | {q}) undecided")
+
+
+def _draw_shift(rng: random.Random):
+    # fractional, negative, complex, near 0, and integer beyond the exact range
+    return rng.choice((
+        lambda: rng.uniform(0.01, 4.0),
+        lambda: -rng.uniform(0.01, 3.0),
+        lambda: complex(rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0)),
+        lambda: 10 ** rng.uniform(-7.0, -2.0) * rng.choice((1, -1, 1j)),
+        lambda: rng.randrange(257, 600),
+    ))()
+
+
+class TestShiftPower:
+    """q^x at the working precision: every routine within its stated error of mpmath."""
+
+    @staticmethod
+    def draw_q(rng):
+        r = rng.uniform(0.0, 0.999)
+        return complex(rng.choice((
+            lambda: r,
+            lambda: -r,
+            lambda: complex(-r, -0.0),
+            lambda: complex(0.0, rng.choice((r, -r))),
+            lambda: cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+            lambda: cmath.rect(rng.uniform(0.99, 0.999), rng.uniform(-math.pi, math.pi)),
+            lambda: rng.choice((5e-324, 2.0**-600, 0.999)),
+            lambda: complex(rng.uniform(-0.9, 0.9), 2.0**-600),
+        ))())
+
+    def test_exp_within_its_error(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261101)
+        for _ in range(150):
+            P = rng.randrange(40, 700)
+            z = complex(rng.uniform(-60.0, 40.0), rng.choice((0.0, rng.uniform(-4.0, 4.0), rng.uniform(-1e4, 1e4))))
+            Z = (int(z.real * 2**60) << P >> 60, int(z.imag * 2**60) << P >> 60)
+            (w0, w1), err = _exactcomplex._exp(Z, P)
+            with mp.workdps(P // 3 + 120):
+                want = mp.exp(mp.mpc(Z[0], Z[1]) / mp.mpf(2) ** P) * mp.mpf(2) ** P
+                assert abs(mp.mpc(w0, w1) - want) <= err, (Z, P)
+
+    def test_log_within_its_error(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261102)
+        for _ in range(150):
+            q, P = self.draw_q(rng), rng.randrange(60, 700)
+            if q == 0:
+                continue
             Q, e = _exactcomplex._dyadic(q)
-            calls.clear()
-            table = terminating_alt_sums(n, h, q)
-            fixed = calls[:]
-            assert len(fixed) == n + 1, (n, h, q)
-            for l, (re, im, den, t, radius, *_) in enumerate(fixed):
-                calls.clear()
-                want = per_order(l, h, q, 0)
-                assert _hex(table[l]) == _hex(want), (l, h, q)
-                # a fixed-point sum is S 2^W over den = 1, and its prefactor
-                # carries 2^(e l), so t = e l - W
-                own_t, own_radius = calls[0][3], calls[0][4]
-                assert den == 1 and radius == own_radius and t <= own_t, (l, h, q)
-                W = e * l - t
-                assert (re, im) == _exactcomplex._truncated_sum(l, h, Q, e, 0, W), (l, h, q)
+            (Y0, Y1), err = _exactcomplex._log(cmath.log(q), Q, e, P)
+            with mp.workdps(P // 3 + 60):
+                want = mp.log(mp.mpc(q)) * mp.mpf(2) ** P
+                if q.imag == 0 and math.copysign(1.0, q.imag) < 0 and q.real < 0:
+                    want = mp.conj(want)  # cmath.log's branch at -0.0
+                assert abs(mp.mpc(Y0, Y1) - want) <= err, (q, P)
 
-    def test_grown_table_equals_a_fresh_one(self):
-        from qeuler import numeric
+    def test_power_within_its_error(self):
+        # x~ = q^x at W bits lies within its stated error d8 / 2^8 units of
+        # exp(x log q), d8 / 2^8 <= 4 - sqrt2, and within the R that
+        # _radius reads
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261103)
+        for _ in range(400):
+            q, W, n = self.draw_q(rng), rng.randrange(72, 600), rng.randrange(1, 41)
+            x = complex(_draw_shift(rng))
+            if q == 0:
+                continue
+            Q, e = _exactcomplex._dyadic(q)
+            try:
+                shift = _exactcomplex._Shift(q, Q, e, x, n)
+            except QEulerError:
+                continue  # q^x too wide to carry at this n
+            got = shift.power(W)
+            assert got is not None, (q, x, W)
+            with mp.workdps((W + max(0, int(shift.hi))) // 3 + 60):
+                lq = mp.log(mp.mpc(q))
+                if q.imag == 0 and math.copysign(1.0, q.imag) < 0 and q.real < 0:
+                    lq = mp.conj(lq)
+                want = mp.exp(mp.mpc(x) * lq) * mp.mpf(2) ** W
+                (M0, M1), d8 = got
+                assert abs(mp.mpc(M0, M1) - want) <= mp.mpf(d8) / 256 <= 4 - math.sqrt(2), (q, x, W)
+                assert abs(want) <= mp.mpf(shift.R64) * mp.mpf(2) ** (W - 64), (q, x, W)
 
-        qp = QParameter(0.45 - 0.65j)
-        for m, n in ((0, 12), (5, 40), (12, 13)):
-            numeric._SHIFT_COEFF_TABLES.pop((1, qp.q), None)
-            numeric._shift_coefficients(m, 1, qp)
-            grown = numeric._shift_coefficients(n, 1, qp)
-            assert [_hex(v) for v in grown] == [_hex(v) for v in terminating_alt_sums(n, 1, qp.q)]
-            assert len(numeric._SHIFT_COEFF_TABLES[(1, qp.q)]) == n + 1
 
-    def test_first_order_beyond_the_float_range_is_named(self):
-        from qeuler import numeric
+class TestEulerPolyEveryShift:
+    """euler_poly at shifts without exact powers: correctly rounded, as at integer ones."""
 
-        numeric._SHIFT_COEFF_TABLES.pop((0, 0.95 + 0.1j), None)
-        with pytest.raises(FloatRangeError, match=r"at order -291 ") as info:
-            euler_poly(300, 0.5, 0, 0.95 + 0.1j)
-        assert isinstance(info.value.__cause__, OverflowError)
+    def test_correctly_rounded_on_seeded_draws(self):
+        rng = random.Random(20261104)
+        for _ in range(400):
+            n, h = rng.randrange(41), rng.randrange(4)
+            q = _draw_q(rng)
+            x = _draw_shift(rng)
+            if q == 0:
+                continue  # test_zero_q
+            try:
+                got = euler_poly(n, x, h, q)
+            except FloatRangeError:  # only where the value is beyond the float range
+                assert not cmath.isfinite(mp_euler_poly(n, x, h, q)), (n, x, h, q)
+                continue
+            assert _hex(got) == _hex(mp_euler_poly(n, x, h, q)), (n, x, h, q)
+
+    @pytest.mark.parametrize(
+        "n,x,h,q,want",
+        [
+            # 5.2e-3 off relatively on the binomial-shift path
+            (40, 1.5, 0, -0.9, ("-0x1.6cf7ec7fba61cp-25", "0x1.7bdd6de531c52p-28")),
+            # 2.2e-8 off relatively there, the worst fractional golden pin
+            (23, 0.5, 1, -0.9, ("-0x1.1f67fcb03195cp-17", "0x1.9fc5397e4524dp-15")),
+        ],
+    )
+    def test_pins(self, n, x, h, q, want):
+        assert _hex(euler_poly(n, x, h, q)) == want
+        assert _hex(mp_euler_poly(n, x, h, q)) == want
+
+    def test_hurwitz_order_sum_is_euler_poly_with_bound_zero(self):
+        rng = random.Random(20261105)
+        for _ in range(60):
+            n, h, q = rng.randrange(30), rng.randrange(3), _draw_q(rng)
+            x = complex(rng.uniform(0.0, 3.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+            if q == 0 or x.real == 0:
+                continue
+            sv = qzeta_hurwitz(-n, x, h, q)
+            assert sv.value == euler_poly(n, x, h, q)
+            assert (sv.error_bound, sv.terms_used, sv.converged) == (0.0, n + 1, True)
+
+    def test_zero_q(self):
+        # q^x = 0 = q^1 for Re x > 0, and a pole otherwise, as in cpow
+        assert euler_poly(3, 0.5, 1, 0.0) == euler_poly(3, 1, 1, 0.0)
+        with pytest.raises(QEulerError):
+            euler_poly(3, -0.5, 0, 0.0)
 
 
 class TestNumericShiftIdentities:

@@ -29,11 +29,12 @@ def rel_err(a, b):
 
 
 def _finite_sum_error(value: complex, n: int, x, h: int, q: complex):
-    """|value - E_n(x, h | q)| and E_n, the finite sum
+    """|value - E_n(x, h | q)| and E_n rounded to binary64, the finite sum
     [2]_q (1-q)^(-n) sum_{k<=n} (-1)^k C(n,k) q^(xk) / (1 + q^(h+k)) at the
     float inputs, in 60 digits beyond those the sum cancels."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(60 + math.ceil(n * math.log10(2 / abs(1 - q)))):
+    growth = 1 + abs(cmath.exp(complex(x) * cmath.log(q)))  # |1 + q^x| bounds the terms' growth
+    with mp.workdps(60 + math.ceil(n * math.log10(2 * growth / abs(1 - q)))):
         mq = mp.mpc(q)
         qx = mp.power(mq, mp.mpc(x))
         total = mp.fsum(
@@ -198,8 +199,9 @@ class TestHurwitzZeta:
             (-1) ** k * math.comb(n, k) * q ** (x * k) / (1 + q**k) for k in range(n + 1)
         )
         sv = qzeta_hurwitz(-n, x, 0, qp)
-        assert sv.terms_used == n + 1 and 0.0 < sv.error_bound <= 1e-13
+        assert sv.terms_used == n + 1 and sv.error_bound == 0.0
         assert rel_err(sv.value, ref) <= 1e-12
+        assert sv.value == _finite_sum_error(sv.value, n, x, 0, q)[1]
 
     @pytest.mark.parametrize(
         "n,x,h,q",
@@ -214,22 +216,21 @@ class TestHurwitzZeta:
         ],
     )
     def test_negative_integer_order_against_finite_sum(self, n, x, h, q):
-        # at s = -n every shift gives the finite sum E_n(x, h | q), which the
-        # binomial-shift expansion rounds; its error against the sum in 60
-        # digits stays within the reported bound.  At (20, 1.5, 0, 0.9 e^2i)
-        # the relative error is 6.2e-12; at (12, 3.5, 0, 0.999) the error is
-        # 7.6 u times the sum of the expansion's |terms|, and at the shift
-        # near 0, where 1 - q^x cancels, 167 u times it.
+        # at s = -n every shift gives the finite sum E_n(x, h | q), correctly
+        # rounded: the sum in 60 digits, rounded to binary64, with bound 0.
+        # These shifts took a float binomial-shift expansion before, which
+        # was 6.2e-12 off relatively at (20, 1.5, 0, 0.9 e^2i).
         sv = qzeta_hurwitz(-n, x, h, QParameter(q))
         err, ref = _finite_sum_error(sv.value, n, x, h, q)
-        assert err <= 1e-10 * abs(ref)
-        assert err <= sv.error_bound
+        assert sv.value == ref
+        assert sv.error_bound == 0.0
         assert sv.terms_used == n + 1 and sv.converged
 
     def test_binomial_shift_bound_on_seeded_draws(self):
-        # non-integer, complex, near-zero (where 1 - q^x cancels) and
-        # above-256 integer shifts at order -n: the bound holds against the
-        # 60-digit sum and the value is euler_poly's
+        # non-integer, complex, near-zero and above-256 integer shifts at
+        # order -n, where a float binomial-shift expansion used to report a
+        # rounding bound: the value is euler_poly's, the 60-digit sum
+        # correctly rounded, with bound 0 and n + 1 terms
         rng = random.Random(20261019)
         for _ in range(200):
             r = rng.choice((rng.uniform(0.05, 0.9), rng.uniform(0.9, 0.995)))
@@ -244,8 +245,9 @@ class TestHurwitzZeta:
             n, h = rng.randrange(25), rng.randrange(3)
             sv = qzeta_hurwitz(-n, x, h, q)
             assert sv.value == euler_poly(n, x, h, q)
-            err, _ = _finite_sum_error(sv.value, n, x, h, q)
-            assert 0.0 < sv.error_bound and err <= sv.error_bound, (n, x, h, q)
+            _, ref = _finite_sum_error(sv.value, n, x, h, q)
+            assert sv.value == ref, (n, x, h, q)
+            assert sv.error_bound == 0.0 and sv.terms_used == n + 1, (n, x, h, q)
 
     @pytest.mark.parametrize(
         "s,x,h,q",
