@@ -515,8 +515,6 @@ def terminating_alt_sum(n: int, h: int, q: complex, x) -> complex:
     _SHIFT_ATTEMPTS attempts raises NonConvergenceError.  A value beyond the
     float range raises FloatRangeError.
     """
-    if n < 0 or h < 0:
-        raise ValueError("n and h must be nonnegative integers")
     q = complex(q)
     Q, e = _dyadic(q)
     if x is not None:

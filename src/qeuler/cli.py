@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
 from .continuation import curve_grid, euler_poly_continuation
 from .errors import NonConvergenceError, PoleError, QEulerError
 from .exact import _euler_numerators, _reduced_euler_number, exact_euler_poly
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_int, as_qparameter, check_order_terms
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter, check_order_terms
 from .numeric import euler_numbers, euler_poly
 from .verification import run_checks
 from .zeta import qzeta, qzeta_deriv, qzeta_hurwitz
@@ -120,18 +121,17 @@ def _series(sv: SeriesValue) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_numbers(args, cfg, qp, meta) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be a nonnegative integer")
-    check_order_terms(args.n, cfg)
-    ns = range(args.n + 1)
+    n = as_index(args.n, "--n")
+    check_order_terms(n, cfg)
+    ns = range(n + 1)
     if args.exact:
-        table, cyclotomics = _euler_numerators(args.n + 1), {}  # one of each for every E_n
+        table, cyclotomics = _euler_numerators(n + 1), {}  # one of each for every E_n
         rendered = [str(_reduced_euler_number(table, n, cyclotomics)) for n in ns]
         text = [f"E_{n} = {r}" for n, r in zip(ns, rendered)]
         rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
         # The JSON maps each n, as a string, to its rendered value.
         return _emit(args.format, meta, text, rows, "exact", dict(zip(map(str, ns), rendered)))
-    values = euler_numbers(args.n, qp)
+    values = euler_numbers(n, qp)
     text = [f"q-Euler numbers at q = {_fmt_complex(qp.q)}"]
     text += [f"  E_{n} = {_fmt_complex(v)}" for n, v in zip(ns, values)]
     rows = [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(ns, values)]
@@ -141,9 +141,7 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
 def _cmd_poly(args, cfg, qp, meta) -> int:
     check_order_terms(args.n, cfg)
     if args.exact:
-        x = as_int(args.x)
-        if x is None or x < 0:
-            raise ValueError("--x must be a nonnegative integer for --exact")
+        x = as_index(args.x, "--x")
         value = str(exact_euler_poly(args.n, x, args.h))
         text = [f"E_{args.n}({x}, {args.h} | q) = {value}"]
         return _emit(args.format, meta, text, [{"n": args.n, "x": x, "h": args.h, "exact": value}])
@@ -166,8 +164,8 @@ def _cmd_zeta(args, cfg, qp, meta) -> int:
 
 
 def _cmd_continue(args, cfg, qp, meta) -> int:
-    if args.s < 0:
-        raise ValueError("continue needs --s >= 0")
+    if not 0 <= args.s < math.inf:
+        raise ValueError(f"continue needs a finite --s >= 0, got {args.s!r}")
     if args.w is not None:
         if args.deriv:
             raise ValueError("--deriv cannot be combined with --w")

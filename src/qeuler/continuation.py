@@ -61,18 +61,26 @@ __all__ = [
 ]
 
 
+def _reflected(s) -> complex:
+    # -s, with a non-finite order refused as the caller gave it
+    sc = complex(s)
+    if not cmath.isfinite(sc):
+        raise ValueError(f"the order must be finite, got {s!r}")
+    return -sc
+
+
 def euler_continuation(s, q, config: EngineConfig | None = None) -> complex:
     """E_q(s) = zeta_q(-s): the q-Euler numbers continued in the order.
 
     Matches euler_number(n, q) at integer s = n >= 1 and equals the
     positive-order zeta values at negative integers.
     """
-    return qzeta(-complex(s), 0, q, config).value
+    return qzeta(_reflected(s), 0, q, config).value
 
 
 def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> complex:
     """d/ds E_q(s) = -zeta_q'(-s) (chain rule through the reflection)."""
-    return -qzeta_deriv(-complex(s), 0, q, config=config).value
+    return -qzeta_deriv(_reflected(s), 0, q, config=config).value
 
 
 def _binomials(s: float, top: int) -> list[float]:
@@ -96,7 +104,7 @@ def _order_terms(
         raise ValueError(f"the polynomial continuation needs a finite s >= 0, got {sv!r}")
     fs = math.floor(sv)
     if fs + 2 > cfg.max_terms:
-        raise NonConvergenceError(f"order {sv!r} has {fs + 2} terms, above max_terms={cfg.max_terms}")
+        raise NonConvergenceError(f"order {sv!r} has more terms than max_terms={cfg.max_terms}")
     frac = sv - fs
     binom = _binomials(sv, fs + 1)  # the weight of k is binom(s, [s] - k)
     terms = []

@@ -29,6 +29,7 @@ import operator
 from fractions import Fraction
 
 from .errors import PoleError
+from .kernel import as_index
 
 __all__ = [
     "PolyZ",
@@ -422,8 +423,7 @@ def exact_euler_number(n: int) -> RationalQ:
     and reduced once, by dividing out the cyclotomic factors of that
     denominator; nothing is cached.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    n = as_index(n, "n")
     return _reduced_euler_number(_euler_numerators(n + 1), n, {})
 
 
@@ -447,8 +447,7 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
     dividing out its cyclotomic factors.  The apparent (1-q)^n pole must
     cancel: PoleError if a factor 1-q is left in the denominator.
     """
-    if n < 0 or x < 0 or h < 0:
-        raise ValueError("n, x, h must be nonnegative integers")
+    n, x, h = as_index(n, "n"), as_index(x, "x"), as_index(h, "h")
     w = _width(1 << 2 * n + 1)
     num, _ = _euler_poly_pair(n, x, h, w)
     exps = {1: n}
@@ -557,16 +556,9 @@ def verify_identity(identity: str, n: int, k: int = 0) -> bool:
     """
     if identity not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_NAMES}")
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if identity == "binomial-expansion":
-        if k < 0:
-            raise ValueError("the shift x = k must be a nonnegative integer")
-    elif identity in ("even-shift", "even-shift-recombined", "even-shift-wrong-sign"):
-        if k <= 0 or k % 2 != 0:
-            raise ValueError(f"{identity} requires a positive even k, got {k}")
-    elif identity != "poly-vs-recurrence":
-        if k <= 0 or k % 2 != 1:
-            raise ValueError(f"{identity} requires a positive odd k, got {k}")
-    shift = 0 if identity == "poly-vs-recurrence" else k  # k is ignored there
-    return _verify_identity(identity, n, k, _euler_numerators(n + 1, shift))
+    n = as_index(n, "n")
+    k = 0 if identity == "poly-vs-recurrence" else as_index(k, "k")  # k is ignored there
+    parity = identity.split("-")[0]
+    if parity in ("even", "odd") and (k == 0 or k % 2 != (parity == "odd")):
+        raise ValueError(f"{identity} requires a positive {parity} k, got {k}")
+    return _verify_identity(identity, n, k, _euler_numerators(n + 1, k))

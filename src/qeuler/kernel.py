@@ -1,9 +1,9 @@
 """Scalar kernels shared by every evaluator in the package.
 
 Hosts the validated deformation parameter, the one integer test every
-module uses, the q-bracket, and the truncation contract used by all
-geometric-tail series.  Everything here is a pure function of its
-arguments; nothing keeps state.
+module uses, the one check (as_index) of every order, offset and integer
+shift, the q-bracket, and the truncation contract used by all
+geometric-tail series.  Nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "EngineConfig",
     "SeriesValue",
     "DEFAULT_CONFIG",
+    "as_index",
     "as_int",
     "as_qparameter",
     "check_order_terms",
@@ -101,7 +102,7 @@ class SeriesValue:
 def as_int(z) -> int | None:
     """Return z as an int when it is a finite real integer, else None.
 
-    Callers apply their own sign and size limits to the result.
+    as_index adds the sign limit of an index; callers apply their own size limits.
     """
     if isinstance(z, int):
         return z
@@ -109,6 +110,14 @@ def as_int(z) -> int | None:
     if z.imag == 0.0 and z.real.is_integer():
         return int(z.real)
     return None
+
+
+def as_index(value, name: str) -> int:
+    """value as a nonnegative int, 2.0 as 2, else ValueError naming the argument."""
+    i = as_int(value)
+    if i is None or i < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return i
 
 
 def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> complex:

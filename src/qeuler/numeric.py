@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_qparameter
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter
 
 __all__ = [
     "euler_number",
@@ -41,8 +41,7 @@ _EPS = sys.float_info.epsilon
 def euler_numbers(n: int, q) -> list[complex]:
     """The q-Euler numbers E_0..E_n: E_0 = (1+q)/2 and
     E_m = -(1/(1+q^m)) sum_{l<m} C(m,l) q^l E_l."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    n = as_index(n, "n")
     qq = as_qparameter(q).q
     table = [(1.0 + qq) / 2.0]
     for m in range(1, n + 1):
@@ -57,7 +56,7 @@ def euler_numbers(n: int, q) -> list[complex]:
 
 def euler_number(n: int, q) -> complex:
     """The n-th q-Euler number; see euler_numbers."""
-    return euler_numbers(n, q)[n]
+    return euler_numbers(n, q)[-1]
 
 
 def euler_poly(n: int, x, h: int, q) -> complex:
@@ -71,11 +70,7 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     shift ValueError.  At x = 0 this reduces to the q-Euler numbers (h = 0)
     by definition.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not isinstance(h, int) or h < 0:
-        raise ValueError("h must be a nonnegative integer")
-    return terminating_alt_sum(n, h, as_qparameter(q).q, x)
+    return terminating_alt_sum(as_index(n, "n"), as_index(h, "h"), as_qparameter(q).q, x)
 
 
 def scaled_classical_euler(n: int) -> list[int]:
@@ -84,8 +79,7 @@ def scaled_classical_euler(n: int) -> list[int]:
     E_0 = 1 and E_m = -(1/2) sum_{l<m} C(m,l) E_l make every E_m dyadic, so
     a_m = 2^m E_m = -sum_{l<m} C(m,l) a_l 2^(m-1-l) stays in the integers.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    n = as_index(n, "n")
     a = [1]
     for m in range(1, n + 1):
         a.append(-sum(math.comb(m, l) * a[l] << (m - 1 - l) for l in range(m)))
@@ -95,11 +89,13 @@ def scaled_classical_euler(n: int) -> list[int]:
 def classical_euler_number(n: int) -> Fraction:
     """Euler number of the classical generating function 2/(e^t + 1):
     E_0 = 1 and E_n = -(1/2) sum_{l<n} C(n,l) E_l, exact."""
+    n = as_index(n, "n")
     return Fraction(scaled_classical_euler(n)[n], 2**n)
 
 
 def classical_euler_poly(n: int, x) -> complex:
     """Classical Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k)."""
+    n = as_index(n, "n")
     a = scaled_classical_euler(n)
     z = complex(x)
     total = 0j
@@ -143,10 +139,7 @@ def euler_poly_series_oracle(
     This is an independent check instrument: it never calls the direct
     evaluators above.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not isinstance(h, int) or h < 0:
-        raise ValueError("h must be a nonnegative integer")
+    n, h = as_index(n, "n"), as_index(h, "h")
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     qp = as_qparameter(q)

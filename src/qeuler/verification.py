@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .continuation import curve_grid, euler_continuation, euler_continuation_deriv
 from .exact import _euler_numerators, _unpack, _verify_identity, verify_identity
-from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, as_qparameter
+from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, as_index, as_qparameter
 from .numeric import (
     classical_euler_number,
     euler_number,
@@ -109,7 +109,7 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
     return out
 
 
-def _numeric_checks(q, max_n: int, max_k: int, config: EngineConfig) -> list[CheckResult]:
+def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
     qp = as_qparameter(q)
     out = []
 
@@ -251,8 +251,7 @@ def run_checks(
     if exact_only and numeric_only:
         raise ValueError("exact_only and numeric_only are mutually exclusive")
     # Smaller counts would leave checks that cover nothing and still pass.
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    max_n = as_index(max_n, "max_n")
     if max_k < 2:
         raise ValueError(f"max_k must be at least 2 so that both shift parities are checked, got {max_k}")
     cfg = config or DEFAULT_CONFIG
@@ -260,5 +259,5 @@ def run_checks(
     if not numeric_only:
         results.extend(_exact_checks(max_n, max_k))
     if not exact_only:
-        results.extend(_numeric_checks(q, max_n, max_k, cfg))
+        results.extend(_numeric_checks(q, max_n, cfg))
     return results

@@ -46,6 +46,7 @@ from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
     SeriesValue,
+    as_index,
     as_int,
     as_qparameter,
     check_order_terms,
@@ -148,8 +149,7 @@ def _kseries(
     # Shared driver: validation, the finite sums at terminating orders, and
     # the summed k-series with its tail ratio.  factors, when given, is the
     # plain variant's table at this (h, q), shared with other orders.
-    if not isinstance(h, int) or h < 0:
-        raise ValueError("h must be a nonnegative integer")
+    h = as_index(h, "h")
     qq = as_qparameter(q).q
     cfg = config or DEFAULT_CONFIG
     s = complex(s)

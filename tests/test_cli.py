@@ -111,6 +111,14 @@ class TestPoly:
         code, _ = run_cli(capsys, ["poly", "--q", "0.5", "--n", "2", "--x", "0.5", "--exact"])
         assert code == 2
 
+    def test_exact_shift_is_an_index(self, capsys):
+        code = main(["poly", "--q", "0.5", "--n", "3", "--x", "2.5", "--exact"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --x must be a nonnegative integer, got (2.5+0j)\n"
+        for fmt in ("text", "json"):
+            _, want = run_cli(capsys, ["poly", "--q", "0.5", "--n", "3", "--x", "2", "--exact", "--format", fmt])
+            assert run_cli(capsys, ["poly", "--q", "0.5", "--n", "3", "--x", "2.0", "--exact", "--format", fmt]) == (0, want)
+
     def test_exact_rejects_infinite_shift(self, capsys):
         code = main(["poly", "--q", "0.5", "--n", "2", "--x", "1e999", "--exact"])
         assert code == 2
@@ -181,6 +189,18 @@ class TestContinue:
     def test_negative_order_rejected(self, capsys):
         code, _ = run_cli(capsys, ["continue", "--q", "0.5", "--s", "-1"])
         assert code == 2
+
+    @pytest.mark.parametrize("s", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("w", [[], ["--w", "0.5"], ["--deriv"]])
+    def test_order_named_as_given(self, capsys, s, w):
+        assert main(["continue", "--q", "0.5", "--s", s, *w]) == 2
+        assert capsys.readouterr().err == f"error: continue needs a finite --s >= 0, got {float(s)!r}\n"
+
+    def test_zero_q_at_a_fractional_order(self, capsys):
+        # q^((k + 0.5) w) at q = 0 is 0, but its k = -1 term raises 0 to a
+        # negative power
+        assert main(["continue", "--q", "0", "--s", "2.5", "--w", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: 0 raised to power")
 
     def test_leading_dot_negative_literal(self, capsys):
         code, out = run_cli(capsys, ["continue", "--q", "0.5", "--s", "2", "--w", "-.25"])
@@ -348,6 +368,11 @@ class TestBudget:
         assert main(command.split()) == 3
         assert capsys.readouterr().out == ""
 
+    def test_over_budget_order_is_named_not_its_term_count(self, capsys):
+        assert main(["continue", "--q", "0.5", "--s", "1e300", "--w", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: non-convergence: order 1e+300 has more terms than max_terms=10000\n"
+
     def test_classical_zeta_at_huge_nonpositive_order(self):
         # n + 1 terms above max_terms: refused before the exact sum starts
         code = (
@@ -376,6 +401,20 @@ class TestOverflow:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestIndexArguments:
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_negative_count_exits_two_with_one_error_line(self, exact):
+        # the exact path indexes a table by n, so it must refuse n < 0 first
+        proc = spawn("from qeuler.cli import run; run()", "numbers", "--q", "0.5", "--n", "-1", *exact)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --n must be a nonnegative integer, got -1\n"
+
+    def test_verify_names_max_n(self, capsys):
+        assert main(["verify", "--q", "0.5", "--max-n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: max_n must be a nonnegative integer, got -1\n"
 
 
 class TestModuleEntry:

@@ -63,6 +63,13 @@ class TestNumberContinuation:
             fd = (euler_continuation(s + h, qp) - euler_continuation(s - h, qp)) / (2 * h)
             assert rel_err(d, fd) <= 1e-6
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+    def test_non_finite_order_is_named_as_given(self, s):
+        for evaluate in (euler_continuation, euler_continuation_deriv):
+            with pytest.raises(ValueError) as info:
+                evaluate(s, QParameter(0.5))
+            assert str(info.value) == f"the order must be finite, got {s!r}"
+
     def test_derivative_at_odd_integer(self):
         qp = QParameter(0.5)
         h = 1e-5
@@ -166,6 +173,10 @@ class TestCurveGrid:
         pts = inclusive_range(-0.5, 0.5, 0.05)
         assert len(pts) == 21
         assert pts[-1] == 0.5
+        # 3 * 0.1 is 0.30000000000000004, above hi
+        pts = inclusive_range(0.0, 0.3, 0.1)
+        assert len(pts) == 4
+        assert pts[-1] == 0.3
 
     def test_integer_rows_match_direct_polynomials(self):
         qp = QParameter(0.5)

@@ -9,8 +9,8 @@ from qeuler import (
     QParameter,
     q_bracket,
 )
-from qeuler.errors import NonConvergenceError
-from qeuler.kernel import DEFAULT_CONFIG, as_int, sum_series_geometric
+from qeuler.errors import NonConvergenceError, PoleError
+from qeuler.kernel import DEFAULT_CONFIG, as_int, cpow, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 
@@ -82,6 +82,20 @@ class TestAsInt:
     @pytest.mark.parametrize("z", [0.5, 1 + 1e-12j, 3j, math.inf, -math.inf, math.nan, complex(math.inf, 0)])
     def test_non_integers(self, z):
         assert as_int(z) is None
+
+
+class TestCpowZeroBase:
+    def test_integer_exponents(self):
+        assert cpow(0, 0) == 1
+        assert cpow(0, 3) == 0
+        with pytest.raises(PoleError):
+            cpow(0, -2)
+
+    def test_non_integer_exponents(self):
+        assert cpow(0, 2.5) == 0 and cpow(0, 0.5 + 3j) == 0
+        for exponent in (-0.5, 1j, -2.5 + 1j):
+            with pytest.raises(PoleError):
+                cpow(0, exponent)
 
 
 class TestSeriesEngine:

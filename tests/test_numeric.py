@@ -669,6 +669,13 @@ class TestNumericShiftIdentities:
 
 
 class TestSeriesOracle:
+    @pytest.mark.parametrize("q", [0.3 + 0.4j, -0.5])
+    def test_verify_skips_the_oracle_outside_its_domain(self, q):
+        from qeuler.verification import run_checks
+
+        (oracle,) = [r for r in run_checks(q, max_n=2, max_k=2, numeric_only=True) if r.name == "numeric/oracle-agreement"]
+        assert oracle.passed and oracle.detail.startswith("skipped:")
+
     def test_matches_number(self):
         sv = euler_poly_series_oracle(2, 0, 0, QParameter(0.5), depth=2)
         assert sv.converged

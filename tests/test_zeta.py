@@ -468,6 +468,27 @@ class TestClassicalZeta:
             with pytest.raises(NonConvergenceError):
                 classical_zeta_E(-16, x, config=cfg)
 
+    @pytest.mark.parametrize("s,x", [(1.5 + 2j, 0.25), (0.5, 0.5), (3, 0.1)])
+    def test_shifted_off_the_integers_against_mpmath(self, s, x):
+        # 2 sum_n (-1)^n (n+x)^(-s) = 2^(1-s) (zeta(s, x/2) - zeta(s, (x+1)/2))
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ms = mp.mpc(s)
+            ref = complex(2 * mp.power(2, -ms) * (mp.zeta(ms, mp.mpf(x) / 2) - mp.zeta(ms, (mp.mpf(x) + 1) / 2)))
+        sv = classical_zeta_E(s, x)
+        assert sv.converged
+        assert abs(sv.value - ref) <= sv.error_bound
+
+    @pytest.mark.parametrize("s", [-2.5, -25.3])
+    def test_negative_real_part_is_within_its_bound_or_flagged(self, s):
+        # the acceleration's sweet-spot branch; at -25.3 the error is about
+        # 7 times the bound, so only the flag holds there
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = complex(-2 * mp.altzeta(s))
+        sv = classical_zeta_E(s)
+        assert not sv.converged or abs(sv.value - ref) <= sv.error_bound
+
     def test_bridge_to_q_side(self):
         # at q = 0.9999 the geometric tail ratio is 0.9999, so honest
         # convergence takes ~1e5 terms; widen the budget accordingly
