@@ -122,16 +122,16 @@ def _series(sv: SeriesValue) -> tuple[list[str], list[dict]]:
 
 def _cmd_numbers(args, cfg, qp, meta) -> int:
     n = as_index(args.n, "--n")
-    check_order_terms(n, cfg)
     ns = range(n + 1)
     if args.exact:
-        table, cyclotomics = _euler_numerators(n + 1), {}  # one of each for every E_n
-        rendered = [str(_reduced_euler_number(table, n, cyclotomics)) for n in ns]
+        check_order_terms(n, cfg)
+        table = _euler_numerators(n + 1)  # one for every E_n
+        rendered = [str(_reduced_euler_number(table, n)) for n in ns]
         text = [f"E_{n} = {r}" for n, r in zip(ns, rendered)]
         rows = [{"n": n, "exact": r} for n, r in zip(ns, rendered)]
         # The JSON maps each n, as a string, to its rendered value.
         return _emit(args.format, meta, text, rows, "exact", dict(zip(map(str, ns), rendered)))
-    values = euler_numbers(n, qp)
+    values = euler_numbers(n, qp, cfg)
     text = [f"q-Euler numbers at q = {_fmt_complex(qp.q)}"]
     text += [f"  E_{n} = {_fmt_complex(v)}" for n, v in zip(ns, values)]
     rows = [{"n": n, "re": v.real, "im": v.imag} for n, v in zip(ns, values)]
@@ -139,13 +139,13 @@ def _cmd_numbers(args, cfg, qp, meta) -> int:
 
 
 def _cmd_poly(args, cfg, qp, meta) -> int:
-    check_order_terms(args.n, cfg)
     if args.exact:
+        check_order_terms(args.n, cfg)
         x = as_index(args.x, "--x")
         value = str(exact_euler_poly(args.n, x, args.h))
         text = [f"E_{args.n}({x}, {args.h} | q) = {value}"]
         return _emit(args.format, meta, text, [{"n": args.n, "x": x, "h": args.h, "exact": value}])
-    v = euler_poly(args.n, args.x, args.h, qp)
+    v = euler_poly(args.n, args.x, args.h, qp, cfg)
     text = [f"E_{args.n}({_fmt_complex(args.x)}, {args.h} | q) = {_fmt_complex(v)}"]
     return _emit(args.format, meta, text, [{"n": args.n, "x": args.x, "h": args.h, "re": v.real, "im": v.imag}])
 

@@ -5,9 +5,11 @@ RationalQ is the canonical value the engine returns, a coprime pair of them
 (denominator with positive leading coefficient, no common integer content).
 On top of those sit the q-Euler numbers and polynomials, each summed as a
 numerator over its known denominator and reduced once, by _reduced, by trial
-division by the cyclotomic factors of that denominator, and an identity
+division by the cyclotomic factors Phi_d of that denominator, and an identity
 checker that decides the shift/expansion identities by exact equality,
-cross-multiplying unreduced pairs.  No path takes a polynomial gcd.
+cross-multiplying unreduced pairs.  No path takes a polynomial gcd, and no
+Phi_d is built: a trial multiplies and divides by the binomials q^e - 1,
+e | d, whose Moebius product Phi_d is, each one pass over the coefficients.
 
 The sums and the identity checks run on packed integers (Kronecker
 substitution): a polynomial P is carried as the one integer P(2^w), so a
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import PoleError
 from .kernel import as_index
@@ -303,19 +306,55 @@ def _unpack(v: int, w: int) -> PolyZ:
 # polynomials Phi_d: 1 + q^m = prod Phi_d over d | 2m with d not dividing m,
 # and 1 - q = -Phi_1.  The Phi_d are irreducible over Q, so dividing each one
 # out of the numerator while that division is exact leaves a coprime pair,
-# with no remainder sequence.
+# with no remainder sequence.  No Phi_d is built: by Moebius inversion of
+# q^d - 1 = prod_{e | d} Phi_e,
+#     Phi_d = prod_{e | d} (q^e - 1)^mu(d/e),
+# so a value is multiplied or divided by Phi_d one binomial q^e - 1 at a
+# time.  On a coefficient list read from the top power down, q^e - 1 acts
+# as 1 - q^e does from the bottom up: a product by it is r_k - r_(k-e), and
+# an exact quotient by it is the running sums of r along each residue class
+# k mod e.  Each is one pass over the list.
 
 
-def _cyclotomic(d: int, table: dict) -> PolyZ:
-    # Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e; table holds those built so far
-    phi = table.get(d)
-    if phi is None:
-        phi = PolyZ.monomial(1, d) - PolyZ.one()
-        for e in range(1, d // 2 + 1):
-            if d % e == 0:
-                phi = phi.divexact(_cyclotomic(e, table))
-        table[d] = phi
-    return phi
+def _binomials(d: int) -> tuple[list[int], list[int]]:
+    # (the e | d with mu(d/e) = +1, those with mu(d/e) = -1), so that Phi_d
+    # is the product of q^e - 1 over the first divided by that over the second
+    plus, minus, m = [d], [], d
+    for p in range(2, d + 1):
+        if m % p == 0:  # a prime, as m has lost every smaller prime of d
+            plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+            while m % p == 0:
+                m //= p
+    return plus, minus
+
+
+def _times_binomial(r: list, e: int) -> list:
+    # r * (q^e - 1), both lists highest power first
+    return list(map(operator.sub, r + [0] * e, [0] * e + r))
+
+
+def _over_binomial(r: list, e: int) -> list | None:
+    # r / (q^e - 1), highest power first, or None when that is not exact in
+    # Z[q]: the last e running sums are the remainder, and must all be 0
+    out = r[:]
+    for j in range(e):
+        out[j::e] = accumulate(r[j::e])
+    return None if any(out[-e:]) else out[:-e]
+
+
+def _over_cyclotomic(r: list, plus: list, minus: list) -> list | None:
+    # r / Phi_d given _binomials(d), highest power first, or None when Phi_d
+    # does not divide r.  All products come first, so when Phi_d | r every
+    # quotient is exact.  The first, by q^d - 1, decides: minus holds each
+    # d/p, p | d prime, so the products supply every Phi_e, e a proper
+    # divisor of d, but not Phi_d.
+    for e in minus:
+        r = _times_binomial(r, e)
+    for e in plus:
+        r = _over_binomial(r, e)
+        if r is None:
+            return None
+    return r
 
 
 def _add_one_plus_q_power(exps: dict, m: int) -> None:
@@ -325,33 +364,49 @@ def _add_one_plus_q_power(exps: dict, m: int) -> None:
             exps[d] = exps.get(d, 0) + 1
 
 
-def _reduced(num: PolyZ, const: int, exps: dict, cyclotomics: dict) -> RationalQ:
+def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
     """num / (const * prod_d Phi_d^exps[d]) in canonical form.
 
     Each Phi_d is divided out of the numerator while that is exact, at most
     exps[d] times, and exps is left holding the multiplicities that remain.
-    The denominator is then built from those, and the integer content the
-    two share is cleared with the sign that makes its leading coefficient
-    positive (a product of monic Phi_d has content 1).  cyclotomics is the
-    _cyclotomic table, which a caller reducing many values shares.
+    A trial multiplies by q^e - 1 for each e | d with mu(d/e) = -1, then
+    divides by q^e - 1 for each e with mu(d/e) = +1; it is exact if and only
+    if every one of those divisions leaves remainder 0 (the first, by
+    q^d - 1, decides), and a trial that is not leaves the numerator as it
+    was.  The denominator is built the same way from the net exponent of
+    each q^e - 1 that remains, all products first and then the divisions,
+    which are exact.  The integer content the two share is cleared with the
+    sign that makes the denominator's leading coefficient positive (a
+    product of monic Phi_d has content 1).
     """
     if num.is_zero:
         exps.clear()
         return RationalQ(PolyZ(), PolyZ.one())
-    den = PolyZ.one()
+    r, net = list(reversed(num.coeffs)), {}
     for d in sorted(exps):
-        phi = _cyclotomic(d, cyclotomics)
+        plus, minus = _binomials(d)
         while exps[d]:
-            try:
-                num = num.divexact(phi)
-            except ValueError:
+            trial = _over_cyclotomic(r, plus, minus)
+            if trial is None:
                 break
+            r = trial
             exps[d] -= 1
-        den = phi ** exps[d] * den
+        for e in plus:
+            net[e] = net.get(e, 0) + exps[d]
+        for e in minus:
+            net[e] = net.get(e, 0) - exps[d]
+    den = [1]
+    for e, k in net.items():
+        for _ in range(k):
+            den = _times_binomial(den, e)
+    for e, k in net.items():
+        for _ in range(-k):
+            den = _over_binomial(den, e)
+    num = PolyZ(reversed(r))
     c = math.gcd(num.content(), const) * (1 if const > 0 else -1)
     if c != 1:
         num = num.div_scalar(c)
-    return RationalQ(num, den * (const // c))
+    return RationalQ(num, PolyZ([v * (const // c) for v in reversed(den)]))
 
 
 def _numerator_norms(count: int) -> list[int]:
@@ -424,17 +479,17 @@ def exact_euler_number(n: int) -> RationalQ:
     denominator; nothing is cached.
     """
     n = as_index(n, "n")
-    return _reduced_euler_number(_euler_numerators(n + 1), n, {})
+    return _reduced_euler_number(_euler_numerators(n + 1), n)
 
 
-def _reduced_euler_number(table: tuple, n: int, cyclotomics: dict) -> RationalQ:
+def _reduced_euler_number(table: tuple, n: int) -> RationalQ:
     # E_n in canonical form from an _euler_numerators(c) table, c > n; a
-    # caller that wants E_0..E_n builds one table and one cyclotomics for all.
+    # caller that wants E_0..E_n builds one table for all.
     exps: dict = {}
     for m in range(1, n + 1):
         _add_one_plus_q_power(exps, m)
     w, nums, _ = table
-    return _reduced(_unpack(nums[n], w), 2, exps, cyclotomics)
+    return _reduced(_unpack(nums[n], w), 2, exps)
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
@@ -454,7 +509,7 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
     for l in range(n + 1):
         if l + h:
             _add_one_plus_q_power(exps, l + h)
-    out = _reduced(_unpack(num, w), (-1) ** n * (1 if h else 2), exps, {})
+    out = _reduced(_unpack(num, w), (-1) ** n * (1 if h else 2), exps)
     if exps.get(1):
         raise PoleError("the (1-q)^n pole failed to cancel")
     return out

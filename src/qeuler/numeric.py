@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter, check_order_terms
 
 __all__ = [
     "euler_number",
@@ -38,10 +38,14 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 
 
-def euler_numbers(n: int, q) -> list[complex]:
+def euler_numbers(n: int, q, config: EngineConfig | None = None) -> list[complex]:
     """The q-Euler numbers E_0..E_n: E_0 = (1+q)/2 and
-    E_m = -(1/(1+q^m)) sum_{l<m} C(m,l) q^l E_l."""
+    E_m = -(1/(1+q^m)) sum_{l<m} C(m,l) q^l E_l.
+
+    n + 1 above config.max_terms is refused before any work, with
+    NonConvergenceError, as for the zeta sums at order -n."""
     n = as_index(n, "n")
+    check_order_terms(n, config or DEFAULT_CONFIG)
     qq = as_qparameter(q).q
     table = [(1.0 + qq) / 2.0]
     for m in range(1, n + 1):
@@ -54,12 +58,12 @@ def euler_numbers(n: int, q) -> list[complex]:
     return table
 
 
-def euler_number(n: int, q) -> complex:
+def euler_number(n: int, q, config: EngineConfig | None = None) -> complex:
     """The n-th q-Euler number; see euler_numbers."""
-    return euler_numbers(n, q)[-1]
+    return euler_numbers(n, q, config)[-1]
 
 
-def euler_poly(n: int, x, h: int, q) -> complex:
+def euler_poly(n: int, x, h: int, q, config: EngineConfig | None = None) -> complex:
     """The q-Euler polynomial E_n(x, h | q), correctly rounded.
 
     It is the terminating alternating sum
@@ -67,10 +71,13 @@ def euler_poly(n: int, x, h: int, q) -> complex:
     at every finite shift x, integer or not, negative or complex, with q^x
     on the branch of cmath.log(q), as cpow takes it (see _exactcomplex).  A
     value beyond the float range raises FloatRangeError, and a non-finite
-    shift ValueError.  At x = 0 this reduces to the q-Euler numbers (h = 0)
-    by definition.
+    shift ValueError.  n + 1 terms above config.max_terms are refused before
+    any work, with NonConvergenceError.  At x = 0 this reduces to the
+    q-Euler numbers (h = 0) by definition.
     """
-    return terminating_alt_sum(as_index(n, "n"), as_index(h, "h"), as_qparameter(q).q, x)
+    n = as_index(n, "n")
+    check_order_terms(n, config or DEFAULT_CONFIG)
+    return terminating_alt_sum(n, as_index(h, "h"), as_qparameter(q).q, x)
 
 
 def scaled_classical_euler(n: int) -> list[int]:

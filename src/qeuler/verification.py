@@ -251,7 +251,7 @@ def run_checks(
     if exact_only and numeric_only:
         raise ValueError("exact_only and numeric_only are mutually exclusive")
     # Smaller counts would leave checks that cover nothing and still pass.
-    max_n = as_index(max_n, "max_n")
+    max_n, max_k = as_index(max_n, "max_n"), as_index(max_k, "max_k")
     if max_k < 2:
         raise ValueError(f"max_k must be at least 2 so that both shift parities are checked, got {max_k}")
     cfg = config or DEFAULT_CONFIG

@@ -358,13 +358,15 @@ class TestBudget:
     def test_numbers_and_poly_keep_the_term_budget(self, capsys, monkeypatch, command):
         # E_0..E_n and E_n(x, h | q) are order -n sums of n + 1 terms: above
         # max_terms they exit 3, as zeta does, before any value is computed.
-        from qeuler import cli
+        # The float entries check the budget themselves, before they read q.
+        from qeuler import cli, numeric
 
         def refused(*args):
             raise AssertionError("computed past the term budget")
 
-        for name in ("euler_numbers", "_euler_numerators", "euler_poly", "exact_euler_poly"):
-            monkeypatch.setattr(cli, name, refused)
+        for module, name in ((cli, "_euler_numerators"), (cli, "exact_euler_poly"),
+                             (numeric, "as_qparameter"), (numeric, "terminating_alt_sum")):
+            monkeypatch.setattr(module, name, refused)
         assert main(command.split()) == 3
         assert capsys.readouterr().out == ""
 

@@ -292,20 +292,98 @@ class TestKnownDenominators:
         assert verify_identity("even-shift-recombined", 20, 2)
 
 
+def binomial_cyclotomic(d: int) -> PolyZ:
+    # Phi_d from the library's binomial form: the product of q^e - 1 over
+    # mu(d/e) = +1, divided by each q^e - 1 over mu(d/e) = -1
+    plus, minus = exact._binomials(d)
+    r = [1]
+    for e in plus:
+        r = exact._times_binomial(r, e)
+    for e in minus:
+        r = exact._over_binomial(r, e)
+    return PolyZ(reversed(r))
+
+
+def oracle_cyclotomic(d: int, table: dict) -> PolyZ:
+    # Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e, by long division
+    if d not in table:
+        phi = PolyZ.monomial(1, d) - PolyZ.one()
+        for e in range(1, d):
+            if d % e == 0:
+                phi = phi.divexact(oracle_cyclotomic(e, table))
+        table[d] = phi
+    return table[d]
+
+
+def multiplicity(p: PolyZ, phi: PolyZ) -> int:
+    k = 0
+    while True:
+        try:
+            p = p.divexact(phi)
+        except ValueError:
+            return k
+        k += 1
+
+
 class TestCyclotomicReduction:
     """Canonical forms by trial division by the cyclotomic factors of the
     known denominators, with no remainder sequence."""
 
     def test_cyclotomic_polynomials(self):
-        table = {}
+        # Phi_m = prod_{e | m} (q^e - 1)^mu(m/e) has degree phi(m), and the
+        # Phi_d over d | m multiply to q^m - 1
         for m in range(1, 61):
-            phi = exact._cyclotomic(m, table)
+            phi = binomial_cyclotomic(m)
             assert phi.degree == sum(math.gcd(m, j) == 1 for j in range(1, m + 1)), m
             product = PolyZ.one()
             for d in range(1, m + 1):
                 if m % d == 0:
-                    product = product * exact._cyclotomic(d, table)
+                    product = product * binomial_cyclotomic(d)
             assert product == PolyZ.monomial(1, m) - PolyZ.one(), m
+
+    def test_reduction_against_the_prs_oracle(self):
+        # N = P prod Phi_d^a over const prod Phi_d^exps[d], with a below, at
+        # and above exps[d]: the canonical form is the oracle's, and exps is
+        # left holding the multiplicity of each Phi_d the numerator lacked
+        rng = random.Random(1907)
+        phis: dict = {}
+        seen = set()
+        for _ in range(60):
+            num = PolyZ([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))])
+            exps, den = {}, PolyZ.one()
+            for d in rng.sample(range(1, 31), rng.randint(1, 4)):
+                exps[d] = rng.randint(1, 3)
+                a = rng.choice((0, exps[d] - 1, exps[d], exps[d] + 1))
+                seen.add((a > exps[d]) - (a < exps[d]))
+                num = num * oracle_cyclotomic(d, phis) ** a
+                den = den * oracle_cyclotomic(d, phis) ** exps[d]
+            const = rng.choice((-12, -5, -2, -1, 1, 2, 6, 9))
+            left = {d: e - min(e, multiplicity(num, oracle_cyclotomic(d, phis))) for d, e in exps.items()}
+            got = exact._reduced(num, const, exps)
+            assert canonical(got) == canonical(canonical_form(num, den * const))
+            assert exps == left
+        assert seen == {-1, 0, 1}
+
+    def test_failed_trial_stops_at_the_first_division(self, monkeypatch):
+        # the products add no Phi_d, so the division by q^d - 1 decides: a
+        # numerator that Phi_6 does not divide fails there, and _reduced
+        # keeps it as it was
+        phi4, phi6 = oracle_cyclotomic(4, {}), oracle_cyclotomic(6, {})
+        results = []
+        over = exact._over_binomial
+
+        def recorded(r, e):
+            results.append(over(r, e))
+            return results[-1]
+
+        monkeypatch.setattr(exact, "_over_binomial", recorded)
+        quotient = exact._over_cyclotomic(list(reversed((phi4 * phi6).coeffs)), *exact._binomials(6))
+        assert PolyZ(reversed(quotient)) == phi4 and len(results) == 2 and None not in results
+        results.clear()
+        assert exact._over_cyclotomic(quotient, *exact._binomials(6)) is None and results == [None]
+        exps = {4: 1, 6: 2}
+        got = exact._reduced(phi4 * 3, 6, exps)
+        assert canonical(got) == ((1,), (phi6 * phi6 * 2).coeffs) and exps == {4: 0, 6: 2}
 
     def test_numbers_match_the_prs_reduction(self):
         nums, dens = oracle_numerators(21)

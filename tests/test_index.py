@@ -46,6 +46,7 @@ ENTRIES = [
     ("n", lambda v: verify_identity("odd-shift", v, 3)),
     ("k", lambda v: verify_identity("binomial-expansion", 3, v)),
     ("max_n", lambda v: run_checks(0.5, max_n=v, exact_only=True)),
+    ("max_k", lambda v: run_checks(0.5, max_n=2, max_k=v, exact_only=True)),
 ]
 IDS = [f"{i}-{name}" for i, (name, _) in enumerate(ENTRIES)]
 
@@ -73,6 +74,16 @@ class TestEveryEntry:
     def test_takes_two_point_zero_as_two(self, name, call):
         # repr tells -0.0 from 0.0, so equal reprs are equal bits
         assert repr(call(2.0)) == repr(call(2))
+
+    def test_max_k_is_read_before_its_least_value(self):
+        # 2.5 >= 2 used to pass and fail the four shift checks with TypeError
+        with pytest.raises(ValueError, match=r"^max_k must be a nonnegative integer, got 2.5$"):
+            run_checks(0.5, max_n=2, max_k=2.5, exact_only=True)
+        with pytest.raises(ValueError, match=r"^max_k must be at least 2 "):
+            run_checks(0.5, max_n=2, max_k=1.0, exact_only=True)
+        got = run_checks(0.5, max_n=2, max_k=4.0, exact_only=True)
+        assert got == run_checks(0.5, max_n=2, max_k=4, exact_only=True)
+        assert all(r.passed for r in got)
 
     def test_poly_vs_recurrence_ignores_k(self):
         assert verify_identity("poly-vs-recurrence", 3, -1)

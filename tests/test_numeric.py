@@ -13,6 +13,7 @@ from qeuler import (
     classical_euler_poly,
     classical_zeta_E,
     euler_number,
+    euler_numbers,
     euler_poly,
     euler_poly_series_oracle,
     q_bracket,
@@ -94,6 +95,38 @@ class TestClassical:
         assert classical_euler_poly(0, 123.4) == 1
         assert abs(classical_euler_poly(1, 0.5)) == 0  # x - 1/2
         assert abs(classical_euler_poly(2, 1)) == 0  # x^2 - x
+
+
+class TestTermBudget:
+    # E_0..E_n and E_n(x, h | q) take n + 1 terms; above config.max_terms
+    # (10,000 by default) they are refused before q is read or a sum starts
+
+    ENTRIES = [
+        lambda n, cfg: euler_poly(n, 0, 0, 0.5, cfg),
+        lambda n, cfg: euler_poly(n, 0.5, 1, 0.3 + 0.4j, cfg),
+        lambda n, cfg: euler_numbers(n, 0.5, cfg),
+        lambda n, cfg: euler_number(n, 0.5, cfg),
+    ]
+
+    @pytest.mark.parametrize("call", ENTRIES)
+    def test_large_order_refused_at_once(self, monkeypatch, call):
+        from qeuler import numeric
+
+        def refused(*args):
+            raise AssertionError("computed past the term budget")
+
+        monkeypatch.setattr(numeric, "as_qparameter", refused)
+        monkeypatch.setattr(numeric, "terminating_alt_sum", refused)
+        for cfg in (None, EngineConfig()):
+            with pytest.raises(NonConvergenceError, match=r"^the sum at order -20000 has 20001 terms, above max_terms=10000$"):
+                call(20000, cfg)
+
+    @pytest.mark.parametrize("call", ENTRIES)
+    def test_budget_is_the_config_max_terms(self, call):
+        cfg = EngineConfig(max_terms=16)
+        assert call(15, cfg) == call(15, None)
+        with pytest.raises(NonConvergenceError, match=r"^the sum at order -16 has 17 terms, above max_terms=16$"):
+            call(16, cfg)
 
 
 class TestEulerPoly:
