@@ -38,18 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
-from .kernel import (
-    DEFAULT_CONFIG,
-    FD_STEP,
-    EngineConfig,
-    QParameter,
-    as_qparameter,
-    cpow,
-    q_bracket,
-)
+from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_qparameter, cpow, q_bracket
 from .zeta import _kseries, _PlainFactors, qzeta, qzeta_deriv
 
 __all__ = [
@@ -146,30 +137,34 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
 
     At integer s this telescopes to the binomial expansion
     sum_k C(s,k) E_{k,q} q^(k w) [w]_q^(s-k); between integers it deforms one
-    polynomial curve into the next.  A value whose weights or sum lie
-    beyond the float range raises FloatRangeError.
+    polynomial curve into the next.  A non-finite w raises ValueError; a
+    value whose weights or sum lie beyond the float range raises
+    FloatRangeError.
     """
+    if not cmath.isfinite(complex(w)):
+        raise ValueError(f"w must be finite, got {w!r}")
     qp = as_qparameter(q)
     terms = _order_terms(s, qp, config or DEFAULT_CONFIG, _PlainFactors(0, qp.q))
     return _sum_over_w(terms, w, qp, _log_q(qp))
 
 
-@dataclass(frozen=True)
-class CurveGrid:
+class CurveGrid(Record):
     """Rectangular sampling of the deformation E_q(s, w), s outer, w inner."""
 
-    q: QParameter
-    s_values: tuple[float, ...]
-    w_values: tuple[float, ...]
-    values: tuple[tuple[complex, ...], ...]
-    metadata: dict
+    __slots__ = ("q", "s_values", "w_values", "values", "metadata")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.s_values):
+    def __init__(self, q: QParameter, s_values: tuple[float, ...], w_values: tuple[float, ...],
+                 values: tuple[tuple[complex, ...], ...], metadata: dict):
+        if len(values) != len(s_values):
             raise ValueError("grid row count does not match s sampling")
-        for row in self.values:
-            if len(row) != len(self.w_values):
+        for row in values:
+            if len(row) != len(w_values):
                 raise ValueError("grid column count does not match w sampling")
+        _set(self, "q", q)
+        _set(self, "s_values", s_values)
+        _set(self, "w_values", w_values)
+        _set(self, "values", values)
+        _set(self, "metadata", metadata)
 
 
 # A curve grid holds at most this many samples; both axes are counted, and a

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import PoleError
@@ -249,6 +248,7 @@ class RationalQ:
         return hash((self.num.coeffs, self.den.coeffs))
 
     def eval(self, q0):
+        from fractions import Fraction
         num, den = self.num.eval(q0), self.den.eval(q0)
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")

@@ -1,17 +1,15 @@
 """Scalar kernels shared by every evaluator in the package.
 
-Hosts the validated deformation parameter, the one integer test every
-module uses, the one check (as_index) of every order, offset and integer
-shift, the q-bracket, and the truncation contract used by all
-geometric-tail series.  Nothing here keeps state.
+Hosts the immutable-record base, the validated deformation parameter, the
+one integer test every module uses, the one check (as_index) of every order,
+offset and integer shift, the q-bracket, and the truncation contract used by
+all geometric-tail series.  Nothing here keeps state.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
 
 from .errors import NonConvergenceError, PoleError
 
@@ -29,20 +27,77 @@ __all__ = [
     "sum_series_geometric",
 ]
 
-@dataclass(frozen=True)
-class QParameter:
+
+def as_int(z) -> int | None:
+    """Return z as an int when it is a finite real integer, else None.
+
+    as_index adds the sign limit of an index; callers apply their own size limits.
+    """
+    if isinstance(z, int):
+        return z
+    z = complex(z)
+    if z.imag == 0.0 and z.real.is_integer():
+        return int(z.real)
+    return None
+
+
+def as_index(value, name: str) -> int:
+    """value as a nonnegative int, 2.0 as 2, else ValueError naming the argument."""
+    i = as_int(value)
+    if i is None or i < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return i
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record: a subclass names its fields in ``__slots__`` and sets each once, with
+    ``_set``, in its own ``__init__``; ==, hash, repr, matching and pickling follow the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class QParameter(Record):
     """Deformation parameter restricted to the open unit disk.
 
     |q| < 1 keeps every 1 + q^(h+k) denominator away from zero and makes the
     geometric tails of the series evaluators honest.
     """
 
-    q: complex
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", complex(self.q))
-        if not abs(self.q) < 1.0:
-            raise ValueError(f"deformation parameter needs |q| < 1, got {self.q!r}")
+    def __init__(self, q: complex):
+        q = complex(q)
+        if not abs(q) < 1.0:
+            raise ValueError(f"deformation parameter needs |q| < 1, got {q!r}")
+        _set(self, "q", q)
 
 
 def as_qparameter(q) -> QParameter:
@@ -50,18 +105,19 @@ def as_qparameter(q) -> QParameter:
     return q if isinstance(q, QParameter) else QParameter(complex(q))
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Numeric policy shared by the series evaluators."""
 
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
+    __slots__ = ("rel_tol", "max_terms")
 
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
+    def __init__(self, rel_tol: float = 1e-12, max_terms: int = 10000):
+        if not 0.0 < rel_tol < 1.0:
             raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 16:
+        max_terms = as_index(max_terms, "max_terms")
+        if max_terms < 16:
             raise ValueError("max_terms must be at least 16")
+        _set(self, "rel_tol", rel_tol)
+        _set(self, "max_terms", max_terms)
 
 
 def check_order_terms(n: int, config: EngineConfig) -> None:
@@ -84,8 +140,7 @@ FD_STEP = 1e-5
 EXACT_SHIFT_MAX = 256
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(Record):
     """A series result bundled with its truncation diagnostics.
 
     ``error_bound`` is an absolute bound on the discarded tail (0.0 for sums
@@ -93,31 +148,13 @@ class SeriesValue:
     configured relative tolerance before ``max_terms`` ran out.
     """
 
-    value: complex
-    error_bound: float
-    terms_used: int
-    converged: bool
+    __slots__ = ("value", "error_bound", "terms_used", "converged")
 
-
-def as_int(z) -> int | None:
-    """Return z as an int when it is a finite real integer, else None.
-
-    as_index adds the sign limit of an index; callers apply their own size limits.
-    """
-    if isinstance(z, int):
-        return z
-    z = complex(z)
-    if z.imag == 0.0 and z.real.is_integer():
-        return int(z.real)
-    return None
-
-
-def as_index(value, name: str) -> int:
-    """value as a nonnegative int, 2.0 as 2, else ValueError naming the argument."""
-    i = as_int(value)
-    if i is None or i < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return i
+    def __init__(self, value: complex, error_bound: float, terms_used: int, converged: bool):
+        _set(self, "value", value)
+        _set(self, "error_bound", error_bound)
+        _set(self, "terms_used", terms_used)
+        _set(self, "converged", converged)
 
 
 def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> complex:
@@ -148,7 +185,7 @@ def q_bracket(x, q) -> complex:
 
     For integer x >= 0 this is the geometric sum 1 + q + ... + q^(x-1) and is
     evaluated that way, so the agreement is exact.  Non-integer powers use the
-    principal branch.
+    principal branch.  A non-finite x raises ValueError.
     """
     qq = as_qparameter(q).q
     xi = as_int(x)
@@ -158,23 +195,20 @@ def q_bracket(x, q) -> complex:
         for _ in range(xi):
             acc = 1.0 + qq * acc
         return acc
+    if not cmath.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     return (1.0 - cpow(qq, x)) / (1.0 - qq)
 
 
-def sum_series_geometric(
-    terms: Iterable[complex],
-    ratio_mag: float,
-    growth_mag: float,
-    config: EngineConfig,
-) -> SeriesValue:
+def sum_series_geometric(terms, ratio_mag: float, growth_mag: float, config: EngineConfig) -> SeriesValue:
     """Accumulate the terms t_0, t_1, ... under the shared truncation rule.
 
-    ``terms`` is consumed in order, at most max_terms of it.  After adding
-    term K the tail is modelled as geometric with ratio rho = ratio_mag * (1
-    + growth_mag / (K+1)); once rho < 1 and |t_K| * rho / (1-rho) <= rel_tol
-    * |partial sum|, the sum stops and that bound is reported.  A sum that
-    stops on a non-finite total, or that exhausts max_terms, raises
-    NonConvergenceError carrying the partial.
+    ``terms``, an iterable of complex, is consumed in order, at most max_terms
+    of it.  After adding term K the tail is modelled as geometric with ratio
+    rho = ratio_mag * (1 + growth_mag / (K+1)); once rho < 1 and |t_K| * rho
+    / (1-rho) <= rel_tol * |partial sum|, the sum stops and that bound is
+    reported.  A sum that stops on a non-finite total, or that exhausts
+    max_terms, raises NonConvergenceError carrying the partial.
     """
     total = 0j
     last = 0j

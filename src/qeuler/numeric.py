@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from ._exactcomplex import terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
@@ -93,9 +92,10 @@ def scaled_classical_euler(n: int) -> list[int]:
     return a
 
 
-def classical_euler_number(n: int) -> Fraction:
+def classical_euler_number(n: int):
     """Euler number of the classical generating function 2/(e^t + 1):
-    E_0 = 1 and E_n = -(1/2) sum_{l<n} C(n,l) E_l, exact."""
+    E_0 = 1 and E_n = -(1/2) sum_{l<n} C(n,l) E_l, exact, as a Fraction."""
+    from fractions import Fraction
     n = as_index(n, "n")
     return Fraction(scaled_classical_euler(n)[n], 2**n)
 

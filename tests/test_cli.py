@@ -196,6 +196,12 @@ class TestContinue:
         assert main(["continue", "--q", "0.5", "--s", s, *w]) == 2
         assert capsys.readouterr().err == f"error: continue needs a finite --s >= 0, got {float(s)!r}\n"
 
+    def test_non_finite_w_is_a_usage_error(self, capsys):
+        # it used to exit 3 with "overflow", as a finite w beyond the float
+        # range still does
+        assert main(["continue", "--q", "0.5", "--s", "2.5", "--w", "1e999"]) == 2
+        assert capsys.readouterr().err == "error: w must be finite, got (inf+0j)\n"
+
     def test_zero_q_at_a_fractional_order(self, capsys):
         # q^((k + 0.5) w) at q = 0 is 0, but its k = -1 term raises 0 to a
         # negative power

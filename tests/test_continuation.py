@@ -151,6 +151,13 @@ class TestPolyContinuation:
         v = euler_poly_continuation(2, 0.3 + 0.2j, qp)
         assert v == pytest.approx(euler_poly(2, 0.3 + 0.2j, 0, qp), rel=1e-9)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, complex(0.5, math.inf), complex(math.nan, 0)])
+    @pytest.mark.parametrize("s", [2.5, 2])
+    def test_non_finite_w_is_named(self, s, w):
+        # used to read as a value beyond the float range
+        with pytest.raises(ValueError, match=r"^w must be finite, got "):
+            euler_poly_continuation(s, w, QParameter(0.5))
+
     def test_domain(self):
         with pytest.raises(ValueError):
             euler_poly_continuation(-0.5, 0.1, QParameter(0.5))
