@@ -31,17 +31,29 @@ Gaussian-integer numerator over an integer denominator times one power of
 two, with no gcd, and divided once; exact zeros and binary64 ties, as
 (1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
 after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
+
+The same term list at shift 0 also gives the continuation its difference
+table (difference_table): every difference D_m[j] = sum_i (-1)^i C(m,i)
+c_(j+i) of the plain factors c_j = -q^j / (1 + q^j), m <= top, j < length,
+taken exactly by integer subtraction, m passes over one list, and each
+entry rounded once to a float.  The differences of order m are of the
+order of |1-q|^m times the factors, so near q = 1 floats would lose their
+digits; the table's error bound (difference_error) counts the floors and
+the carried powers, and the continuation chooses W from it
+(continuation._nested_sums).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice, repeat
+from operator import mul, sub
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .kernel import EXACT_SHIFT_MAX, as_int
 
-__all__ = ["terminating_alt_sum"]
+__all__ = ["difference_error", "difference_table", "terminating_alt_sum"]
 
 _LN2 = math.log(2.0)
 
@@ -387,6 +399,49 @@ def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
     if x is None and n == 0:
         re -= 1 << W
     return re, im
+
+
+def difference_error(q: complex, count: int) -> float:
+    """err such that 2^W D_m[j] in fixed point, from a _quotients list at
+    shift 0 whose indices j + m stay below count, lies within err 2^m units.
+
+    With lower <= |1 + P~_k| as in _radius, the floors give 2^m and the
+    carried powers, within 3 (1 + k) units at index k, the rest."""
+    lower = 1.0 if q.imag == 0 and q.real >= 0 else 0.99 * (1.0 - abs(q))
+    return 1.0 + 3.0 * count / (lower * lower)
+
+
+def difference_table(q: complex, top: int, length: int, W: int):
+    """The differences D_m[j] = sum_i (-1)^i C(m,i) c_(j+i) of the plain
+    factors c_j = -q^j / (1 + q^j), for m = 0..top and j < length, or None
+    where _quotients refuses q~ at W.
+
+    Row m is D_m[j], j < length, as one float list per component, (re, im),
+    im None at real q: each entry rounded once from its fixed-point value.
+    The differences are exact: one _quotients list at shift 0 of length +
+    top terms gives 2^W c_j = v_j - 2^W, and D_(m+1)[j] = D_m[j] - D_m[j+1]
+    is one integer subtraction per entry (difference_error bounds the
+    result).  An entry depends on q, W, m and j alone, whatever the extent
+    of the table.
+    """
+    Q, e = _dyadic(q)
+    v = _quotients(length + top - 1, 0, Q, e, 0, W)
+    if v is None:
+        return None
+    if W + top + 64 <= 1022:  # |2^W D_m[j]| < 2^1022 and 2^-W is normal: float() rounds it, 2^-W is exact
+        scale = 2.0**-W
+        rounded = lambda ints: list(map(mul, map(float, islice(ints, length)), repeat(scale)))
+    else:
+        den = 1 << W
+        rounded = lambda ints: [a / den for a in islice(ints, length)]
+    re, im = list(map(sub, v[0], repeat(1 << W))), v[1]
+    rows = [(rounded(re), None if im is None else rounded(im))]
+    for _ in range(top):
+        re = list(map(sub, re, islice(re, 1, None)))
+        if im is not None:
+            im = list(map(sub, im, islice(im, 1, None)))
+        rows.append((rounded(re), None if im is None else rounded(im)))
+    return rows
 
 
 def _exact_sum(terms):

@@ -32,16 +32,46 @@ C(a) = zeta_q(-a) + [2]_q max(0, 1 - |a|).  This restores C(0) = E_{0,q},
 leaves every other integer argument untouched, and makes the deformation
 continuous; elsewhere the blend only affects the interior of the first unit
 interval of arguments.
+
+The coefficients of an integer order are the finite sums zeta_q(-k),
+correctly rounded (_exactcomplex.terminating_alt_sum).  Between integers
+they come from the paper's nested series.  Writing [N]_q^a = (1-q)^(-a)
+(1-q^N)^n (1-q^N)^(a-n) and expanding the last factor binomially gives, for
+every integer n >= 0,
+
+    zeta_q(-a) = [2]_q (1-q)^(-a) sum_{j>=0} gb(n - a, j) D_n[j],
+
+with gb(s, j) = Gamma(s+j) / (Gamma(s) j!), D_n[j] = sum_i (-1)^i C(n,i)
+c_(j+i) the n-th difference of the plain factors c_j = -q^j / (1 + q^j),
+and n = 0 the plain k-series.  Taking n = k + 1 for a = k + frac makes the
+weights gb(1 - frac, j) the same for every coefficient of a row, and
+positive and falling, so a row is one weight vector against the rows D_0,
+..., D_([s]+1) of one difference table: two dot products per coefficient
+(math.fsum, whose bits do not depend on the Python version).  The table
+(_exactcomplex.difference_table) takes the differences exactly, on integers
+in fixed point, where floats would lose the (1-q)^n by which D_n falls
+below the factors, and rounds each entry once.  Its length and precision
+follow from q, the row's orders and rel_tol (see _nested_sums), so the
+rows of a grid share one table with the bits of a point call.
+
+The w side is one kernel per row (_row): [w]_q and its powers once per
+column, q^(a w) as one exp per column with cpow's exact integer powers,
+the terms added in order; a failing or non-finite cell runs again alone,
+so it raises at its own column.  euler_poly_continuation is its one-row,
+one-column case.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, attrgetter, mul, truediv
 
+from ._exactcomplex import difference_error, difference_table, terminating_alt_sum
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_qparameter, cpow, q_bracket
-from .zeta import _kseries, _PlainFactors, qzeta, qzeta_deriv
+from .zeta import qzeta, qzeta_deriv
 
 __all__ = [
     "CurveGrid",
@@ -50,6 +80,8 @@ __all__ = [
     "euler_poly_continuation",
     "curve_grid",
 ]
+
+_LN2 = math.log(2.0)
 
 
 def _reflected(s) -> complex:
@@ -82,11 +114,159 @@ def _binomials(s: float, top: int) -> list[float]:
     return out
 
 
-def _order_terms(
-    s, qp: QParameter, cfg: EngineConfig, factors: _PlainFactors
-) -> list[tuple[float, complex, int]]:
+_TABLE_ATTEMPTS = 4  # the lengths and precisions a row's nested sums try
+_TOP_STEP = 8  # orders 1..8 share one table precision, as do 9..16, ...
+
+
+def _table_length(r: float, cfg: EngineConfig) -> int:
+    # The first try at the number of entries j < L of each difference a row
+    # reads: |q|^L below rel_tol / 2^24.
+    if not r:
+        return 1
+    return max(1, math.ceil((24.0 - math.log2(cfg.rel_tol)) / -math.log2(r)))
+
+
+def _table_bits(q: complex, top: int, length: int) -> int:
+    # The first try at the fixed-point bits W of a difference table that
+    # serves orders up to top: 72 beyond the 2^m units and the (1-q)^m by
+    # which D_m[j] falls below the factors, as _exactcomplex._start, and the
+    # bits of the error factor and of the sum over j < length.
+    drop = max(0, math.ceil(top * -math.log2(abs(1.0 - q))))
+    return 72 + top + drop + math.ceil(math.log2(length * difference_error(q, length + top)))
+
+
+def _log_tail(q: complex, m: int, length: int) -> float:
+    # log of a bound on sum_{j >= length} |D_m[j]|.  D_m[j] = sum_{N >= 1}
+    # (-1)^N q^(N j) (1 - q^N)^m and |1 - q^N| <= b_N = min(|1-q| (1 - r^N) /
+    # (1 - r), 1 + r^N), r = |q|, so the tail is at most sum_N b_N^m r^(N L)
+    # / (1 - r^N); the terms beyond N, below 2^m r^((N+1) L) / ((1-r)
+    # (1-r^L)), are added whole once they fall 2^-50 below the largest.
+    r = abs(q)
+    if not r:
+        return -math.inf
+    lr, slope = math.log(r), abs(1.0 - q) / (1.0 - r)
+    logs, n = [], 0
+    while True:
+        n += 1
+        rn = r**n
+        logs.append(m * math.log(min(slope * (1.0 - rn), 1.0 + rn)) + n * length * lr - math.log1p(-rn))
+        rest = m * _LN2 + (n + 1) * length * lr - math.log1p(-r) - math.log1p(-(r**length))
+        big = max(logs)
+        if rest < big - 35.0:
+            return big + math.log(math.fsum([math.exp(t - big) for t in logs]) + math.exp(rest - big))
+
+
+def _table(q: complex, W: int, top: int, length: int, reach: int, memo: dict):
+    # The difference table at W covering orders to top and entries j <
+    # length, with a dict for the tail lines of its orders: memo's, when it
+    # covers them, else one built to order reach (>= top), which replaces
+    # it.  Its entries are the same whatever its extent, so the table of one
+    # row serves the next alike.
+    held = memo.get(W)
+    if held is not None and len(held[0]) > top and len(held[0][0][0]) >= length:
+        return held
+    rows = difference_table(q, reach, length, W)
+    memo.clear()
+    if rows is None:
+        return None
+    memo[W] = held = (rows, {})
+    return held
+
+
+def _weights(sigma: float, n: int) -> list[float]:
+    # gb(sigma, j) for j < n, one running product
+    return list(islice(accumulate(map(truediv, map(add, repeat(sigma), count()), count(1)), mul, initial=1.0), n))
+
+
+def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict, reach: int) -> list[complex]:
+    # S_m = sum_{j<J_m} gb(1 - frac, j) D_m[j], m = 0..top, the nested series
+    # of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac)) S_m: one weight
+    # vector for every m, and each S_m two dot products.
+    #
+    # With r = |q| and start = L / 4, the tail of S_m beyond J >= start is
+    # below gb(1 - frac, start) exp(c_m + J log r), c_m = _log_tail(q, m,
+    # start) - start log r, as _log_tail(q, m, J) - J log r does not grow
+    # with J and gb(1 - frac, J) falls.  J_m is where that line meets rel_tol
+    # / 64 of |D_m[0]|, which stands in for |S_m|; where the tail misses
+    # rel_tol / 8 of |S_m|, J_m moves to where the line meets rel_tol / 32
+    # of it.  Where J_m passes L, L doubles, and where the table's rounding
+    # exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.  So L, W and
+    # J_m follow from q, the multiple of _TOP_STEP at or above top, frac and
+    # rel_tol alone: a grid, whose rows share memo's table (built to order
+    # reach), has the bits of a point call.
+    sigma = 1.0 - frac
+    wide = -(-top // _TOP_STEP) * _TOP_STEP
+    lr = math.log(abs(q)) if q else -math.inf
+    allowed = math.log(cfg.rel_tol / 8.0)
+    length, extra = _table_length(abs(q), cfg), 0
+    for _ in range(_TABLE_ATTEMPTS):
+        if length + top > cfg.max_terms:
+            raise NonConvergenceError(
+                f"the difference table of order {top} needs {length + top} terms, above max_terms={cfg.max_terms}"
+            )
+        W = _table_bits(q, wide, length) + extra
+        held = _table(q, W, top, length, min(wide, max(top, reach)), memo)
+        if held is None:  # a truncated q~ left the unit disk: more bits
+            extra += 64
+            continue
+        rows, lines = held
+        start = max(1, length // 4)
+        log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
+
+        def entries(m: int, target: float) -> int:
+            # the J >= start at which the tail line of order m meets target,
+            # or length + 1 when no J <= length does
+            if not q:  # every entry but D_m[0] is 0
+                return start
+            line = lines.get((m, start))
+            if line is None:
+                line = lines[m, start] = _log_tail(q, m, start) - start * lr
+            j = (log_gb + line - target) / -lr
+            return max(start, math.ceil(j)) if j <= length else length + 1
+
+        guesses = [
+            entries(m, allowed - 3 * _LN2 + _log_abs(re[0], im and im[0])) if re[0] or im and im[0] else length
+            for m, (re, im) in enumerate(rows[: top + 1])
+        ]
+        weights = _weights(sigma, min(length, max(guesses)) + 1)
+        slack = math.log(difference_error(q, length + top)) - W * _LN2
+        sums, short_w = [], False
+        for m, need in enumerate(guesses):
+            re, im = rows[m]
+            for _ in range(2):  # the guess, then J_m from |S_m| itself
+                if need > length:
+                    break
+                if need >= len(weights):
+                    weights = _weights(sigma, need + 1)
+                w = weights[:need]
+                sm = complex(math.fsum(map(mul, w, re)), 0.0 if im is None else math.fsum(map(mul, w, im)))
+                bound = allowed + _log_abs(sm.real, sm.imag)
+                if not q or math.log(weights[need]) + lines[m, start] + need * lr <= bound:
+                    break
+                need = entries(m, bound - 2 * _LN2)
+            else:
+                need = length + 1
+            if need > length:
+                break
+            sums.append(sm)
+            short_w = short_w or slack + math.log(need) + m * _LN2 > bound
+        if len(sums) == top + 1 and not short_w:
+            return sums
+        length *= 1 if len(sums) == top + 1 else 2
+        extra += 64 if short_w else 0
+    raise NonConvergenceError(f"the nested series of order {top} missed rel_tol={cfg.rel_tol} after {_TABLE_ATTEMPTS} tries")
+
+
+def _log_abs(re: float, im: float | None) -> float:
+    # log |re + i im|, -inf at 0
+    z = abs(complex(re, im or 0.0))
+    return math.log(z) if z else -math.inf
+
+
+def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict, reach: int = 0) -> list[tuple[float, complex, int]]:
     # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
-    # factors is the plain zeta's table at (0, q), which every C(k + frac) reads.
+    # memo carries a difference table from one row of a grid to the next,
+    # and reach is the highest order a later row will ask of it.
     sc = complex(s)
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
@@ -98,13 +278,20 @@ def _order_terms(
         raise NonConvergenceError(f"order {sv!r} has more terms than max_terms={cfg.max_terms}")
     frac = sv - fs
     binom = _binomials(sv, fs + 1)  # the weight of k is binom(s, [s] - k)
+    if not all(map(math.isfinite, binom)):
+        raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
+    q = qp.q
+    if frac:  # C(k + frac) = [2]_q (1-q)^(-(k+frac)) S_(k+1), k = -1..[s]
+        sums = _nested_sums(q, fs + 1, frac, cfg, memo, reach)
+        log1mq = cmath.log(1.0 - q)
+        coeffs = [(1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), log1mq) * sums[k + 1] for k in range(-1, fs + 1)]
+    else:  # C(k) = zeta_q(-k), the finite sums, k = 0..[s]
+        coeffs = [terminating_alt_sum(k, 0, q, None) for k in range(fs + 1)]
     terms = []
-    for k in range(-1 if frac else 0, fs + 1):  # at integer s, k = -1 has binom(s, s+1) = 0
+    for k, coeff in enumerate(coeffs, start=-1 if frac else 0):
         arg = k + frac
-        # C(arg), with the order-0 defect blended back in
-        coeff = _kseries(complex(-arg), None, 0, qp, cfg, False, factors).value
-        if abs(arg) < 1.0:
-            coeff += (1.0 + qp.q) * (1.0 - abs(arg))
+        if abs(arg) < 1.0:  # the order-0 defect blended back in
+            coeff += (1.0 + q) * (1.0 - abs(arg))
         weighted = binom[fs - k] * coeff
         if not cmath.isfinite(weighted):
             raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
@@ -117,19 +304,81 @@ def _log_q(qp: QParameter) -> complex | None:
     return cmath.log(qp.q) if qp.q else None
 
 
-def _sum_over_w(terms: list[tuple[float, complex, int]], w, qp: QParameter, logq) -> complex:
-    # The part of E_q(s, w) that depends on w, summed in the order of the terms.
-    ww = complex(w)
-    bw = q_bracket(ww, qp)
-    bw_pows = [1 + 0j]
-    for _ in range(terms[0][2]):  # the first term has the highest power
-        bw_pows.append(bw_pows[-1] * bw)
-    total = 0j
+class _Columns:
+    """The w side of a grid: each column's w, [w]_q and powers of [w]_q,
+    computed once for every row.  bw is None when some [w]_q fails; each
+    cell then runs alone and raises at its own column."""
+
+    __slots__ = ("qp", "logq", "given", "w", "bw", "pows")
+
+    def __init__(self, qp: QParameter, logq, given):
+        self.qp, self.logq, self.given = qp, logq, given
+        self.w = [complex(w) for w in given]
+        try:
+            self.bw = [q_bracket(w, qp) for w in self.w]
+        except (PoleError, OverflowError):
+            self.bw = None
+        self.pows = [[1 + 0j] * len(given)]
+
+    def power(self, p: int) -> list[complex]:
+        # [w]_q^p at every column, as the repeated product from 1
+        pows = self.pows
+        while len(pows) <= p:
+            pows.append(list(map(mul, pows[-1], self.bw)))
+        return pows[p]
+
+    def column(self, j: int) -> _Columns:
+        one = _Columns(self.qp, self.logq, self.given[j : j + 1])
+        if one.bw is None:
+            q_bracket(one.w[0], self.qp)  # raises that column's own error
+        return one
+
+
+def _q_powers(cols: _Columns, a: float) -> list[complex]:
+    # cpow(q, a w, log q) at every column: one exp each, and cpow's exact
+    # integer power where a w is an integer.
+    exps = list(map(mul, repeat(a), cols.w))
+    q, logq = cols.qp.q, cols.logq
+    if logq is None:
+        return list(map(cpow, repeat(q), exps))
+    ints = list(compress(count(), map(float.is_integer, map(attrgetter("real"), exps))))
+    if not ints:
+        return list(map(cmath.exp, map(mul, exps, repeat(logq))))
+    safe = exps.copy()
+    for j in ints:
+        safe[j] = 0j
+    out = list(map(cmath.exp, map(mul, safe, repeat(logq))))
+    for j in ints:
+        out[j] = cpow(q, exps[j], logq)
+    return out
+
+
+def _cells(terms: list[tuple[float, complex, int]], cols: _Columns) -> list[complex]:
+    # The part of E_q(s, w) that depends on w, at every column, with the
+    # terms added in their order.
+    total = [0j] * len(cols.w)
     for arg, weighted, power in terms:
-        total += weighted * cpow(qp.q, arg * ww, logq) * bw_pows[power]
-    if not cmath.isfinite(total):
-        raise FloatRangeError(f"E_q(s, w) at w = {w!r} lies beyond the float range")
+        total = list(map(add, total, map(mul, map(mul, repeat(weighted), _q_powers(cols, arg)), cols.power(power))))
     return total
+
+
+def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list) -> None:
+    # Appends E_q(s, w) at every column to out.  A row that fails, or holds
+    # a cell beyond the float range, runs again cell by cell, so a failing
+    # cell raises at its own column, len(out).
+    if cols.bw is not None:
+        try:
+            total = _cells(terms, cols)
+        except (PoleError, OverflowError):
+            total = None
+        if total is not None and all(map(cmath.isfinite, total)):
+            out.extend(total)
+            return
+    for j, w in enumerate(cols.given):
+        (value,) = _cells(terms, cols.column(j))
+        if not cmath.isfinite(value):
+            raise FloatRangeError(f"E_q(s, w) at w = {w!r} lies beyond the float range")
+        out.append(value)
 
 
 def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> complex:
@@ -137,15 +386,17 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
 
     At integer s this telescopes to the binomial expansion
     sum_k C(s,k) E_{k,q} q^(k w) [w]_q^(s-k); between integers it deforms one
-    polynomial curve into the next.  A non-finite w raises ValueError; a
-    value whose weights or sum lie beyond the float range raises
-    FloatRangeError.
+    polynomial curve into the next.  It is the one-row, one-column case of
+    curve_grid.  A non-finite w raises ValueError; a value whose weights or
+    sum lie beyond the float range raises FloatRangeError.
     """
     if not cmath.isfinite(complex(w)):
         raise ValueError(f"w must be finite, got {w!r}")
     qp = as_qparameter(q)
-    terms = _order_terms(s, qp, config or DEFAULT_CONFIG, _PlainFactors(0, qp.q))
-    return _sum_over_w(terms, w, qp, _log_q(qp))
+    terms = _order_terms(s, qp, config or DEFAULT_CONFIG, {})
+    out = []
+    _row(terms, _Columns(qp, _log_q(qp), [w]), out)
+    return out[0]
 
 
 class CurveGrid(Record):
@@ -206,9 +457,11 @@ def curve_grid(
 ) -> CurveGrid:
     """Sample euler_poly_continuation over an inclusive (s, w) grid.
 
-    Rows (s outer, w inner) run in order, each computing its order terms once
-    from one table of plain zeta factors shared by the whole grid; a failing
-    sample aborts with its grid indices.
+    Rows (s outer, w inner) run in order.  Each computes its order terms
+    once, reading a difference table that the rows of one precision band
+    share, and then every cell in one kernel over the columns, whose [w]_q
+    and powers the grid computes once; the bits are those of point calls.
+    A failing sample aborts with its grid indices.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
@@ -219,14 +472,13 @@ def curve_grid(
     cfg = config or DEFAULT_CONFIG
     svals = inclusive_range(s_min, s_max, s_step)
     wvals = inclusive_range(w_min, w_max, w_step)
-    factors, logq = _PlainFactors(0, qp.q), _log_q(qp)
+    cols, memo, reach = _Columns(qp, _log_q(qp), wvals), {}, math.floor(svals[-1]) + 1
     rows = []
     for i, sv in enumerate(svals):
         row = []
         try:
-            terms = _order_terms(sv, qp, cfg, factors)  # a failure here is reported at w[0]
-            for wv in wvals:
-                row.append(_sum_over_w(terms, wv, qp, logq))
+            terms = _order_terms(sv, qp, cfg, memo, reach)  # a failure here is reported at w[0]
+            _row(terms, cols, row)
         except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
             j = len(row)
             raise CurveSampleError(

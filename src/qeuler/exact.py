@@ -31,7 +31,7 @@ import operator
 from itertools import accumulate
 
 from .errors import PoleError
-from .kernel import as_index
+from .kernel import Record, _set, as_index
 
 __all__ = [
     "PolyZ",
@@ -43,12 +43,14 @@ __all__ = [
 ]
 
 
-class PolyZ:
+class PolyZ(Record):
     """Integer-coefficient polynomial in q, coefficients indexed by power.
 
     Invariant: the trailing (highest-power) coefficient is nonzero; the zero
     polynomial has an empty coefficient tuple.  Coefficients must be integers:
-    a float or Fraction raises TypeError instead of being truncated.
+    a float or Fraction raises TypeError instead of being truncated.  Like
+    every Record it is immutable: assigning or deleting coeffs raises
+    AttributeError.
     """
 
     __slots__ = ("coeffs",)
@@ -57,7 +59,7 @@ class PolyZ:
         c = list(map(operator.index, coeffs))
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        _set(self, "coeffs", tuple(c))
 
     # -- constructors ---------------------------------------------------
 
@@ -221,14 +223,15 @@ class PolyZ:
         return f"PolyZ({self.coeffs!r})"
 
 
-class RationalQ:
+class RationalQ(Record):
     """A rational function in q, as the engine returns it: num / den.
 
     The pair is stored as given, with no reduction, so a caller builds one
     only from a canonical pair: numerator and denominator coprime in Q[q],
     denominator leading coefficient positive, and no integer content shared
     between the two (zero is 0 / 1).  Every value the engine returns is in
-    that form, so equality and hashing are structural.
+    that form, so equality and hashing are structural, and like every Record
+    it is immutable: num and den refuse assignment and deletion.
     """
 
     __slots__ = ("num", "den")
@@ -236,8 +239,8 @@ class RationalQ:
     def __init__(self, num: PolyZ, den: PolyZ):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalQ):

@@ -9,11 +9,9 @@ binomially re-expanded k-series
     Hurwitz: [2]_q (1-q)^s sum_k gb(s,k) *  q^(x k) / (1 + q^(h+k))
 
 with gb(s,k) = Gamma(s+k) / (Gamma(s) k!) the rising-factorial binomial.
-The plain factors c_k = -q^(h+k) / (1 + q^(h+k)) do not depend on s, so
-the plain value reads them from a factor table, _PlainFactors, which a
-caller evaluating many orders at one (h, q) (a curve grid) keeps for all of
-them, and qzeta builds for its one call; only gb is carried from one k to
-the next.  One generator, _kseries_terms, yields the terms of the Hurwitz
+The plain value reads its factors c_k = -q^(h+k) / (1 + q^(h+k)), which
+do not depend on s, from a factor table, _PlainFactors, that qzeta builds
+for its call; only gb is carried from one k to the next.  One generator, _kseries_terms, yields the terms of the Hurwitz
 value and of both order-derivatives, carrying gb, q^(h+k) and q^(xk).  All
 of them are summed by kernel.sum_series_geometric.  The k-series converges
 geometrically for every complex order s on the plain side, terminates at
@@ -61,9 +59,8 @@ __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 class _PlainFactors:
     """The factors c_k = -q^(h+k) / (1 + q^(h+k)) of the plain k-series.
 
-    c_k depends on h and q alone, so every order evaluated at one (h, q) can
-    read one table: a curve grid keeps one for all its coefficients, and
-    qzeta builds one for its single call.  Iterating yields c_0, c_1, ...:
+    c_k depends on h and q alone; qzeta builds one table per call.
+    Iterating yields c_0, c_1, ...:
     the entries already held, then new ones, each computed when a series
     first reaches it (q^(h+k) carried as q^h q q ..., with the vanishing
     check at that index) and kept.  One series reads the table at a time.
@@ -143,12 +140,9 @@ def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n)
         k += 1
 
 
-def _kseries(
-    s, x, h: int, q, config: EngineConfig | None, deriv: bool, factors: _PlainFactors | None = None
-) -> SeriesValue:
+def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> SeriesValue:
     # Shared driver: validation, the finite sums at terminating orders, and
-    # the summed k-series with its tail ratio.  factors, when given, is the
-    # plain variant's table at this (h, q), shared with other orders.
+    # the summed k-series with its tail ratio.
     h = as_index(h, "h")
     qq = as_qparameter(q).q
     cfg = config or DEFAULT_CONFIG
@@ -178,7 +172,7 @@ def _kseries(
         # The terms never shrink, so no budget can meet the stopping test.
         raise NonConvergenceError(f"the k-series terms do not shrink: |q^x| = {ratio:.6g} >= 1")
     if x is None and not deriv:
-        terms = _plain_terms(s, _PlainFactors(h, qq) if factors is None else factors, pref)
+        terms = _plain_terms(s, _PlainFactors(h, qq), pref)
     else:
         terms = _kseries_terms(s, h, qq, qx, pref, log1mq, n)
     return sum_series_geometric(terms, ratio, abs(s), cfg)

@@ -102,6 +102,100 @@ class TestWeights:
             euler_poly_continuation(s, w, q)
 
 
+def _mp_zeta_at_minus(a0, count_, q, dps=40):
+    """zeta_q(-a) at a = a0, a0 + 1, ..., count_ orders, in mpmath:
+    [2]_q (1-q)^(-a) (-1/2 + sum_{N>=1} (-1)^N ((1 - q^N)^a - 1)), the
+    defining alternating sum with its Abel value -1/2 split off, so the rest
+    converges like |q|^N; summed directly, with no k-series and no
+    differences."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        qm = mp.mpc(q.real, q.imag) if isinstance(q, complex) else mp.mpf(q)
+        sums = [mp.mpf(-0.5)] * count_
+        qn, sign, cut = qm, -1, mp.mpf(10) ** (4 - dps)
+        while abs(qn) > cut:
+            base = 1 - qn
+            power = mp.power(base, a0)
+            for i in range(count_):
+                sums[i] += sign * (power - 1)
+                power *= base
+            qn, sign = qn * qm, -sign
+        return [complex((1 + qm) * mp.power(1 - qm, -(a0 + i)) * acc) for i, acc in enumerate(sums)]
+
+
+def _row_coefficients(s, q, cfg=None):
+    # (a, C(a)) for every order term of E_q(s, w), the blend taken back out
+    sv = float(s)
+    fs = math.floor(sv)
+    binom = continuation._binomials(sv, fs + 1)
+    out = []
+    for arg, weighted, power in continuation._order_terms(sv, QParameter(q), cfg or EngineConfig(), {}):
+        coeff = weighted / binom[power]
+        if abs(arg) < 1.0:
+            coeff -= (1.0 + q) * (1.0 - abs(arg))
+        out.append((arg, coeff))
+    return out
+
+
+def _mp_cell(s, w, q):
+    # E_q(s, w) in mpmath from _mp_zeta_at_minus's coefficients
+    mp = pytest.importorskip("mpmath")
+    fs = math.floor(s)
+    frac = s - fs
+    ks = [k for k in range(-1, fs + 1) if k >= 0 or frac]
+    coeffs = _mp_zeta_at_minus(ks[0] + frac, len(ks), q)
+    with mp.workdps(40):
+        qm = mp.mpc(q.real, q.imag) if isinstance(q, complex) else mp.mpf(q)
+        logq = mp.log(qm)
+        bw = (1 - mp.exp(w * logq)) / (1 - qm)
+        total = 0
+        for k, c in zip(ks, coeffs):
+            a = k + frac
+            c = mp.mpc(c.real, c.imag) + (1 + qm) * max(0.0, 1 - abs(a))
+            total += mp.binomial(s, fs - k) * c * mp.exp(a * w * logq) * bw ** (fs - k)
+        return complex(total)
+
+
+class TestNestedSeries:
+    # Every coefficient C(k + frac) of a non-integer row is the paper's nested
+    # series over one difference table: (1+q) (1-q)^(-(k+frac)) sum_j
+    # gb(1 - frac, j) D_(k+1)[j].  The reference sums the defining series.
+    @pytest.mark.parametrize("s,w,q", [(20.5, 0.25, 0.9), (12.5, 0.25, 0.9), (8.3, -0.4, 0.95)])
+    def test_cells_once_wrong(self, s, w, q):
+        # the float k-series left these 16x, 6.7e-4 and 4.8e-5 off
+        got, want = euler_poly_continuation(s, w, q), _mp_cell(s, w, q)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("s,q", [(20.5, 0.9), (12.5, 0.9), (8.3, 0.95), (6.25, -0.9)])
+    def test_pinned_coefficients(self, s, q):
+        rows = _row_coefficients(s, q)
+        for (a, got), want in zip(rows, _mp_zeta_at_minus(rows[0][0], len(rows), q)):
+            assert abs(got - want) <= 1e-12 * abs(want), (s, q, a)
+
+    def test_coefficients_on_seeded_draws(self):
+        rng = random.Random(2121)
+        kinds = (
+            lambda r: complex(-r, 0.0),
+            lambda r: complex(0.0, rng.choice((-r, r))),
+            lambda r: cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+        )
+        for i in range(12):
+            n = rng.randint(0, 20)
+            s = rng.choice((rng.uniform(0.0, 20.0), n + 1e-9, max(n - 1e-9, 0.5)))
+            q = kinds[i % 3](rng.uniform(0.3, 0.95))
+            rows = _row_coefficients(s, q)
+            for (a, got), want in zip(rows, _mp_zeta_at_minus(rows[0][0], len(rows), q)):
+                assert abs(got - want) <= 1e-12 * abs(want), (s, q, a)
+
+    def test_table_beyond_max_terms_is_located(self):
+        # at |q| = 0.95 a fractional row needs 864 entries of each difference:
+        # the integer row s = 1 passes, the row s = 1.5 raises at its indices
+        cfg = EngineConfig(max_terms=500)
+        with pytest.raises(CurveSampleError, match="max_terms=500") as info:
+            curve_grid(1, 2, 0.5, -0.5, 0.5, 0.5, 0.95, cfg)
+        assert (info.value.s_index, info.value.w_index) == (1, 0)
+
+
 class TestPolyContinuation:
     def test_hand_value(self):
         got = euler_poly_continuation(2, 0.5, QParameter(0.5))

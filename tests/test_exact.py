@@ -76,6 +76,32 @@ def RQ(num, den=(1,)):
     return canonical_form(PolyZ(num), PolyZ(den))
 
 
+class TestImmutable:
+    # PolyZ and RationalQ hash by value, so a field that could be rebound
+    # would change a key already in a set or dict
+    def test_fields_refuse_assignment_and_deletion(self):
+        r = exact_euler_number(2)
+        h = hash(r)
+        p = PolyZ([1, 2])
+        for obj, name, value in ((r, "num", PolyZ([5])), (r, "den", PolyZ([1])), (p, "coeffs", (3,))):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(obj, name)
+        assert hash(r) == h and p.coeffs == (1, 2)
+        assert str(r) == str(exact_euler_number(2)) and r == exact_euler_number(2)
+
+    def test_pickle_and_copies_keep_the_value(self):
+        import copy
+        import pickle
+
+        r = exact_euler_number(3)
+        for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+            assert twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+        p = PolyZ((3, 0, 1))
+        assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p).coeffs == (3, 0, 1)
+
+
 class TestPolyZ:
     def test_trailing_zeros_trimmed(self):
         assert PolyZ((1, 2, 0, 0)).coeffs == (1, 2)

@@ -409,13 +409,10 @@ class TestPlainFactorTable:
         raised = 0
         for _ in range(40):
             h, q = rng.randint(0, 2), self._draw_q(rng)
-            shared = zeta._PlainFactors(h, q)  # one table for every order, as in a curve grid
             for s in self._draw_orders(rng, 4):
                 for cfg in (DEFAULT_CONFIG, starved):
                     want = _outcome(lambda: _reference_plain(s, h, q, False, cfg))
                     assert _outcome(lambda: qzeta(s, h, q, cfg)) == want, (s, h, q)
-                    got = _outcome(lambda: zeta._kseries(s, None, h, q, cfg, False, shared))
-                    assert got == want, (s, h, q)
                     want = _outcome(lambda: _reference_plain(s, h, q, True, cfg))
                     assert _outcome(lambda: qzeta_deriv(s, h, q, config=cfg)) == want, (s, h, q)
                     raised += want[0] == "raised"
