@@ -1,8 +1,9 @@
 """Exact arithmetic in Q(q) and symbolic verification of the q-Euler identities.
 
-PolyZ is a dense integer-coefficient polynomial in the indeterminate q;
-RationalQ is the canonical value the engine returns, a coprime pair of them
-(denominator with positive leading coefficient, no common integer content).
+The engine returns each value as a RationalQ, a coprime pair (denominator
+with positive leading coefficient, no common integer content) of PolyZ, the
+coefficient record of an integer polynomial in q: evaluation and rendering,
+no arithmetic.
 On top of those sit the q-Euler numbers and polynomials, each summed as a
 numerator over its known denominator and reduced once, by _reduced, by trial
 division by the cyclotomic factors Phi_d of that denominator, and an identity
@@ -44,7 +45,12 @@ __all__ = [
 
 
 class PolyZ(Record):
-    """Integer-coefficient polynomial in q, coefficients indexed by power.
+    """The coefficient record of an integer polynomial in q, indexed by power.
+
+    This is what the engine returns as the numerator and denominator of a
+    RationalQ: the engine sums on packed integers and reduces on plain
+    coefficient lists, so PolyZ carries no arithmetic of its own, only
+    content, exact division by an integer, evaluation and rendering.
 
     Invariant: the trailing (highest-power) coefficient is nonzero; the zero
     polynomial has an empty coefficient tuple.  Coefficients must be integers:
@@ -61,44 +67,21 @@ class PolyZ(Record):
             c.pop()
         _set(self, "coeffs", tuple(c))
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PolyZ":
-        return cls(())
-
     @classmethod
     def one(cls) -> "PolyZ":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "PolyZ":
-        if k < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def bracket(cls, m: int) -> "PolyZ":
-        """[m]_q as the explicit geometric sum 1 + q + ... + q^(m-1)."""
-        if m < 0:
-            raise ValueError("bracket index must be nonnegative")
-        return cls((1,) * m)
-
-    # -- structure ------------------------------------------------------
-
     @property
     def degree(self) -> int:
+        # -1 for zero; bench/tracing.py reads it for its exact.max_degree count
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __bool__(self):
+        # Record has no __bool__, so without this the zero polynomial is truthy
         return bool(self.coeffs)
 
     def __eq__(self, other):
@@ -106,54 +89,6 @@ class PolyZ(Record):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other: "PolyZ") -> "PolyZ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return PolyZ(out)
-
-    def __neg__(self) -> "PolyZ":
-        return PolyZ(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other: "PolyZ") -> "PolyZ":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyZ(tuple(other * v for v in self.coeffs))
-        if not isinstance(other, PolyZ):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return PolyZ()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyZ(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "PolyZ":
-        if k < 0:
-            raise ValueError("polynomial power must be nonnegative")
-        out = PolyZ.one()  # zero**0 == one, matching the 0^0 = 1 convention
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- content and division --------------------------------------------
 
     def content(self) -> int:
         return math.gcd(*self.coeffs)
@@ -165,30 +100,6 @@ class PolyZ(Record):
             if r:
                 raise ValueError("scalar division is not exact")
             out.append(q)
-        return PolyZ(out)
-
-    def divexact(self, d: "PolyZ") -> "PolyZ":
-        """Quotient self / d, valid only when the division is exact in Z[q]."""
-        if d.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return PolyZ()
-        if self.degree < d.degree:
-            raise ValueError("division is not exact")
-        r = list(self.coeffs)
-        dd, dl = d.degree, d.leading
-        terms = [(j, c) for j, c in enumerate(d.coeffs[:dd]) if c]  # below the leading term
-        out = [0] * (self.degree - dd + 1)
-        for i in range(self.degree - dd, -1, -1):
-            qc, rem = divmod(r[dd + i], dl)
-            if rem:
-                raise ValueError("division is not exact")
-            out[i] = qc
-            if qc:
-                for j, c in terms:
-                    r[i + j] -= qc * c
-        if any(r[:dd]):
-            raise ValueError("division is not exact")
         return PolyZ(out)
 
     def eval(self, x):

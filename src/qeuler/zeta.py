@@ -9,14 +9,12 @@ binomially re-expanded k-series
     Hurwitz: [2]_q (1-q)^s sum_k gb(s,k) *  q^(x k) / (1 + q^(h+k))
 
 with gb(s,k) = Gamma(s+k) / (Gamma(s) k!) the rising-factorial binomial.
-The plain value reads its factors c_k = -q^(h+k) / (1 + q^(h+k)), which
-do not depend on s, from a factor table, _PlainFactors, that qzeta builds
-for its call; only gb is carried from one k to the next.  One generator, _kseries_terms, yields the terms of the Hurwitz
-value and of both order-derivatives, carrying gb, q^(h+k) and q^(xk).  All
-of them are summed by kernel.sum_series_geometric.  The k-series converges
-geometrically for every complex order s on the plain side, terminates at
-k = n when s = -n, and agrees with the iterated-averaging value of the
-defining sum; it is adopted here as the definition of the continuation.
+One generator, _kseries_terms, yields the terms of both values and of both
+order-derivatives, carrying gb, q^(h+k) and q^(xk); all of them are summed
+by kernel.sum_series_geometric.  The k-series converges geometrically for
+every complex order s on the plain side, terminates at k = n when s = -n,
+and agrees with the iterated-averaging value of the defining sum; it is
+adopted here as the definition of the continuation.
 Terminating orders are finite sums, plain or E_n(x, h | q) at every
 shift, which one call to _exactcomplex.terminating_alt_sum evaluates in
 big-integer fixed point and rounds once, correctly, with bound 0; that
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
 
 from ._exactcomplex import terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
@@ -56,53 +53,13 @@ from .numeric import scaled_classical_euler
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
 
-class _PlainFactors:
-    """The factors c_k = -q^(h+k) / (1 + q^(h+k)) of the plain k-series.
-
-    c_k depends on h and q alone; qzeta builds one table per call.
-    Iterating yields c_0, c_1, ...:
-    the entries already held, then new ones, each computed when a series
-    first reaches it (q^(h+k) carried as q^h q q ..., with the vanishing
-    check at that index) and kept.  One series reads the table at a time.
-    """
-
-    __slots__ = ("_q", "_qhk", "_c")
-
-    def __init__(self, h: int, q: complex):
-        self._q, self._qhk, self._c = q, q**h, []
-
-    def __iter__(self):
-        return chain(self._c, self._grow())
-
-    def _grow(self):
-        c, q = self._c, self._q
-        while True:
-            qhk = self._qhk
-            denom = 1.0 + qhk
-            if denom == 0:
-                raise ArithmeticError("1 + q^(h+k) vanished")
-            ck = -qhk / denom
-            c.append(ck)
-            self._qhk = qhk * q
-            yield ck
-
-
-def _plain_terms(s: complex, factors: _PlainFactors, pref: complex):
-    # The plain value's k-series terms pref * gb(s,k) * c_k.
-    gb = 1 + 0j
-    for k, c in enumerate(factors):
-        yield pref * gb * c
-        gb = gb * (s + k) / (k + 1)
-
-
 def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n):
-    """Yield the k-series terms t_0, t_1, ... of the Hurwitz value or of a derivative.
+    """Yield the k-series terms t_0, t_1, ... of a value or of a derivative.
 
     qx is q^x for the Hurwitz variant and None for the plain one; log1mq is
-    log(1-q) for the order-derivative and None for the (Hurwitz) value; n >= 0
-    when s = -n.  Each variant keeps the floating-point operation order of
-    its own formula, so equal inputs give equal bits whichever variant is
-    asked; the plain derivative's c_k is the same float as the factor table's.
+    log(1-q) for the order-derivative and None for the value; n >= 0 when
+    s = -n.  Each variant keeps the floating-point operation order of its own
+    formula, so equal inputs give equal bits whichever variant is asked.
 
     The derivative multiplies each term by log(1-q) + sum_{j<k} 1/(s+j)
     wherever gb(s,k) != 0.  At s = -n the terms beyond k = n have gb = 0 but
@@ -119,7 +76,7 @@ def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n)
         if denom == 0:
             raise ArithmeticError("1 + q^(h+k) vanished")
         if log1mq is None:
-            yield pref * gb * qxk / denom
+            yield pref * gb * (-qhk / denom) if qx is None else pref * gb * qxk / denom
         else:
             c = -qhk / denom if qx is None else qxk / denom
             if n is None or k <= n:
@@ -171,10 +128,7 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
     if ratio >= 1.0:
         # The terms never shrink, so no budget can meet the stopping test.
         raise NonConvergenceError(f"the k-series terms do not shrink: |q^x| = {ratio:.6g} >= 1")
-    if x is None and not deriv:
-        terms = _plain_terms(s, _PlainFactors(h, qq), pref)
-    else:
-        terms = _kseries_terms(s, h, qq, qx, pref, log1mq, n)
+    terms = _kseries_terms(s, h, qq, qx, pref, log1mq, n)
     return sum_series_geometric(terms, ratio, abs(s), cfg)
 
 

@@ -18,6 +18,110 @@ from qeuler.errors import PoleError
 from qeuler.verification import run_checks
 
 
+# -- polynomial arithmetic for the oracles --------------------------------------
+#
+# The library's PolyZ is a coefficient record with no arithmetic: the engine
+# sums on packed integers and reduces plain coefficient lists.  The oracles
+# below compute with Poly, a PolyZ with schoolbook arithmetic.  PolyZ's ==
+# tests isinstance, so a Poly equals the PolyZ with the same coefficients.
+
+
+class Poly(PolyZ):
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "Poly":
+        return cls(())
+
+    @classmethod
+    def monomial(cls, c: int, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError("monomial power must be nonnegative")
+        return cls((0,) * k + (c,))
+
+    @classmethod
+    def bracket(cls, m: int) -> "Poly":
+        """[m]_q as the explicit geometric sum 1 + q + ... + q^(m-1)."""
+        if m < 0:
+            raise ValueError("bracket index must be nonnegative")
+        return cls((1,) * m)
+
+    @property
+    def leading(self) -> int:
+        return self.coeffs[-1] if self.coeffs else 0
+
+    def __add__(self, other: "Poly") -> "Poly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return Poly(out)
+
+    def __neg__(self) -> "Poly":
+        return Poly(tuple(-v for v in self.coeffs))
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Poly(tuple(other * v for v in self.coeffs))
+        if not isinstance(other, PolyZ):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return Poly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        if k < 0:
+            raise ValueError("polynomial power must be nonnegative")
+        out = Poly.one()  # zero**0 == one, matching the 0^0 = 1 convention
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def div_scalar(self, c: int) -> "Poly":
+        return Poly(super().div_scalar(c).coeffs)
+
+    def divexact(self, d: "Poly") -> "Poly":
+        """Quotient self / d, valid only when the division is exact in Z[q]."""
+        if d.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return Poly()
+        if self.degree < d.degree:
+            raise ValueError("division is not exact")
+        r = list(self.coeffs)
+        dd, dl = d.degree, d.leading
+        terms = [(j, c) for j, c in enumerate(d.coeffs[:dd]) if c]  # below the leading term
+        out = [0] * (self.degree - dd + 1)
+        for i in range(self.degree - dd, -1, -1):
+            qc, rem = divmod(r[dd + i], dl)
+            if rem:
+                raise ValueError("division is not exact")
+            out[i] = qc
+            if qc:
+                for j, c in terms:
+                    r[i + j] -= qc * c
+        if any(r[:dd]):
+            raise ValueError("division is not exact")
+        return Poly(out)
+
+
 # -- the canonical-form oracle ---------------------------------------------------
 #
 # The library reaches canonical form only by cyclotomic trial division over a
@@ -25,12 +129,12 @@ from qeuler.verification import run_checks
 # sequence, which needs no knowledge of the denominator's factors.
 
 
-def primitive(p: PolyZ) -> PolyZ:
+def primitive(p: Poly) -> Poly:
     c = p.content()
     return p if c in (0, 1) else p.div_scalar(c)
 
 
-def pseudo_rem(a: PolyZ, b: PolyZ) -> PolyZ:
+def pseudo_rem(a: Poly, b: Poly) -> Poly:
     # lc(b)^(deg a - deg b + 1) * a  mod  b, by pre-scaled exact long division
     da, db, lb = a.degree, b.degree, b.leading
     r = [c * lb ** (da - db + 1) for c in a.coeffs]
@@ -39,15 +143,15 @@ def pseudo_rem(a: PolyZ, b: PolyZ) -> PolyZ:
         assert not rem, "pseudo-division lost exactness"
         for j, c in enumerate(b.coeffs):
             r[i + j] -= qc * c
-    return PolyZ(r[:db])
+    return Poly(r[:db])
 
 
-def prs_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
+def prs_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd with positive leading coefficient, by the primitive PRS:
     each pseudo-remainder is divided by its integer content before the next
     step."""
     if a.is_zero and b.is_zero:
-        return PolyZ()
+        return Poly()
     if a.is_zero or b.is_zero:
         g = primitive(b if a.is_zero else a)
         return -g if g.leading < 0 else g
@@ -59,13 +163,13 @@ def prs_gcd(a: PolyZ, b: PolyZ) -> PolyZ:
         if R.is_zero:
             return -B if B.leading < 0 else B
         A, B = B, primitive(R)
-    return PolyZ.one()
+    return Poly.one()
 
 
-def canonical_form(num: PolyZ, den: PolyZ) -> RationalQ:
+def canonical_form(num: Poly, den: Poly) -> RationalQ:
     """num / den in canonical form by one PRS gcd: the oracle."""
     if num.is_zero:
-        return RationalQ(PolyZ(), PolyZ.one())
+        return RationalQ(Poly(), Poly.one())
     g = prs_gcd(num, den)
     num, den = num.divexact(g), den.divexact(g)
     c = math.gcd(num.content(), den.content()) * (1 if den.leading > 0 else -1)
@@ -73,7 +177,7 @@ def canonical_form(num: PolyZ, den: PolyZ) -> RationalQ:
 
 
 def RQ(num, den=(1,)):
-    return canonical_form(PolyZ(num), PolyZ(den))
+    return canonical_form(Poly(num), Poly(den))
 
 
 class TestImmutable:
@@ -115,23 +219,23 @@ class TestPolyZ:
         assert PolyZ((True, 2)).coeffs == (1, 2)
 
     def test_zero_power_convention(self):
-        assert PolyZ.zero() ** 0 == PolyZ.one()
-        assert PolyZ.zero() ** 3 == PolyZ.zero()
+        assert Poly.zero() ** 0 == Poly.one()
+        assert Poly.zero() ** 3 == Poly.zero()
 
     def test_bracket(self):
-        assert PolyZ.bracket(0).is_zero
-        assert PolyZ.bracket(3).coeffs == (1, 1, 1)
+        assert Poly.bracket(0).is_zero
+        assert Poly.bracket(3).coeffs == (1, 1, 1)
 
     def test_gcd_subresultant(self):
         # the oracle's gcd: (1+q)(1-q+q^2) = 1+q^3 shares (1+q) with (1+q)^2
-        a = PolyZ((1, 0, 0, 1))
-        b = PolyZ((1, 2, 1))
-        assert prs_gcd(a, b) == PolyZ((1, 1))
-        assert prs_gcd(a, PolyZ((7,))) == PolyZ.one()
+        a = Poly((1, 0, 0, 1))
+        b = Poly((1, 2, 1))
+        assert prs_gcd(a, b) == Poly((1, 1))
+        assert prs_gcd(a, Poly((7,))) == Poly.one()
 
     def test_divexact_rejects_inexact(self):
         with pytest.raises(ValueError):
-            PolyZ((1, 1, 1)).divexact(PolyZ((1, 1)))
+            Poly((1, 1, 1)).divexact(Poly((1, 1)))
 
     def test_gcd_of_random_pairs_with_a_planted_factor(self):
         # the oracle's gcd of a = f*u and b = f*v is divisible by f's
@@ -141,7 +245,7 @@ class TestPolyZ:
 
         def poly(degree):
             coeffs = [rng.randint(-9, 9) for _ in range(degree)]
-            return PolyZ(coeffs + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+            return Poly(coeffs + [rng.choice((-1, 1)) * rng.randint(1, 9)])
 
         for _ in range(200):
             f = poly(rng.randint(0, 4))
@@ -149,7 +253,7 @@ class TestPolyZ:
             g = prs_gcd(a, b)
             assert g.leading > 0 and g.content() == 1
             g.divexact(primitive(f))
-            assert prs_gcd(a.divexact(g), b.divexact(g)) == PolyZ.one()
+            assert prs_gcd(a.divexact(g), b.divexact(g)) == Poly.one()
 
 
 class TestCanonicalForm:
@@ -266,7 +370,7 @@ class TestExactEulerPoly:
             exact_euler_poly(3, 1, 0)
 
 
-def add_term(acc: RationalQ, num: PolyZ, den: PolyZ) -> RationalQ:
+def add_term(acc: RationalQ, num: Poly, den: Poly) -> RationalQ:
     # acc + num / den, put in canonical form by the oracle
     return canonical_form(acc.num * den + num * acc.den, acc.den * den)
 
@@ -278,8 +382,8 @@ def per_term_numbers(n: int) -> list:
     for m in range(1, n + 1):
         acc = RQ(())
         for l, e in enumerate(table):
-            acc = add_term(acc, PolyZ.monomial(math.comb(m, l), l) * e.num, e.den)
-        table.append(canonical_form(-acc.num, acc.den * (PolyZ.one() + PolyZ.monomial(1, m))))
+            acc = add_term(acc, Poly.monomial(math.comb(m, l), l) * e.num, e.den)
+        table.append(canonical_form(-acc.num, acc.den * (Poly.one() + Poly.monomial(1, m))))
     return table
 
 
@@ -287,9 +391,9 @@ def per_term_poly(n: int, x: int, h: int) -> RationalQ:
     """E_n(x, h | q) summed term by term in canonical pairs: the oracle."""
     acc = RQ(())
     for l in range(n + 1):
-        num = PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * PolyZ.bracket(2)
-        acc = add_term(acc, num, PolyZ.one() + PolyZ.monomial(1, l + h))
-    return canonical_form(acc.num, acc.den * PolyZ((1, -1)) ** n)
+        num = Poly.monomial((-1) ** l * math.comb(n, l), l * x) * Poly.bracket(2)
+        acc = add_term(acc, num, Poly.one() + Poly.monomial(1, l + h))
+    return canonical_form(acc.num, acc.den * Poly((1, -1)) ** n)
 
 
 def canonical(r: RationalQ) -> tuple:
@@ -318,7 +422,7 @@ class TestKnownDenominators:
         assert verify_identity("even-shift-recombined", 20, 2)
 
 
-def binomial_cyclotomic(d: int) -> PolyZ:
+def binomial_cyclotomic(d: int) -> Poly:
     # Phi_d from the library's binomial form: the product of q^e - 1 over
     # mu(d/e) = +1, divided by each q^e - 1 over mu(d/e) = -1
     plus, minus = exact._binomials(d)
@@ -327,13 +431,13 @@ def binomial_cyclotomic(d: int) -> PolyZ:
         r = exact._times_binomial(r, e)
     for e in minus:
         r = exact._over_binomial(r, e)
-    return PolyZ(reversed(r))
+    return Poly(reversed(r))
 
 
-def oracle_cyclotomic(d: int, table: dict) -> PolyZ:
+def oracle_cyclotomic(d: int, table: dict) -> Poly:
     # Phi_d = (q^d - 1) / prod_{e | d, e < d} Phi_e, by long division
     if d not in table:
-        phi = PolyZ.monomial(1, d) - PolyZ.one()
+        phi = Poly.monomial(1, d) - Poly.one()
         for e in range(1, d):
             if d % e == 0:
                 phi = phi.divexact(oracle_cyclotomic(e, table))
@@ -341,7 +445,7 @@ def oracle_cyclotomic(d: int, table: dict) -> PolyZ:
     return table[d]
 
 
-def multiplicity(p: PolyZ, phi: PolyZ) -> int:
+def multiplicity(p: Poly, phi: Poly) -> int:
     k = 0
     while True:
         try:
@@ -361,11 +465,11 @@ class TestCyclotomicReduction:
         for m in range(1, 61):
             phi = binomial_cyclotomic(m)
             assert phi.degree == sum(math.gcd(m, j) == 1 for j in range(1, m + 1)), m
-            product = PolyZ.one()
+            product = Poly.one()
             for d in range(1, m + 1):
                 if m % d == 0:
                     product = product * binomial_cyclotomic(d)
-            assert product == PolyZ.monomial(1, m) - PolyZ.one(), m
+            assert product == Poly.monomial(1, m) - Poly.one(), m
 
     def test_reduction_against_the_prs_oracle(self):
         # N = P prod Phi_d^a over const prod Phi_d^exps[d], with a below, at
@@ -375,8 +479,8 @@ class TestCyclotomicReduction:
         phis: dict = {}
         seen = set()
         for _ in range(60):
-            num = PolyZ([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))])
-            exps, den = {}, PolyZ.one()
+            num = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))])
+            exps, den = {}, Poly.one()
             for d in rng.sample(range(1, 31), rng.randint(1, 4)):
                 exps[d] = rng.randint(1, 3)
                 a = rng.choice((0, exps[d] - 1, exps[d], exps[d] + 1))
@@ -526,33 +630,33 @@ class TestIdentities:
             verify_identity("nope", 2, 2)
 
 
-# -- the packed engine against PolyZ ----------------------------------------------
+# -- the packed engine against Poly -----------------------------------------------
 #
-# The oracle is the engine on PolyZ coefficient tuples: the same Horner
-# recurrences with schoolbook products, and identities decided by PolyZ
+# The oracle is the engine on Poly coefficient tuples: the same Horner
+# recurrences with schoolbook products, and identities decided by Poly
 # cross-multiplication.
 
 
 def oracle_numerators(count: int) -> tuple[list, list]:
-    fs = [PolyZ.one() + PolyZ.monomial(1, j) for j in range(count)]
-    nums, dens, den = [], [], PolyZ.one()
+    fs = [Poly.one() + Poly.monomial(1, j) for j in range(count)]
+    nums, dens, den = [], [], Poly.one()
     for m in range(count):
-        acc = PolyZ()
+        acc = Poly()
         for l in range(m):
-            acc = fs[l] * acc + PolyZ.monomial(math.comb(m, l), l) * nums[l]
-        nums.append(-acc if m else PolyZ.bracket(2))
+            acc = fs[l] * acc + Poly.monomial(math.comb(m, l), l) * nums[l]
+        nums.append(-acc if m else Poly.bracket(2))
         den = fs[m] * den
         dens.append(den)
     return nums, dens
 
 
-def oracle_poly_pair(n: int, x: int, h: int) -> tuple[PolyZ, PolyZ]:
-    num, den = PolyZ(), PolyZ.one()
+def oracle_poly_pair(n: int, x: int, h: int) -> tuple[Poly, Poly]:
+    num, den = Poly(), Poly.one()
     for l in range(n + 1):
-        f = PolyZ.one() + PolyZ.monomial(1, l + h)
-        num = f * num + PolyZ.monomial((-1) ** l * math.comb(n, l), l * x) * den
+        f = Poly.one() + Poly.monomial(1, l + h)
+        num = f * num + Poly.monomial((-1) ** l * math.comb(n, l), l * x) * den
         den = f * den
-    return num * PolyZ.bracket(2), den * PolyZ((1, -1)) ** n
+    return num * Poly.bracket(2), den * Poly((1, -1)) ** n
 
 
 def oracle_verdict(identity: str, n: int, k: int, nums: list, dens: list) -> bool:
@@ -560,11 +664,11 @@ def oracle_verdict(identity: str, n: int, k: int, nums: list, dens: list) -> boo
         return a[0] * b[1] == b[0] * a[1]
 
     def shift_sum(upper):
-        acc, bk = PolyZ(), PolyZ.bracket(k)
+        acc, bk = Poly(), Poly.bracket(k)
         for l in range(upper):
-            weight = PolyZ.monomial(math.comb(n, l), k * l) * bk ** (n - l)
-            acc = (PolyZ.one() + PolyZ.monomial(1, l)) * acc + weight * nums[l]
-        return acc, dens[upper - 1] if upper else PolyZ.one()
+            weight = Poly.monomial(math.comb(n, l), k * l) * bk ** (n - l)
+            acc = (Poly.one() + Poly.monomial(1, l)) * acc + weight * nums[l]
+        return acc, dens[upper - 1] if upper else Poly.one()
 
     e_n = nums[n], dens[n]
     if identity == "poly-vs-recurrence":
@@ -573,15 +677,15 @@ def oracle_verdict(identity: str, n: int, k: int, nums: list, dens: list) -> boo
         return equal(oracle_poly_pair(n, k, 0), shift_sum(n + 1))
     sign = -1 if identity.startswith("even") else 1
     flip = identity in ("even-shift", "even-shift-recombined")
-    acc = PolyZ()
+    acc = Poly()
     for l in range(k):
-        acc = acc + PolyZ.bracket(l) ** n * (-1 if (l % 2 == 1) != flip else 1)
-    bracket_sum = PolyZ.bracket(2) * acc, PolyZ.one()
+        acc = acc + Poly.bracket(l) ** n * (-1 if (l % 2 == 1) != flip else 1)
+    bracket_sum = Poly.bracket(2) * acc, Poly.one()
     if identity in ("even-shift", "odd-shift", "even-shift-wrong-sign"):
         p_num, p_den = oracle_poly_pair(n, k, 0)
         return equal((p_num * e_n[1] + e_n[0] * p_den * sign, p_den * e_n[1]), bracket_sum)
     t_num, t_den = shift_sum(n)
-    shift = PolyZ.monomial(1, k * n) + PolyZ((sign,))
+    shift = Poly.monomial(1, k * n) + Poly((sign,))
     return equal(bracket_sum, (shift * e_n[0] * t_den + t_num * e_n[1], e_n[1] * t_den))
 
 

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from itertools import islice
 
 import pytest
 
@@ -331,8 +330,8 @@ class TestZetaDerivative:
 
 
 def _reference_kseries_terms(s, h, q, qx, pref, log1mq, n):
-    # The k-series generator as it was before the plain factors moved into a
-    # table: every term computes 1 + q^(h+k) and its quotient inline.
+    # A frozen copy of the k-series generator: every term computes
+    # 1 + q^(h+k) and its quotient inline.
     gb, harm, dprod = 1 + 0j, 0j, 0j
     qhk, qxk = q**h, 1 + 0j
     k = 0
@@ -380,8 +379,9 @@ def _outcome(call):
 
 
 class TestPlainFactorTable:
-    """The plain k-series reads its factors c_k from a table: the same bits,
-    term counts and failures as computing each factor inline."""
+    """The plain value and derivative, cases of the one k-series generator,
+    give the same bits, term counts and failures as the frozen inline copy
+    (the name is kept from the factor table those cases once read)."""
 
     @staticmethod
     def _draw_q(rng):
@@ -420,13 +420,13 @@ class TestPlainFactorTable:
 
     def test_vanishing_factor_raises_only_where_reached(self):
         # 1 + q^(h+k) cannot vanish inside the unit disk; q = -1 makes the
-        # factor at k = 1 vanish, so a series reaching only c_0 must not raise
-        table = zeta._PlainFactors(0, -1 + 0j)
-        assert list(islice(table, 1)) == [-0.5]
-        for _ in range(2):  # a failed entry stays failed on a later read
+        # factor at k = 1 vanish, so the plain value and the plain derivative
+        # each yield their k = 0 term and raise only on reaching k = 1
+        for log1mq, first in ((None, -0.5), (math.log(2), -0.5 * math.log(2))):
+            terms = zeta._kseries_terms(0.5 + 0j, 0, -1 + 0j, None, 1 + 0j, log1mq, None)
+            assert next(terms) == first
             with pytest.raises(ArithmeticError, match="vanished"):
-                list(islice(table, 2))
-        assert list(islice(table, 1)) == [-0.5]
+                next(terms)
 
 
 class TestClassicalZeta:
