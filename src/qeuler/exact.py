@@ -11,6 +11,10 @@ checker that decides the shift/expansion identities by exact equality,
 cross-multiplying unreduced pairs.  No path takes a polynomial gcd, and no
 Phi_d is built: a trial multiplies and divides by the binomials q^e - 1,
 e | d, whose Moebius product Phi_d is, each one pass over the coefficients.
+A trial runs only when Phi_d(t) divides the numerator's image r(t) at
+t = 2^16, taken once per reduction: evaluation at t is a ring homomorphism
+and Phi_d(t) > 0, so a nonzero remainder proves that Phi_d does not divide
+r, and a zero one leaves the trial to decide.
 
 The sums and the identity checks run on packed integers (Kronecker
 substitution): a polynomial P is carried as the one integer P(2^w), so a
@@ -228,6 +232,16 @@ def _unpack(v: int, w: int) -> PolyZ:
 # as 1 - q^e does from the bottom up: a product by it is r_k - r_(k-e), and
 # an exact quotient by it is the running sums of r along each residue class
 # k mod e.  Each is one pass over the list.
+#
+# Most trials that would fail never run.  Evaluation at t = 2^_IMAGE_BITS is
+# a ring homomorphism Z[q] -> Z, and Phi_d(t) >= (t - 1)^phi(d) > 0, so
+# Phi_d | r in Z[q] gives Phi_d(t) | r(t): a nonzero remainder of r(t) by
+# Phi_d(t) proves that Phi_d does not divide r.  The converse can fail (with
+# odds about 1 / Phi_d(t)), so a zero remainder only lets the trial run, and
+# the trial still decides.  t is small, not the packing width 2^w, so r(t)
+# stays short and each test is one small integer divmod.
+
+_IMAGE_BITS = 16
 
 
 def _binomials(d: int) -> tuple[list[int], list[int]]:
@@ -271,6 +285,11 @@ def _over_cyclotomic(r: list, plus: list, minus: list) -> list | None:
     return r
 
 
+def _binomial_image(es: list) -> int:
+    # prod of (t^e - 1) over es at the image point t = 2^_IMAGE_BITS
+    return math.prod((1 << _IMAGE_BITS * e) - 1 for e in es)
+
+
 def _add_one_plus_q_power(exps: dict, m: int) -> None:
     # count the Phi_d of 1 + q^m, m >= 1, into exps (d -> multiplicity)
     for d in range(1, 2 * m + 1):
@@ -283,6 +302,13 @@ def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
 
     Each Phi_d is divided out of the numerator while that is exact, at most
     exps[d] times, and exps is left holding the multiplicities that remain.
+    The numerator's image r(t) at t = 2^_IMAGE_BITS is taken once, and
+    before each trial the remainder of r(t) by Phi_d(t) is checked: Phi_d | r
+    gives Phi_d(t) | r(t), so a nonzero remainder proves the trial would
+    fail, and it is skipped with no pass over the coefficients.  A zero
+    remainder does not prove Phi_d | r, so the trial runs and decides, and
+    on success the image becomes the integer quotient; the result and the
+    exps left are those of running every trial.
     A trial multiplies by q^e - 1 for each e | d with mu(d/e) = -1, then
     divides by q^e - 1 for each e with mu(d/e) = +1; it is exact if and only
     if every one of those divisions leaves remainder 0 (the first, by
@@ -296,14 +322,20 @@ def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
     if num.is_zero:
         exps.clear()
         return RationalQ(PolyZ(), PolyZ.one())
-    r, net = list(reversed(num.coeffs)), {}
+    r, net, image = list(reversed(num.coeffs)), {}, 0
+    for v in r:
+        image = (image << _IMAGE_BITS) + v
     for d in sorted(exps):
         plus, minus = _binomials(d)
+        phi = _binomial_image(plus) // _binomial_image(minus)
         while exps[d]:
+            quotient, rem = divmod(image, phi)
+            if rem:
+                break
             trial = _over_cyclotomic(r, plus, minus)
             if trial is None:
                 break
-            r = trial
+            r, image = trial, quotient
             exps[d] -= 1
         for e in plus:
             net[e] = net.get(e, 0) + exps[d]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -455,6 +456,20 @@ def multiplicity(p: Poly, phi: Poly) -> int:
         k += 1
 
 
+def record_failed_trials(monkeypatch) -> list:
+    # one entry per _over_cyclotomic trial _reduced runs: True where it failed
+    failed = []
+    trial = exact._over_cyclotomic
+
+    def recorded(r, plus, minus):
+        out = trial(r, plus, minus)
+        failed.append(out is None)
+        return out
+
+    monkeypatch.setattr(exact, "_over_cyclotomic", recorded)
+    return failed
+
+
 class TestCyclotomicReduction:
     """Canonical forms by trial division by the cyclotomic factors of the
     known denominators, with no remainder sequence."""
@@ -514,6 +529,48 @@ class TestCyclotomicReduction:
         exps = {4: 1, 6: 2}
         got = exact._reduced(phi4 * 3, 6, exps)
         assert canonical(got) == ((1,), (phi6 * phi6 * 2).coeffs) and exps == {4: 0, 6: 2}
+
+    def test_no_trial_fails(self, monkeypatch):
+        # the image test at t = 2^16 rules out every trial that would fail
+        # before it makes a pass over the coefficients (without it, 780 of
+        # the 1,707 trials for E_0..E_40 fail); the successful ones are the
+        # same, and so is every canonical form, pinned by its str forms' hash
+        failed = record_failed_trials(monkeypatch)
+        table = exact._euler_numerators(41)
+        numbers = "\n".join(str(exact._reduced_euler_number(table, n)) for n in range(41))
+        assert len(failed) == 927 and not any(failed)
+        failed.clear()
+        polys = "\n".join(
+            str(exact_euler_poly(n, x, h)) for n in range(15) for x in range(5) for h in range(4)
+        )
+        assert len(failed) == 3930 and not any(failed)
+        digests = [hashlib.sha256(s.encode()).hexdigest() for s in (numbers, polys)]
+        assert digests == [
+            "775ae925c1f2442ccd8e40317f4f1b48e9af6aa3a179fc397928431a23e58ff1",
+            "e029e8321fc872c55d07eafa11976674ac72e884caa1777a26ca434ee0375e95",
+        ]
+
+    def test_trial_decides_an_image_false_positive(self, monkeypatch):
+        # c = Phi_d(2^16) times P, P coprime to Phi_d: Phi_d(2^16) divides
+        # the image, Phi_d does not divide the numerator, so the trial runs,
+        # fails, and Phi_d stays in the denominator as the PRS oracle has it
+        rng = random.Random(2416)
+        failed = record_failed_trials(monkeypatch)
+        phis: dict = {}
+        for d in (1, 2, 3, 4, 6, 10, 12, 15, 30):
+            phi = oracle_cyclotomic(d, phis)
+            c = phi.eval(1 << 16)
+            while True:
+                p = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.choice((-2, -1, 1, 3))])
+                if multiplicity(p, phi) == 0:
+                    break
+            for base in (Poly((c,)), p * c):
+                for a in (0, 1):
+                    num, exps = base * phi ** a, {d: 2}
+                    failed.clear()
+                    got = exact._reduced(num, 6, exps)
+                    assert canonical(got) == canonical(canonical_form(num, phi ** 2 * 6)), (d, a)
+                    assert exps == {d: 2 - a} and failed == [False] * a + [True], (d, a)
 
     def test_numbers_match_the_prs_reduction(self):
         nums, dens = oracle_numerators(21)
