@@ -55,10 +55,10 @@ follow from q, the row's orders and rel_tol (see _nested_sums), so the
 rows of a grid share one table with the bits of a point call.
 
 The w side is one kernel per row (_row): [w]_q and its powers once per
-column, q^(a w) as one exp per column with cpow's exact integer powers,
-the terms added in order; a failing or non-finite cell runs again alone,
-so it raises at its own column.  euler_poly_continuation is its one-row,
-one-column case.
+column, q^(a w) as one exp per column or, where a w is an integer, cpow's
+complex ** int (see kernel.cpow for its rounding), the terms added in
+order; a failing or non-finite cell runs again alone, so it raises at its
+own column.  euler_poly_continuation is its one-row, one-column case.
 """
 
 from __future__ import annotations
@@ -335,8 +335,8 @@ class _Columns:
 
 
 def _q_powers(cols: _Columns, a: float) -> list[complex]:
-    # cpow(q, a w, log q) at every column: one exp each, and cpow's exact
-    # integer power where a w is an integer.
+    # cpow(q, a w, log q) at every column: one exp each, and cpow's
+    # complex ** int where a w is an integer.
     exps = list(map(mul, repeat(a), cols.w))
     q, logq = cols.qp.q, cols.logq
     if logq is None:

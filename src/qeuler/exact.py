@@ -157,14 +157,6 @@ class RationalQ(Record):
         _set(self, "num", num)
         _set(self, "den", den)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
-
     def eval(self, q0):
         from fractions import Fraction
         num, den = self.num.eval(q0), self.den.eval(q0)

@@ -160,11 +160,14 @@ class SeriesValue(Record):
 def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> complex:
     """base**exponent on the principal branch of the logarithm.
 
-    Integer exponents are dispatched to exact binary powering so that, e.g.,
-    q**3 carries no log/exp rounding.  A zero base demands Re(exponent) > 0
-    (0**0 = 1 by convention).  log_base, when given, must be cmath.log(base)
-    of a nonzero base: a caller raising one base to many powers takes the
-    logarithm once, with the same bits.
+    Integer exponents up to 4096 in magnitude go to Python's complex ** int,
+    with no cmath.log or exp.  That is not exact: CPython 3.11 takes it by
+    binary powering, one rounding per product, only up to |k| = 100, and
+    beyond that by its polar formula, |base|**k at angle k arg(base), so
+    (0.9+0.1j)**101 differs from binary powering in the last places.  A
+    zero base demands Re(exponent) > 0 (0**0 = 1 by convention).  log_base,
+    when given, must be cmath.log(base) of a nonzero base: a caller raising
+    one base to many powers takes the logarithm once, with the same bits.
     """
     base = complex(base)
     exponent = complex(exponent)

@@ -13,15 +13,19 @@ of order (1-q)^n and would lose 6-12 digits for the larger n and q of
 interest.  A shift other than an integer 0..EXACT_SHIFT_MAX enters the sum
 as q^x at the working precision.  The q-Euler numbers come from one float
 pass of their recurrence, and the classical Euler numbers from one integer
-pass of theirs.  Nothing here keeps state between calls.
+pass of theirs.  The classical Euler polynomial E_n(x) is one Gaussian-
+integer sum over those at every finite x, real or complex, divided once per
+component, so it too is correctly rounded; classical_zeta_E returns it at
+order -n.  Nothing here keeps state between calls.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
-from ._exactcomplex import terminating_alt_sum
+from ._exactcomplex import _dyadic, terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter, check_order_terms
 
@@ -101,19 +105,31 @@ def classical_euler_number(n: int):
 
 
 def classical_euler_poly(n: int, x) -> complex:
-    """Classical Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k)."""
+    """Classical Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k), correctly rounded.
+
+    x is P / 2^e with P a Gaussian integer, exactly, so with a_k = 2^k E_k
+    (scaled_classical_euler) the value times 2^n 2^(e n) is the integer
+    sum_j C(n,j) a_(n-j) 2^j P^j 2^(e (n-j)), taken by Horner in P; each
+    component is divided once.  A value beyond the float range raises
+    FloatRangeError, and a non-finite x ValueError.
+    """
     n = as_index(n, "n")
-    a = scaled_classical_euler(n)
     z = complex(x)
-    total = 0j
+    if not cmath.isfinite(z):
+        raise ValueError(f"x must be finite, got {x!r}")
+    a = scaled_classical_euler(n)
+    (pr, pi), e = _dyadic(z)
+    re = im = 0
+    for j in range(n, -1, -1):
+        c = math.comb(n, j) * a[n - j] << j + e * (n - j)
+        re, im = re * pr - im * pi + c, re * pi + im * pr
+    den = 1 << n + e * n
     try:
-        for k in range(n + 1):
-            total += math.comb(n, k) * (a[k] / 2**k) * z ** (n - k)
+        return complex(re / den, im / den)
     except OverflowError as exc:
         raise FloatRangeError(
             f"the classical Euler polynomial of order {n} at x = {x!r} lies beyond the float range"
         ) from exc
-    return total
 
 
 def _averaged(rows: list[float], depth: int) -> list[list[float]]:

@@ -19,8 +19,8 @@ Terminating orders are finite sums, plain or E_n(x, h | q) at every
 shift, which one call to _exactcomplex.terminating_alt_sum evaluates in
 big-integer fixed point and rounds once, correctly, with bound 0; that
 keeps the interpolation property at machine precision.  The classical
-zeta at order -n is likewise the exact classical Euler polynomial, rounded
-once.
+zeta at order -n is likewise numeric.classical_euler_poly, the exact
+classical Euler polynomial rounded once.
 
 As the real order grows, the plain variant tends to -(1 + q) when
 |[n]_q| > 1 for every n >= 2: only the first alternating term survives.
@@ -36,7 +36,7 @@ import cmath
 import math
 
 from ._exactcomplex import terminating_alt_sum
-from .errors import FloatRangeError, NonConvergenceError
+from .errors import NonConvergenceError
 from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -48,7 +48,7 @@ from .kernel import (
     cpow,
     sum_series_geometric,
 )
-from .numeric import scaled_classical_euler
+from .numeric import classical_euler_poly
 
 __all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
 
@@ -106,16 +106,17 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"the order must be finite, got {s!r}")
+    n = as_int(s)
+    n = -n if n is not None and n <= 0 else None
+    if n is not None and not deriv:
+        # The finite sum, plain or E_n(x, h | q) at every shift, correctly
+        # rounded.
+        check_order_terms(n, cfg)
+        return SeriesValue(terminating_alt_sum(n, h, qq, x), 0.0, n + 1, True)
     if x is not None:
         x = complex(x)
         if not (cmath.isfinite(x) and x.real >= 0):
             raise ValueError("the Hurwitz variant needs a finite x with Re(x) >= 0")
-    n = as_int(s)
-    n = -n if n is not None and n <= 0 else None
-    if n is not None and not deriv:
-        # The finite sum, plain or E_n(x, h | q), correctly rounded.
-        check_order_terms(n, cfg)
-        return SeriesValue(terminating_alt_sum(n, h, qq, x), 0.0, n + 1, True)
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
     ratio = abs(qq)
@@ -143,11 +144,12 @@ def qzeta(s, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
 
 
 def qzeta_hurwitz(s, x, h: int, q, config: EngineConfig | None = None) -> SeriesValue:
-    """The Hurwitz-type variant at (s, x, h); the shift needs Re(x) >= 0.
+    """The Hurwitz-type variant at (s, x, h).
 
     At s = -n the series terminates at k = n and equals the q-Euler
-    polynomial E_n(x, h | q) at every shift, euler_poly's correctly rounded
-    value, with error_bound 0 and terms_used = n + 1.
+    polynomial E_n(x, h | q) at every finite shift, euler_poly's correctly
+    rounded value, with error_bound 0 and terms_used = n + 1.  At every
+    other order the shift needs Re(x) >= 0.
     For x = 0 and Re(s) > 0 the k-series genuinely diverges (the underlying
     n = 0 term is singular), and NonConvergenceError is raised before any
     summing.
@@ -169,9 +171,11 @@ def qzeta_deriv(s, h: int, q, x=None, config: EngineConfig | None = None) -> Ser
 # -- classical alternating zeta -------------------------------------------------
 
 
-def _cvz_alternating(a, n_terms: int) -> complex:
-    # Chebyshev-weighted acceleration of sum_{k>=0} (-1)^k a(k); also sums the
-    # divergent polynomially-growing cases to their continued values.
+def _cvz_alternating(a: list) -> complex:
+    # Chebyshev-weighted acceleration of sum_{k>=0} (-1)^k a[k] from the
+    # len(a) terms given; also sums the divergent polynomially-growing cases
+    # to their continued values.
+    n_terms = len(a)
     d = (3.0 + 2.0 * math.sqrt(2.0)) ** n_terms
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -179,19 +183,9 @@ def _cvz_alternating(a, n_terms: int) -> complex:
     acc = 0j
     for k in range(n_terms):
         c = b - c
-        acc += c * a(k)
+        acc += c * a[k]
         b *= (k + n_terms) * (k - n_terms) / ((k + 0.5) * (k + 1.0))
     return acc / d
-
-
-def _safe_power(base: float, exponent: complex) -> complex:
-    if base == 0.0:
-        if exponent == 0:
-            return 1 + 0j
-        if exponent.real > 0:
-            return 0j
-        raise ValueError("0 raised to a nonpositive power in the zeta sum")
-    return cmath.exp(exponent * math.log(base))
 
 
 def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesValue:
@@ -203,13 +197,16 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     Evaluated with the Cohen-Villegas-Zagier alternating-series acceleration.
     At nonpositive integer orders the terms are polynomial in the index and
     the acceleration no longer converges; there the regularized value is the
-    classical Euler polynomial, -E_n(1) plain and E_n(x) shifted, computed
-    in exact integer arithmetic and rounded once; an order -n whose n + 1
-    terms exceed max_terms raises NonConvergenceError.  x = 0 with
-    Re(s) > 0 is rejected (the n = 0 term is singular).
+    classical Euler polynomial, -E_n(1) plain and E_n(x) shifted, as
+    classical_euler_poly rounds it once from its exact value; an order -n
+    whose n + 1 terms exceed max_terms raises NonConvergenceError.  x = 0
+    with Re(s) > 0 is rejected (the n = 0 term is singular), and so is a
+    non-finite order, with ValueError.
     """
     cfg = config or DEFAULT_CONFIG
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"the order must be finite, got {s!r}")
     xv = None
     if x is not None:
         xv = complex(x)
@@ -222,27 +219,10 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     if n is not None and n <= 0:
         n = -n
         check_order_terms(n, cfg)
-        # 2 sum_k (-1)^k (k+x)^n = E_n(x) = sum_k C(n,k) E_k x^(n-k), and
-        # the plain sum is -E_n(1).  With E_k = e_k / 2^k and x = p/d this
-        # is N / (2d)^n for the integer N below, rounded once.
-        e = scaled_classical_euler(n)
-        p, d = (1, 1) if xv is None else xv.real.as_integer_ratio()
-        N = sum(math.comb(n, k) * e[k] * (2 * p) ** (n - k) * d**k for k in range(n + 1))
-        try:
-            value = (-N if xv is None else N) / (2 * d) ** n
-        except OverflowError as exc:
-            raise FloatRangeError(
-                f"the classical zeta at order {-n} lies beyond the float range"
-            ) from exc
-        return SeriesValue(complex(value), 0.0, n + 1, True)
-
-    if xv is None:
-        a = lambda k: _safe_power(k + 1.0, -s)
-        factor = -2.0
-    else:
-        xr = xv.real
-        a = lambda k: _safe_power(k + xr, -s)
-        factor = 2.0
+        # 2 sum_k (-1)^k (k+x)^n is E_n(x), and the plain sum is -E_n(1),
+        # taken as 0 - E_n(1) so that a zero keeps the sign +0.0.
+        value = 0.0 - classical_euler_poly(n, 1) if xv is None else classical_euler_poly(n, xv)
+        return SeriesValue(value, 0.0, n + 1, True)
 
     digits = -math.log10(cfg.rel_tol)
     imag_pad = int(0.5 * abs(s.imag))
@@ -256,8 +236,11 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
         raise NonConvergenceError(
             f"acceleration needs {n_terms} terms, above max_terms={cfg.max_terms}"
         )
-    v1 = _cvz_alternating(a, n_terms)
-    v2 = _cvz_alternating(a, max(4, n_terms - 8))
+    # plain: a[k] = (k+1)^(-s), shifted: a[k] = (k+x)^(-s)
+    shift, factor = (1.0, -2.0) if xv is None else (xv.real, 2.0)
+    a = [cpow(k + shift, -s) for k in range(n_terms)]
+    v1 = _cvz_alternating(a)
+    v2 = _cvz_alternating(a[: n_terms - 8])
     value = factor * v1
     err = 2.0 * abs(factor) * abs(v1 - v2) + 16.0 * abs(value) * 2.220446049250313e-16
     converged = err <= max(cfg.rel_tol * abs(value), 1e-13)

@@ -96,6 +96,60 @@ class TestClassical:
         assert abs(classical_euler_poly(1, 0.5)) == 0  # x - 1/2
         assert abs(classical_euler_poly(2, 1)) == 0  # x^2 - x
 
+    def test_poly_correctly_rounded(self):
+        # E_n(x) = sum_k C(n,k) E_k x^(n-k) over one common denominator,
+        # each component rounded once by int / int; the float sum this
+        # replaced gave 5.8e35 at (58, 2)
+        numbers = [Fraction(1)]
+        for m in range(1, 70):
+            numbers.append(-sum(math.comb(m, l) * numbers[l] for l in range(m)) / 2)
+        scaled = [int(e * 2**k) for k, e in enumerate(numbers)]  # 2^k E_k
+
+        def references(x):
+            z = complex(x)
+            xr, xi = Fraction(z.real), Fraction(z.imag)
+            d = max(xr.denominator, xi.denominator)
+            p = (xr.numerator * (d // xr.denominator), xi.numerator * (d // xi.denominator))
+            powers, dk = [(1, 0)], [1]  # p^j and d^k
+            for _ in range(69):
+                a, b = powers[-1]
+                powers.append((a * p[0] - b * p[1], a * p[1] + b * p[0]))
+                dk.append(dk[-1] * d)
+            for n in range(70):
+                den = dk[n] << n  # E_k = (2^k E_k) / 2^k and x = p / d
+                re = im = 0
+                for k in range(n + 1):
+                    c = math.comb(n, k) * scaled[k] * dk[k] << n - k
+                    re, im = re + c * powers[n - k][0], im + c * powers[n - k][1]
+                try:
+                    yield n, complex(re / den, im / den)
+                except OverflowError:
+                    yield n, None
+
+        rng = random.Random(2510)
+        xs = [0.3, 0.5, 2.0, -1.5, 0.25 + 0.5j, 1 - 1j, 123.4, 1e-300, 5e-324]
+        xs += [rng.uniform(-4.0, 4.0) for _ in range(6)]
+        xs += [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(6)]
+        xs += [rng.choice((-1, 1)) * 10 ** rng.uniform(-30.0, 4.0) for _ in range(4)]
+        for x in xs:
+            for n, want in references(x):
+                if want is None:
+                    with pytest.raises(FloatRangeError):
+                        classical_euler_poly(n, x)
+                    continue
+                got = classical_euler_poly(n, x)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (n, x)
+        assert classical_euler_poly(58, 2.0) == 2  # E_n(1 + x) = 2 x^n - E_n(x)
+
+    def test_poly_beyond_the_float_range_raises(self):
+        with pytest.raises(FloatRangeError):
+            classical_euler_poly(3, 1e200)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_poly_non_finite_shift_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            classical_euler_poly(3, x)
+
 
 class TestTermBudget:
     # E_0..E_n and E_n(x, h | q) take n + 1 terms; above config.max_terms

@@ -17,7 +17,7 @@ from qeuler import (
     qzeta_deriv,
     qzeta_hurwitz,
 )
-from qeuler.errors import NonConvergenceError
+from qeuler.errors import NonConvergenceError, PoleError
 from qeuler.kernel import DEFAULT_CONFIG, cpow, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
@@ -188,6 +188,21 @@ class TestHurwitzZeta:
             qzeta_hurwitz(1, -0.5, 0, QParameter(0.5))
         with pytest.raises(ValueError):
             qzeta_deriv(2.5, 0, QParameter(0.5), x=-0.5)
+
+    def test_every_shift_at_negative_integer_order(self):
+        # at s = -n the value is euler_poly's at every finite shift, Re(x) < 0
+        # and complex included, with the same bits
+        rng = random.Random(2512)
+        for _ in range(40):
+            n, h = rng.randrange(25), rng.randrange(3)
+            q = rng.choice((0.5, -0.7, 0.9, 0.3 + 0.4j, 0.6j))
+            x = complex(rng.uniform(-3.0, 1.0), rng.choice((0.0, rng.uniform(-2.0, 2.0))))
+            sv = qzeta_hurwitz(-n, x, h, q)
+            assert sv.value == euler_poly(n, x, h, q), (n, x, h, q)
+            assert (sv.error_bound, sv.terms_used, sv.converged) == (0.0, n + 1, True)
+        assert qzeta_hurwitz(-3, -0.5, 0, 0.5).value == euler_poly(3, -0.5, 0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            qzeta_hurwitz(-3, complex(-math.inf, 0.0), 0, 0.5)
 
     def test_non_integer_shift_at_negative_integer_order(self):
         # at s = -n the rising-factorial binomials are (-1)^k C(n, k) and
@@ -457,6 +472,27 @@ class TestClassicalZeta:
     def test_shift_range(self):
         with pytest.raises(ValueError):
             classical_zeta_E(2, x=1.5)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, complex(2.5, math.inf)])
+    def test_non_finite_order_rejected(self, s):
+        with pytest.raises(ValueError, match="the order must be finite"):
+            classical_zeta_E(s)
+
+    def test_zero_shift_at_imaginary_order_is_a_pole(self):
+        # the n = 0 term is 0^(-s) with Re(-s) = 0
+        with pytest.raises(PoleError):
+            classical_zeta_E(2j, x=0.0)
+
+    def test_nonpositive_orders_are_classical_euler_poly(self):
+        # E_n(x) shifted and -E_n(1) plain, whose zeros at even n are +0.0
+        for n in range(41):
+            for x in (0.0, 0.25, 0.7, 0.999):
+                assert classical_zeta_E(-n, x).value == classical_euler_poly(n, x)
+            plain = classical_zeta_E(-n).value
+            assert plain == -classical_euler_poly(n, 1)
+            zeros = [c for c in (plain.real, plain.imag) if c == 0.0]
+            assert all(math.copysign(1.0, c) == 1.0 for c in zeros)
+            assert len(zeros) == (2 if n % 2 == 0 and n else 1)
 
     def test_term_budget_at_nonpositive_integers(self):
         cfg = EngineConfig(max_terms=16)
