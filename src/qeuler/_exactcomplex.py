@@ -33,13 +33,16 @@ two, with no gcd, and divided once; exact zeros and binary64 ties, as
 after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
 
 The same term list at shift 0 also gives the continuation its difference
-table (difference_table): every difference D_m[j] = sum_i (-1)^i C(m,i)
-c_(j+i) of the plain factors c_j = -q^j / (1 + q^j), m <= top, j < length,
-taken exactly by integer subtraction, m passes over one list, and each
-entry rounded once to a float.  The differences of order m are of the
-order of |1-q|^m times the factors, so near q = 1 floats would lose their
-digits; the table's error bound (difference_error) counts the floors and
-the carried powers, and the continuation chooses W from it
+table (DifferenceTable): every difference D_m[j] = sum_i (-1)^i C(m,i)
+c_(j+i) of the plain factors c_j = -q^j / (1 + q^j), taken exactly by
+integer subtraction, one pass per order over one list, and each entry
+rounded once to a float when it is first read.  The list and the integer
+rows grow as the reads ask for more (_term_lists carries its powers from
+one extension to the next), so an entry does not depend on how far the
+table was grown.  The differences of order m are of the order of |1-q|^m
+times the factors, so near q = 1 floats would lose their digits; the
+table's error bound (difference_error) counts the floors and the carried
+powers, and the continuation chooses W from it
 (continuation._nested_sums).
 """
 
@@ -51,9 +54,9 @@ from itertools import islice, repeat
 from operator import mul, sub
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
-from .kernel import EXACT_SHIFT_MAX, as_int
+from .kernel import EXACT_SHIFT_MAX, as_complex, as_int
 
-__all__ = ["difference_error", "difference_table", "terminating_alt_sum"]
+__all__ = ["DifferenceTable", "difference_error", "difference_table", "terminating_alt_sum"]
 
 _LN2 = math.log(2.0)
 
@@ -310,27 +313,40 @@ def _quotients(n: int, h: int, Q, e: int, x, W: int):
     once they are truncated, or when the _Shift refuses x~: _radius's bound
     fails there.
     """
+    return next(_term_lists(h, Q, e, x, W, n))
+
+
+def _term_lists(h: int, Q, e: int, x, W: int, n: int):
+    # _quotients' lists, grown on demand.  The first next() yields them
+    # holding the terms k <= n (n >= 0), or None where _quotients refuses;
+    # each send(n) then yields the same lists holding the terms k <= n, or
+    # every term once the lists have stopped.  The powers are carried from
+    # one send to the next, so a term does not depend on how the lists grew.
     (Q0, Q1), et = _fixed(Q, e, W)
     (N0, N1), s = _fixed(_pow(Q, h), e * h, W)
     if et < e and Q0 * Q0 + Q1 * Q1 > 1 << 2 * et:
-        return None
+        yield None
+        return
     if isinstance(x, _Shift):
         shifted = x.power(W)
         if shifted is None:
-            return None
+            yield None
+            return
         (M0, M1), xs = shifted[0], W
     else:
         x = x or 0
         (M0, M1), xs = _fixed(_pow(Q, x), e * x, W)
         if xs < e * x and M0 * M0 + M1 * M1 > 1 << 2 * xs:
-            return None
+            yield None
+            return
     X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
-    re = []
+    re, k = [], 0
     if not (Q1 or N1 or M1):  # real q~: v_k = X~_k 2^(W + s) / w, w = 2^s + N
-        for k in range(n + 1):
+        while True:
             re.append((X0 << W + s - t) // ((1 << s) + N0))
-            if k == n:
-                break
+            while k >= n:
+                n = yield re, None
+            k += 1  # X~ and P~ carried from k - 1 to k
             if x:
                 X0 *= M0
                 t += xs
@@ -343,9 +359,10 @@ def _quotients(n: int, h: int, Q, e: int, x, W: int):
             if s > W:
                 N0 >>= s - W
                 s = W
-        return re, None
+        while True:
+            yield re, None
     im = []
-    for k in range(n + 1):  # v_k = X~_k 2^(W + s) conj(w) / |w|^2
+    while True:  # v_k = X~_k 2^(W + s) conj(w) / |w|^2
         w0 = (1 << s) + N0
         d = w0 * w0 + N1 * N1
         if x:  # X~_k conj(w) = (X0 w0 + X1 N1) + i (X1 w0 - X0 N1)
@@ -355,8 +372,9 @@ def _quotients(n: int, h: int, Q, e: int, x, W: int):
         else:
             re.append((w0 << W + s) // d)
             im.append(-((N1 << W + s) // d))
-        if k == n:
-            break
+        while k >= n:
+            n = yield re, im
+        k += 1
         if x:
             X0, X1 = X0 * M0 - X1 * M1, X0 * M1 + X1 * M0
             t += xs
@@ -370,7 +388,8 @@ def _quotients(n: int, h: int, Q, e: int, x, W: int):
             N0 >>= s - W
             N1 >>= s - W
             s = W
-    return re, im
+    while True:
+        yield re, im
 
 
 def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
@@ -411,37 +430,86 @@ def difference_error(q: complex, count: int) -> float:
     return 1.0 + 3.0 * count / (lower * lower)
 
 
-def difference_table(q: complex, top: int, length: int, W: int):
+class DifferenceTable:
     """The differences D_m[j] = sum_i (-1)^i C(m,i) c_(j+i) of the plain
-    factors c_j = -q^j / (1 + q^j), for m = 0..top and j < length, or None
-    where _quotients refuses q~ at W.
+    factors c_j = -q^j / (1 + q^j) at W fractional bits, built as they are
+    read (difference_table).
 
-    Row m is D_m[j], j < length, as one float list per component, (re, im),
-    im None at real q: each entry rounded once from its fixed-point value.
-    The differences are exact: one _quotients list at shift 0 of length +
-    top terms gives 2^W c_j = v_j - 2^W, and D_(m+1)[j] = D_m[j] - D_m[j+1]
-    is one integer subtraction per entry (difference_error bounds the
-    result).  An entry depends on q, W, m and j alone, whatever the extent
-    of the table.
+    The differences are exact: the _quotients list at shift 0 gives 2^W c_j
+    = v_j - 2^W, and D_(m+1)[j] = D_m[j] - D_m[j+1] is one integer
+    subtraction per entry (difference_error bounds the result).  The table
+    keeps these integer rows, from N quotients D_m[j] for j < N - m, and
+    grows the list and every row with it when a read passes the end of one;
+    row rounds each entry once, when it is first read.  An entry depends on
+    q, W, m and j alone, whatever the extent of the table or the order of
+    the reads.
     """
+
+    __slots__ = ("_W", "_lists", "_v", "_ints", "_floats")
+
+    def __init__(self, W: int, lists, v):
+        # lists is _term_lists at shift 0, started, and v the lists it yields
+        self._W, self._lists, self._v = W, lists, v
+        self._ints = []  # 2^W D_m as [re, im] integer lists, im None at real q
+        self._floats = []  # the rounded entries read so far, alike
+
+    def grow(self, top: int, length: int) -> None:
+        """Hold the integer rows D_0..D_top with at least their entries j <
+        length: length + top quotients, and every row held grown with them."""
+        ints, (vre, vim) = self._ints, self._v
+        have = len(vre)
+        if length + top > have:
+            self._lists.send(length + top - 1)
+            if ints:  # 2^W c_j = v_j - 2^W; the imaginary part is vim itself
+                ints[0][0] += map(sub, vre[have:], repeat(1 << self._W))
+            for prev, row in zip(ints, ints[1:]):  # D_m[j] = D_(m-1)[j] - D_(m-1)[j+1]
+                old = len(row[0])
+                for part, above in zip(row, prev):
+                    if part is not None:
+                        part += map(sub, above[old:], above[old + 1 :])
+        while len(ints) <= top:
+            if ints:
+                prev = ints[-1]
+                ints.append([None if part is None else list(map(sub, part, islice(part, 1, None))) for part in prev])
+            else:
+                ints.append([list(map(sub, vre, repeat(1 << self._W))), vim])
+
+    def row(self, m: int, count: int):
+        """D_m[j] for j < count at least, each entry rounded once from its
+        fixed-point value, as one float list per component, [re, im], im
+        None at real q."""
+        floats = self._floats
+        while len(floats) <= m:
+            floats.append([[], None if self._v[1] is None else []])
+        out = floats[m]
+        have = len(out[0])
+        if have < count:
+            ints = self._ints
+            if len(ints) <= m or len(ints[m][0]) < count:
+                self.grow(m, count)
+            W = self._W
+            for part, exact in zip(out, ints[m]):
+                if part is None:
+                    pass
+                elif W + m + 64 <= 1022:  # |2^W D_m[j]| < 2^1022 and 2^-W is normal: float() rounds it, 2^-W is exact
+                    part += map(mul, map(float, exact[have:count]), repeat(2.0**-W))
+                else:
+                    den = 1 << W
+                    part += [a / den for a in exact[have:count]]
+        return out
+
+
+def difference_table(q: complex, top: int, length: int, W: int) -> DifferenceTable | None:
+    """The DifferenceTable of q at W, its integer rows built for m <= top and
+    j < length, or None where _quotients refuses q~ at W."""
     Q, e = _dyadic(q)
-    v = _quotients(length + top - 1, 0, Q, e, 0, W)
+    lists = _term_lists(0, Q, e, 0, W, max(0, length + top - 1))
+    v = next(lists)
     if v is None:
         return None
-    if W + top + 64 <= 1022:  # |2^W D_m[j]| < 2^1022 and 2^-W is normal: float() rounds it, 2^-W is exact
-        scale = 2.0**-W
-        rounded = lambda ints: list(map(mul, map(float, islice(ints, length)), repeat(scale)))
-    else:
-        den = 1 << W
-        rounded = lambda ints: [a / den for a in islice(ints, length)]
-    re, im = list(map(sub, v[0], repeat(1 << W))), v[1]
-    rows = [(rounded(re), None if im is None else rounded(im))]
-    for _ in range(top):
-        re = list(map(sub, re, islice(re, 1, None)))
-        if im is not None:
-            im = list(map(sub, im, islice(im, 1, None)))
-        rows.append((rounded(re), None if im is None else rounded(im)))
-    return rows
+    table = DifferenceTable(W, lists, v)
+    table.grow(top, length)
+    return table
 
 
 def _exact_sum(terms):
@@ -541,10 +609,7 @@ def _as_shift(n: int, q: complex, Q, e: int, x):
     xi = as_int(x)
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return xi
-    try:
-        x = complex(x)
-    except OverflowError:
-        x = complex(math.inf)
+    x = as_complex(x, "the shift")
     if not cmath.isfinite(x):
         raise ValueError(f"the shift must be finite, got {x!r}")
     if not (Q[0] or Q[1]):  # q^x is 0, as q^1 is, or a pole

@@ -5,7 +5,10 @@ Subcommands: numbers, poly, zeta, continue, curve, verify.  Exit codes:
 non-convergence or overflow.
 
 Each subcommand builds its text lines and a list of rows (dicts), and one
-emitter writes them as text, JSON or CSV.
+emitter writes them as text, JSON or CSV.  The curve grid, the one large
+output, builds its dict rows only for JSON; its CSV lines come formatted,
+each s once per row and each w once per column, and the emitter writes them
+as they are.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _fmt_complex(z: complex, sig: int = 10) -> str:
     return f"{z.real:.{sig}g}{op}{abs(z.imag):.{sig}g}i"
 
 
-def _emit(fmt: str, meta: dict, text: list[str], rows: list[dict], key=None, body=None) -> int:
+def _emit(fmt: str, meta: dict, text: list[str], rows: list[dict], key=None, body=None, csv=None) -> int:
     """Write one result and return exit code 0.
 
     text is written as it is.  JSON is {**meta, **rows[0]} when key is None,
@@ -88,10 +91,13 @@ def _emit(fmt: str, meta: dict, text: list[str], rows: list[dict], key=None, bod
     complex field x is written [re, im].  CSV is a header and one line per
     row: a complex field x fills the columns x_re,x_im, floats are written
     .17g and strings quoted.  The fields of the first row fix the columns.
+    csv, where given, is those lines, header first, formatted by the caller.
     """
     if fmt == "json":
         obj = {**meta, **rows[0]} if key is None else {**meta, key: rows if body is None else body}
         text = [json.dumps(obj, default=lambda z: [z.real, z.imag])]
+    elif csv is not None:
+        text = csv
     elif fmt == "csv":
         names, fields = [], []
         for i, (name, value) in enumerate(rows[0].items()):
@@ -182,12 +188,22 @@ def _cmd_continue(args, cfg, qp, meta) -> int:
 
 def _cmd_curve(args, cfg, qp, meta) -> int:
     grid = curve_grid(*args.s_range, *args.w_range, qp, cfg)
-    rows = [
-        {"s": s, "w": w, "re": z.real, "im": z.imag}
-        for s, row in zip(grid.s_values, grid.values)
-        for w, z in zip(grid.w_values, row)
-    ]
-    return _emit(args.format, {**meta, "config": grid.metadata}, [], rows, "samples")
+    meta = {**meta, "config": grid.metadata}
+    if args.format == "json":
+        rows = [
+            {"s": s, "w": w, "re": z.real, "im": z.imag}
+            for s, row in zip(grid.s_values, grid.values)
+            for w, z in zip(grid.w_values, row)
+        ]
+        return _emit("json", meta, [], rows, "samples")
+    # The CSV of those rows, with each s formatted once per row and each w
+    # once per column.
+    ws = [f"{w:.17g}," for w in grid.w_values]
+    lines = ["s,w,re,im"]
+    for s, row in zip(grid.s_values, grid.values):
+        head = f"{s:.17g},"
+        lines += [f"{head}{w}{z.real:.17g},{z.imag:.17g}" for w, z in zip(ws, row)]
+    return _emit("csv", meta, [], [], csv=lines)
 
 
 def _cmd_verify(args, cfg, qp, meta) -> int:

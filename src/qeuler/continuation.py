@@ -47,12 +47,18 @@ and n = 0 the plain k-series.  Taking n = k + 1 for a = k + frac makes the
 weights gb(1 - frac, j) the same for every coefficient of a row, and
 positive and falling, so a row is one weight vector against the rows D_0,
 ..., D_([s]+1) of one difference table: two dot products per coefficient
-(math.fsum, whose bits do not depend on the Python version).  The table
-(_exactcomplex.difference_table) takes the differences exactly, on integers
-in fixed point, where floats would lose the (1-q)^n by which D_n falls
-below the factors, and rounds each entry once.  Its length and precision
-follow from q, the row's orders and rel_tol (see _nested_sums), so the
-rows of a grid share one table with the bits of a point call.
+(math.fsum, whose bits do not depend on the Python version).  The weights
+are one running product of the ratios (sigma + k) / (k + 1), taken to the
+longest J_m the row reads.  The table (_exactcomplex.DifferenceTable)
+takes the differences exactly, on integers in fixed point, where floats
+would lose the (1-q)^n by which D_n falls below the factors, and rounds
+each entry once.  Its precision and the a-priori bound L on each J_m
+follow from q, the row's orders and rel_tol (see _nested_sums), but it is
+built only where read: its integer rows start from D_m[0], the top + 1
+quotients each order's first guess at J_m needs, are then sized from those
+guesses and grow where a later J_m passes their end, and a row rounds only
+its entries j < J_m.  An entry depends on q, the precision, m and j alone,
+so the rows of a grid share one table with the bits of a point call.
 
 The w side is one kernel per row (_row): [w]_q and its powers once per
 column, q^(a w) as one exp per column or, where a w is an integer, cpow's
@@ -65,12 +71,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate, compress, count, islice, repeat
-from operator import add, attrgetter, mul, truediv
+from itertools import repeat
+from operator import mul
 
 from ._exactcomplex import difference_error, difference_table, terminating_alt_sum
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
-from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_qparameter, cpow, q_bracket
+from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_complex, as_qparameter, cpow, q_bracket
 from .zeta import qzeta, qzeta_deriv
 
 __all__ = [
@@ -86,7 +92,7 @@ _LN2 = math.log(2.0)
 
 def _reflected(s) -> complex:
     # -s, with a non-finite order refused as the caller gave it
-    sc = complex(s)
+    sc = as_complex(s, "the order")
     if not cmath.isfinite(sc):
         raise ValueError(f"the order must be finite, got {s!r}")
     return -sc
@@ -156,29 +162,36 @@ def _log_tail(q: complex, m: int, length: int) -> float:
             return big + math.log(math.fsum([math.exp(t - big) for t in logs]) + math.exp(rest - big))
 
 
-def _table(q: complex, W: int, top: int, length: int, reach: int, memo: dict):
-    # The difference table at W covering orders to top and entries j <
-    # length, with a dict for the tail lines of its orders: memo's, when it
-    # covers them, else one built to order reach (>= top), which replaces
+def _table(q: complex, W: int, memo: dict):
+    # The difference table at W, with a dict for the tail lines of its
+    # orders: memo's, when it holds that W, else a new one, which replaces
     # it.  Its entries are the same whatever its extent, so the table of one
-    # row serves the next alike.
+    # row serves the next alike, and grows where the next reads further.
     held = memo.get(W)
-    if held is not None and len(held[0]) > top and len(held[0][0][0]) >= length:
-        return held
-    rows = difference_table(q, reach, length, W)
-    memo.clear()
-    if rows is None:
-        return None
-    memo[W] = held = (rows, {})
+    if held is None:
+        table = difference_table(q, 0, 0, W)
+        memo.clear()
+        if table is None:
+            return None
+        memo[W] = held = (table, {})
     return held
 
 
-def _weights(sigma: float, n: int) -> list[float]:
-    # gb(sigma, j) for j < n, one running product
-    return list(islice(accumulate(map(truediv, map(add, repeat(sigma), count()), count(1)), mul, initial=1.0), n))
+def _weights(sigma: float, n: int, out: list[float] | None = None) -> list[float]:
+    # gb(sigma, j) for j < n, one running product of the ratios (sigma + k) /
+    # (k + 1), k carried as the float it converts to; out, where given, holds
+    # the first entries and is carried on.
+    out = out or [1.0]
+    w, k = out[-1], float(len(out) - 1)
+    for _ in range(n - len(out)):
+        j = k + 1.0
+        w *= (sigma + k) / j
+        out.append(w)
+        k = j
+    return out
 
 
-def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict, reach: int) -> list[complex]:
+def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict) -> list[complex]:
     # S_m = sum_{j<J_m} gb(1 - frac, j) D_m[j], m = 0..top, the nested series
     # of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac)) S_m: one weight
     # vector for every m, and each S_m two dot products.
@@ -192,8 +205,9 @@ def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dic
     # of it.  Where J_m passes L, L doubles, and where the table's rounding
     # exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.  So L, W and
     # J_m follow from q, the multiple of _TOP_STEP at or above top, frac and
-    # rel_tol alone: a grid, whose rows share memo's table (built to order
-    # reach), has the bits of a point call.
+    # rel_tol alone: a grid, whose rows share memo's table, has the bits of
+    # a point call.  The table holds what its reads asked for: D_m[0] for
+    # the guesses, then the J_m entries each S_m sums, rounded as read.
     sigma = 1.0 - frac
     wide = -(-top // _TOP_STEP) * _TOP_STEP
     lr = math.log(abs(q)) if q else -math.inf
@@ -205,11 +219,11 @@ def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dic
                 f"the difference table of order {top} needs {length + top} terms, above max_terms={cfg.max_terms}"
             )
         W = _table_bits(q, wide, length) + extra
-        held = _table(q, W, top, length, min(wide, max(top, reach)), memo)
+        held = _table(q, W, memo)
         if held is None:  # a truncated q~ left the unit disk: more bits
             extra += 64
             continue
-        rows, lines = held
+        table, lines = held
         start = max(1, length // 4)
         log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
 
@@ -224,20 +238,23 @@ def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dic
             j = (log_gb + line - target) / -lr
             return max(start, math.ceil(j)) if j <= length else length + 1
 
+        table.grow(top, 1)  # D_m[0] for the guesses: top + 1 quotients
         guesses = [
             entries(m, allowed - 3 * _LN2 + _log_abs(re[0], im and im[0])) if re[0] or im and im[0] else length
-            for m, (re, im) in enumerate(rows[: top + 1])
+            for m, (re, im) in enumerate(map(table.row, range(top + 1), repeat(1)))
         ]
-        weights = _weights(sigma, min(length, max(guesses)) + 1)
+        reads = min(length, max(guesses))
+        table.grow(top, reads)  # sized from the guesses; a longer J_m grows it
+        weights = _weights(sigma, reads + 1)
         slack = math.log(difference_error(q, length + top)) - W * _LN2
         sums, short_w = [], False
         for m, need in enumerate(guesses):
-            re, im = rows[m]
             for _ in range(2):  # the guess, then J_m from |S_m| itself
                 if need > length:
                     break
                 if need >= len(weights):
-                    weights = _weights(sigma, need + 1)
+                    _weights(sigma, need + 1, weights)
+                re, im = table.row(m, need)
                 w = weights[:need]
                 sm = complex(math.fsum(map(mul, w, re)), 0.0 if im is None else math.fsum(map(mul, w, im)))
                 bound = allowed + _log_abs(sm.real, sm.imag)
@@ -263,11 +280,10 @@ def _log_abs(re: float, im: float | None) -> float:
     return math.log(z) if z else -math.inf
 
 
-def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict, reach: int = 0) -> list[tuple[float, complex, int]]:
+def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict) -> list[tuple[float, complex, int]]:
     # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
-    # memo carries a difference table from one row of a grid to the next,
-    # and reach is the highest order a later row will ask of it.
-    sc = complex(s)
+    # memo carries a difference table from one row of a grid to the next.
+    sc = as_complex(s, "the order")
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
     sv = sc.real
@@ -282,7 +298,7 @@ def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict, reach: int = 
         raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
     q = qp.q
     if frac:  # C(k + frac) = [2]_q (1-q)^(-(k+frac)) S_(k+1), k = -1..[s]
-        sums = _nested_sums(q, fs + 1, frac, cfg, memo, reach)
+        sums = _nested_sums(q, fs + 1, frac, cfg, memo)
         log1mq = cmath.log(1.0 - q)
         coeffs = [(1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), log1mq) * sums[k + 1] for k in range(-1, fs + 1)]
     else:  # C(k) = zeta_q(-k), the finite sums, k = 0..[s]
@@ -337,20 +353,11 @@ class _Columns:
 def _q_powers(cols: _Columns, a: float) -> list[complex]:
     # cpow(q, a w, log q) at every column: one exp each, and cpow's
     # complex ** int where a w is an integer.
-    exps = list(map(mul, repeat(a), cols.w))
-    q, logq = cols.qp.q, cols.logq
+    q, logq, exp = cols.qp.q, cols.logq, cmath.exp
+    exps = [a * w for w in cols.w]
     if logq is None:
         return list(map(cpow, repeat(q), exps))
-    ints = list(compress(count(), map(float.is_integer, map(attrgetter("real"), exps))))
-    if not ints:
-        return list(map(cmath.exp, map(mul, exps, repeat(logq))))
-    safe = exps.copy()
-    for j in ints:
-        safe[j] = 0j
-    out = list(map(cmath.exp, map(mul, safe, repeat(logq))))
-    for j in ints:
-        out[j] = cpow(q, exps[j], logq)
-    return out
+    return [cpow(q, x, logq) if x.real.is_integer() else exp(x * logq) for x in exps]
 
 
 def _cells(terms: list[tuple[float, complex, int]], cols: _Columns) -> list[complex]:
@@ -358,7 +365,7 @@ def _cells(terms: list[tuple[float, complex, int]], cols: _Columns) -> list[comp
     # terms added in their order.
     total = [0j] * len(cols.w)
     for arg, weighted, power in terms:
-        total = list(map(add, total, map(mul, map(mul, repeat(weighted), _q_powers(cols, arg)), cols.power(power))))
+        total = [t + weighted * x * p for t, x, p in zip(total, _q_powers(cols, arg), cols.power(power))]
     return total
 
 
@@ -390,7 +397,7 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     curve_grid.  A non-finite w raises ValueError; a value whose weights or
     sum lie beyond the float range raises FloatRangeError.
     """
-    if not cmath.isfinite(complex(w)):
+    if not cmath.isfinite(as_complex(w, "w")):
         raise ValueError(f"w must be finite, got {w!r}")
     qp = as_qparameter(q)
     terms = _order_terms(s, qp, config or DEFAULT_CONFIG, {})
@@ -425,7 +432,7 @@ MAX_GRID_CELLS = 10**6
 
 def _point_count(lo: float, hi: float, step: float) -> int:
     # The number of points of inclusive_range(lo, hi, step).
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
+    if not all(cmath.isfinite(as_complex(v, "a range bound or step")) for v in (lo, hi, step)):
         raise ValueError(f"range bounds and step must be finite, got {lo!r}:{hi!r}:{step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
@@ -459,9 +466,12 @@ def curve_grid(
 
     Rows (s outer, w inner) run in order.  Each computes its order terms
     once, reading a difference table that the rows of one precision band
-    share, and then every cell in one kernel over the columns, whose [w]_q
-    and powers the grid computes once; the bits are those of point calls.
-    A failing sample aborts with its grid indices.
+    share: the first row sizes it from its guesses at each J_m, a later row
+    whose J_m or orders pass its end grows it, and each row rounds only the
+    entries j < J_m its dot products read.  Then every cell of the row runs
+    in one kernel over the columns, whose [w]_q and powers the grid computes
+    once; the bits are those of point calls.  A failing sample aborts with
+    its grid indices.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
@@ -472,12 +482,12 @@ def curve_grid(
     cfg = config or DEFAULT_CONFIG
     svals = inclusive_range(s_min, s_max, s_step)
     wvals = inclusive_range(w_min, w_max, w_step)
-    cols, memo, reach = _Columns(qp, _log_q(qp), wvals), {}, math.floor(svals[-1]) + 1
+    cols, memo = _Columns(qp, _log_q(qp), wvals), {}
     rows = []
     for i, sv in enumerate(svals):
         row = []
         try:
-            terms = _order_terms(sv, qp, cfg, memo, reach)  # a failure here is reported at w[0]
+            terms = _order_terms(sv, qp, cfg, memo)  # a failure here is reported at w[0]
             _row(terms, cols, row)
         except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
             j = len(row)

@@ -2,8 +2,9 @@
 
 Hosts the immutable-record base, the validated deformation parameter, the
 one integer test every module uses, the one check (as_index) of every order,
-offset and integer shift, the q-bracket, and the truncation contract used by
-all geometric-tail series.  Nothing here keeps state.
+offset and integer shift, the one conversion (as_complex) of every other
+numeric argument, the q-bracket, and the truncation contract used by all
+geometric-tail series.  Nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "EngineConfig",
     "SeriesValue",
     "DEFAULT_CONFIG",
+    "as_complex",
     "as_index",
     "as_int",
     "as_qparameter",
@@ -47,6 +49,15 @@ def as_index(value, name: str) -> int:
     if i is None or i < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     return i
+
+
+def as_complex(value, name: str) -> complex:
+    """complex(value); a number beyond the float range, as an int too large
+    to convert, raises ValueError naming the argument."""
+    try:
+        return complex(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} lies beyond the float range") from exc
 
 
 _set = object.__setattr__
@@ -94,7 +105,7 @@ class QParameter(Record):
     __slots__ = ("q",)
 
     def __init__(self, q: complex):
-        q = complex(q)
+        q = as_complex(q, "q")
         if not abs(q) < 1.0:
             raise ValueError(f"deformation parameter needs |q| < 1, got {q!r}")
         _set(self, "q", q)
@@ -102,7 +113,7 @@ class QParameter(Record):
 
 def as_qparameter(q) -> QParameter:
     """Coerce a bare number into a validated QParameter."""
-    return q if isinstance(q, QParameter) else QParameter(complex(q))
+    return q if isinstance(q, QParameter) else QParameter(q)
 
 
 class EngineConfig(Record):
@@ -188,7 +199,8 @@ def q_bracket(x, q) -> complex:
 
     For integer x >= 0 this is the geometric sum 1 + q + ... + q^(x-1) and is
     evaluated that way, so the agreement is exact.  Non-integer powers use the
-    principal branch.  A non-finite x raises ValueError.
+    principal branch.  A non-finite x, or one beyond the float range, raises
+    ValueError.
     """
     qq = as_qparameter(q).q
     xi = as_int(x)
@@ -198,7 +210,7 @@ def q_bracket(x, q) -> complex:
         for _ in range(xi):
             acc = 1.0 + qq * acc
         return acc
-    if not cmath.isfinite(x):
+    if not cmath.isfinite(as_complex(x, "x")):
         raise ValueError(f"x must be finite, got {x!r}")
     return (1.0 - cpow(qq, x)) / (1.0 - qq)
 

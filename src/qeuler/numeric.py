@@ -27,7 +27,7 @@ import sys
 
 from ._exactcomplex import _dyadic, terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter, check_order_terms
+from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_complex, as_index, as_qparameter, check_order_terms
 
 __all__ = [
     "euler_number",
@@ -114,7 +114,7 @@ def classical_euler_poly(n: int, x) -> complex:
     FloatRangeError, and a non-finite x ValueError.
     """
     n = as_index(n, "n")
-    z = complex(x)
+    z = as_complex(x, "x")
     if not cmath.isfinite(z):
         raise ValueError(f"x must be finite, got {x!r}")
     a = scaled_classical_euler(n)
@@ -168,7 +168,7 @@ def euler_poly_series_oracle(
     qp = as_qparameter(q)
     if qp.q.imag != 0.0 or not 0.0 < qp.q.real < 1.0:
         raise ValueError("the series oracle needs real q in (0, 1)")
-    xr = complex(x)
+    xr = as_complex(x, "x")
     if xr.imag != 0.0 or xr.real < 0.0:
         raise ValueError("the series oracle needs real x >= 0")
     cfg = config or DEFAULT_CONFIG

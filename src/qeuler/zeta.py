@@ -41,6 +41,7 @@ from .kernel import (
     DEFAULT_CONFIG,
     EngineConfig,
     SeriesValue,
+    as_complex,
     as_index,
     as_int,
     as_qparameter,
@@ -103,7 +104,7 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
     h = as_index(h, "h")
     qq = as_qparameter(q).q
     cfg = config or DEFAULT_CONFIG
-    s = complex(s)
+    s = as_complex(s, "the order")
     if not cmath.isfinite(s):
         raise ValueError(f"the order must be finite, got {s!r}")
     n = as_int(s)
@@ -114,7 +115,7 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
         check_order_terms(n, cfg)
         return SeriesValue(terminating_alt_sum(n, h, qq, x), 0.0, n + 1, True)
     if x is not None:
-        x = complex(x)
+        x = as_complex(x, "x")
         if not (cmath.isfinite(x) and x.real >= 0):
             raise ValueError("the Hurwitz variant needs a finite x with Re(x) >= 0")
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
@@ -204,12 +205,12 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     non-finite order, with ValueError.
     """
     cfg = config or DEFAULT_CONFIG
-    s = complex(s)
+    s = as_complex(s, "the order")
     if not cmath.isfinite(s):
         raise ValueError(f"the order must be finite, got {s!r}")
     xv = None
     if x is not None:
-        xv = complex(x)
+        xv = as_complex(x, "x")
         if xv.imag != 0.0 or not 0.0 <= xv.real < 1.0:
             raise ValueError("the shifted variant needs real x in [0, 1)")
         if xv.real == 0.0 and s.real > 0:

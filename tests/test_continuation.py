@@ -16,7 +16,7 @@ from qeuler import (
     qzeta,
     qzeta_deriv,
 )
-from qeuler import continuation
+from qeuler import _exactcomplex, continuation
 from qeuler.continuation import MAX_GRID_CELLS, inclusive_range
 from qeuler.errors import CurveSampleError, FloatRangeError
 
@@ -194,6 +194,76 @@ class TestNestedSeries:
         with pytest.raises(CurveSampleError, match="max_terms=500") as info:
             curve_grid(1, 2, 0.5, -0.5, 0.5, 0.5, 0.95, cfg)
         assert (info.value.s_index, info.value.w_index) == (1, 0)
+
+
+def _bits(values):
+    # each float's hex, so that -0.0 and 0.0 differ
+    return [v.hex() for v in values]
+
+
+class TestWeightsAndTable:
+    # The row weights and the on-demand difference table carry the bits of
+    # the plain forms they replace.
+
+    def test_weights_equal_the_plain_running_product(self):
+        rng = random.Random(2626)
+        for _ in range(40):
+            sigma = 1.0 - rng.random()  # in (0, 1]
+            n = rng.randint(1, 2000)
+            want, w = [1.0], 1.0
+            for j in range(n - 1):
+                w *= (sigma + j) / (j + 1)
+                want.append(w)
+            assert _bits(continuation._weights(sigma, n)) == _bits(want), (sigma, n)
+            head = rng.randint(1, n)  # carried on from its first entries
+            assert _bits(continuation._weights(sigma, n, want[:head])) == _bits(want), (sigma, n, head)
+
+    @pytest.mark.parametrize("q", [0.95 + 0.1j, -0.9, 0.6j])
+    def test_table_built_on_demand_equals_the_table_built_whole(self, q):
+        top = 6
+        length = continuation._table_length(abs(q), EngineConfig())
+        W = continuation._table_bits(q, 8, length)
+        whole = _exactcomplex.difference_table(q, top, length, W)
+        # the plain build: one quotient list, exact differences, each entry
+        # divided once
+        Q, e = _exactcomplex._dyadic(q)
+        re, im = _exactcomplex._quotients(length + top - 1, 0, Q, e, 0, W)
+        exact = [[a - (1 << W) for a in re], im]
+        rng = random.Random(abs(hash(q)) % 1000)
+        reads = [(m, rng.randint(1, length)) for m in range(top + 1) for _ in range(3)]
+        rng.shuffle(reads)
+        grown = _exactcomplex.difference_table(q, 0, 0, W)
+        for step, (m, count) in enumerate(reads):
+            if step % 4 == 3:
+                grown.grow(rng.randint(0, top), rng.randint(1, length))
+            got = grown.row(m, count)
+            assert len(got[0]) >= count
+        for m in range(top + 1):
+            want = [None if part is None else [a / (1 << W) for a in part[:length]] for part in exact]
+            for got in (whole.row(m, length), grown.row(m, length)):
+                assert got[1] is None if im is None else got[1] is not None
+                for part, ref in zip(got, want):
+                    if ref is not None:
+                        assert _bits(part[:length]) == _bits(ref), (q, m)
+            exact = [None if part is None else [a - b for a, b in zip(part, part[1:])] for part in exact]
+
+    def test_tall_grid_reading_past_its_first_rows_equals_point_calls(self):
+        # near q = 1 a later row's J_m passes the entries the first row read,
+        # and the shared table grows to it
+        q, (s_min, s_max, s_step) = 0.888154 + 0.341946j, (2.55, 3.55, 0.08)
+        qp, cfg, memo = QParameter(q), EngineConfig(), {}
+        svals = inclusive_range(s_min, s_max, s_step)
+        continuation._order_terms(svals[0], qp, cfg, memo)
+        ((table, _),) = memo.values()
+        first = [len(table.row(m, 1)[0]) for m in range(4)]
+        for sv in svals[1:]:
+            continuation._order_terms(sv, qp, cfg, memo)
+        assert any(len(table.row(m, 1)[0]) > n for m, n in enumerate(first))
+        g = curve_grid(s_min, s_max, s_step, -0.5, 0.5, 0.5, q)
+        for sv, row in zip(g.s_values, g.values):
+            for wv, z in zip(g.w_values, row):
+                point = euler_poly_continuation(sv, wv, q)
+                assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), (sv, wv)
 
 
 class TestPolyContinuation:

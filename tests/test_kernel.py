@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import qeuler
 from qeuler import (
     CheckResult,
     CurveGrid,
@@ -108,6 +109,36 @@ class TestAsInt:
     @pytest.mark.parametrize("z", [0.5, 1 + 1e-12j, 3j, math.inf, -math.inf, math.nan, complex(math.inf, 0)])
     def test_non_integers(self, z):
         assert as_int(z) is None
+
+
+# An int beyond the float range, as each public entry meets it: (name, args).
+BIG = 10**400
+BEYOND_THE_FLOAT_RANGE = [
+    ("classical_euler_poly", (3, BIG)),
+    ("classical_zeta_E", (-3, BIG)),
+    ("classical_zeta_E", (BIG,)),
+    ("euler_poly_continuation", (2.5, BIG, 0.5)),
+    ("euler_continuation", (BIG, 0.5)),
+    ("qzeta", (BIG, 0, 0.5)),
+    ("qzeta", (2.5, 0, BIG)),
+    ("qzeta_hurwitz", (2.5, BIG, 0, 0.5)),
+    ("curve_grid", (0, 1, 0.5, 0, BIG, BIG, 0.5)),
+    ("euler_number", (3, BIG)),
+    ("euler_poly", (3, BIG, 0, 0.5)),
+    ("euler_poly_series_oracle", (3, BIG, 0, 0.5)),
+    ("q_bracket", (BIG, 0.5)),
+]
+
+
+class TestAsComplex:
+    @pytest.mark.parametrize(
+        "name,args", BEYOND_THE_FLOAT_RANGE, ids=[f"{name}-{i}" for i, (name, _) in enumerate(BEYOND_THE_FLOAT_RANGE)]
+    )
+    def test_int_beyond_the_float_range_is_a_value_error(self, name, args):
+        # each raised a bare OverflowError from complex() or math.isfinite
+        with pytest.raises(ValueError, match="lies beyond the float range") as info:
+            getattr(qeuler, name)(*args)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 class TestCpowZeroBase:
