@@ -11,13 +11,7 @@ Quick start::
     print(exact_euler_number(2))  # (-1 + q)/(2 + 2*q^2)
 """
 
-from .continuation import (
-    CurveGrid,
-    curve_grid,
-    euler_continuation,
-    euler_continuation_deriv,
-    euler_poly_continuation,
-)
+from .continuation import CurveGrid, curve_grid, euler_poly_continuation
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError, QEulerError
 from .exact import (
     IDENTITY_NAMES,
@@ -44,7 +38,7 @@ from .numeric import (
     euler_poly_series_oracle,
 )
 from .verification import CheckResult, run_checks
-from .zeta import classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __version__ = "0.1.0"
 

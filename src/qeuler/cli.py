@@ -26,7 +26,7 @@ from .exact import _euler_numerators, _reduced_euler_number, exact_euler_poly
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_index, as_qparameter, check_order_terms
 from .numeric import euler_numbers, euler_poly
 from .verification import run_checks
-from .zeta import qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __all__ = ["parse_complex", "main", "run"]
 
@@ -179,10 +179,9 @@ def _cmd_continue(args, cfg, qp, meta) -> int:
         text = [f"E_q({args.s:g}, {_fmt_complex(args.w)}) = {_fmt_complex(v)}"]
         return _emit(args.format, meta, text, [{"s": args.s, "w": args.w, "re": v.real, "im": v.imag}])
     if args.deriv:
-        sv = qzeta_deriv(-args.s, 0, qp, config=cfg)
-        sv, kind = SeriesValue(-sv.value, sv.error_bound, sv.terms_used, sv.converged), "continuation-derivative"
+        sv, kind = euler_continuation_deriv(args.s, qp, cfg), "continuation-derivative"
     else:
-        sv, kind = qzeta(-args.s, 0, qp, cfg), "continuation"
+        sv, kind = euler_continuation(args.s, qp, cfg), "continuation"
     return _emit(args.format, {**meta, "kind": kind, "s": args.s}, *_series(sv))
 
 

@@ -1,10 +1,6 @@
-"""Continuation of the q-Euler numbers and polynomials to real order.
+"""Continuation of the q-Euler polynomials to real order.
 
-The number continuation is the zeta reflection E_q(s) = zeta_q(-s): it runs
-through every q-Euler number of positive order and through the positive-order
-zeta values at negative arguments.  Its derivative is -zeta_q'(-s) by the
-chain rule (the reflection flips the sign of the derivative, whatever the
-evaluation point).
+The number continuation E_q(s) = zeta_q(-s) lives beside zeta_q, in zeta.py.
 
 The polynomial family deforms through a binomial-weighted sum over the
 integer part of the order,
@@ -77,39 +73,14 @@ from operator import mul
 from ._exactcomplex import difference_error, difference_table, terminating_alt_sum
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_complex, as_qparameter, cpow, q_bracket
-from .zeta import qzeta, qzeta_deriv
 
 __all__ = [
     "CurveGrid",
-    "euler_continuation",
-    "euler_continuation_deriv",
     "euler_poly_continuation",
     "curve_grid",
 ]
 
 _LN2 = math.log(2.0)
-
-
-def _reflected(s) -> complex:
-    # -s, with a non-finite order refused as the caller gave it
-    sc = as_complex(s, "the order")
-    if not cmath.isfinite(sc):
-        raise ValueError(f"the order must be finite, got {s!r}")
-    return -sc
-
-
-def euler_continuation(s, q, config: EngineConfig | None = None) -> complex:
-    """E_q(s) = zeta_q(-s): the q-Euler numbers continued in the order.
-
-    Matches euler_number(n, q) at integer s = n >= 1 and equals the
-    positive-order zeta values at negative integers.
-    """
-    return qzeta(_reflected(s), 0, q, config).value
-
-
-def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> complex:
-    """d/ds E_q(s) = -zeta_q'(-s) (chain rule through the reflection)."""
-    return -qzeta_deriv(_reflected(s), 0, q, config=config).value
 
 
 def _binomials(s: float, top: int) -> list[float]:
@@ -346,7 +317,10 @@ class _Columns:
     def column(self, j: int) -> _Columns:
         one = _Columns(self.qp, self.logq, self.given[j : j + 1])
         if one.bw is None:
-            q_bracket(one.w[0], self.qp)  # raises that column's own error
+            try:
+                q_bracket(one.w[0], self.qp)  # raises that column's own error
+            except OverflowError as exc:
+                raise FloatRangeError(f"[w]_q at w = {one.given[0]!r} lies beyond the float range") from exc
         return one
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 
-from .continuation import curve_grid, euler_continuation, euler_continuation_deriv
+from .continuation import curve_grid
 from .exact import _euler_numerators, _unpack, _verify_identity, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter
 from .numeric import euler_number, euler_poly, euler_poly_series_oracle, scaled_classical_euler
-from .zeta import classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
+from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __all__ = ["CheckResult", "run_checks", "LARGE_ORDER_NOTE"]
 
@@ -43,21 +43,22 @@ def _rel_err(a: complex, b: complex) -> float:
     return abs(a - b) / scale
 
 
+def _run(name: str, fn, note: str | None = None) -> CheckResult:
+    # fn returns (passed, detail); a crashed check is a failed check
+    try:
+        ok, detail = fn()
+    except Exception as exc:
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(name, ok, detail, note)
+
+
 def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
-    out = []
     # N_0..N_max_n and their denominators, packed wide enough for every
     # identity check below (shifts up to max_k, binomial x up to 4)
     table = _euler_numerators(max_n + 1, max(max_k, 4))
 
     def holds(name, n, k=0):
         return _verify_identity(name, n, k, table)
-
-    def record(name, fn):
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        out.append(CheckResult(name, ok, detail))
 
     def poly_vs_recurrence():
         bad = [n for n in range(max_n + 1) if not holds("poly-vs-recurrence", n)]
@@ -90,27 +91,20 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         bad = [n for n in range(max_n + 1) if _unpack(nums[n], w).eval(1) != 2 * a[n]]
         return not bad, "q = 1 specialization matches the classical recurrence"
 
-    record("exact/poly-vs-recurrence", poly_vs_recurrence)
-    record("exact/binomial-expansion", binomial_expansion)
-    record("exact/even-shift", lambda: shifts("even-shift", 0))
-    record("exact/odd-shift", lambda: shifts("odd-shift", 1))
-    record("exact/even-shift-recombined", lambda: shifts("even-shift-recombined", 0))
-    record("exact/odd-shift-recombined", lambda: shifts("odd-shift-recombined", 1))
-    record("exact/even-shift-wrong-sign-rejected", wrong_sign_rejected)
-    record("exact/classical-limit-at-q1", classical_limit)
-    return out
+    return [
+        _run("exact/poly-vs-recurrence", poly_vs_recurrence),
+        _run("exact/binomial-expansion", binomial_expansion),
+        _run("exact/even-shift", lambda: shifts("even-shift", 0)),
+        _run("exact/odd-shift", lambda: shifts("odd-shift", 1)),
+        _run("exact/even-shift-recombined", lambda: shifts("even-shift-recombined", 0)),
+        _run("exact/odd-shift-recombined", lambda: shifts("odd-shift-recombined", 1)),
+        _run("exact/even-shift-wrong-sign-rejected", wrong_sign_rejected),
+        _run("exact/classical-limit-at-q1", classical_limit),
+    ]
 
 
 def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
     qp = as_qparameter(q)
-    out = []
-
-    def record(name, fn, note=None):
-        try:
-            ok, detail = fn()
-        except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        out.append(CheckResult(name, ok, detail, note))
 
     def interpolation():
         worst = 0.0
@@ -202,13 +196,13 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         worst = 0.0
         for _ in range(50):
             s = rng.uniform(-4.0, 4.0)
-            d = euler_continuation_deriv(s, qp, config)
+            d = euler_continuation_deriv(s, qp, config).value
             fd = (
-                euler_continuation(s + h, qp, config) - euler_continuation(s - h, qp, config)
+                euler_continuation(s + h, qp, config).value - euler_continuation(s - h, qp, config).value
             ) / (2 * h)
             worst = max(worst, _rel_err(d, fd))
         sign_ok = all(
-            euler_continuation_deriv(s, qp, config) + qzeta_deriv(-s, 0, qp, config=config).value == 0
+            euler_continuation_deriv(s, qp, config).value + qzeta_deriv(-s, 0, qp, config=config).value == 0
             for s in (0.75, 2.5, -1.5)
         )
         return worst <= 1e-6 and sign_ok, f"50 random orders, worst rel err {worst:.2e}"
@@ -220,18 +214,19 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         err = abs(val - target)
         return err <= 1e-6, f"value at order 60 within {err:.2e} of -(1+q) = {shown}"
 
-    record("numeric/interpolation", interpolation)
-    record("numeric/hurwitz-interpolation", hurwitz_interpolation)
-    record("numeric/series-termination", termination)
-    record("numeric/derivative-fd", derivative_fd)
-    record("numeric/oracle-agreement", oracle_agreement)
-    record("numeric/classical-euler-zeta", classical_euler_zeta)
-    record("numeric/classical-bridge", classical_bridge)
-    record("numeric/continuation-integer-consistency", continuation_consistency)
-    record("numeric/continuation-continuity", continuation_continuity)
-    record("numeric/continuation-derivative", continuation_deriv)
-    record("numeric/large-order-limit", large_order_limit, note=LARGE_ORDER_NOTE)
-    return out
+    return [
+        _run("numeric/interpolation", interpolation),
+        _run("numeric/hurwitz-interpolation", hurwitz_interpolation),
+        _run("numeric/series-termination", termination),
+        _run("numeric/derivative-fd", derivative_fd),
+        _run("numeric/oracle-agreement", oracle_agreement),
+        _run("numeric/classical-euler-zeta", classical_euler_zeta),
+        _run("numeric/classical-bridge", classical_bridge),
+        _run("numeric/continuation-integer-consistency", continuation_consistency),
+        _run("numeric/continuation-continuity", continuation_continuity),
+        _run("numeric/continuation-derivative", continuation_deriv),
+        _run("numeric/large-order-limit", large_order_limit, LARGE_ORDER_NOTE),
+    ]
 
 
 def run_checks(

@@ -22,6 +22,12 @@ keeps the interpolation property at machine precision.  The classical
 zeta at order -n is likewise numeric.classical_euler_poly, the exact
 classical Euler polynomial rounded once.
 
+The q-Euler numbers continue in the order by the reflection E_q(s) =
+zeta_q(-s): it runs through every q-Euler number of positive order and
+through the positive-order zeta values at negative arguments.  Its
+derivative is -zeta_q'(-s) by the chain rule (the reflection flips the sign
+of the derivative, whatever the evaluation point).
+
 As the real order grows, the plain variant tends to -(1 + q) when
 |[n]_q| > 1 for every n >= 2: only the first alternating term survives.
 Where that fails, as at q = -0.9 ([2]_q = 0.1) and q = 0.6 + 0.7i, a later
@@ -51,7 +57,7 @@ from .kernel import (
 )
 from .numeric import classical_euler_poly
 
-__all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "classical_zeta_E"]
+__all__ = ["qzeta", "qzeta_hurwitz", "qzeta_deriv", "euler_continuation", "euler_continuation_deriv", "classical_zeta_E"]
 
 
 def _kseries_terms(s: complex, h: int, q: complex, qx, pref: complex, log1mq, n):
@@ -167,6 +173,32 @@ def qzeta_deriv(s, h: int, q, x=None, config: EngineConfig | None = None) -> Ser
     too: unlike the value's, it does not terminate.
     """
     return _kseries(s, x, h, q, config, deriv=True)
+
+
+def _reflected(s):
+    # -s as the caller's own type negates it, so the bits are those of
+    # qzeta(-s) (a real s keeps +0.0 as its imaginary part); a non-finite
+    # order is refused as the caller gave it
+    if not cmath.isfinite(as_complex(s, "the order")):
+        raise ValueError(f"the order must be finite, got {s!r}")
+    return -s
+
+
+def euler_continuation(s, q, config: EngineConfig | None = None) -> SeriesValue:
+    """E_q(s) = zeta_q(-s): the q-Euler numbers continued in the order.
+
+    Matches euler_number(n, q) at integer s = n >= 1 and equals the
+    positive-order zeta values at negative integers.  The SeriesValue is
+    qzeta's at -s.
+    """
+    return qzeta(_reflected(s), 0, q, config)
+
+
+def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> SeriesValue:
+    """d/ds E_q(s) = -zeta_q'(-s) (chain rule through the reflection): the
+    SeriesValue of qzeta_deriv at -s with its value negated."""
+    sv = qzeta_deriv(_reflected(s), 0, q, config=config)
+    return SeriesValue(-sv.value, sv.error_bound, sv.terms_used, sv.converged)
 
 
 # -- classical alternating zeta -------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from qeuler import (
 )
 from qeuler import _exactcomplex, continuation
 from qeuler.continuation import MAX_GRID_CELLS, inclusive_range
-from qeuler.errors import CurveSampleError, FloatRangeError
+from qeuler.errors import CurveSampleError, FloatRangeError, QEulerError
 
 W_GRID = [-0.5 + i * 0.05 for i in range(21)]
 
@@ -32,26 +34,26 @@ class TestNumberContinuation:
         for qv in (0.3, 0.5, 0.8, 0.3 + 0.4j):
             qp = QParameter(qv)
             for n in range(1, 11):
-                assert rel_err(euler_continuation(n, qp), euler_number(n, qp)) <= 1e-12
+                assert rel_err(euler_continuation(n, qp).value, euler_number(n, qp)) <= 1e-12
 
     def test_order_one_is_constant(self):
         for qv in (0.2, 0.5, 0.9):
-            assert euler_continuation(1, QParameter(qv)) == pytest.approx(-0.5)
+            assert euler_continuation(1, QParameter(qv)).value == pytest.approx(-0.5)
 
     def test_hand_value(self):
-        assert euler_continuation(2, QParameter(0.5)).real == pytest.approx(-0.2, rel=1e-12)
+        assert euler_continuation(2, QParameter(0.5)).value.real == pytest.approx(-0.2, rel=1e-12)
 
     def test_negative_orders_are_zeta_values(self):
         qp = QParameter(0.5)
-        assert abs(euler_continuation(-1, qp) - (-0.948375)) <= 1e-5
+        assert abs(euler_continuation(-1, qp).value - (-0.948375)) <= 1e-5
         for n in range(1, 11):
-            assert euler_continuation(-n, qp) == qzeta(n, 0, qp).value
+            assert euler_continuation(-n, qp).value == qzeta(n, 0, qp).value
 
     def test_derivative_sign_convention(self):
         # definitional: the reflection flips the derivative sign
         qp = QParameter(0.5)
         for s in (0.75, 2.5, -1.5, 3.0):
-            assert euler_continuation_deriv(s, qp) + qzeta_deriv(-s, 0, qp).value == 0
+            assert euler_continuation_deriv(s, qp).value + qzeta_deriv(-s, 0, qp).value == 0
 
     def test_derivative_matches_finite_differences(self):
         rng = random.Random(5150)
@@ -59,8 +61,8 @@ class TestNumberContinuation:
         h = 1e-5
         for _ in range(50):
             s = rng.uniform(-4, 4)
-            d = euler_continuation_deriv(s, qp)
-            fd = (euler_continuation(s + h, qp) - euler_continuation(s - h, qp)) / (2 * h)
+            d = euler_continuation_deriv(s, qp).value
+            fd = (euler_continuation(s + h, qp).value - euler_continuation(s - h, qp).value) / (2 * h)
             assert rel_err(d, fd) <= 1e-6
 
     @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
@@ -73,8 +75,8 @@ class TestNumberContinuation:
     def test_derivative_at_odd_integer(self):
         qp = QParameter(0.5)
         h = 1e-5
-        d = euler_continuation_deriv(3, qp)
-        fd = (euler_continuation(3 + h, qp) - euler_continuation(3 - h, qp)) / (2 * h)
+        d = euler_continuation_deriv(3, qp).value
+        fd = (euler_continuation(3 + h, qp).value - euler_continuation(3 - h, qp).value) / (2 * h)
         assert rel_err(d, fd) <= 1e-6
 
 
@@ -283,7 +285,7 @@ class TestPolyContinuation:
     def test_reduces_to_number_continuation_at_zero_w(self):
         qp = QParameter(0.5)
         got = euler_poly_continuation(2.5, 0, qp)
-        assert rel_err(got, euler_continuation(2.5, qp)) <= 1e-12
+        assert rel_err(got, euler_continuation(2.5, qp).value) <= 1e-12
 
     def test_integer_order_at_zero_w(self):
         for qv in (0.3, 0.5, 0.8):
@@ -321,6 +323,29 @@ class TestPolyContinuation:
         # used to read as a value beyond the float range
         with pytest.raises(ValueError, match=r"^w must be finite, got "):
             euler_poly_continuation(s, w, QParameter(0.5))
+
+    @pytest.mark.parametrize(
+        "evaluate,args",
+        [
+            (euler_poly_continuation, (2.5, -1.3, 1e-300)),
+            (euler_poly_continuation, (3, -1.3, 1e-300)),
+            (euler_poly_continuation, (2.5, -1.3, 5e-324j)),
+            (curve_grid, (2.5, 2.5, 1, -1.3, -1.3, 1, 1e-300)),
+        ],
+        ids=["s=2.5", "s=3", "q=5e-324i", "grid"],
+    )
+    def test_bracket_beyond_the_float_range(self, evaluate, args):
+        # [-1.3]_q overflows at these q; each call raised a bare
+        # OverflowError("math range error")
+        with pytest.raises(QEulerError) as info:
+            evaluate(*args)
+        err = info.value
+        if isinstance(err, CurveSampleError):
+            assert (err.s_index, err.w_index) == (0, 0)
+            err = err.__cause__
+        assert isinstance(err, FloatRangeError)
+        assert str(err) == "[w]_q at w = -1.3 lies beyond the float range"
+        assert type(err.__cause__) is OverflowError
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -416,3 +441,15 @@ class TestCurveGrid:
         for s in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 euler_poly_continuation(s, 0, QParameter(0.5))
+
+
+def test_continuation_imports_nothing_from_zeta():
+    # zeta can then import the nested series from continuation with no cycle
+    names = set()
+    for node in ast.walk(ast.parse(Path(continuation.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert not [name for name in names if "zeta" in name.split(".")]

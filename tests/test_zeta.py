@@ -11,6 +11,8 @@ from qeuler import (
     classical_euler_number,
     classical_euler_poly,
     classical_zeta_E,
+    euler_continuation,
+    euler_continuation_deriv,
     euler_number,
     euler_poly,
     qzeta,
@@ -342,6 +344,58 @@ class TestZetaDerivative:
         sv = qzeta_deriv(-3, 0, qp)
         assert sv.converged
         assert sv.terms_used > 4
+
+
+def _reflection_draws(count: int, seed: int):
+    # (s, q): real orders of both signs, integer orders (0 included) as int
+    # and as float, complex orders; q over the disk |q| <= 0.9, positive,
+    # negative and complex
+    rng = random.Random(seed)
+    for i in range(count):
+        s = (
+            rng.uniform(-8.0, 8.0),
+            rng.randint(-6, 10),
+            float(rng.randint(-6, 10)),
+            complex(rng.uniform(-6.0, 6.0), rng.uniform(-3.0, 3.0)),
+        )[i % 4]
+        r = 0.9 * math.sqrt(rng.random())
+        q = (r, -r, cmath.rect(r, rng.uniform(-math.pi, math.pi)))[i % 3]
+        yield s, q
+
+
+def _fields(call, negate=False):
+    # What a caller sees of one SeriesValue, its value as the hex of both
+    # parts, or the error raised in its place
+    try:
+        sv = call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    z = -sv.value if negate else sv.value
+    return z.real.hex(), z.imag.hex(), sv.error_bound, sv.terms_used, sv.converged
+
+
+class TestReflection:
+    # E_q(s) = zeta_q(-s) and E_q'(s) = -zeta_q'(-s), field for field
+
+    def test_seeded_draws_match_the_reflected_zeta(self):
+        returned = 0
+        for s, q in _reflection_draws(520, 1729):
+            value = _fields(lambda: euler_continuation(s, q))
+            assert value == _fields(lambda: qzeta(-s, 0, q)), (s, q)
+            deriv = _fields(lambda: euler_continuation_deriv(s, q))
+            assert deriv == _fields(lambda: qzeta_deriv(-s, 0, q), negate=True), (s, q)
+            returned += len(value) == 5 and len(deriv) == 5
+        assert returned >= 500
+
+    @pytest.mark.parametrize("s,q", [(2.5, 0.5), (-1.5, 0.9), (0.75, 0.3 + 0.4j), (complex(1.5, 2.0), -0.6), (20, 0.5)])
+    def test_same_refusal_out_of_terms(self, s, q):
+        cfg = EngineConfig(max_terms=16)
+        for continued, reflected in ((euler_continuation, qzeta), (euler_continuation_deriv, qzeta_deriv)):
+            with pytest.raises(NonConvergenceError) as want:
+                reflected(-s, 0, q, config=cfg)
+            with pytest.raises(NonConvergenceError) as got:
+                continued(s, q, cfg)
+            assert str(got.value) == str(want.value)
 
 
 def _reference_kseries_terms(s, h, q, qx, pref, log1mq, n):
