@@ -610,8 +610,6 @@ def _as_shift(n: int, q: complex, Q, e: int, x):
     if xi is not None and 0 <= xi <= EXACT_SHIFT_MAX:
         return xi
     x = as_complex(x, "the shift")
-    if not cmath.isfinite(x):
-        raise ValueError(f"the shift must be finite, got {x!r}")
     if not (Q[0] or Q[1]):  # q^x is 0, as q^1 is, or a pole
         if x.real > 0:
             return 1

@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (PoleError, ValueError, ZeroDivisionError) as exc:
+    except (PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

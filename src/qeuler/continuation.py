@@ -258,8 +258,8 @@ def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict) -> list[tuple
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
     sv = sc.real
-    if not 0.0 <= sv < math.inf:
-        raise ValueError(f"the polynomial continuation needs a finite s >= 0, got {sv!r}")
+    if sv < 0.0:
+        raise ValueError(f"the polynomial continuation needs s >= 0, got {sv!r}")
     fs = math.floor(sv)
     if fs + 2 > cfg.max_terms:
         raise NonConvergenceError(f"order {sv!r} has more terms than max_terms={cfg.max_terms}")
@@ -356,7 +356,11 @@ def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list) -> 
             out.extend(total)
             return
     for j, w in enumerate(cols.given):
-        (value,) = _cells(terms, cols.column(j))
+        one = cols.column(j)
+        try:
+            (value,) = _cells(terms, one)
+        except OverflowError as exc:  # q^(a w), one exp or cpow
+            raise FloatRangeError(f"a power of q at w = {w!r} lies beyond the float range") from exc
         if not cmath.isfinite(value):
             raise FloatRangeError(f"E_q(s, w) at w = {w!r} lies beyond the float range")
         out.append(value)
@@ -371,8 +375,7 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     curve_grid.  A non-finite w raises ValueError; a value whose weights or
     sum lie beyond the float range raises FloatRangeError.
     """
-    if not cmath.isfinite(as_complex(w, "w")):
-        raise ValueError(f"w must be finite, got {w!r}")
+    as_complex(w, "w")
     qp = as_qparameter(q)
     terms = _order_terms(s, qp, config or DEFAULT_CONFIG, {})
     out = []
@@ -406,8 +409,8 @@ MAX_GRID_CELLS = 10**6
 
 def _point_count(lo: float, hi: float, step: float) -> int:
     # The number of points of inclusive_range(lo, hi, step).
-    if not all(cmath.isfinite(as_complex(v, "a range bound or step")) for v in (lo, hi, step)):
-        raise ValueError(f"range bounds and step must be finite, got {lo!r}:{hi!r}:{step!r}")
+    for v in (lo, hi, step):
+        as_complex(v, "a range bound or step")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:

@@ -3,8 +3,10 @@
 Hosts the immutable-record base, the validated deformation parameter, the
 one integer test every module uses, the one check (as_index) of every order,
 offset and integer shift, the one conversion (as_complex) of every other
-numeric argument, the q-bracket, and the truncation contract used by all
-geometric-tail series.  Nothing here keeps state.
+numeric argument, the one complex power (cpow), the q-bracket, and the
+truncation contract used by all geometric-tail series.  as_complex refuses a
+non-finite argument, and cpow a power beyond the float range, for every
+caller.  Nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import cmath
 from itertools import islice
 
-from .errors import NonConvergenceError, PoleError
+from .errors import FloatRangeError, NonConvergenceError, PoleError
 
 __all__ = [
     "QParameter",
@@ -52,12 +54,15 @@ def as_index(value, name: str) -> int:
 
 
 def as_complex(value, name: str) -> complex:
-    """complex(value); a number beyond the float range, as an int too large
-    to convert, raises ValueError naming the argument."""
+    """complex(value); a non-finite value, or one beyond the float range (an
+    int too large to convert), raises ValueError naming the argument."""
     try:
-        return complex(value)
+        z = complex(value)
     except OverflowError as exc:
         raise ValueError(f"{name} lies beyond the float range") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return z
 
 
 _set = object.__setattr__
@@ -179,19 +184,24 @@ def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> c
     zero base demands Re(exponent) > 0 (0**0 = 1 by convention).  log_base,
     when given, must be cmath.log(base) of a nonzero base: a caller raising
     one base to many powers takes the logarithm once, with the same bits.
+    A power beyond the float range raises FloatRangeError, caused by the raw
+    OverflowError, or by complex ** -k's ZeroDivisionError where base**k is 0.
     """
     base = complex(base)
     exponent = complex(exponent)
     k = as_int(exponent)
-    if k is not None and abs(k) <= 4096:
-        if base == 0 and k < 0:
-            raise PoleError("0 raised to a negative power")
-        return base**k
-    if base == 0:
-        if exponent.real > 0:
-            return 0j
-        raise PoleError(f"0 raised to power {exponent!r}")
-    return cmath.exp(exponent * (cmath.log(base) if log_base is None else log_base))
+    try:
+        if k is not None and abs(k) <= 4096:
+            if base == 0 and k < 0:
+                raise PoleError("0 raised to a negative power")
+            return base**k
+        if base == 0:
+            if exponent.real > 0:
+                return 0j
+            raise PoleError(f"0 raised to power {exponent!r}")
+        return cmath.exp(exponent * (cmath.log(base) if log_base is None else log_base))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise FloatRangeError(f"{base!r} ** {exponent!r} lies beyond the float range") from exc
 
 
 def q_bracket(x, q) -> complex:
@@ -200,7 +210,7 @@ def q_bracket(x, q) -> complex:
     For integer x >= 0 this is the geometric sum 1 + q + ... + q^(x-1) and is
     evaluated that way, so the agreement is exact.  Non-integer powers use the
     principal branch.  A non-finite x, or one beyond the float range, raises
-    ValueError.
+    ValueError, and a power q**x beyond the float range FloatRangeError.
     """
     qq = as_qparameter(q).q
     xi = as_int(x)
@@ -210,9 +220,7 @@ def q_bracket(x, q) -> complex:
         for _ in range(xi):
             acc = 1.0 + qq * acc
         return acc
-    if not cmath.isfinite(as_complex(x, "x")):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return (1.0 - cpow(qq, x)) / (1.0 - qq)
+    return (1.0 - cpow(qq, as_complex(x, "x"))) / (1.0 - qq)
 
 
 def sum_series_geometric(terms, ratio_mag: float, growth_mag: float, config: EngineConfig) -> SeriesValue:

@@ -21,7 +21,6 @@ order -n.  Nothing here keeps state between calls.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
@@ -46,9 +45,12 @@ def euler_numbers(n: int, q, config: EngineConfig | None = None) -> list[complex
     E_m = -(1/(1+q^m)) sum_{l<m} C(m,l) q^l E_l.
 
     n + 1 above config.max_terms is refused before any work, with
-    NonConvergenceError, as for the zeta sums at order -n."""
+    NonConvergenceError, as for the zeta sums at order -n, and n >= 1030,
+    whose binomials lie beyond the float range, with FloatRangeError."""
     n = as_index(n, "n")
     check_order_terms(n, config or DEFAULT_CONFIG)
+    if math.comb(n, n // 2).bit_length() > 1024:  # the largest C(m, l) read does not convert to float
+        raise FloatRangeError(f"the binomials of E_0..E_{n} lie beyond the float range")
     qq = as_qparameter(q).q
     table = [(1.0 + qq) / 2.0]
     for m in range(1, n + 1):
@@ -115,8 +117,6 @@ def classical_euler_poly(n: int, x) -> complex:
     """
     n = as_index(n, "n")
     z = as_complex(x, "x")
-    if not cmath.isfinite(z):
-        raise ValueError(f"x must be finite, got {x!r}")
     a = scaled_classical_euler(n)
     (pr, pi), e = _dyadic(z)
     re = im = 0
@@ -185,7 +185,10 @@ def euler_poly_series_oracle(
     k = 0
     while k < cfg.max_terms:
         bracket = (1.0 - qr ** (k + xv)) / one_minus_q
-        running += two_q * sign * (qr ** (h * k)) * bracket**n
+        try:
+            running += two_q * sign * (qr ** (h * k)) * bracket**n
+        except OverflowError as exc:
+            raise FloatRangeError(f"term {k} of the series oracle at order {n} lies beyond the float range") from exc
         partials.append(running)
         scale = max(scale, abs(running))
         sign = -sign

@@ -111,8 +111,6 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
     qq = as_qparameter(q).q
     cfg = config or DEFAULT_CONFIG
     s = as_complex(s, "the order")
-    if not cmath.isfinite(s):
-        raise ValueError(f"the order must be finite, got {s!r}")
     n = as_int(s)
     n = -n if n is not None and n <= 0 else None
     if n is not None and not deriv:
@@ -122,7 +120,7 @@ def _kseries(s, x, h: int, q, config: EngineConfig | None, deriv: bool) -> Serie
         return SeriesValue(terminating_alt_sum(n, h, qq, x), 0.0, n + 1, True)
     if x is not None:
         x = as_complex(x, "x")
-        if not (cmath.isfinite(x) and x.real >= 0):
+        if x.real < 0:
             raise ValueError("the Hurwitz variant needs a finite x with Re(x) >= 0")
     pref = (1.0 + qq) * cpow(1.0 - qq, s)
     log1mq = cmath.log(1.0 - qq) if deriv else None
@@ -175,29 +173,23 @@ def qzeta_deriv(s, h: int, q, x=None, config: EngineConfig | None = None) -> Ser
     return _kseries(s, x, h, q, config, deriv=True)
 
 
-def _reflected(s):
-    # -s as the caller's own type negates it, so the bits are those of
-    # qzeta(-s) (a real s keeps +0.0 as its imaginary part); a non-finite
-    # order is refused as the caller gave it
-    if not cmath.isfinite(as_complex(s, "the order")):
-        raise ValueError(f"the order must be finite, got {s!r}")
-    return -s
-
-
 def euler_continuation(s, q, config: EngineConfig | None = None) -> SeriesValue:
     """E_q(s) = zeta_q(-s): the q-Euler numbers continued in the order.
 
     Matches euler_number(n, q) at integer s = n >= 1 and equals the
     positive-order zeta values at negative integers.  The SeriesValue is
-    qzeta's at -s.
+    qzeta's at -s, negated in the caller's own type (a real s keeps +0.0 as
+    its imaginary part); a non-finite s is refused as the caller gave it.
     """
-    return qzeta(_reflected(s), 0, q, config)
+    as_complex(s, "the order")
+    return qzeta(-s, 0, q, config)
 
 
 def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> SeriesValue:
     """d/ds E_q(s) = -zeta_q'(-s) (chain rule through the reflection): the
     SeriesValue of qzeta_deriv at -s with its value negated."""
-    sv = qzeta_deriv(_reflected(s), 0, q, config=config)
+    as_complex(s, "the order")
+    sv = qzeta_deriv(-s, 0, q, config=config)
     return SeriesValue(-sv.value, sv.error_bound, sv.terms_used, sv.converged)
 
 
@@ -238,8 +230,6 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     """
     cfg = config or DEFAULT_CONFIG
     s = as_complex(s, "the order")
-    if not cmath.isfinite(s):
-        raise ValueError(f"the order must be finite, got {s!r}")
     xv = None
     if x is not None:
         xv = as_complex(x, "x")

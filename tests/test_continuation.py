@@ -189,6 +189,24 @@ class TestNestedSeries:
             for (a, got), want in zip(rows, _mp_zeta_at_minus(rows[0][0], len(rows), q)):
                 assert abs(got - want) <= 1e-12 * abs(want), (s, q, a)
 
+    @pytest.mark.parametrize("s,q", [(2.6058016353917162, 0.5), (0.4547026439786303, -0.5)])
+    def test_retries_near_a_zero_of_a_coefficient(self, s, q, monkeypatch):
+        # S_3 changes sign at this s for q = 0.5, and S_0 for q = -0.5: the
+        # first tables miss rel_tol of |S_m| there, so the nested sums double
+        # their length, widen W and take four tables.  Nothing else in the
+        # suite runs those branches.
+        tables, table = [], continuation._table
+        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        for w in (0.3, -0.7, 1.5):
+            tables.clear()
+            got, want = euler_poly_continuation(s, w, q), _mp_cell(s, w, q)
+            assert len(tables) == 4, tables
+            assert abs(got - want) <= 1e-12 * abs(want), (s, q, w)  # 3.0e-15 at most
+        grid = curve_grid(s, s, 1, -0.7, 1.5, 1.1, q)
+        for w, z in zip(grid.w_values, grid.values[0]):
+            point = euler_poly_continuation(s, w, q)
+            assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), w
+
     def test_table_beyond_max_terms_is_located(self):
         # at |q| = 0.95 a fractional row needs 864 entries of each difference:
         # the integer row s = 1 passes, the row s = 1.5 raises at its indices
@@ -336,7 +354,8 @@ class TestPolyContinuation:
     )
     def test_bracket_beyond_the_float_range(self, evaluate, args):
         # [-1.3]_q overflows at these q; each call raised a bare
-        # OverflowError("math range error")
+        # OverflowError("math range error").  The cause is cpow's
+        # FloatRangeError, whose chain reaches the raw OverflowError.
         with pytest.raises(QEulerError) as info:
             evaluate(*args)
         err = info.value
@@ -345,7 +364,9 @@ class TestPolyContinuation:
             err = err.__cause__
         assert isinstance(err, FloatRangeError)
         assert str(err) == "[w]_q at w = -1.3 lies beyond the float range"
-        assert type(err.__cause__) is OverflowError
+        while type(err) is not OverflowError:
+            assert err.__cause__ is not None, "the chain ends before the raw OverflowError"
+            err = err.__cause__
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import cmath
 import copy
 import itertools
 import math
@@ -20,7 +21,7 @@ from qeuler import (
     q_bracket,
     qzeta,
 )
-from qeuler.errors import NonConvergenceError, PoleError
+from qeuler.errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError, QEulerError
 from qeuler.kernel import DEFAULT_CONFIG, as_int, cpow, sum_series_geometric
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
@@ -130,7 +131,40 @@ BEYOND_THE_FLOAT_RANGE = [
 ]
 
 
+# A non-finite argument, as each public entry meets it: (name, args, the
+# argument's name, the value as given).
+INF, NAN = math.inf, math.nan
+NON_FINITE = [
+    ("QParameter", (NAN,), "q", NAN),
+    ("euler_numbers", (3, INF), "q", INF),
+    ("q_bracket", (INF, 0.5), "x", INF),
+    ("q_bracket", (complex(0.5, INF), 0.5), "x", complex(0.5, INF)),
+    ("qzeta", (INF, 0, 0.5), "the order", INF),
+    ("qzeta_deriv", (complex(1, NAN), 0, 0.5), "the order", complex(1, NAN)),
+    ("qzeta_hurwitz", (2.5, -INF, 0, 0.5), "x", -INF),
+    ("qzeta_hurwitz", (-3, NAN, 0, 0.5), "the shift", NAN),
+    ("euler_poly", (3, INF, 0, 0.5), "the shift", INF),
+    ("euler_continuation", (-INF, 0.5), "the order", -INF),
+    ("euler_continuation_deriv", (NAN, 0.5), "the order", NAN),
+    ("euler_poly_continuation", (INF, 0.5, 0.5), "the order", INF),
+    ("euler_poly_continuation", (2.5, INF, 0.5), "w", INF),
+    ("curve_grid", (0, INF, 1, 0, 1, 1, 0.5), "a range bound or step", INF),
+    ("classical_euler_poly", (3, -INF), "x", -INF),
+    ("classical_zeta_E", (INF,), "the order", INF),
+    ("euler_poly_series_oracle", (3, INF, 0, 0.5), "x", INF),
+]
+
+
 class TestAsComplex:
+    @pytest.mark.parametrize(
+        "name,args,what,value", NON_FINITE, ids=[f"{name}-{i}" for i, (name, *_) in enumerate(NON_FINITE)]
+    )
+    def test_non_finite_argument_is_named_as_given(self, name, args, what, value):
+        # euler_poly_series_oracle(3, inf, 0, 0.5) returned 6, converged
+        with pytest.raises(ValueError) as info:
+            getattr(qeuler, name)(*args)
+        assert str(info.value) == f"{what} must be finite, got {value!r}"
+
     @pytest.mark.parametrize(
         "name,args", BEYOND_THE_FLOAT_RANGE, ids=[f"{name}-{i}" for i, (name, _) in enumerate(BEYOND_THE_FLOAT_RANGE)]
     )
@@ -139,6 +173,139 @@ class TestAsComplex:
         with pytest.raises(ValueError, match="lies beyond the float range") as info:
             getattr(qeuler, name)(*args)
         assert isinstance(info.value.__cause__, OverflowError)
+
+
+# A power beyond the float range, each of which raised a bare OverflowError
+# or ZeroDivisionError: (name, args).
+POWER_BEYOND_THE_FLOAT_RANGE = [
+    ("q_bracket", (-3, 1e-200)),  # ZeroDivisionError: 1e-200**3 is 0
+    ("qzeta", (1200, 0, -0.9)),
+    ("classical_zeta_E", (-300.5,)),
+    ("euler_continuation", (1200.5, 0.5)),
+    ("euler_poly_series_oracle", (300, 0.5, 0, 0.99)),
+]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("name,args", POWER_BEYOND_THE_FLOAT_RANGE, ids=[n for n, _ in POWER_BEYOND_THE_FLOAT_RANGE])
+    def test_power_beyond_the_float_range(self, name, args):
+        with pytest.raises(FloatRangeError) as info:
+            getattr(qeuler, name)(*args)
+        assert isinstance(info.value.__cause__, (OverflowError, ZeroDivisionError))
+        assert not isinstance(info.value.__cause__, QEulerError)
+
+    def test_cpow_keeps_the_raw_error_as_its_cause(self):
+        for base, exponent, raw in ((1e-200, -3, ZeroDivisionError), (1.9, 1200, OverflowError), (0.5, -1200.5, OverflowError)):
+            with pytest.raises(FloatRangeError, match="lies beyond the float range") as info:
+                cpow(base, exponent)
+            assert type(info.value.__cause__) is raw
+            assert isinstance(info.value, OverflowError)  # still caught as one
+
+    def test_grid_cell_with_a_bracket_beyond_the_float_range(self):
+        # [-3]_q at q = 1e-200 divides by 1e-200**3 = 0
+        with pytest.raises(CurveSampleError) as info:
+            qeuler.curve_grid(2.5, 2.5, 1, -3, -3, 1, 1e-200)
+        assert type(info.value.__cause__) is FloatRangeError
+
+    def test_point_with_a_power_of_q_beyond_the_float_range(self):
+        # q^(a w) = exp(a w log q) overflows, with [w]_q finite
+        with pytest.raises(FloatRangeError, match=r"^a power of q at w = 3 lies beyond the float range$") as info:
+            qeuler.euler_poly_continuation(2.5, 3, 1e-300j)
+        assert type(info.value.__cause__) is OverflowError
+
+
+CFG = EngineConfig(max_terms=2000)
+NON_FINITE_VALUES = (INF, -INF, NAN, complex(1.0, INF), complex(NAN, 0.0))
+
+
+def _draw_q(rng):
+    # 0, |q| down to 1e-320, or |q| up to 0.99; positive, negative or complex
+    r = rng.random()
+    if r < 0.05:
+        return 0.0
+    mag = 10 ** rng.uniform(-320, -1) if r < 0.35 else rng.uniform(0.0, 0.99)
+    kind = rng.random()
+    return mag if kind < 0.4 else -mag if kind < 0.6 else cmath.rect(mag, rng.uniform(-math.pi, math.pi))
+
+
+def _draw_order(rng):
+    # small integers, small and larger reals, and orders up to 1e4 in size
+    r = rng.random()
+    if r < 0.3:
+        return rng.randint(-12, 12)
+    if r < 0.65:
+        s = rng.uniform(-12, 12)
+    elif r < 0.85:
+        s = rng.choice((-1, 1)) * rng.uniform(12, 80)
+    else:
+        s = rng.choice((-1, 1)) * 10 ** rng.uniform(2.5, 4)
+    return complex(s, rng.uniform(-5, 5)) if rng.random() < 0.2 else s
+
+
+def _draw_index(rng):
+    # a sum's order n: mostly small, some beyond max_terms
+    r = rng.random()
+    return rng.randint(0, 12) if r < 0.8 else rng.randint(13, 60) if r < 0.95 else rng.randint(2000, 10000)
+
+
+def _draw_shift(rng):
+    # a shift or w: non-finite, a small integer, negative, or large
+    r = rng.random()
+    if r < 0.1:
+        return rng.choice(NON_FINITE_VALUES)
+    if r < 0.3:
+        return rng.randint(-5, 8)
+    x = rng.uniform(-5, 5) if r < 0.7 else rng.choice((-1, 1)) * 10 ** rng.uniform(1, 4)
+    return complex(x, rng.uniform(-3, 3)) if rng.random() < 0.2 else x
+
+
+def _draw_real_order(rng):
+    return abs(complex(_draw_order(rng)).real)
+
+
+def _draw_grid(r):
+    s, w = _draw_real_order(r), complex(_draw_shift(r)).real
+    return qeuler.curve_grid(s, s + 1.0, 0.5, w, w, 1.0, _draw_q(r), CFG)
+
+
+DRAWS = {
+    "qzeta": lambda r: qeuler.qzeta(_draw_order(r), r.randint(0, 3), _draw_q(r), CFG),
+    "qzeta_hurwitz": lambda r: qeuler.qzeta_hurwitz(_draw_order(r), _draw_shift(r), r.randint(0, 3), _draw_q(r), CFG),
+    "qzeta_deriv": lambda r: qeuler.qzeta_deriv(
+        _draw_order(r), r.randint(0, 3), _draw_q(r), _draw_shift(r) if r.random() < 0.5 else None, CFG
+    ),
+    "euler_continuation": lambda r: qeuler.euler_continuation(_draw_order(r), _draw_q(r), CFG),
+    "euler_continuation_deriv": lambda r: qeuler.euler_continuation_deriv(_draw_order(r), _draw_q(r), CFG),
+    "euler_poly": lambda r: qeuler.euler_poly(_draw_index(r), _draw_shift(r), r.randint(0, 3), _draw_q(r), CFG),
+    "euler_numbers": lambda r: qeuler.euler_numbers(_draw_index(r), _draw_q(r), CFG),
+    "euler_poly_continuation": lambda r: qeuler.euler_poly_continuation(_draw_real_order(r), _draw_shift(r), _draw_q(r), CFG),
+    "curve_grid": _draw_grid,
+    "q_bracket": lambda r: q_bracket(_draw_shift(r), _draw_q(r)),
+    # no term budget: n above 300 only costs time
+    "classical_euler_poly": lambda r: qeuler.classical_euler_poly(min(_draw_index(r), 300), _draw_shift(r)),
+    "classical_zeta_E": lambda r: qeuler.classical_zeta_E(_draw_order(r), r.choice((None, r.uniform(0, 1))), CFG),
+    "euler_poly_series_oracle": lambda r: qeuler.euler_poly_series_oracle(
+        _draw_index(r), _draw_shift(r), r.randint(0, 3), r.uniform(0.01, 0.99), 2, CFG
+    ),
+}
+
+
+def test_every_entry_returns_or_raises_a_library_error():
+    # 2,000 seeded draws over the public evaluators: each call returns, or
+    # raises ValueError (a bad or non-finite argument) or a QEulerError.  A
+    # bare OverflowError or ZeroDivisionError escaped from about 3% of them.
+    rng = random.Random(2828)
+    names = sorted(DRAWS)
+    escaped = []
+    for i in range(2000):
+        name = rng.choice(names)
+        try:
+            DRAWS[name](rng)
+        except (QEulerError, ValueError):
+            pass
+        except Exception as exc:  # what the contract rules out
+            escaped.append((i, name, repr(exc)))
+    assert not escaped, escaped[:10]
 
 
 class TestCpowZeroBase:

@@ -59,6 +59,13 @@ class TestEulerNumbers:
                 resid = values[n] + acc / (1 + q**n)
                 assert abs(resid) <= 1e-13 * max(1.0, abs(values[n]))
 
+    @pytest.mark.parametrize("n", [1030, 1999])
+    def test_binomials_beyond_the_float_range_are_refused_at_once(self, n):
+        # C(1030, 515) does not convert to float: the recurrence raised a bare
+        # OverflowError("int too large to convert to float") after about 7 s
+        with pytest.raises(FloatRangeError, match=rf"^the binomials of E_0..E_{n} lie beyond the float range$"):
+            euler_numbers(n, 0.5)
+
     def test_classical_limit(self):
         for n in range(7):
             gap = abs(euler_number(n, 0.9999) - float(classical_euler_number(n)))
