@@ -56,6 +56,17 @@ guesses and grow where a later J_m passes their end, and a row rounds only
 its entries j < J_m.  An entry depends on q, the precision, m and j alone,
 so the rows of a grid share one table with the bits of a point call.
 
+Rows whose orders differ by an integer, so share the float frac = s - [s],
+share their order work (_Fraction).  An order's S_m, J_m and acceptance
+bound do not depend on the row's top, so within a band the first such
+row's try at the nested sums (_Try) serves the later ones: each reads only
+its new orders and runs the acceptance test again at its own top, whose
+short-W slack grows with top, and a row that fails it retries as its point
+call would.  They also share the factors (1+q) (1-q)^(-(k+frac)), or at
+integer orders the finite sums, and the columns q^((k+frac) w).  The grid
+keeps these only for a fraction that a later row reads again, and drops
+them after its last row.
+
 The w side is one kernel per row (_row): [w]_q and its powers once per
 column, q^(a w) as one exp per column or, where a w is an integer, cpow's
 complex ** int (see kernel.cpow for its rounding), the terms added in
@@ -162,7 +173,90 @@ def _weights(sigma: float, n: int, out: list[float] | None = None) -> list[float
     return out
 
 
-def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict) -> list[complex]:
+class _Try:
+    """One try of the nested sums of one fraction at table length `length`
+    and W bits: the weight vector, and S_m with its J_m and acceptance bound
+    for each order m read so far.  An order's S_m, J_m and bound do not
+    depend on the row's top, so the rows of a grid that share a fraction and
+    a band share one first try, each reading only its new orders."""
+
+    __slots__ = ("q", "sigma", "length", "W", "table", "lines", "allowed", "lr", "start", "log_gb",
+                 "weights", "sums", "needs", "bounds", "missed")
+
+    def __init__(self, q: complex, sigma: float, length: int, W: int, held, allowed: float):
+        self.q, self.sigma, self.length, self.W, self.allowed = q, sigma, length, W, allowed
+        self.table, self.lines = held
+        self.lr = math.log(abs(q)) if q else -math.inf
+        self.start = start = max(1, length // 4)
+        self.log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
+        self.weights, self.sums, self.needs, self.bounds, self.missed = [1.0], [], [], [], False
+
+    def entries(self, m: int, target: float) -> int:
+        # the J >= start at which the tail line of order m meets target, or
+        # length + 1 when no J <= length does
+        start = self.start
+        if not self.q:  # every entry but D_m[0] is 0
+            return start
+        line = self.lines.get((m, start))
+        if line is None:
+            line = self.lines[m, start] = _log_tail(self.q, m, start) - start * self.lr
+        j = (self.log_gb + line - target) / -self.lr
+        return max(start, math.ceil(j)) if j <= self.length else self.length + 1
+
+    def extend(self, top: int) -> bool:
+        # Reads S_m for the orders m <= top not read yet, up to the first
+        # whose J_m passes length; True when every order up to top is read.
+        q, sums, length, table, weights = self.q, self.sums, self.length, self.table, self.weights
+        first = len(sums)
+        if first > top or self.missed:
+            return first > top
+        table.grow(top, 1)  # D_m[0] for the guesses: top + 1 quotients
+        guesses = [
+            self.entries(m, self.allowed - 3 * _LN2 + _log_abs(re[0], im and im[0]))
+            if re[0] or im and im[0]
+            else length
+            for m, (re, im) in enumerate(map(table.row, range(first, top + 1), repeat(1)), first)
+        ]
+        reads = min(length, max(guesses))
+        table.grow(top, reads)  # sized from the guesses; a longer J_m grows it
+        _weights(self.sigma, reads + 1, weights)
+        line_start, lr = self.start, self.lr
+        for m, need in enumerate(guesses, first):
+            for _ in range(2):  # the guess, then J_m from |S_m| itself
+                if need > length:
+                    break
+                if need >= len(weights):
+                    _weights(self.sigma, need + 1, weights)
+                re, im = table.row(m, need)
+                w = weights[:need]
+                sm = complex(math.fsum(map(mul, w, re)), 0.0 if im is None else math.fsum(map(mul, w, im)))
+                bound = self.allowed + _log_abs(sm.real, sm.imag)
+                if not q or math.log(weights[need]) + self.lines[m, line_start] + need * lr <= bound:
+                    break
+                need = self.entries(m, bound - 2 * _LN2)
+            else:
+                need = length + 1
+            if need > length:
+                self.missed = True
+                return False
+            sums.append(sm)
+            self.needs.append(need)
+            self.bounds.append(bound)
+        return True
+
+    def short(self, top: int) -> bool:
+        # Whether the table's rounding exceeds rel_tol / 8 of some |S_m| read,
+        # m <= top: its slack grows with top, so each row tests its own.
+        slack = math.log(difference_error(self.q, self.length + top)) - self.W * _LN2
+        return any(
+            slack + math.log(need) + m * _LN2 > bound
+            for m, need, bound in zip(range(top + 1), self.needs, self.bounds)
+        )
+
+
+def _nested_sums(
+    q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict, shared: _Fraction | None = None
+) -> list[complex]:
     # S_m = sum_{j<J_m} gb(1 - frac, j) D_m[j], m = 0..top, the nested series
     # of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac)) S_m: one weight
     # vector for every m, and each S_m two dot products.
@@ -179,68 +273,33 @@ def _nested_sums(q: complex, top: int, frac: float, cfg: EngineConfig, memo: dic
     # rel_tol alone: a grid, whose rows share memo's table, has the bits of
     # a point call.  The table holds what its reads asked for: D_m[0] for
     # the guesses, then the J_m entries each S_m sums, rounded as read.
-    sigma = 1.0 - frac
+    #
+    # shared, where a grid passes one, is the _Fraction of the rows with
+    # this frac: its first try serves every such row of the band as this
+    # row's first try, extended to top and tested at top, so a row whose
+    # own test fails retries as a point call would, at its own row.
     wide = -(-top // _TOP_STEP) * _TOP_STEP
-    lr = math.log(abs(q)) if q else -math.inf
-    allowed = math.log(cfg.rel_tol / 8.0)
     length, extra = _table_length(abs(q), cfg), 0
-    for _ in range(_TABLE_ATTEMPTS):
+    for attempt in range(_TABLE_ATTEMPTS):
         if length + top > cfg.max_terms:
             raise NonConvergenceError(
                 f"the difference table of order {top} needs {length + top} terms, above max_terms={cfg.max_terms}"
             )
-        W = _table_bits(q, wide, length) + extra
-        held = _table(q, W, memo)
-        if held is None:  # a truncated q~ left the unit disk: more bits
-            extra += 64
-            continue
-        table, lines = held
-        start = max(1, length // 4)
-        log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
-
-        def entries(m: int, target: float) -> int:
-            # the J >= start at which the tail line of order m meets target,
-            # or length + 1 when no J <= length does
-            if not q:  # every entry but D_m[0] is 0
-                return start
-            line = lines.get((m, start))
-            if line is None:
-                line = lines[m, start] = _log_tail(q, m, start) - start * lr
-            j = (log_gb + line - target) / -lr
-            return max(start, math.ceil(j)) if j <= length else length + 1
-
-        table.grow(top, 1)  # D_m[0] for the guesses: top + 1 quotients
-        guesses = [
-            entries(m, allowed - 3 * _LN2 + _log_abs(re[0], im and im[0])) if re[0] or im and im[0] else length
-            for m, (re, im) in enumerate(map(table.row, range(top + 1), repeat(1)))
-        ]
-        reads = min(length, max(guesses))
-        table.grow(top, reads)  # sized from the guesses; a longer J_m grows it
-        weights = _weights(sigma, reads + 1)
-        slack = math.log(difference_error(q, length + top)) - W * _LN2
-        sums, short_w = [], False
-        for m, need in enumerate(guesses):
-            for _ in range(2):  # the guess, then J_m from |S_m| itself
-                if need > length:
-                    break
-                if need >= len(weights):
-                    _weights(sigma, need + 1, weights)
-                re, im = table.row(m, need)
-                w = weights[:need]
-                sm = complex(math.fsum(map(mul, w, re)), 0.0 if im is None else math.fsum(map(mul, w, im)))
-                bound = allowed + _log_abs(sm.real, sm.imag)
-                if not q or math.log(weights[need]) + lines[m, start] + need * lr <= bound:
-                    break
-                need = entries(m, bound - 2 * _LN2)
-            else:
-                need = length + 1
-            if need > length:
-                break
-            sums.append(sm)
-            short_w = short_w or slack + math.log(need) + m * _LN2 > bound
-        if len(sums) == top + 1 and not short_w:
-            return sums
-        length *= 1 if len(sums) == top + 1 else 2
+        tried = shared.first if shared is not None and not attempt and shared.wide == wide else None
+        if tried is None:
+            W = _table_bits(q, wide, length) + extra
+            held = _table(q, W, memo)
+            if held is None:  # a truncated q~ left the unit disk: more bits
+                extra += 64
+                continue
+            tried = _Try(q, 1.0 - frac, length, W, held, math.log(cfg.rel_tol / 8.0))
+            if shared is not None and not attempt:
+                shared.wide, shared.first = wide, tried
+        full = tried.extend(top)
+        short_w = tried.short(top)
+        if full and not short_w:
+            return tried.sums[: top + 1]
+        length *= 1 if full else 2
         extra += 64 if short_w else 0
     raise NonConvergenceError(f"the nested series of order {top} missed rel_tol={cfg.rel_tol} after {_TABLE_ATTEMPTS} tries")
 
@@ -251,9 +310,26 @@ def _log_abs(re: float, im: float | None) -> float:
     return math.log(z) if z else -math.inf
 
 
-def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict) -> list[tuple[float, complex, int]]:
+class _Fraction:
+    """What the rows of one grid whose orders share a fractional part frac
+    share: the first try of their nested sums in the latest band (wide, its
+    multiple of _TOP_STEP); per order k + frac the factor of C(k + frac)
+    that no row changes, (1+q) (1-q)^(-(k+frac)) or, at frac = 0, the
+    finite sum zeta_q(-k) itself; and the columns q^((k+frac) w) by
+    order."""
+
+    __slots__ = ("wide", "first", "factors", "columns")
+
+    def __init__(self):
+        self.wide, self.first, self.factors, self.columns = 0, None, [], {}
+
+
+def _order_terms(
+    s, qp: QParameter, cfg: EngineConfig, memo: dict, shared: _Fraction | None = None
+) -> list[tuple[float, complex, int]]:
     # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
-    # memo carries a difference table from one row of a grid to the next.
+    # memo carries a difference table from one row of a grid to the next,
+    # and shared what the grid's rows with this frac share.
     sc = as_complex(s, "the order")
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
@@ -268,12 +344,18 @@ def _order_terms(s, qp: QParameter, cfg: EngineConfig, memo: dict) -> list[tuple
     if not all(map(math.isfinite, binom)):
         raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
     q = qp.q
+    factors = [] if shared is None else shared.factors
     if frac:  # C(k + frac) = [2]_q (1-q)^(-(k+frac)) S_(k+1), k = -1..[s]
-        sums = _nested_sums(q, fs + 1, frac, cfg, memo)
-        log1mq = cmath.log(1.0 - q)
-        coeffs = [(1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), log1mq) * sums[k + 1] for k in range(-1, fs + 1)]
+        sums = _nested_sums(q, fs + 1, frac, cfg, memo, shared)
+        if len(factors) < fs + 2:
+            log1mq = cmath.log(1.0 - q)
+            factors += [
+                (1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), log1mq) for k in range(len(factors) - 1, fs + 1)
+            ]
+        coeffs = list(map(mul, factors, sums))
     else:  # C(k) = zeta_q(-k), the finite sums, k = 0..[s]
-        coeffs = [terminating_alt_sum(k, 0, q, None) for k in range(fs + 1)]
+        factors += [terminating_alt_sum(k, 0, q, None) for k in range(len(factors), fs + 1)]
+        coeffs = factors[: fs + 1]
     terms = []
     for k, coeff in enumerate(coeffs, start=-1 if frac else 0):
         arg = k + frac
@@ -334,22 +416,26 @@ def _q_powers(cols: _Columns, a: float) -> list[complex]:
     return [cpow(q, x, logq) if x.real.is_integer() else exp(x * logq) for x in exps]
 
 
-def _cells(terms: list[tuple[float, complex, int]], cols: _Columns) -> list[complex]:
+def _cells(terms: list[tuple[float, complex, int]], cols: _Columns, columns: dict) -> list[complex]:
     # The part of E_q(s, w) that depends on w, at every column, with the
-    # terms added in their order.
+    # terms added in their order; columns keeps q^(a w) by a, for the
+    # grid's later rows where it is a _Fraction's.
     total = [0j] * len(cols.w)
     for arg, weighted, power in terms:
-        total = [t + weighted * x * p for t, x, p in zip(total, _q_powers(cols, arg), cols.power(power))]
+        powers = columns.get(arg)
+        if powers is None:
+            powers = columns[arg] = _q_powers(cols, arg)
+        total = [t + weighted * x * p for t, x, p in zip(total, powers, cols.power(power))]
     return total
 
 
-def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list) -> None:
+def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list, columns: dict) -> None:
     # Appends E_q(s, w) at every column to out.  A row that fails, or holds
     # a cell beyond the float range, runs again cell by cell, so a failing
     # cell raises at its own column, len(out).
     if cols.bw is not None:
         try:
-            total = _cells(terms, cols)
+            total = _cells(terms, cols, columns)
         except (PoleError, OverflowError):
             total = None
         if total is not None and all(map(cmath.isfinite, total)):
@@ -358,7 +444,7 @@ def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list) -> 
     for j, w in enumerate(cols.given):
         one = cols.column(j)
         try:
-            (value,) = _cells(terms, one)
+            (value,) = _cells(terms, one, {})
         except OverflowError as exc:  # q^(a w), one exp or cpow
             raise FloatRangeError(f"a power of q at w = {w!r} lies beyond the float range") from exc
         if not cmath.isfinite(value):
@@ -379,7 +465,7 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     qp = as_qparameter(q)
     terms = _order_terms(s, qp, config or DEFAULT_CONFIG, {})
     out = []
-    _row(terms, _Columns(qp, _log_q(qp), [w]), out)
+    _row(terms, _Columns(qp, _log_q(qp), [w]), out, {})
     return out[0]
 
 
@@ -445,10 +531,13 @@ def curve_grid(
     once, reading a difference table that the rows of one precision band
     share: the first row sizes it from its guesses at each J_m, a later row
     whose J_m or orders pass its end grows it, and each row rounds only the
-    entries j < J_m its dot products read.  Then every cell of the row runs
-    in one kernel over the columns, whose [w]_q and powers the grid computes
+    entries j < J_m its dot products read.  Rows whose orders differ by an
+    integer share their order work: a later row sums only the nested series
+    of its new orders, and reuses the coefficient factors and the columns
+    q^((k+frac) w) of the earlier ones.  Then every cell of the row runs in
+    one kernel over the columns, whose [w]_q and powers the grid computes
     once; the bits are those of point calls.  A failing sample aborts with
-    its grid indices.
+    its grid indices, the same as where its row fails alone.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
@@ -460,12 +549,18 @@ def curve_grid(
     svals = inclusive_range(s_min, s_max, s_step)
     wvals = inclusive_range(w_min, w_max, w_step)
     cols, memo = _Columns(qp, _log_q(qp), wvals), {}
+    # the rows whose orders share a fractional part share their order work,
+    # kept from the first such row to the last
+    fracs = [sv - math.floor(sv) for sv in map(float, svals)]
+    last = {frac: i for i, frac in enumerate(fracs)}
+    shared = {}
     rows = []
-    for i, sv in enumerate(svals):
+    for i, (sv, frac) in enumerate(zip(svals, fracs)):
         row = []
+        state = shared.pop(frac, None) if last[frac] == i else shared.setdefault(frac, _Fraction())
         try:
-            terms = _order_terms(sv, qp, cfg, memo)  # a failure here is reported at w[0]
-            _row(terms, cols, row)
+            terms = _order_terms(sv, qp, cfg, memo, state)  # a failure here is reported at w[0]
+            _row(terms, cols, row, {} if state is None else state.columns)
         except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
             j = len(row)
             raise CurveSampleError(

@@ -210,7 +210,8 @@ def q_bracket(x, q) -> complex:
     For integer x >= 0 this is the geometric sum 1 + q + ... + q^(x-1) and is
     evaluated that way, so the agreement is exact.  Non-integer powers use the
     principal branch.  A non-finite x, or one beyond the float range, raises
-    ValueError, and a power q**x beyond the float range FloatRangeError.
+    ValueError, and a power q**x or a quotient beyond the float range
+    FloatRangeError.
     """
     qq = as_qparameter(q).q
     xi = as_int(x)
@@ -220,7 +221,10 @@ def q_bracket(x, q) -> complex:
         for _ in range(xi):
             acc = 1.0 + qq * acc
         return acc
-    return (1.0 - cpow(qq, as_complex(x, "x"))) / (1.0 - qq)
+    value = (1.0 - cpow(qq, as_complex(x, "x"))) / (1.0 - qq)
+    if not cmath.isfinite(value):
+        raise FloatRangeError(f"[x]_q at x = {x!r} lies beyond the float range")
+    return value
 
 
 def sum_series_geometric(terms, ratio_mag: float, growth_mag: float, config: EngineConfig) -> SeriesValue:

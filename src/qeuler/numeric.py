@@ -21,6 +21,7 @@ order -n.  Nothing here keeps state between calls.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -46,7 +47,8 @@ def euler_numbers(n: int, q, config: EngineConfig | None = None) -> list[complex
 
     n + 1 above config.max_terms is refused before any work, with
     NonConvergenceError, as for the zeta sums at order -n, and n >= 1030,
-    whose binomials lie beyond the float range, with FloatRangeError."""
+    whose binomials lie beyond the float range, with FloatRangeError, as is
+    the first E_m whose float recurrence leaves the float range."""
     n = as_index(n, "n")
     check_order_terms(n, config or DEFAULT_CONFIG)
     if math.comb(n, n // 2).bit_length() > 1024:  # the largest C(m, l) read does not convert to float
@@ -60,6 +62,8 @@ def euler_numbers(n: int, q, config: EngineConfig | None = None) -> list[complex
             acc += math.comb(m, l) * qpow * table[l]
             qpow *= qq
         table.append(-acc / (1.0 + qq**m))
+        if not cmath.isfinite(table[-1]):
+            raise FloatRangeError(f"E_{m} of E_0..E_{n} lies beyond the float range")
     return table
 
 

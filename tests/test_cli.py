@@ -400,11 +400,14 @@ class TestOverflow:
             "continue --q 0.5 --s 3.01 --w -299",
             "continue --q 0.1 --s 1030.5 --w 0.5",
             "poly --q 0.5 --n 3 --x -700",
+            "continue --q 0.5 --s 2.5 --w -1023.5",
+            "numbers --q 0.99 --n 230",
         ],
     )
     def test_overflow_exits_three_with_one_error_line(self, command):
-        # q^w, a power of [w]_q or a binomial weight overflows a float: a
-        # numerical failure, not a crash and not a printed inf or nan
+        # q^w, [w]_q, a power of [w]_q, a binomial weight or a q-Euler number
+        # overflows a float: a numerical failure, not a crash and not a
+        # printed inf or nan
         proc = spawn("from qeuler.cli import run; run()", *command.split())
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

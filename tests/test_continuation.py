@@ -286,6 +286,111 @@ class TestWeightsAndTable:
                 assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), (sv, wv)
 
 
+def _assert_rows_equal_point_calls(grid, q):
+    for sv, row in zip(grid.s_values, grid.values):
+        for wv, z in zip(grid.w_values, row):
+            point = euler_poly_continuation(sv, wv, q)
+            assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), (sv, wv, q)
+
+
+class TestSharedFractions:
+    # Rows whose orders differ by an integer share their nested sums, the
+    # factors of their coefficients and their q-power columns; each row
+    # keeps the bits of a point call, and a failing row fails at its own
+    # indices.
+
+    def test_seeded_grids_across_integers_equal_point_calls(self, monkeypatch):
+        rng = random.Random(2929)
+        kinds = (
+            lambda r: r,
+            lambda r: -r,
+            lambda r: cmath.rect(r, rng.uniform(-math.pi, math.pi)),
+        )
+        tries, init = [], continuation._Try.__init__
+        monkeypatch.setattr(continuation._Try, "__init__", lambda self, *args: tries.append(1) or init(self, *args))
+        rows = fractional = repeats = grid_tries = 0
+        for i in range(100):
+            step = rng.choice((1.0, 0.5, 0.25, 0.125))
+            lo = round(rng.uniform(0.0, 3.0), rng.choice((1, 2, 17)))
+            span = rng.choice((2, 3)) if step >= 0.5 else 2
+            q = kinds[i % 3](rng.uniform(0.2, 0.95))
+            tries.clear()
+            grid = curve_grid(lo, lo + span, step, -0.5, 0.7, 1.2, q)
+            grid_tries += len(tries)
+            rows += len(grid.s_values)
+            fracs = [sv - math.floor(sv) for sv in grid.s_values if sv % 1.0]
+            fractional += len(fracs)
+            repeats += len(fracs) - len(set(fracs))
+            _assert_rows_equal_point_calls(grid, q)
+        # 846 rows, 828 fractional: each of the 320 whose fraction an earlier
+        # row of its grid had read built no try of its own
+        assert rows >= 800 and repeats >= 300 and grid_tries == fractional - repeats, (rows, repeats, grid_tries)
+
+    def test_shared_rows_build_fewer_tries_and_columns(self, monkeypatch):
+        tries, init = [], continuation._Try.__init__
+        monkeypatch.setattr(continuation._Try, "__init__", lambda self, *args: tries.append(1) or init(self, *args))
+        powers, q_powers = [], continuation._q_powers
+        monkeypatch.setattr(continuation, "_q_powers", lambda cols, a: powers.append(a) or q_powers(cols, a))
+        # fractions 0.25 and 0.75, each on three of the rows s = 2.25 to 4.75
+        curve_grid(2.25, 4.75, 0.5, -1, 1, 0.5, 0.6j)
+        assert len(tries) == 2
+        assert sorted(powers) == sorted(k + f for f in (0.25, 0.75) for k in range(-1, 5))
+
+    @pytest.mark.parametrize("q", [0.9, -0.8 + 0.3j])
+    def test_grid_crossing_a_precision_band_equals_point_calls(self, q):
+        # tops 7 to 11: the rows of each fraction change band at order 8
+        grid = curve_grid(6.25, 10.25, 0.5, -0.5, 0.5, 1.0, q)
+        assert [math.floor(sv) + 1 for sv in grid.s_values] == [7, 7, 8, 8, 9, 9, 10, 10, 11]
+        _assert_rows_equal_point_calls(grid, q)
+
+    def test_rows_whose_first_try_fails_retry_as_point_calls(self, monkeypatch):
+        # S_3 is near zero at this fraction, so rows of order 2.6 and 3.6
+        # both take four tables, the second reusing the first try of the first
+        s, q = 2.605801635391716, 0.5
+        assert (s + 1.0) - 3.0 == s - 2.0
+        tables, table = [], continuation._table
+        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        grid = curve_grid(s, s + 1.0, 1.0, -0.7, 1.5, 1.1, q)
+        assert len(tables) == 7, tables
+        for sv in grid.s_values:
+            tables.clear()
+            euler_poly_continuation(sv, 0.3, q)
+            assert len(tables) == 4, (sv, tables)
+        _assert_rows_equal_point_calls(grid, q)
+
+    def test_row_whose_own_acceptance_fails_retries_as_a_point_call(self, monkeypatch):
+        # the first try at the first W is made to fail its acceptance test
+        # from order 3 on: the row s = 1.25 accepts the try it shares with
+        # s = 2.25, which must then retry at W + 64 as its point call does
+        q, cfg = 0.5, EngineConfig()
+        W0 = continuation._table_bits(q, 8, continuation._table_length(q, cfg))
+        short = continuation._Try.short
+
+        def failing(self, top):
+            return short(self, top) or (top >= 3 and self.W == W0)
+
+        monkeypatch.setattr(continuation._Try, "short", failing)
+        tables, table = [], continuation._table
+        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        grid = curve_grid(1.25, 2.25, 1.0, -0.5, 0.5, 1.0, q)
+        assert tables == [W0, W0 + 64]
+        for sv, want in ((1.25, [W0]), (2.25, [W0, W0 + 64])):
+            tables.clear()
+            euler_poly_continuation(sv, 0.5, q)
+            assert tables == want, sv
+        _assert_rows_equal_point_calls(grid, q)
+
+    def test_failing_order_is_reported_at_its_own_row(self):
+        # each row extends the shared sums to its own order, so the first
+        # order above the budget fails at its own row, not at row 0
+        cfg = EngineConfig(max_terms=424)
+        with pytest.raises(CurveSampleError) as info:
+            curve_grid(0.5, 4.5, 0.5, -0.5, 0.5, 0.5, 0.9, cfg)
+        assert str(info.value) == (
+            "sample failed at s[6]=3.5, w[0]=-0.5: the difference table of order 4 needs 425 terms, above max_terms=424"
+        )
+
+
 class TestPolyContinuation:
     def test_hand_value(self):
         got = euler_poly_continuation(2, 0.5, QParameter(0.5))

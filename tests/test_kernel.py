@@ -207,6 +207,15 @@ class TestFloatRange:
             qeuler.curve_grid(2.5, 2.5, 1, -3, -3, 1, 1e-200)
         assert type(info.value.__cause__) is FloatRangeError
 
+    def test_bracket_quotient_beyond_the_float_range(self):
+        # q^x = 2^1023.5 is finite and (1 - q^x) / (1 - q) is not: q_bracket
+        # returned -inf, and a point call named a power of q
+        with pytest.raises(FloatRangeError, match=r"^\[x\]_q at x = -1023.5 lies beyond the float range$"):
+            qeuler.q_bracket(-1023.5, 0.5)
+        with pytest.raises(FloatRangeError, match=r"^\[w\]_q at w = -1023.5 lies beyond the float range$"):
+            qeuler.euler_poly_continuation(2.5, -1023.5, 0.5)
+        assert math.isfinite(abs(qeuler.q_bracket(-1022.5, 0.5)))
+
     def test_point_with_a_power_of_q_beyond_the_float_range(self):
         # q^(a w) = exp(a w log q) overflows, with [w]_q finite
         with pytest.raises(FloatRangeError, match=r"^a power of q at w = 3 lies beyond the float range$") as info:

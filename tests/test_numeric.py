@@ -66,6 +66,13 @@ class TestEulerNumbers:
         with pytest.raises(FloatRangeError, match=rf"^the binomials of E_0..E_{n} lie beyond the float range$"):
             euler_numbers(n, 0.5)
 
+    def test_recurrence_beyond_the_float_range_raises(self):
+        # the float recurrence overflows to inf and then takes inf - inf:
+        # E_222 on came back nan+nanj with no error
+        assert all(map(cmath.isfinite, euler_numbers(221, 0.99)))
+        with pytest.raises(FloatRangeError, match=r"^E_222 of E_0..E_230 lies beyond the float range$"):
+            euler_numbers(230, 0.99)
+
     def test_classical_limit(self):
         for n in range(7):
             gap = abs(euler_number(n, 0.9999) - float(classical_euler_number(n)))
