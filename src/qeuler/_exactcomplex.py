@@ -499,17 +499,13 @@ class DifferenceTable:
         return out
 
 
-def difference_table(q: complex, top: int, length: int, W: int) -> DifferenceTable | None:
-    """The DifferenceTable of q at W, its integer rows built for m <= top and
-    j < length, or None where _quotients refuses q~ at W."""
+def difference_table(q: complex, W: int) -> DifferenceTable | None:
+    """The DifferenceTable of q at W, built as it is read, or None where
+    _quotients refuses q~ at W."""
     Q, e = _dyadic(q)
-    lists = _term_lists(0, Q, e, 0, W, max(0, length + top - 1))
+    lists = _term_lists(0, Q, e, 0, W, 0)
     v = next(lists)
-    if v is None:
-        return None
-    table = DifferenceTable(W, lists, v)
-    table.grow(top, length)
-    return table
+    return None if v is None else DifferenceTable(W, lists, v)
 
 
 def _exact_sum(terms):

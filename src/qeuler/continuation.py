@@ -54,7 +54,7 @@ built only where read: its integer rows start from D_m[0], the top + 1
 quotients each order's first guess at J_m needs, are then sized from those
 guesses and grow where a later J_m passes their end, and a row rounds only
 its entries j < J_m.  An entry depends on q, the precision, m and j alone,
-so the rows of a grid share one table with the bits of a point call.
+so the rows of a call share one table with the bits of a point call.
 
 Rows whose orders differ by an integer, so share the float frac = s - [s],
 share their order work (_Fraction).  An order's S_m, J_m and acceptance
@@ -63,15 +63,16 @@ row's try at the nested sums (_Try) serves the later ones: each reads only
 its new orders and runs the acceptance test again at its own top, whose
 short-W slack grows with top, and a row that fails it retries as its point
 call would.  They also share the factors (1+q) (1-q)^(-(k+frac)), or at
-integer orders the finite sums, and the columns q^((k+frac) w).  The grid
-keeps these only for a fraction that a later row reads again, and drops
-them after its last row.
+integer orders the finite sums, and the columns q^((k+frac) w).  A
+fraction's state lives from its first row to its last.
 
-The w side is one kernel per row (_row): [w]_q and its powers once per
-column, q^(a w) as one exp per column or, where a w is an integer, cpow's
-complex ** int (see kernel.cpow for its rounding), the terms added in
-order; a failing or non-finite cell runs again alone, so it raises at its
-own column.  euler_poly_continuation is its one-row, one-column case.
+What every row of a call shares is one _Grid: q and log q, the
+EngineConfig, the w side and the difference table at its latest W.  The w
+side is one kernel per row (_row): [w]_q and its powers once per column,
+q^(a w) as one exp per column or, where a w is an integer, cpow's complex
+** int (see kernel.cpow for its rounding), the terms added in order; a
+failing or non-finite cell runs again alone, so it raises at its own
+column.  euler_poly_continuation is the one-row, one-column case.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ _TABLE_ATTEMPTS = 4  # the lengths and precisions a row's nested sums try
 _TOP_STEP = 8  # orders 1..8 share one table precision, as do 9..16, ...
 
 
-def _table_length(r: float, cfg: EngineConfig) -> int:
+def _first_length(r: float, cfg: EngineConfig) -> int:
     # The first try at the number of entries j < L of each difference a row
     # reads: |q|^L below rel_tol / 2^24.
     if not r:
@@ -114,7 +115,7 @@ def _table_length(r: float, cfg: EngineConfig) -> int:
     return max(1, math.ceil((24.0 - math.log2(cfg.rel_tol)) / -math.log2(r)))
 
 
-def _table_bits(q: complex, top: int, length: int) -> int:
+def _first_bits(q: complex, top: int, length: int) -> int:
     # The first try at the fixed-point bits W of a difference table that
     # serves orders up to top: 72 beyond the 2^m units and the (1-q)^m by
     # which D_m[j] falls below the factors, as _exactcomplex._start, and the
@@ -130,8 +131,6 @@ def _log_tail(q: complex, m: int, length: int) -> float:
     # / (1 - r^N); the terms beyond N, below 2^m r^((N+1) L) / ((1-r)
     # (1-r^L)), are added whole once they fall 2^-50 below the largest.
     r = abs(q)
-    if not r:
-        return -math.inf
     lr, slope = math.log(r), abs(1.0 - q) / (1.0 - r)
     logs, n = [], 0
     while True:
@@ -142,21 +141,6 @@ def _log_tail(q: complex, m: int, length: int) -> float:
         big = max(logs)
         if rest < big - 35.0:
             return big + math.log(math.fsum([math.exp(t - big) for t in logs]) + math.exp(rest - big))
-
-
-def _table(q: complex, W: int, memo: dict):
-    # The difference table at W, with a dict for the tail lines of its
-    # orders: memo's, when it holds that W, else a new one, which replaces
-    # it.  Its entries are the same whatever its extent, so the table of one
-    # row serves the next alike, and grows where the next reads further.
-    held = memo.get(W)
-    if held is None:
-        table = difference_table(q, 0, 0, W)
-        memo.clear()
-        if table is None:
-            return None
-        memo[W] = held = (table, {})
-    return held
 
 
 def _weights(sigma: float, n: int, out: list[float] | None = None) -> list[float]:
@@ -254,9 +238,7 @@ class _Try:
         )
 
 
-def _nested_sums(
-    q: complex, top: int, frac: float, cfg: EngineConfig, memo: dict, shared: _Fraction | None = None
-) -> list[complex]:
+def _nested_sums(grid: _Grid, top: int, frac: float, shared: _Fraction) -> list[complex]:
     # S_m = sum_{j<J_m} gb(1 - frac, j) D_m[j], m = 0..top, the nested series
     # of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac)) S_m: one weight
     # vector for every m, and each S_m two dot products.
@@ -270,30 +252,31 @@ def _nested_sums(
     # of it.  Where J_m passes L, L doubles, and where the table's rounding
     # exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.  So L, W and
     # J_m follow from q, the multiple of _TOP_STEP at or above top, frac and
-    # rel_tol alone: a grid, whose rows share memo's table, has the bits of
-    # a point call.  The table holds what its reads asked for: D_m[0] for
+    # rel_tol alone: a grid, whose rows share the grid's table, has the bits
+    # of a point call.  The table holds what its reads asked for: D_m[0] for
     # the guesses, then the J_m entries each S_m sums, rounded as read.
     #
-    # shared, where a grid passes one, is the _Fraction of the rows with
-    # this frac: its first try serves every such row of the band as this
-    # row's first try, extended to top and tested at top, so a row whose
-    # own test fails retries as a point call would, at its own row.
+    # shared is the _Fraction of the rows with this frac: its first try
+    # serves every such row of the band as this row's first try, extended to
+    # top and tested at top, so a row whose own test fails retries as a point
+    # call would, at its own row.
+    q, cfg = grid.q, grid.cfg
     wide = -(-top // _TOP_STEP) * _TOP_STEP
-    length, extra = _table_length(abs(q), cfg), 0
+    length, extra = _first_length(abs(q), cfg), 0
     for attempt in range(_TABLE_ATTEMPTS):
         if length + top > cfg.max_terms:
             raise NonConvergenceError(
                 f"the difference table of order {top} needs {length + top} terms, above max_terms={cfg.max_terms}"
             )
-        tried = shared.first if shared is not None and not attempt and shared.wide == wide else None
+        tried = shared.first if not attempt and shared.wide == wide else None
         if tried is None:
-            W = _table_bits(q, wide, length) + extra
-            held = _table(q, W, memo)
+            W = _first_bits(q, wide, length) + extra
+            held = grid.table(W)
             if held is None:  # a truncated q~ left the unit disk: more bits
                 extra += 64
                 continue
             tried = _Try(q, 1.0 - frac, length, W, held, math.log(cfg.rel_tol / 8.0))
-            if shared is not None and not attempt:
+            if not attempt:
                 shared.wide, shared.first = wide, tried
         full = tried.extend(top)
         short_w = tried.short(top)
@@ -311,7 +294,7 @@ def _log_abs(re: float, im: float | None) -> float:
 
 
 class _Fraction:
-    """What the rows of one grid whose orders share a fractional part frac
+    """What the rows of one call whose orders share a fractional part frac
     share: the first try of their nested sums in the latest band (wide, its
     multiple of _TOP_STEP); per order k + frac the factor of C(k + frac)
     that no row changes, (1+q) (1-q)^(-(k+frac)) or, at frac = 0, the
@@ -324,12 +307,10 @@ class _Fraction:
         self.wide, self.first, self.factors, self.columns = 0, None, [], {}
 
 
-def _order_terms(
-    s, qp: QParameter, cfg: EngineConfig, memo: dict, shared: _Fraction | None = None
-) -> list[tuple[float, complex, int]]:
+def _order_terms(s, grid: _Grid, shared: _Fraction) -> list[tuple[float, complex, int]]:
     # The s-dependent part of E_q(s, w): (k + frac, weight * C(k + frac), [s] - k) per k.
-    # memo carries a difference table from one row of a grid to the next,
-    # and shared what the grid's rows with this frac share.
+    # shared holds what the call's rows with this frac share.
+    cfg = grid.cfg
     sc = as_complex(s, "the order")
     if sc.imag != 0.0:
         raise ValueError("the polynomial continuation takes a real order")
@@ -343,10 +324,9 @@ def _order_terms(
     binom = _binomials(sv, fs + 1)  # the weight of k is binom(s, [s] - k)
     if not all(map(math.isfinite, binom)):
         raise FloatRangeError(f"the weighted coefficients of order {sv!r} lie beyond the float range")
-    q = qp.q
-    factors = [] if shared is None else shared.factors
+    q, factors = grid.q, shared.factors
     if frac:  # C(k + frac) = [2]_q (1-q)^(-(k+frac)) S_(k+1), k = -1..[s]
-        sums = _nested_sums(q, fs + 1, frac, cfg, memo, shared)
+        sums = _nested_sums(grid, fs + 1, frac, shared)
         if len(factors) < fs + 2:
             log1mq = cmath.log(1.0 - q)
             factors += [
@@ -368,20 +348,19 @@ def _order_terms(
     return terms
 
 
-def _log_q(qp: QParameter) -> complex | None:
-    # log q for cpow, taken once per grid or point; cpow handles q = 0 itself.
-    return cmath.log(qp.q) if qp.q else None
+class _Grid:
+    """What every row of one call shares: q, its log for cpow (None at q =
+    0, which cpow handles itself) and the EngineConfig; the w side, each
+    column's w, [w]_q and powers of [w]_q, computed once for every row; and
+    the difference table at its latest W.  bw is None when some [w]_q
+    fails; each cell then runs alone and raises at its own column."""
 
+    __slots__ = ("qp", "q", "cfg", "logq", "given", "w", "bw", "pows", "W", "held")
 
-class _Columns:
-    """The w side of a grid: each column's w, [w]_q and powers of [w]_q,
-    computed once for every row.  bw is None when some [w]_q fails; each
-    cell then runs alone and raises at its own column."""
-
-    __slots__ = ("qp", "logq", "given", "w", "bw", "pows")
-
-    def __init__(self, qp: QParameter, logq, given):
-        self.qp, self.logq, self.given = qp, logq, given
+    def __init__(self, qp: QParameter, cfg: EngineConfig, given):
+        self.qp, self.q, self.cfg, self.given = qp, qp.q, cfg, given
+        self.logq = cmath.log(qp.q) if qp.q else None
+        self.W, self.held = None, None
         self.w = [complex(w) for w in given]
         try:
             self.bw = [q_bracket(w, qp) for w in self.w]
@@ -396,8 +375,19 @@ class _Columns:
             pows.append(list(map(mul, pows[-1], self.bw)))
         return pows[p]
 
-    def column(self, j: int) -> _Columns:
-        one = _Columns(self.qp, self.logq, self.given[j : j + 1])
+    def table(self, W: int):
+        # The difference table at W, with a dict for the tail lines of its
+        # orders: the grid's, when it holds that W, else a new one, which
+        # replaces it; None where _quotients refuses q~ at W.  Its entries
+        # are the same whatever its extent, so the table of one row serves
+        # the next alike, and grows where the next reads further.
+        if W != self.W:
+            table = difference_table(self.q, W)
+            self.W, self.held = W, None if table is None else (table, {})
+        return self.held
+
+    def column(self, j: int) -> _Grid:
+        one = _Grid(self.qp, self.cfg, self.given[j : j + 1])
         if one.bw is None:
             try:
                 q_bracket(one.w[0], self.qp)  # raises that column's own error
@@ -406,43 +396,43 @@ class _Columns:
         return one
 
 
-def _q_powers(cols: _Columns, a: float) -> list[complex]:
+def _q_powers(grid: _Grid, a: float) -> list[complex]:
     # cpow(q, a w, log q) at every column: one exp each, and cpow's
     # complex ** int where a w is an integer.
-    q, logq, exp = cols.qp.q, cols.logq, cmath.exp
-    exps = [a * w for w in cols.w]
+    q, logq, exp = grid.q, grid.logq, cmath.exp
+    exps = [a * w for w in grid.w]
     if logq is None:
         return list(map(cpow, repeat(q), exps))
     return [cpow(q, x, logq) if x.real.is_integer() else exp(x * logq) for x in exps]
 
 
-def _cells(terms: list[tuple[float, complex, int]], cols: _Columns, columns: dict) -> list[complex]:
+def _cells(terms: list[tuple[float, complex, int]], grid: _Grid, columns: dict) -> list[complex]:
     # The part of E_q(s, w) that depends on w, at every column, with the
     # terms added in their order; columns keeps q^(a w) by a, for the
-    # grid's later rows where it is a _Fraction's.
-    total = [0j] * len(cols.w)
+    # grid's later rows with this row's fraction.
+    total = [0j] * len(grid.w)
     for arg, weighted, power in terms:
         powers = columns.get(arg)
         if powers is None:
-            powers = columns[arg] = _q_powers(cols, arg)
-        total = [t + weighted * x * p for t, x, p in zip(total, powers, cols.power(power))]
+            powers = columns[arg] = _q_powers(grid, arg)
+        total = [t + weighted * x * p for t, x, p in zip(total, powers, grid.power(power))]
     return total
 
 
-def _row(terms: list[tuple[float, complex, int]], cols: _Columns, out: list, columns: dict) -> None:
+def _row(terms: list[tuple[float, complex, int]], grid: _Grid, out: list, columns: dict) -> None:
     # Appends E_q(s, w) at every column to out.  A row that fails, or holds
     # a cell beyond the float range, runs again cell by cell, so a failing
     # cell raises at its own column, len(out).
-    if cols.bw is not None:
+    if grid.bw is not None:
         try:
-            total = _cells(terms, cols, columns)
+            total = _cells(terms, grid, columns)
         except (PoleError, OverflowError):
             total = None
         if total is not None and all(map(cmath.isfinite, total)):
             out.extend(total)
             return
-    for j, w in enumerate(cols.given):
-        one = cols.column(j)
+    for j, w in enumerate(grid.given):
+        one = grid.column(j)
         try:
             (value,) = _cells(terms, one, {})
         except OverflowError as exc:  # q^(a w), one exp or cpow
@@ -462,10 +452,8 @@ def euler_poly_continuation(s, w, q, config: EngineConfig | None = None) -> comp
     sum lie beyond the float range raises FloatRangeError.
     """
     as_complex(w, "w")
-    qp = as_qparameter(q)
-    terms = _order_terms(s, qp, config or DEFAULT_CONFIG, {})
-    out = []
-    _row(terms, _Columns(qp, _log_q(qp), [w]), out, {})
+    grid, shared, out = _Grid(as_qparameter(q), config or DEFAULT_CONFIG, [w]), _Fraction(), []
+    _row(_order_terms(s, grid, shared), grid, out, shared.columns)
     return out[0]
 
 
@@ -527,17 +515,18 @@ def curve_grid(
 ) -> CurveGrid:
     """Sample euler_poly_continuation over an inclusive (s, w) grid.
 
-    Rows (s outer, w inner) run in order.  Each computes its order terms
-    once, reading a difference table that the rows of one precision band
-    share: the first row sizes it from its guesses at each J_m, a later row
-    whose J_m or orders pass its end grows it, and each row rounds only the
-    entries j < J_m its dot products read.  Rows whose orders differ by an
-    integer share their order work: a later row sums only the nested series
-    of its new orders, and reuses the coefficient factors and the columns
-    q^((k+frac) w) of the earlier ones.  Then every cell of the row runs in
-    one kernel over the columns, whose [w]_q and powers the grid computes
-    once; the bits are those of point calls.  A failing sample aborts with
-    its grid indices, the same as where its row fails alone.
+    Rows (s outer, w inner) run in order over one _Grid.  Each computes its
+    order terms once, reading the grid's difference table, which the rows
+    of one precision band share: the first row sizes it from its guesses at
+    each J_m, a later row whose J_m or orders pass its end grows it, and
+    each row rounds only the entries j < J_m its dot products read.  Rows
+    whose orders differ by an integer share their order work: a later row
+    sums only the nested series of its new orders, and reuses the
+    coefficient factors and the columns q^((k+frac) w) of the earlier ones.
+    Then every cell of the row runs in one kernel over the columns, whose
+    [w]_q and powers the grid computes once; the bits are those of point
+    calls.  A failing sample aborts with its grid indices, the same as
+    where its row fails alone.
     """
     if s_min < 0:
         raise ValueError("s_min must be nonnegative")
@@ -548,7 +537,7 @@ def curve_grid(
     cfg = config or DEFAULT_CONFIG
     svals = inclusive_range(s_min, s_max, s_step)
     wvals = inclusive_range(w_min, w_max, w_step)
-    cols, memo = _Columns(qp, _log_q(qp), wvals), {}
+    grid = _Grid(qp, cfg, wvals)
     # the rows whose orders share a fractional part share their order work,
     # kept from the first such row to the last
     fracs = [sv - math.floor(sv) for sv in map(float, svals)]
@@ -557,10 +546,10 @@ def curve_grid(
     rows = []
     for i, (sv, frac) in enumerate(zip(svals, fracs)):
         row = []
-        state = shared.pop(frac, None) if last[frac] == i else shared.setdefault(frac, _Fraction())
+        state = (shared.pop(frac, None) or _Fraction()) if last[frac] == i else shared.setdefault(frac, _Fraction())
         try:
-            terms = _order_terms(sv, qp, cfg, memo, state)  # a failure here is reported at w[0]
-            _row(terms, cols, row, {} if state is None else state.columns)
+            terms = _order_terms(sv, grid, state)  # a failure here is reported at w[0]
+            _row(terms, grid, row, state.columns)
         except (NonConvergenceError, PoleError, ValueError, OverflowError) as exc:
             j = len(row)
             raise CurveSampleError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .continuation import curve_grid
-from .exact import _euler_numerators, _unpack, _verify_identity, verify_identity
+from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_poly, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter
 from .numeric import euler_number, euler_poly, euler_poly_series_oracle, scaled_classical_euler
 from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
@@ -114,12 +114,14 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         return worst <= 1e-10, f"n = 1..12, worst rel err {worst:.2e}"
 
     def hurwitz_interpolation():
+        # against the Q(q) engine's E_n(x, h | q), which shares no code with
+        # the fixed-point sums behind both qzeta_hurwitz and euler_poly
         worst = 0.0
         for n in range(min(max_n, 8) + 1):
             for x in range(4):
                 for h in range(3):
                     sv = qzeta_hurwitz(-n, x, h, qp, config)
-                    worst = max(worst, _rel_err(sv.value, euler_poly(n, x, h, qp)))
+                    worst = max(worst, _rel_err(sv.value, exact_euler_poly(n, x, h).eval(qp.q)))
         return worst <= 1e-10, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
 
     def termination():

@@ -131,7 +131,8 @@ def _row_coefficients(s, q, cfg=None):
     fs = math.floor(sv)
     binom = continuation._binomials(sv, fs + 1)
     out = []
-    for arg, weighted, power in continuation._order_terms(sv, QParameter(q), cfg or EngineConfig(), {}):
+    grid = continuation._Grid(QParameter(q), cfg or EngineConfig(), [])
+    for arg, weighted, power in continuation._order_terms(sv, grid, continuation._Fraction()):
         coeff = weighted / binom[power]
         if abs(arg) < 1.0:
             coeff -= (1.0 + q) * (1.0 - abs(arg))
@@ -195,8 +196,8 @@ class TestNestedSeries:
         # first tables miss rel_tol of |S_m| there, so the nested sums double
         # their length, widen W and take four tables.  Nothing else in the
         # suite runs those branches.
-        tables, table = [], continuation._table
-        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        tables, table = [], continuation._Grid.table
+        monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         for w in (0.3, -0.7, 1.5):
             tables.clear()
             got, want = euler_poly_continuation(s, w, q), _mp_cell(s, w, q)
@@ -241,9 +242,10 @@ class TestWeightsAndTable:
     @pytest.mark.parametrize("q", [0.95 + 0.1j, -0.9, 0.6j])
     def test_table_built_on_demand_equals_the_table_built_whole(self, q):
         top = 6
-        length = continuation._table_length(abs(q), EngineConfig())
-        W = continuation._table_bits(q, 8, length)
-        whole = _exactcomplex.difference_table(q, top, length, W)
+        length = continuation._first_length(abs(q), EngineConfig())
+        W = continuation._first_bits(q, 8, length)
+        whole = _exactcomplex.difference_table(q, W)
+        whole.grow(top, length)
         # the plain build: one quotient list, exact differences, each entry
         # divided once
         Q, e = _exactcomplex._dyadic(q)
@@ -252,7 +254,7 @@ class TestWeightsAndTable:
         rng = random.Random(abs(hash(q)) % 1000)
         reads = [(m, rng.randint(1, length)) for m in range(top + 1) for _ in range(3)]
         rng.shuffle(reads)
-        grown = _exactcomplex.difference_table(q, 0, 0, W)
+        grown = _exactcomplex.difference_table(q, W)
         for step, (m, count) in enumerate(reads):
             if step % 4 == 3:
                 grown.grow(rng.randint(0, top), rng.randint(1, length))
@@ -271,13 +273,13 @@ class TestWeightsAndTable:
         # near q = 1 a later row's J_m passes the entries the first row read,
         # and the shared table grows to it
         q, (s_min, s_max, s_step) = 0.888154 + 0.341946j, (2.55, 3.55, 0.08)
-        qp, cfg, memo = QParameter(q), EngineConfig(), {}
+        grid = continuation._Grid(QParameter(q), EngineConfig(), [])
         svals = inclusive_range(s_min, s_max, s_step)
-        continuation._order_terms(svals[0], qp, cfg, memo)
-        ((table, _),) = memo.values()
+        continuation._order_terms(svals[0], grid, continuation._Fraction())
+        table, _ = grid.held
         first = [len(table.row(m, 1)[0]) for m in range(4)]
         for sv in svals[1:]:
-            continuation._order_terms(sv, qp, cfg, memo)
+            continuation._order_terms(sv, grid, continuation._Fraction())
         assert any(len(table.row(m, 1)[0]) > n for m, n in enumerate(first))
         g = curve_grid(s_min, s_max, s_step, -0.5, 0.5, 0.5, q)
         for sv, row in zip(g.s_values, g.values):
@@ -348,8 +350,8 @@ class TestSharedFractions:
         # both take four tables, the second reusing the first try of the first
         s, q = 2.605801635391716, 0.5
         assert (s + 1.0) - 3.0 == s - 2.0
-        tables, table = [], continuation._table
-        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        tables, table = [], continuation._Grid.table
+        monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         grid = curve_grid(s, s + 1.0, 1.0, -0.7, 1.5, 1.1, q)
         assert len(tables) == 7, tables
         for sv in grid.s_values:
@@ -363,15 +365,15 @@ class TestSharedFractions:
         # from order 3 on: the row s = 1.25 accepts the try it shares with
         # s = 2.25, which must then retry at W + 64 as its point call does
         q, cfg = 0.5, EngineConfig()
-        W0 = continuation._table_bits(q, 8, continuation._table_length(q, cfg))
+        W0 = continuation._first_bits(q, 8, continuation._first_length(q, cfg))
         short = continuation._Try.short
 
         def failing(self, top):
             return short(self, top) or (top >= 3 and self.W == W0)
 
         monkeypatch.setattr(continuation._Try, "short", failing)
-        tables, table = [], continuation._table
-        monkeypatch.setattr(continuation, "_table", lambda *args: tables.append(args[1]) or table(*args))
+        tables, table = [], continuation._Grid.table
+        monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         grid = curve_grid(1.25, 2.25, 1.0, -0.5, 0.5, 1.0, q)
         assert tables == [W0, W0 + 64]
         for sv, want in ((1.25, [W0]), (2.25, [W0, W0 + 64])):
@@ -579,3 +581,14 @@ def test_continuation_imports_nothing_from_zeta():
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
     assert not [name for name in names if "zeta" in name.split(".")]
+
+
+def test_continuation_keeps_no_module_state():
+    # everything a call shares lives in its own _Grid and _Fraction objects
+    def state():
+        return {name: id(value) for name, value in vars(continuation).items()}
+
+    before = state()
+    curve_grid(1.5, 3.5, 0.5, -0.5, 0.5, 0.25, 0.6 + 0.2j)
+    euler_poly_continuation(2.25, 0.3, 0.5)
+    assert state() == before

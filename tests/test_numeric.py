@@ -816,3 +816,36 @@ class TestSeriesOracle:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             euler_poly_series_oracle(2, 0, -1, QParameter(0.5))
+
+    def test_rejects_a_depth_below_one(self):
+        with pytest.raises(ValueError, match="^depth must be a positive integer$"):
+            euler_poly_series_oracle(2, 0, 0, 0.5, depth=0)
+
+
+class TestHurwitzInterpolationCheck:
+    # verify's numeric/hurwitz-interpolation compares qzeta_hurwitz at order
+    # -n with the Q(q) engine, so a fault in the fixed-point sums that both
+    # qzeta_hurwitz and euler_poly read fails it
+
+    @staticmethod
+    def _check(q):
+        from qeuler.verification import run_checks
+
+        (check,) = [r for r in run_checks(q, numeric_only=True) if r.name == "numeric/hurwitz-interpolation"]
+        return check
+
+    def test_passes_with_the_sums_as_they_are(self):
+        check = self._check(0.5)
+        assert check.passed and check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 1.59e-16"
+
+    def test_fails_when_the_finite_sums_are_off(self, monkeypatch):
+        from qeuler import numeric, zeta
+
+        def scaled(*args):
+            return terminating_alt_sum(*args) * (1.0 + 1e-8)
+
+        monkeypatch.setattr(zeta, "terminating_alt_sum", scaled)
+        monkeypatch.setattr(numeric, "terminating_alt_sum", scaled)
+        check = self._check(0.5)
+        assert not check.passed
+        assert check.detail.startswith("n <= 8, x <= 3, h <= 2, worst rel err 1.00e-08")

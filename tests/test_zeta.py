@@ -555,6 +555,12 @@ class TestClassicalZeta:
             with pytest.raises(NonConvergenceError):
                 classical_zeta_E(-16, x, config=cfg)
 
+    def test_term_budget_of_the_acceleration(self):
+        # off the nonpositive integers the alternating-series acceleration
+        # needs 1.31 digits + 14 terms, 29 at the default rel_tol
+        with pytest.raises(NonConvergenceError, match=r"^acceleration needs 29 terms, above max_terms=16$"):
+            classical_zeta_E(2.5, config=EngineConfig(max_terms=16))
+
     @pytest.mark.parametrize("s,x", [(1.5 + 2j, 0.25), (0.5, 0.5), (3, 0.1)])
     def test_shifted_off_the_integers_against_mpmath(self, s, x):
         # 2 sum_n (-1)^n (n+x)^(-s) = 2^(1-s) (zeta(s, x/2) - zeta(s, (x+1)/2))
