@@ -26,9 +26,9 @@ otherwise p grows, at least doubling, by as many bits as the smaller
 component of that attempt lacks against its radius, and far enough to
 carry a truncated q whole: a q whose imaginary part is tiny, as 0.5 +
 2^-600 i, goes straight to the bits that part needs.  With exact powers,
-after three attempts the sum is taken exactly (_terms), as a
-Gaussian-integer numerator over an integer denominator times one power of
-two, with no gcd, and divided once; exact zeros and binary64 ties, as
+after three attempts the Q(q) engine's E_n(x, h | q) is taken at q
+exactly, its coefficients by one Horner pass in Gaussian integers, and
+divided once per component (_value_at); exact zeros and binary64 ties, as
 (1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
 after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
 
@@ -54,6 +54,7 @@ from itertools import islice, repeat
 from operator import mul, sub
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
+from .exact import euler_poly_coefficients
 from .kernel import EXACT_SHIFT_MAX, as_complex, as_int
 
 __all__ = ["DifferenceTable", "difference_error", "difference_table", "terminating_alt_sum"]
@@ -74,26 +75,6 @@ def _pow(a, k: int):
         if k:
             a = _mul(a, a)
     return out
-
-
-def _terms(n: int, h: int, Q, e: int, x: int | None):
-    # (c_k, a_k, d_k, t_k) with (-1)^k C(n,k) f_k = c_k a_k / (d_k 2^t_k) for a
-    # Gaussian integer a_k, a positive integer d_k and t_k nondecreasing in k:
-    # f_k = num / w with w = 2^(e m) (1 + q^m), m = h + k, is
-    # num conj(w) / |w|^2.
-    qm, qx, qxk = _pow(Q, h), _pow(Q, x or 0), (1, 0)
-    c = 1
-    for k in range(n + 1):
-        m = h + k
-        w = ((1 << e * m) + qm[0], qm[1])
-        if x is None:  # num = -Q^m
-            yield c, _mul((-qm[0], -qm[1]), (w[0], -w[1])), w[0] * w[0] + w[1] * w[1], 0
-        else:  # num = Q^(x k) 2^(e m - e x k)
-            a = _mul(qxk, (w[0], -w[1]))
-            yield c, (a[0] << e * m, a[1] << e * m), w[0] * w[0] + w[1] * w[1], e * x * k
-            qxk = _mul(qxk, qx)
-        qm = _mul(qm, Q)
-        c = -c * (n - k) // (k + 1)
 
 
 def _fixed(Z, bits: int, W: int):
@@ -508,21 +489,6 @@ def difference_table(q: complex, W: int) -> DifferenceTable | None:
     return None if v is None else DifferenceTable(W, lists, v)
 
 
-def _exact_sum(terms):
-    # The sum as (re + i im) / den: the terms go on one running denominator
-    # times one power of two, the largest t_k, so the powers of two of the
-    # Hurwitz terms add no bits to den.
-    re = im = 0
-    den = 1
-    t = 0
-    for c, a, d, tk in terms:
-        re = (re * d << tk - t) + c * a[0] * den
-        im = (im * d << tk - t) + c * a[1] * den
-        den *= d
-        t = tk
-    return re, im, den << t
-
-
 def _rounded(v: int, den: int) -> float:
     try:
         return v / den
@@ -536,8 +502,6 @@ def _decided(v: int, err: int, den: int) -> float | None:
     # that overflows is decided too, and v / den raises.  Ends that round to
     # zero decide only when the interval excludes 0: both then carry its
     # sign, so a value below the float range is decided as a signed zero.
-    if not err:
-        return v / den
     end = _rounded(v - err, den)
     if end != _rounded(v + err, den) or end == 0.0 and -err <= v <= err:
         return None
@@ -567,31 +531,50 @@ def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):
     return p, guard, radius
 
 
-def _finish(re: int, im: int, den: int, t: int, radius: int, z, scale: int, real: bool) -> complex | None:
-    # The sum (re + i im) / den, within radius / den per component, times
-    # 2^t z / scale, correctly rounded, or None when the rounding test leaves
-    # it undecided; the radius becomes radius (|Re z| + |Im z|).  The power
-    # of two is a shift, not a product.  At real q the sum is real.
-    vr, vi = _mul((re, im), z)
-    err, den = radius * (abs(z[0]) + abs(z[1])), den * scale
+def _finish(v, err: int, t: int, scale: int, real: bool) -> complex | None:
+    # v = (vr, vi), within err per component, times 2^t / scale, correctly
+    # rounded, or None when the rounding test leaves it undecided.  The
+    # power of two is a shift, not a product.  At real q the value is real.
+    vr, vi = v
     if t >= 0:
         vr, vi, err = vr << t, vi << t, err << t
     else:
-        den <<= -t
-    out_re = _decided(vr, err, den)
+        scale <<= -t
+    out_re = _decided(vr, err, scale)
     if out_re is None:
         return None
-    out_im = 0.0 if real else _decided(vi, err, den)
+    out_im = 0.0 if real else _decided(vi, err, scale)
     return None if out_im is None else complex(out_re, out_im)
 
 
-def _shortfall(fixed, radius: int, z, real: bool) -> int:
-    # The bits by which the radius of an undecided attempt, carried through
-    # z as in _finish, exceeds the smaller nonzero component of the sum times
-    # z: the precision that component, the one that lacks the most, lacks.
-    # A component that reads 0 tells nothing.
-    v = _mul(fixed, z)
-    err = radius * (abs(z[0]) + abs(z[1]))
+def _horner(coeffs, Q, e: int):
+    # P(Q / 2^e) 2^(e d), d = len(coeffs) - 1, for the integer polynomial P
+    # with these coefficients, lowest power first: one Horner pass in
+    # Gaussian integers, exact.
+    re = im = 0
+    for j, c in enumerate(reversed(coeffs)):
+        re, im = re * Q[0] - im * Q[1] + (c << e * j), re * Q[1] + im * Q[0]
+    return re, im
+
+
+def _value_at(num, den, q: complex) -> complex:
+    # num(q) / den(q) for integer coefficient lists, lowest power first, at a
+    # binary64 q = Q / 2^e: with a and b from _horner, a conj(b) 2^(e (dd -
+    # dn)) / |b|^2, one integer division per component, correctly rounded
+    # (OverflowError beyond the float range).
+    Q, e = _dyadic(q)
+    a, b = _horner(num, Q, e), _horner(den, Q, e)
+    (vr, vi), d = _mul(a, (b[0], -b[1])), b[0] * b[0] + b[1] * b[1]
+    t = e * (len(den) - len(num))
+    if t >= 0:
+        return complex((vr << t) / d, (vi << t) / d)
+    return complex(vr / (d << -t), vi / (d << -t))
+
+
+def _shortfall(v, err: int, real: bool) -> int:
+    # The bits by which err, as in _finish, exceeds the smaller nonzero
+    # component of v: the precision that component, the one that lacks the
+    # most, lacks.  A component that reads 0 tells nothing.
     sizes = [abs(c).bit_length() for c in (v[:1] if real else v) if c]
     return err.bit_length() - min(sizes) if sizes else 0
 
@@ -624,10 +607,11 @@ def terminating_alt_sum(n: int, h: int, q: complex, x) -> complex:
 
     with q^(x k) = exp(x k Log q) on the branch of cmath.log(q), as cpow
     takes it.  An integer 0 <= x <= EXACT_SHIFT_MAX has exact powers and an
-    exact fallback; any other x is carried as q^x at the working precision
-    (_Shift), and a sum the rounding test leaves undecided after
-    _SHIFT_ATTEMPTS attempts raises NonConvergenceError.  A value beyond the
-    float range raises FloatRangeError.
+    exact fallback, the Q(q) engine's E_n(x, h | q) taken at q; any other x
+    is carried as q^x at the working precision (_Shift), and a sum the
+    rounding test leaves undecided after _SHIFT_ATTEMPTS attempts raises
+    NonConvergenceError.  A value beyond the float range raises
+    FloatRangeError.
     """
     q = complex(q)
     Q, e = _dyadic(q)
@@ -647,17 +631,19 @@ def terminating_alt_sum(n: int, h: int, q: complex, x) -> complex:
             fixed = _truncated_sum(n, h, Q, e, x, W)
             step = p
             if fixed is not None:
-                value = _finish(fixed[0], fixed[1], 1, e * n - W, radius, z, scale, real)
+                # the sum times z, within radius (|Re z| + |Im z|)
+                v, err = _mul(fixed, z), radius * (abs(z[0]) + abs(z[1]))
+                value = _finish(v, err, e * n - W, scale, real)
                 if value is not None:
                     return value
                 # At least double p; give the smaller component the bits it
                 # lacks, 53 for the float and 11 to spare; and once q was
                 # truncated, carry it whole, since a component may hang on
                 # the bits cut off (Im q = -2^-600 reads as -2^-W).
-                step = max(p, _shortfall(fixed, radius, z, real) + 64, e + 64 - W)
+                step = max(p, _shortfall(v, err, real) + 64, e + 64 - W)
             p += step
         if exact:
-            return _finish(*_exact_sum(_terms(n, h, Q, e, x)), e * n, 0, z, scale, real)
+            return _value_at(*euler_poly_coefficients(n, x, h), q)
     except OverflowError as exc:
         raise _range_error(n) from exc
     raise NonConvergenceError(f"the sum at order {-n} was left undecided at {p} bits")

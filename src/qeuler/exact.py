@@ -407,6 +407,17 @@ def _euler_poly_pair(n: int, x: int, h: int, w: int) -> tuple[int, int]:
     return num + (num << w), den * (1 - (1 << w)) ** n
 
 
+def euler_poly_coefficients(n: int, x: int | None, h: int) -> tuple[tuple, tuple]:
+    # The coefficients, lowest power first, of _euler_poly_pair's numerator
+    # and denominator.  x None is the plain form, the x = 0 value less [2]_q
+    # at n = 0 (numerator -[2]_q q^h, l1 norm 2) and the x = 0 value after.
+    w = _width(1 << 2 * n + 1)
+    num, den = _euler_poly_pair(n, x or 0, h, w)
+    if x is None and n == 0:
+        num -= den + (den << w)
+    return _unpack(num, w).coeffs, _unpack(den, w).coeffs
+
+
 def exact_euler_number(n: int) -> RationalQ:
     """The n-th q-Euler number as an exact rational function of q.
 

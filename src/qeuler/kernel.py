@@ -150,8 +150,8 @@ FD_STEP = 1e-5
 
 # Integer shifts 0..EXACT_SHIFT_MAX have exact powers: q_bracket sums its
 # finite geometric series by Horner there, and the order -n sums keep their
-# exact fallback, which carries q^(x k) exactly, x k times 53 bits wide (x =
-# 20000 at n = 4 did not finish in a minute).  Other shifts take cpow in
+# exact fallback, the Q(q) engine's E_n(x, h | q) taken at q, whose cost
+# follows its degree, about n(n+1)/2 + n(h + x).  Other shifts take cpow in
 # q_bracket and q^x at the working precision in the sums, with no fallback.
 EXACT_SHIFT_MAX = 256
 

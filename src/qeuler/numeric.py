@@ -25,7 +25,7 @@ import cmath
 import math
 import sys
 
-from ._exactcomplex import _dyadic, terminating_alt_sum
+from ._exactcomplex import _value_at, terminating_alt_sum
 from .errors import FloatRangeError, NonConvergenceError
 from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_complex, as_index, as_qparameter, check_order_terms
 
@@ -113,23 +113,17 @@ def classical_euler_number(n: int):
 def classical_euler_poly(n: int, x) -> complex:
     """Classical Euler polynomial E_n(x) = sum_k C(n,k) E_k x^(n-k), correctly rounded.
 
-    x is P / 2^e with P a Gaussian integer, exactly, so with a_k = 2^k E_k
-    (scaled_classical_euler) the value times 2^n 2^(e n) is the integer
-    sum_j C(n,j) a_(n-j) 2^j P^j 2^(e (n-j)), taken by Horner in P; each
-    component is divided once.  A value beyond the float range raises
-    FloatRangeError, and a non-finite x ValueError.
+    With a_k = 2^k E_k (scaled_classical_euler) the value is the integer
+    polynomial sum_j C(n,j) a_(n-j) 2^j x^j over 2^n, taken exactly at the
+    binary64 x and divided once per component (_exactcomplex._value_at).  A
+    value beyond the float range raises FloatRangeError, and a non-finite x
+    ValueError.
     """
     n = as_index(n, "n")
     z = as_complex(x, "x")
     a = scaled_classical_euler(n)
-    (pr, pi), e = _dyadic(z)
-    re = im = 0
-    for j in range(n, -1, -1):
-        c = math.comb(n, j) * a[n - j] << j + e * (n - j)
-        re, im = re * pr - im * pi + c, re * pi + im * pr
-    den = 1 << n + e * n
     try:
-        return complex(re / den, im / den)
+        return _value_at([math.comb(n, j) * a[n - j] << j for j in range(n + 1)], (1 << n,), z)
     except OverflowError as exc:
         raise FloatRangeError(
             f"the classical Euler polynomial of order {n} at x = {x!r} lies beyond the float range"

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 
+from ._exactcomplex import _value_at
 from .continuation import curve_grid
-from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_poly, verify_identity
+from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_number, exact_euler_poly, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter
 from .numeric import euler_number, euler_poly, euler_poly_series_oracle, scaled_classical_euler
 from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
@@ -125,10 +126,14 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         return worst <= 1e-10, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
 
     def termination():
+        # A zero bound claims the exact value: E_n(q) bit for bit (repr tells
+        # every float apart) as the Q(q) engine's E_n, taken at q, rounded once
         bad = []
         for n in range(1, 13):
             sv = qzeta(-n, 0, qp, config)
-            if sv.terms_used > n + 1 or sv.error_bound != 0.0:
+            e_n = exact_euler_number(n)
+            want = _value_at(e_n.num.coeffs, e_n.den.coeffs, qp.q)
+            if sv.terms_used > n + 1 or sv.error_bound != 0.0 or repr(sv.value) != repr(want):
                 bad.append(n)
         return not bad, "order -n sums stop at n+1 terms with zero bound"
 

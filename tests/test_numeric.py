@@ -23,6 +23,7 @@ from qeuler import (
 from qeuler import _exactcomplex
 from qeuler._exactcomplex import terminating_alt_sum
 from qeuler.cli import main
+from qeuler.exact import euler_poly_coefficients
 from qeuler.errors import FloatRangeError, NonConvergenceError
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
@@ -311,6 +312,25 @@ def fraction_alt_sum(n: int, h: int, q: complex, x) -> complex:
     return complex(float(value[0]), float(value[1]))
 
 
+def pair_sum(n: int, h: int, q: complex, x) -> tuple[int, int, int]:
+    """The sum sum_k (-1)^k C(n,k) f_k of terminating_alt_sum, with no
+    prefactor, exactly, as (re, im, den) for (re + i im) / den: the Q(q)
+    engine's unreduced E_n(x, h | q) at q = Q / 2^e, times (1-q)^n / (1+q)."""
+    num, den = euler_poly_coefficients(n, x, h)
+    Q, e = _exactcomplex._dyadic(q)
+    D, mul, horner = 1 << e, _exactcomplex._mul, _exactcomplex._horner
+    # num(q) = A / D^(len(num) - 1) and den(q) = B / D^(len(den) - 1)
+    a = mul(horner(num, Q, e), _exactcomplex._pow((D - Q[0], -Q[1]), n))
+    b = mul(horner(den, Q, e), (D + Q[0], Q[1]))
+    re, im = mul(a, (b[0], -b[1]))
+    t, d = e * (len(den) - len(num) - n + 1), b[0] * b[0] + b[1] * b[1]
+    return (re << t, im << t, d) if t >= 0 else (re, im, d << -t)
+
+
+def _no_fallback(*args):
+    raise AssertionError("the exact fallback ran")
+
+
 def _draw_q(rng: random.Random) -> complex:
     # q on both axes, imaginary, complex, rounded-decimal, near 1 and tiny
     r = rng.uniform(0.0, 0.97)
@@ -339,7 +359,7 @@ def _hex(z: complex) -> tuple:
 
 
 class TestTerminatingSum:
-    def test_bits_match_the_fraction_sum(self):
+    def test_bits_match_the_fraction_sum(self, monkeypatch):
         # Seeded draws, plus every small order at dyadic q, where the value
         # may be exact, zero in one component (E_1 = -1/2 + 0i at every q)
         # or a binary64 tie (E_0 = (1 + q)/2 at q = 0.9).
@@ -352,18 +372,20 @@ class TestTerminatingSum:
             for q in (0.0, 0.5, -0.5, 0.25j, 0.5 + 0.5j, 0.9, 0.3 + 0.4j)
             for x in (None, 0, 1, 2)
         ]
-        for n, h, q, x in cases:
-            q = complex(q)
-            want = _hex(fraction_alt_sum(n, h, q, x))
-            assert _hex(terminating_alt_sum(n, h, q, x)) == want, (n, h, q, x)
+        wants = [_hex(fraction_alt_sum(n, h, complex(q), x)) for n, h, q, x in cases]
+        for (n, h, q, x), want in zip(cases, wants):
+            assert _hex(terminating_alt_sum(n, h, complex(q), x)) == want, (n, h, q, x)
+        # and again with every fixed-point attempt refused, so that each
+        # value comes from the exact fallback, E_n(x, h | q) from the Q(q)
+        # engine's pair evaluated at q
+        monkeypatch.setattr(_exactcomplex, "_truncated_sum", lambda *args: None)
+        for (n, h, q, x), want in zip(cases, wants):
+            assert _hex(terminating_alt_sum(n, h, complex(q), x)) == want, (n, h, q, x)
 
     def test_tiny_q_plain_sums_decided_in_fixed_point(self, monkeypatch):
         # The plain value is of order q^h, far below the starting 2^-72 at
         # these q; the bits were pinned from the exact sum, which must not run.
-        def exact_sum(terms):
-            raise AssertionError("the exact fallback ran")
-
-        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        monkeypatch.setattr(_exactcomplex, "euler_poly_coefficients", _no_fallback)
         cases = {
             5e-324: ("-0x0.0000000000001p-1022", "0x0.0p+0"),
             2.0**-600: ("-0x1.0000000000000p-600", "0x0.0p+0"),
@@ -378,10 +400,7 @@ class TestTerminatingSum:
         # first (and carry the truncated q whole) and decide it.  The bits
         # were pinned from the exact sum, which agrees with the Fraction sum
         # and must not run.
-        def exact_sum(terms):
-            raise AssertionError("the exact fallback ran")
-
-        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        monkeypatch.setattr(_exactcomplex, "euler_poly_coefficients", _no_fallback)
         cases = {
             (0.5157 + 2.0**-600 * 1j, 24, 2, 0): ("-0x1.223f70118bb40p+10", "0x1.6af86aa72ce6bp-584"),
             (0.5157 + 2.0**-600 * 1j, 12, 0, 1): ("0x1.de7e8df5d5857p+4", "-0x1.4a87f0e716c4bp-593"),
@@ -404,11 +423,11 @@ class TestTerminatingSum:
     def test_fixed_point_radius_holds(self, monkeypatch):
         # At the first precision tried, the exact sum lies within the radius
         # that the truncated fixed-point sum reports, and the final bits are
-        # those of the exact sum rounded once (the exact fallback, fed the
-        # same exact sum).  q is dyadic, over the disk, near the circle,
-        # imaginary, negative, tiny, or real but for a 2^-600 imaginary part
-        # (wider than the working precision, so truncated).  The orders stay
-        # where that exact sum is cheap.
+        # those of the exact value rounded once (the exact fallback).  q is
+        # dyadic, over the disk, near the circle, imaginary, negative, tiny,
+        # or real but for a 2^-600 imaginary part (wider than the working
+        # precision, so truncated).  The orders stay where that exact sum is
+        # cheap.
         rng = random.Random(20261018)
         seen = {}
         truncated_sum, radius_of = _exactcomplex._truncated_sum, _exactcomplex._radius
@@ -436,7 +455,9 @@ class TestTerminatingSum:
 
         for _ in range(500):
             q, h, x = draw_q(), rng.randrange(4), rng.choice((None, 0, 1, 2, 3, 17, 256))
-            # bits of _exact_sum's denominator, about e ((n+1) 2h + n^2 (1 + x/2))
+            # bits of the exact sum's denominator over Q(i), about
+            # e ((n+1) 2h + n^2 (1 + x/2)), which also bounds those of
+            # pair_sum's, about e (n^2/2 + n (h + x))
             e = max(q.real.as_integer_ratio()[1], q.imag.as_integer_ratio()[1]).bit_length()
             n = rng.randrange(61)
             while n and e * ((n + 1) * 2 * h + n * n * (1 + (x or 0) / 2)) > 40_000:
@@ -446,13 +467,11 @@ class TestTerminatingSum:
             monkeypatch.setattr(_exactcomplex, "_radius", record_radius)
             got = terminating_alt_sum(n, h, q, x)
             radius, ((_, _, Q, e, _, W), fixed) = seen["radius"], seen["first"]
-            exact = _exactcomplex._exact_sum(_exactcomplex._terms(n, h, Q, e, x))
+            *exact, den = pair_sum(n, h, q, x)
             assert radius is not None and fixed is not None, (n, h, q, x)
-            den = exact[2]
             for a, b in zip(fixed, exact):
                 assert abs(a * den - (b << W)) <= radius * den, (n, h, q, x)
             monkeypatch.setattr(_exactcomplex, "_truncated_sum", lambda *args: None)
-            monkeypatch.setattr(_exactcomplex, "_exact_sum", lambda terms: exact)
             want = terminating_alt_sum(n, h, q, x)
             monkeypatch.undo()
             assert _hex(got) == _hex(want), (n, h, q, x)
@@ -460,23 +479,9 @@ class TestTerminatingSum:
     def test_large_shift_decided_in_fixed_point(self, monkeypatch):
         # q^(256 k) truncates to 0 at k = 1; the bits were pinned from the
         # exact sum, which must not run.
-        def exact_sum(terms):
-            raise AssertionError("the exact fallback ran")
-
-        monkeypatch.setattr(_exactcomplex, "_exact_sum", exact_sum)
+        monkeypatch.setattr(_exactcomplex, "euler_poly_coefficients", _no_fallback)
         got = euler_poly(12, 256, 0, 0.3 + 0.4j)
         assert _hex(got) == ("0x1.17ee7175ff5d3p+3", "0x1.180958c4244c0p+1")
-
-    def test_exact_sum_keeps_one_power_of_two(self):
-        # The exact fallback's value is the Fraction sum of its terms, over a
-        # denominator that carries only the largest power of two, once.
-        for n, h, q, x in ((12, 0, 0.3 + 0.4j, 17), (9, 2, 0.5, 3), (7, 1, -0.6 + 0.1j, 256), (15, 1, 0.7j, None)):
-            Q, e = _exactcomplex._dyadic(complex(q))
-            terms = list(_exactcomplex._terms(n, h, Q, e, x))
-            re, im, den = _exactcomplex._exact_sum(terms)
-            assert Fraction(re, den) == sum(Fraction(c * a[0], d << t) for c, a, d, t in terms)
-            assert Fraction(im, den) == sum(Fraction(c * a[1], d << t) for c, a, d, t in terms)
-            assert den == math.prod(d for _, _, d, _ in terms) << terms[-1][3]
 
     def test_value_beyond_the_float_range_raises(self):
         cases = (

@@ -1,0 +1,94 @@
+"""Each exact check of ``qeuler verify`` and its series-termination check
+fail when what they evaluate carries a small defect: one unit or one ulp
+off, a flipped sign, or a dropped term."""
+
+import math
+
+import pytest
+
+from qeuler import exact, verification, zeta
+from qeuler.kernel import DEFAULT_CONFIG
+
+MAX_N, MAX_K = 6, 4
+
+
+def _results(checks) -> dict:
+    return {r.name: r for r in checks}
+
+
+def _n3_one_unit_off(build):
+    def table(count, k=None):
+        w, nums, dens = build(count, k)
+        nums[3] += 1  # N_3's constant coefficient
+        return w, nums, dens
+
+    return table
+
+
+def _binomial_sum_one_term_short(build):
+    return lambda n, k, upper, table: build(n, k, upper - 1 if upper else 0, table)
+
+
+def _bracket_sum_without_its_last_term(build):
+    return lambda n, k, flip, w: build(n, k - 1, flip, w)
+
+
+def _bracket_sum_sign_flipped(build):
+    return lambda n, k, flip, w: build(n, k, not flip, w)
+
+
+def _classical_sign_flipped(build):
+    def scaled(n):
+        a = build(n)
+        a[3] = -a[3]  # 2^3 E_3 = 2
+        return a
+
+    return scaled
+
+
+DEFECTS = {
+    "exact/poly-vs-recurrence": (verification, "_euler_numerators", _n3_one_unit_off),
+    "exact/binomial-expansion": (exact, "_binomial_expansion_sum", _binomial_sum_one_term_short),
+    "exact/even-shift": (exact, "_signed_bracket_power_sum", _bracket_sum_without_its_last_term),
+    "exact/odd-shift": (exact, "_signed_bracket_power_sum", _bracket_sum_without_its_last_term),
+    "exact/even-shift-recombined": (exact, "_binomial_expansion_sum", _binomial_sum_one_term_short),
+    "exact/odd-shift-recombined": (exact, "_binomial_expansion_sum", _binomial_sum_one_term_short),
+    "exact/even-shift-wrong-sign-rejected": (exact, "_signed_bracket_power_sum", _bracket_sum_sign_flipped),
+    "exact/classical-limit-at-q1": (verification, "scaled_classical_euler", _classical_sign_flipped),
+}
+
+
+def test_every_exact_check_has_a_defect():
+    names = {r.name for r in verification._exact_checks(MAX_N, MAX_K)}
+    assert names == set(DEFECTS)
+    assert all(r.passed for r in verification._exact_checks(MAX_N, MAX_K))
+
+
+@pytest.mark.parametrize("name", sorted(DEFECTS))
+def test_exact_check_fails_on_a_defect(monkeypatch, name):
+    module, attr, defect = DEFECTS[name]
+    monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
+    assert not _results(verification._exact_checks(MAX_N, MAX_K))[name].passed
+
+
+def _series_termination(q):
+    return _results(verification._numeric_checks(q, 2, DEFAULT_CONFIG))["numeric/series-termination"]
+
+
+def test_series_termination_passes_and_keeps_its_detail():
+    check = _series_termination(0.5)
+    assert check.passed
+    assert check.detail == "order -n sums stop at n+1 terms with zero bound"
+
+
+def test_series_termination_fails_one_ulp_off(monkeypatch):
+    # the value at order -5 one ulp above the exact E_5(q) rounded once: the
+    # terms and the zero bound are as before, so only the bits can tell
+    build = zeta.terminating_alt_sum
+
+    def one_ulp_off(n, h, q, x):
+        v = build(n, h, q, x)
+        return complex(math.nextafter(v.real, math.inf), v.imag) if n == 5 else v
+
+    monkeypatch.setattr(zeta, "terminating_alt_sum", one_ulp_off)
+    assert not _series_termination(0.5).passed
