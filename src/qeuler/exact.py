@@ -23,9 +23,9 @@ product of integers.  Evaluation at 2^w is a ring homomorphism, so this
 arithmetic is exact at any w.  The width matters only where a value is read
 back: by the width lemma (see "packed polynomials" below), when every
 coefficient lies below 2^(w-1) in magnitude, the digits of P(2^w) are those
-coefficients and P(2^w) = 0 only for P = 0.  w is taken from l1 bounds that
-follow the same recurrences as the values, so each numerator is decoded
-once, into the PolyZ that the cyclotomic reduction divides, and each
+coefficients and P(2^w) = 0 only for P = 0.  w is taken from closed-form l1
+bounds (the numerators' norms grow as m! (2 / ln 3)^m), so each numerator is
+decoded once, into the PolyZ that the cyclotomic reduction divides, and each
 identity is decided by one integer comparison.
 """
 
@@ -186,8 +186,12 @@ class RationalQ(Record):
 # no carry, so one to_bytes call reads them off.  Every coefficient is at most
 # the l1 norm, so a bound on ||P||_1 below 2^(w-1) suffices, for the value
 # decoded or, to decide a0 b1 == b0 a1, for the difference a0 b1 - b0 a1.
-# The bounds follow the recurrences with ||f g||_1 <= ||f||_1 ||g||_1,
-# ||1 + q^m||_1 = 2 (m = 0 included) and ||[k]_q^j||_1 = k^j.
+# The bounds use ||f g||_1 <= ||f||_1 ||g||_1, ||1 + q^m||_1 = 2 (m = 0
+# included), ||[k]_q^j||_1 = k^j and, for the numerators, a closed form: N_m's
+# recurrence gives ||N_m||_1 <= nu_m, nu_0 = 2, nu_m = sum_{l<m} C(m,l) nu_l
+# 2^(m-1-l) = m! [x^m] 4 / (3 - e^(2x)), and nu_m <= 2 m! c^m for c >= 2 / ln 3,
+# so for c = 3641/2000: by induction, with j = m - l, nu_m <= m! c^m
+# sum_{j=1..m} (2/c)^j / j! < m! c^m (e^(2/c) - 1) <= 2 m! c^m, as e^(2/c) <= 3.
 
 
 def _width(bound: int) -> int:
@@ -347,30 +351,25 @@ def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
     return RationalQ(num, PolyZ([v * (const // c) for v in reversed(den)]))
 
 
-def _numerator_norms(count: int) -> list[int]:
-    # nu_m >= ||N_m||_1, from N_m's recurrence: nu_0 = ||1 + q||_1 = 2 and
-    # nu_m = sum_{l<m} C(m,l) nu_l 2^(m-1-l).  Nondecreasing, as the l = m-1
-    # term alone gives nu_m >= m nu_(m-1).
-    nu: list[int] = []
-    for m in range(count):
-        nu.append(sum(math.comb(m, l) * v << m - 1 - l for l, v in enumerate(nu)) if m else 2)
-    return nu
+def _numerator_bound(m: int) -> int:
+    # ceil(2 m! c^m) >= nu_m >= ||N_m||_1, c = 3641/2000; nondecreasing in m
+    return -(-2 * math.factorial(m) * 3641**m // 2000**m)
 
 
-def _identity_bound(n: int, k: int, nu: list[int]) -> int:
+def _identity_bound(n: int, k: int) -> int:
     """A bound on ||a0 b1 - b0 a1||_1 for every identity at order n, shift k.
 
     With P = 2^(2n+1) bounding both parts of _euler_poly_pair, ||D_n||_1 =
-    2^(n+1), beta = 2 sum_{l<k} max(l, 1)^n >= ||bracket sum||_1 and
-    sigma = sum_{l<=n} C(n,l) nu_l k^(n-l) 2^(n-l) >= ||t_num|| of the
-    binomial sum to n + 1 (and >= nu_n + 2 ||t_num|| of the sum to n), each
-    identity's difference is at most P (2^(n+1) (1 + beta) + sigma).  Every
-    term is nondecreasing in n and in k, so the bound at (n, k) holds at
-    every n' <= n, k' <= k.
+    2^(n+1), beta = 2 sum_{l<k} max(l, 1)^n >= ||bracket sum||_1 and sigma =
+    3^k _numerator_bound(n) >= ||t_num|| of the binomial sum to n + 1 (and
+    >= nu_n + 2 ||t_num|| of the sum to n), each identity's difference is at
+    most P (2^(n+1) (1 + beta) + sigma).  Both held for sigma' = sum_{l<=n}
+    C(n,l) nu_l (2k)^(n-l) <= 2 n! c^n sum_j (2k/c)^j / j! <= 2 n! c^n 3^k
+    <= sigma, as e^(2/c) <= 3 ("packed polynomials").  Every term is
+    nondecreasing in n and in k, so the bound holds at every n' <= n, k' <= k.
     """
     beta = 2 * sum(max(l, 1) ** n for l in range(k))
-    sigma = sum(math.comb(n, l) * nu[l] * k ** (n - l) << n - l for l in range(n + 1))
-    return ((1 + beta << n + 1) + sigma) << 2 * n + 1
+    return ((1 + beta << n + 1) + 3**k * _numerator_bound(n)) << 2 * n + 1
 
 
 def _euler_numerators(count: int, k: int | None = None) -> tuple[int, list[int], list[int]]:
@@ -378,17 +377,17 @@ def _euler_numerators(count: int, k: int | None = None) -> tuple[int, list[int],
 
     D_m = prod_{j<=m} f_j with f_j = 1+q^j (f_0 = 2), N_0 = 1+q and
     N_m = -sum_{l<m} C(m,l) q^l N_l prod_{l<j<m} f_j, summed by Horner over
-    l with no gcd.  The width covers every N_m and, when k is given, the
-    cross-multiplied difference of every identity at n < count and shift
-    <= k, so _verify_identity can run on the table.
+    l with no gcd.  The width covers every N_m, as _numerator_bound(count - 1)
+    >= nu_m >= ||N_m||_1 by induction (see "packed polynomials"), and, when k
+    is given, the cross-multiplied difference of every identity at n < count
+    and shift <= k, by _identity_bound, so _verify_identity can run on it.
     """
-    nu = _numerator_norms(count)
-    w = _width(nu[-1] if k is None else _identity_bound(count - 1, k, nu))
+    w = _width(_numerator_bound(count - 1) if k is None else _identity_bound(count - 1, k))
     nums, dens, den = [], [], 1
     for m in range(count):
         acc = 0
         for l in range(m):
-            acc += (acc << l * w) + (math.comb(m, l) * nums[l] << l * w)
+            acc += acc + math.comb(m, l) * nums[l] << l * w
         nums.append(-acc if m else 1 + (1 << w))
         den += den << m * w
         dens.append(den)

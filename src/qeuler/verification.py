@@ -115,15 +115,16 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         return worst <= 1e-10, f"n = 1..12, worst rel err {worst:.2e}"
 
     def hurwitz_interpolation():
-        # against the Q(q) engine's E_n(x, h | q), which shares no code with
-        # the fixed-point sums behind both qzeta_hurwitz and euler_poly
-        worst = 0.0
+        # bit for bit (repr) as the Q(q) engine's E_n(x, h | q) taken at q and rounded
+        # once; it shares no code with the sums behind qzeta_hurwitz and euler_poly
+        worst, same = 0.0, True
         for n in range(min(max_n, 8) + 1):
             for x in range(4):
                 for h in range(3):
-                    sv = qzeta_hurwitz(-n, x, h, qp, config)
-                    worst = max(worst, _rel_err(sv.value, exact_euler_poly(n, x, h).eval(qp.q)))
-        return worst <= 1e-10, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
+                    e = exact_euler_poly(n, x, h)
+                    got, want = qzeta_hurwitz(-n, x, h, qp, config).value, _value_at(e.num.coeffs, e.den.coeffs, qp.q)
+                    worst, same = max(worst, _rel_err(got, want)), same and repr(got) == repr(want)
+        return same, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
 
     def termination():
         # A zero bound claims the exact value: E_n(q) bit for bit (repr tells

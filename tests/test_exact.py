@@ -811,3 +811,63 @@ class TestPacked:
                     want = oracle_verdict(identity, n, k, nums, dens)
                     assert exact._verify_identity(identity, n, k, table) == want, (identity, n, k)
                     assert want == (identity != "even-shift-wrong-sign" or n == 0)
+
+
+# -- the packing widths' closed forms against the l1-norm recurrences ---------
+#
+# The engine takes its widths from closed forms, which must cover the l1-norm
+# bounds that follow the recurrences of the values; these are those bounds.
+
+
+def recurrence_norms(count: int) -> list[int]:
+    # nu_0 = ||1 + q||_1 = 2, nu_m = sum_{l<m} C(m,l) nu_l 2^(m-1-l) >= ||N_m||_1
+    nu: list[int] = []
+    for m in range(count):
+        nu.append(sum(math.comb(m, l) * v << m - 1 - l for l, v in enumerate(nu)) if m else 2)
+    return nu
+
+
+def recurrence_identity_bound(n: int, k: int, nu: list[int]) -> int:
+    # the bound with sigma = sum_{l<=n} C(n,l) nu_l k^(n-l) 2^(n-l)
+    beta = 2 * sum(max(l, 1) ** n for l in range(k))
+    sigma = sum(math.comb(n, l) * nu[l] * k ** (n - l) << n - l for l in range(n + 1))
+    return ((1 + beta << n + 1) + sigma) << 2 * n + 1
+
+
+class TestClosedFormBounds:
+    def test_constant_exceeds_two_over_ln3_with_margin(self):
+        assert 3641 / 2000 * math.log(3) > 2 + 2e-5
+        # the step itself, e^(2/c) <= 3, in rationals: the Taylor sum to J
+        # terms plus a geometric bound on the tail, x^J / J! / (1 - x/(J+1))
+        x, term, total = Fraction(4000, 3641), Fraction(1), Fraction(0)
+        for j in range(40):
+            total, term = total + term, term * x / (j + 1)
+        assert total + term / (1 - x / 41) < 3
+
+    def test_numerator_bound_covers_the_recurrence(self):
+        nu = recurrence_norms(300)
+        for m in range(300):
+            assert exact._numerator_bound(m) >= nu[m], m
+
+    def test_identity_bound_covers_the_recurrence(self):
+        nu = recurrence_norms(60)
+        for n in range(60):
+            for k in range(9):
+                assert exact._identity_bound(n, k) >= recurrence_identity_bound(n, k, nu), (n, k)
+
+    def test_bounds_are_nondecreasing_in_n_and_k(self):
+        # so that one table serves every n' <= n and k' <= k
+        for m in range(1, 300):
+            assert exact._numerator_bound(m) >= exact._numerator_bound(m - 1), m
+        for n in range(60):
+            for k in range(9):
+                here = exact._identity_bound(n, k)
+                assert n == 0 or here >= exact._identity_bound(n - 1, k), (n, k)
+                assert k == 0 or here >= exact._identity_bound(n, k - 1), (n, k)
+
+    def test_tables_are_never_narrower_than_the_recurrences_made_them(self):
+        nu = recurrence_norms(41)
+        for count in range(1, 41):
+            for k in (None, 0, 1, 2, 4, 8):
+                old = nu[count - 1] if k is None else recurrence_identity_bound(count - 1, k, nu)
+                assert exact._euler_numerators(count, k)[0] >= exact._width(old), (count, k)

@@ -829,8 +829,9 @@ class TestSeriesOracle:
 
 class TestHurwitzInterpolationCheck:
     # verify's numeric/hurwitz-interpolation compares qzeta_hurwitz at order
-    # -n with the Q(q) engine, so a fault in the fixed-point sums that both
-    # qzeta_hurwitz and euler_poly read fails it
+    # -n bit for bit with the Q(q) engine's E_n(x, h | q), taken at q and
+    # rounded once, so a fault in the fixed-point sums that both
+    # qzeta_hurwitz and euler_poly read fails it, however small
 
     @staticmethod
     def _check(q):
@@ -841,16 +842,31 @@ class TestHurwitzInterpolationCheck:
 
     def test_passes_with_the_sums_as_they_are(self):
         check = self._check(0.5)
-        assert check.passed and check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 1.59e-16"
+        assert check.passed and check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 0.00e+00"
 
-    def test_fails_when_the_finite_sums_are_off(self, monkeypatch):
+    @pytest.mark.parametrize("q", [0.9, -0.9, 0.6 + 0.7j, 0.95j, 0.001])
+    def test_bits_match_over_the_disk(self, q):
+        check = self._check(q)
+        assert check.passed and check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 0.00e+00"
+
+    @staticmethod
+    def _check_with_the_sums_off_by(monkeypatch, defect):
         from qeuler import numeric, zeta
 
         def scaled(*args):
-            return terminating_alt_sum(*args) * (1.0 + 1e-8)
+            return terminating_alt_sum(*args) * (1.0 + defect)
 
         monkeypatch.setattr(zeta, "terminating_alt_sum", scaled)
         monkeypatch.setattr(numeric, "terminating_alt_sum", scaled)
-        check = self._check(0.5)
+        return TestHurwitzInterpolationCheck._check(0.5)
+
+    def test_fails_when_the_finite_sums_are_off(self, monkeypatch):
+        check = self._check_with_the_sums_off_by(monkeypatch, 1e-8)
         assert not check.passed
-        assert check.detail.startswith("n <= 8, x <= 3, h <= 2, worst rel err 1.00e-08")
+        assert check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 1.00e-08"
+
+    def test_fails_when_the_finite_sums_are_off_by_1e_11(self, monkeypatch):
+        # below any float tolerance the check could take: only bit equality catches it
+        check = self._check_with_the_sums_off_by(monkeypatch, 1e-11)
+        assert not check.passed
+        assert check.detail == "n <= 8, x <= 3, h <= 2, worst rel err 1.00e-11"
