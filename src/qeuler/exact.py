@@ -5,16 +5,19 @@ with positive leading coefficient, no common integer content) of PolyZ, the
 coefficient record of an integer polynomial in q: evaluation and rendering,
 no arithmetic.
 On top of those sit the q-Euler numbers and polynomials, each summed as a
-numerator over its known denominator and reduced once, by _reduced, by trial
-division by the cyclotomic factors Phi_d of that denominator, and an identity
-checker that decides the shift/expansion identities by exact equality,
-cross-multiplying unreduced pairs.  No path takes a polynomial gcd, and no
-Phi_d is built: a trial multiplies and divides by the binomials q^e - 1,
-e | d, whose Moebius product Phi_d is, each one pass over the coefficients.
-A trial runs only when Phi_d(t) divides the numerator's image r(t) at
-t = 2^16, taken once per reduction: evaluation at t is a ring homomorphism
-and Phi_d(t) > 0, so a nonzero remainder proves that Phi_d does not divide
-r, and a zero one leaves the trial to decide.
+numerator over its known denominator and reduced once, by _reduced, which
+divides both parts by the cyclotomic factors Phi_d of that denominator that
+the numerator shares, and an identity checker that decides the
+shift/expansion identities by exact equality, cross-multiplying unreduced
+pairs.  No path takes a polynomial gcd, and no Phi_d is built.  The
+numerator's image r(t) at t = 2^16, taken once per reduction, bounds each
+multiplicity from above: evaluation at t is a ring homomorphism and
+Phi_d(t) > 0, so Phi_d^k | r gives Phi_d(t)^k | r(t).  The product of the
+Phi_d^k so counted is one netted set of binomials q^e - 1 (Phi_d is their
+Moebius product over e | d), and one pass per binomial divides it out of the
+numerator, then out of the known denominator.  A division of the numerator
+that leaves a remainder shows an image false positive: the count at fault is
+lowered by one and the division runs again.
 
 The sums and the identity checks run on packed integers (Kronecker
 substitution): a polynomial P is carried as the one integer P(2^w), so a
@@ -25,8 +28,9 @@ back: by the width lemma (see "packed polynomials" below), when every
 coefficient lies below 2^(w-1) in magnitude, the digits of P(2^w) are those
 coefficients and P(2^w) = 0 only for P = 0.  w is taken from closed-form l1
 bounds (the numerators' norms grow as m! (2 / ln 3)^m), so each numerator is
-decoded once, into the PolyZ that the cyclotomic reduction divides, and each
-identity is decided by one integer comparison.
+decoded once, with its known denominator, into the coefficient lists that
+the cyclotomic reduction divides, and each identity is decided by one
+integer comparison.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class PolyZ(Record):
     This is what the engine returns as the numerator and denominator of a
     RationalQ: the engine sums on packed integers and reduces on plain
     coefficient lists, so PolyZ carries no arithmetic of its own, only
-    content, exact division by an integer, evaluation and rendering.
+    evaluation and rendering.
 
     Invariant: the trailing (highest-power) coefficient is nonzero; the zero
     polynomial has an empty coefficient tuple.  Coefficients must be integers:
@@ -93,18 +97,6 @@ class PolyZ(Record):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs)
-
-    def div_scalar(self, c: int) -> "PolyZ":
-        out = []
-        for v in self.coeffs:
-            q, r = divmod(v, c)
-            if r:
-                raise ValueError("scalar division is not exact")
-            out.append(q)
-        return PolyZ(out)
 
     def eval(self, x):
         """Horner evaluation; works for int, Fraction, float, and complex x."""
@@ -218,37 +210,45 @@ def _unpack(v: int, w: int) -> PolyZ:
 #
 # Every denominator below is a constant times a product of the cyclotomic
 # polynomials Phi_d: 1 + q^m = prod Phi_d over d | 2m with d not dividing m,
-# and 1 - q = -Phi_1.  The Phi_d are irreducible over Q, so dividing each one
-# out of the numerator while that division is exact leaves a coprime pair,
-# with no remainder sequence.  No Phi_d is built: by Moebius inversion of
-# q^d - 1 = prod_{e | d} Phi_e,
+# and 1 - q = -Phi_1.  The Phi_d are irreducible over Q and pairwise coprime,
+# so dividing each one out of the numerator as often as it divides it leaves
+# a coprime pair, with no remainder sequence.  No Phi_d is built: by Moebius
+# inversion of q^d - 1 = prod_{e | d} Phi_e,
 #     Phi_d = prod_{e | d} (q^e - 1)^mu(d/e),
-# so a value is multiplied or divided by Phi_d one binomial q^e - 1 at a
-# time.  On a coefficient list read from the top power down, q^e - 1 acts
-# as 1 - q^e does from the bottom up: a product by it is r_k - r_(k-e), and
-# an exact quotient by it is the running sums of r along each residue class
-# k mod e.  Each is one pass over the list.
+# so prod_d Phi_d^k_d is prod_e (q^e - 1)^n_e, n_e = sum_d k_d mu(d/e): one
+# netted set of binomials, in which the factors share their passes (Phi_2^k
+# Phi_4^j is (q^2 - 1)^(k-j) (q^4 - 1)^j / (q - 1)^k, k + |k - j| + j
+# binomials, not 2k + 2j).  On a coefficient list read from the top power
+# down, q^e - 1 acts as 1 - q^e does from the bottom up: a product by it is
+# r_k - r_(k-e), and an exact quotient by it is the running sums of r along
+# each residue class k mod e, each one pass over the list.  Dividing by the
+# set, every product (n_e < 0) comes first: then, if the set divides r, each
+# quotient is exact, and if not, one of them leaves a remainder.
 #
-# Most trials that would fail never run.  Evaluation at t = 2^_IMAGE_BITS is
+# The multiplicities come from an image.  Evaluation at t = 2^_IMAGE_BITS is
 # a ring homomorphism Z[q] -> Z, and Phi_d(t) >= (t - 1)^phi(d) > 0, so
-# Phi_d | r in Z[q] gives Phi_d(t) | r(t): a nonzero remainder of r(t) by
-# Phi_d(t) proves that Phi_d does not divide r.  The converse can fail (with
-# odds about 1 / Phi_d(t)), so a zero remainder only lets the trial run, and
-# the trial still decides.  t is small, not the packing width 2^w, so r(t)
-# stays short and each test is one small integer divmod.
+# Phi_d^k | r in Z[q] gives Phi_d(t)^k | r(t): a nonzero remainder of r(t) by
+# Phi_d(t)^k proves that Phi_d^k does not divide r.  The converse can fail
+# (with odds about 1 / Phi_d(t)), so the image gives each multiplicity an
+# upper bound, and the division decides.  t is small, not the packing width
+# 2^w, so r(t) stays short and each test is one small integer remainder.
 
 _IMAGE_BITS = 16
 
 
 def _binomials(d: int) -> tuple[list[int], list[int]]:
     # (the e | d with mu(d/e) = +1, those with mu(d/e) = -1), so that Phi_d
-    # is the product of q^e - 1 over the first divided by that over the second
-    plus, minus, m = [d], [], d
-    for p in range(2, d + 1):
-        if m % p == 0:  # a prime, as m has lost every smaller prime of d
+    # is the product of q^e - 1 over the first divided by that over the
+    # second; past the root of what is left of d, that is d's last prime
+    plus, minus, m, p = [d], [], d, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
             plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
             while m % p == 0:
                 m //= p
+        p += 1
     return plus, minus
 
 
@@ -266,18 +266,27 @@ def _over_binomial(r: list, e: int) -> list | None:
     return None if any(out[-e:]) else out[:-e]
 
 
-def _over_cyclotomic(r: list, plus: list, minus: list) -> list | None:
-    # r / Phi_d given _binomials(d), highest power first, or None when Phi_d
-    # does not divide r.  All products come first, so when Phi_d | r every
-    # quotient is exact.  The first, by q^d - 1, decides: minus holds each
-    # d/p, p | d prime, so the products supply every Phi_e, e a proper
-    # divisor of d, but not Phi_d.
-    for e in minus:
-        r = _times_binomial(r, e)
-    for e in plus:
-        r = _over_binomial(r, e)
-        if r is None:
-            return None
+def _divided(r: list, counts: dict, forms: dict) -> list | None:
+    # r / prod_d Phi_d^counts[d], forms[d] = _binomials(d), highest power
+    # first, or None when that is not exact in Z[q]: the netted binomials'
+    # products first, the shortest first, then their quotients, the longest
+    # first, so the list grows and shrinks the least
+    net: dict = {}
+    for d, k in counts.items():
+        if k:
+            plus, minus = forms[d]
+            for e in plus:
+                net[e] = net.get(e, 0) + k
+            for e in minus:
+                net[e] = net.get(e, 0) - k
+    for e, k in sorted(net.items()):
+        for _ in range(-k):
+            r = _times_binomial(r, e)
+    for e, k in sorted(net.items(), reverse=True):
+        for _ in range(k):
+            r = _over_binomial(r, e)
+            if r is None:
+                return None
     return r
 
 
@@ -287,68 +296,64 @@ def _binomial_image(es: list) -> int:
 
 
 def _add_one_plus_q_power(exps: dict, m: int) -> None:
-    # count the Phi_d of 1 + q^m, m >= 1, into exps (d -> multiplicity)
-    for d in range(1, 2 * m + 1):
-        if (2 * m) % d == 0 and m % d:
-            exps[d] = exps.get(d, 0) + 1
+    # count the Phi_d of 1 + q^m, m >= 1, into exps (d -> multiplicity): the
+    # d = 2^(v+1) c with 2^v the largest power of 2 in m and c | m / 2^v
+    low = m & -m
+    odd = m // low
+    for c in range(1, math.isqrt(odd) + 1, 2):
+        if odd % c == 0:
+            for d in {2 * low * c, 2 * low * (odd // c)}:
+                exps[d] = exps.get(d, 0) + 1
 
 
-def _reduced(num: PolyZ, const: int, exps: dict) -> RationalQ:
-    """num / (const * prod_d Phi_d^exps[d]) in canonical form.
+def _reduced(num, den, exps: dict) -> tuple[RationalQ, dict]:
+    """num / den in canonical form, and the count of each Phi_d cancelled.
 
-    Each Phi_d is divided out of the numerator while that is exact, at most
-    exps[d] times, and exps is left holding the multiplicities that remain.
-    The numerator's image r(t) at t = 2^_IMAGE_BITS is taken once, and
-    before each trial the remainder of r(t) by Phi_d(t) is checked: Phi_d | r
-    gives Phi_d(t) | r(t), so a nonzero remainder proves the trial would
-    fail, and it is skipped with no pass over the coefficients.  A zero
-    remainder does not prove Phi_d | r, so the trial runs and decides, and
-    on success the image becomes the integer quotient; the result and the
-    exps left are those of running every trial.
-    A trial multiplies by q^e - 1 for each e | d with mu(d/e) = -1, then
-    divides by q^e - 1 for each e with mu(d/e) = +1; it is exact if and only
-    if every one of those divisions leaves remainder 0 (the first, by
-    q^d - 1, decides), and a trial that is not leaves the numerator as it
-    was.  The denominator is built the same way from the net exponent of
-    each q^e - 1 that remains, all products first and then the divisions,
-    which are exact.  The integer content the two share is cleared with the
-    sign that makes the denominator's leading coefficient positive (a
-    product of monic Phi_d has content 1).
+    num and den are coefficient sequences, lowest power first, top one
+    nonzero; den is a constant times prod_d Phi_d^exps[d].  Over d in
+    increasing order, k_d is the largest k <= exps[d] with Phi_d(t)^k
+    dividing what is left of the numerator's image r(t), t = 2^_IMAGE_BITS,
+    which is then divided by Phi_d(t)^k_d.  While every earlier count is the
+    true multiplicity m_d (capped at exps[d]), what is left is the image of
+    the numerator with those factors divided out, so k_d >= m_d.  The netted
+    division by prod_d Phi_d^k_d (see "q-Euler closed forms") fails only if
+    some k_d > m_d, an image false positive; the least d whose Phi_d^k_d
+    alone fails is then the first such, so its cap is lowered to k_d - 1 >=
+    m_d and the counts are redone, until every k_d = m_d.  The same division
+    of den is exact, as k_d <= exps[d].  What is left of den is a constant c
+    times monic Phi_d, so its leading coefficient is c and its content |c|:
+    the content the parts share is cleared with the sign that makes c
+    positive.  The counts are returned for every d with exps[d] > 0.
     """
-    if num.is_zero:
-        exps.clear()
-        return RationalQ(PolyZ(), PolyZ.one())
-    r, net, image = list(reversed(num.coeffs)), {}, 0
+    if not num:
+        return RationalQ(PolyZ(), PolyZ.one()), dict(exps)
+    r, image = list(reversed(num)), 0
     for v in r:
         image = (image << _IMAGE_BITS) + v
-    for d in sorted(exps):
-        plus, minus = _binomials(d)
-        phi = _binomial_image(plus) // _binomial_image(minus)
-        while exps[d]:
-            quotient, rem = divmod(image, phi)
-            if rem:
-                break
-            trial = _over_cyclotomic(r, plus, minus)
-            if trial is None:
-                break
-            r, image = trial, quotient
-            exps[d] -= 1
-        for e in plus:
-            net[e] = net.get(e, 0) + exps[d]
-        for e in minus:
-            net[e] = net.get(e, 0) - exps[d]
-    den = [1]
-    for e, k in net.items():
-        for _ in range(k):
-            den = _times_binomial(den, e)
-    for e, k in net.items():
-        for _ in range(-k):
-            den = _over_binomial(den, e)
-    num = PolyZ(reversed(r))
-    c = math.gcd(num.content(), const) * (1 if const > 0 else -1)
+    forms = {d: _binomials(d) for d in sorted(exps) if exps[d]}
+    phis = {d: _binomial_image(plus) // _binomial_image(minus) for d, (plus, minus) in forms.items()}
+    caps = dict(exps)
+    while True:
+        counts, rest = {}, image
+        for d, phi in phis.items():
+            k = 0
+            while k < caps[d]:
+                over, rem = divmod(rest, phi)
+                if rem:
+                    break
+                rest, k = over, k + 1
+            counts[d] = k
+        quotient = _divided(r, counts, forms)
+        if quotient is not None:
+            break
+        d = next(d for d, k in counts.items() if k and _divided(r, {d: k}, forms) is None)
+        caps[d] = counts[d] - 1
+    r = quotient
+    den = _divided(list(reversed(den)), counts, forms)
+    c = math.gcd(den[0], *r) * (1 if den[0] > 0 else -1)
     if c != 1:
-        num = num.div_scalar(c)
-    return RationalQ(num, PolyZ([v * (const // c) for v in reversed(den)]))
+        r, den = [v // c for v in r], [v // c for v in den]
+    return RationalQ(PolyZ(reversed(r)), PolyZ(reversed(den))), counts
 
 
 def _numerator_bound(m: int) -> int:
@@ -378,9 +383,13 @@ def _euler_numerators(count: int, k: int | None = None) -> tuple[int, list[int],
     D_m = prod_{j<=m} f_j with f_j = 1+q^j (f_0 = 2), N_0 = 1+q and
     N_m = -sum_{l<m} C(m,l) q^l N_l prod_{l<j<m} f_j, summed by Horner over
     l with no gcd.  The width covers every N_m, as _numerator_bound(count - 1)
-    >= nu_m >= ||N_m||_1 by induction (see "packed polynomials"), and, when k
-    is given, the cross-multiplied difference of every identity at n < count
-    and shift <= k, by _identity_bound, so _verify_identity can run on it.
+    >= nu_m >= ||N_m||_1 by induction (see "packed polynomials"); every D_m,
+    as ||D_m||_1 = 2^(m+1) <= _numerator_bound(m) (equal at m = 0 and 1, and
+    m! c^m >= 2^m from m = 2 on, as 2 c^2 > 4 and j c > 2 for j >= 2), so
+    _reduced can take D_m unpacked; and, when k is given, the
+    cross-multiplied difference of every identity at n < count and shift
+    <= k, by _identity_bound (itself >= _numerator_bound(count - 1)), so
+    _verify_identity can run on it.
     """
     w = _width(_numerator_bound(count - 1) if k is None else _identity_bound(count - 1, k))
     nums, dens, den = [], [], 1
@@ -436,8 +445,8 @@ def _reduced_euler_number(table: tuple, n: int) -> RationalQ:
     exps: dict = {}
     for m in range(1, n + 1):
         _add_one_plus_q_power(exps, m)
-    w, nums, _ = table
-    return _reduced(_unpack(nums[n], w), 2, exps)
+    w, nums, dens = table
+    return _reduced(_unpack(nums[n], w).coeffs, _unpack(dens[n], w).coeffs, exps)[0]
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
@@ -451,14 +460,12 @@ def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:
     cancel: PoleError if a factor 1-q is left in the denominator.
     """
     n, x, h = as_index(n, "n"), as_index(x, "x"), as_index(h, "h")
-    w = _width(1 << 2 * n + 1)
-    num, _ = _euler_poly_pair(n, x, h, w)
     exps = {1: n}
     for l in range(n + 1):
         if l + h:
             _add_one_plus_q_power(exps, l + h)
-    out = _reduced(_unpack(num, w), (-1) ** n * (1 if h else 2), exps)
-    if exps.get(1):
+    out, cancelled = _reduced(*euler_poly_coefficients(n, x, h), exps)
+    if cancelled.get(1, 0) < n:
         raise PoleError("the (1-q)^n pole failed to cancel")
     return out
 

@@ -95,8 +95,17 @@ class Poly(PolyZ):
             k >>= 1
         return out
 
+    def content(self) -> int:
+        return math.gcd(*self.coeffs)
+
     def div_scalar(self, c: int) -> "Poly":
-        return Poly(super().div_scalar(c).coeffs)
+        out = []
+        for v in self.coeffs:
+            q, r = divmod(v, c)
+            if r:
+                raise ValueError("scalar division is not exact")
+            out.append(q)
+        return Poly(out)
 
     def divexact(self, d: "Poly") -> "Poly":
         """Quotient self / d, valid only when the division is exact in Z[q]."""
@@ -125,7 +134,7 @@ class Poly(PolyZ):
 
 # -- the canonical-form oracle ---------------------------------------------------
 #
-# The library reaches canonical form only by cyclotomic trial division over a
+# The library reaches canonical form only by cyclotomic division over a
 # known denominator.  The oracle reaches it by the primitive pseudo-remainder
 # sequence, which needs no knowledge of the denominator's factors.
 
@@ -366,7 +375,8 @@ class TestExactEulerPoly:
 
     def test_uncancelled_pole_raises(self, monkeypatch):
         # a numerator that leaves (1-q)^n standing is a PoleError, also under -O
-        monkeypatch.setattr(exact, "_euler_poly_pair", lambda n, x, h, w: (1, None))
+        build = exact._euler_poly_pair
+        monkeypatch.setattr(exact, "_euler_poly_pair", lambda n, x, h, w: (1, build(n, x, h, w)[1]))
         with pytest.raises(PoleError):
             exact_euler_poly(3, 1, 0)
 
@@ -456,23 +466,35 @@ def multiplicity(p: Poly, phi: Poly) -> int:
         k += 1
 
 
-def record_failed_trials(monkeypatch) -> list:
-    # one entry per _over_cyclotomic trial _reduced runs: True where it failed
-    failed = []
-    trial = exact._over_cyclotomic
+def mobius(n: int) -> int:
+    # mu(n) by trial division over every p <= n
+    sign = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
 
-    def recorded(r, plus, minus):
-        out = trial(r, plus, minus)
+
+def record_failed_divisions(monkeypatch) -> list:
+    # one entry per netted division _reduced runs: True where it failed
+    failed = []
+    divided = exact._divided
+
+    def recorded(r, counts, forms):
+        out = divided(r, counts, forms)
         failed.append(out is None)
         return out
 
-    monkeypatch.setattr(exact, "_over_cyclotomic", recorded)
+    monkeypatch.setattr(exact, "_divided", recorded)
     return failed
 
 
 class TestCyclotomicReduction:
-    """Canonical forms by trial division by the cyclotomic factors of the
-    known denominators, with no remainder sequence."""
+    """Canonical forms by division by the cyclotomic factors of the known
+    denominators, with no remainder sequence."""
 
     def test_cyclotomic_polynomials(self):
         # Phi_m = prod_{e | m} (q^e - 1)^mu(m/e) has degree phi(m), and the
@@ -486,10 +508,27 @@ class TestCyclotomicReduction:
                     product = product * binomial_cyclotomic(d)
             assert product == Poly.monomial(1, m) - Poly.one(), m
 
+    def test_moebius_split_and_the_factors_of_one_plus_q_power(self):
+        # _binomials(d) splits the divisors e of d by mu(d/e), and
+        # _add_one_plus_q_power(exps, m) counts each d | 2m, d not dividing m,
+        # once more, both as their definitions have them
+        for d in range(1, 301):
+            plus, minus = exact._binomials(d)
+            divisors = [e for e in range(1, d + 1) if d % e == 0]
+            assert sorted(plus) == [e for e in divisors if mobius(d // e) == 1], d
+            assert sorted(minus) == [e for e in divisors if mobius(d // e) == -1], d
+        for m in range(1, 301):
+            exps, want = {2: 5}, {2: 5}
+            exact._add_one_plus_q_power(exps, m)
+            for d in range(1, 2 * m + 1):
+                if 2 * m % d == 0 and m % d:
+                    want[d] = want.get(d, 0) + 1
+            assert exps == want, m
+
     def test_reduction_against_the_prs_oracle(self):
         # N = P prod Phi_d^a over const prod Phi_d^exps[d], with a below, at
-        # and above exps[d]: the canonical form is the oracle's, and exps is
-        # left holding the multiplicity of each Phi_d the numerator lacked
+        # and above exps[d]: the canonical form is the oracle's, and each
+        # Phi_d is cancelled min(a', exps[d]) times, a' its multiplicity in N
         rng = random.Random(1907)
         phis: dict = {}
         seen = set()
@@ -503,16 +542,18 @@ class TestCyclotomicReduction:
                 num = num * oracle_cyclotomic(d, phis) ** a
                 den = den * oracle_cyclotomic(d, phis) ** exps[d]
             const = rng.choice((-12, -5, -2, -1, 1, 2, 6, 9))
-            left = {d: e - min(e, multiplicity(num, oracle_cyclotomic(d, phis))) for d, e in exps.items()}
-            got = exact._reduced(num, const, exps)
+            cancelled = {d: min(e, multiplicity(num, oracle_cyclotomic(d, phis))) for d, e in exps.items()}
+            got, counts = exact._reduced(num.coeffs, (den * const).coeffs, exps)
             assert canonical(got) == canonical(canonical_form(num, den * const))
-            assert exps == left
+            assert counts == cancelled
         assert seen == {-1, 0, 1}
 
     def test_failed_trial_stops_at_the_first_division(self, monkeypatch):
-        # the products add no Phi_d, so the division by q^d - 1 decides: a
-        # numerator that Phi_6 does not divide fails there, and _reduced
-        # keeps it as it was
+        # a division by Phi_d alone makes its products first, which supply
+        # every Phi_e, e a proper divisor of d, but not Phi_d, and then its
+        # quotients longest first, so the one by q^d - 1 decides: a numerator
+        # that Phi_6 does not divide fails there, and _reduced keeps it as it
+        # was, dividing the known denominator by the Phi_4 cancelled alone
         phi4, phi6 = oracle_cyclotomic(4, {}), oracle_cyclotomic(6, {})
         results = []
         over = exact._over_binomial
@@ -522,28 +563,28 @@ class TestCyclotomicReduction:
             return results[-1]
 
         monkeypatch.setattr(exact, "_over_binomial", recorded)
-        quotient = exact._over_cyclotomic(list(reversed((phi4 * phi6).coeffs)), *exact._binomials(6))
+        by_phi6 = {6: 1}, {6: exact._binomials(6)}
+        quotient = exact._divided(list(reversed((phi4 * phi6).coeffs)), *by_phi6)
         assert PolyZ(reversed(quotient)) == phi4 and len(results) == 2 and None not in results
         results.clear()
-        assert exact._over_cyclotomic(quotient, *exact._binomials(6)) is None and results == [None]
-        exps = {4: 1, 6: 2}
-        got = exact._reduced(phi4 * 3, 6, exps)
-        assert canonical(got) == ((1,), (phi6 * phi6 * 2).coeffs) and exps == {4: 0, 6: 2}
+        assert exact._divided(quotient, *by_phi6) is None and results == [None]
+        got, cancelled = exact._reduced((phi4 * 3).coeffs, (phi4 * phi6 * phi6 * 6).coeffs, {4: 1, 6: 2})
+        assert canonical(got) == ((1,), (phi6 * phi6 * 2).coeffs) and cancelled == {4: 1, 6: 0}
 
     def test_no_trial_fails(self, monkeypatch):
-        # the image test at t = 2^16 rules out every trial that would fail
-        # before it makes a pass over the coefficients (without it, 780 of
-        # the 1,707 trials for E_0..E_40 fail); the successful ones are the
-        # same, and so is every canonical form, pinned by its str forms' hash
-        failed = record_failed_trials(monkeypatch)
+        # the image test at t = 2^16 makes no count too large, so each value
+        # takes one netted division of its numerator and one of its known
+        # denominator, and no combined division fails; every canonical form
+        # is pinned by its str forms' hash
+        failed = record_failed_divisions(monkeypatch)
         table = exact._euler_numerators(41)
         numbers = "\n".join(str(exact._reduced_euler_number(table, n)) for n in range(41))
-        assert len(failed) == 927 and not any(failed)
+        assert failed == [False] * 2 * 41
         failed.clear()
         polys = "\n".join(
             str(exact_euler_poly(n, x, h)) for n in range(15) for x in range(5) for h in range(4)
         )
-        assert len(failed) == 3930 and not any(failed)
+        assert failed == [False] * 2 * 300
         digests = [hashlib.sha256(s.encode()).hexdigest() for s in (numbers, polys)]
         assert digests == [
             "775ae925c1f2442ccd8e40317f4f1b48e9af6aa3a179fc397928431a23e58ff1",
@@ -551,11 +592,13 @@ class TestCyclotomicReduction:
         ]
 
     def test_trial_decides_an_image_false_positive(self, monkeypatch):
-        # c = Phi_d(2^16) times P, P coprime to Phi_d: Phi_d(2^16) divides
-        # the image, Phi_d does not divide the numerator, so the trial runs,
-        # fails, and Phi_d stays in the denominator as the PRS oracle has it
+        # c = Phi_d(2^16) times P, P coprime to Phi_d, times Phi_d^a: the
+        # image counts Phi_d once more than the numerator holds it, so the
+        # combined division fails, then Phi_d^(a+1)'s own division, and with
+        # the count lowered to a the division of the numerator and that of
+        # the denominator are exact; the form is the PRS oracle's
         rng = random.Random(2416)
-        failed = record_failed_trials(monkeypatch)
+        failed = record_failed_divisions(monkeypatch)
         phis: dict = {}
         for d in (1, 2, 3, 4, 6, 10, 12, 15, 30):
             phi = oracle_cyclotomic(d, phis)
@@ -566,11 +609,11 @@ class TestCyclotomicReduction:
                     break
             for base in (Poly((c,)), p * c):
                 for a in (0, 1):
-                    num, exps = base * phi ** a, {d: 2}
+                    num = base * phi ** a
                     failed.clear()
-                    got = exact._reduced(num, 6, exps)
+                    got, cancelled = exact._reduced(num.coeffs, (phi ** 2 * 6).coeffs, {d: 2})
                     assert canonical(got) == canonical(canonical_form(num, phi ** 2 * 6)), (d, a)
-                    assert exps == {d: 2 - a} and failed == [False] * a + [True], (d, a)
+                    assert cancelled == {d: a} and failed == [True, True, False, False], (d, a)
 
     def test_numbers_match_the_prs_reduction(self):
         nums, dens = oracle_numerators(21)
@@ -793,6 +836,7 @@ class TestPacked:
                 assert packed_nums[m] == nums[m].eval(1 << w), (k, m)
                 assert packed_dens[m] == dens[m].eval(1 << w), (k, m)
                 assert exact._unpack(packed_nums[m], w) == nums[m], (k, m)
+                assert exact._unpack(packed_dens[m], w) == dens[m], (k, m)
 
     def test_poly_pairs_match_the_oracle(self):
         for n in range(31):
@@ -847,7 +891,8 @@ class TestClosedFormBounds:
     def test_numerator_bound_covers_the_recurrence(self):
         nu = recurrence_norms(300)
         for m in range(300):
-            assert exact._numerator_bound(m) >= nu[m], m
+            # and ||D_m||_1 = 2^(m+1), so the table's width decodes D_m too
+            assert exact._numerator_bound(m) >= max(nu[m], 2 << m), m
 
     def test_identity_bound_covers_the_recurrence(self):
         nu = recurrence_norms(60)

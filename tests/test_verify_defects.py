@@ -1,12 +1,14 @@
-"""Each exact check of ``qeuler verify`` and its series-termination check
-fail when what they evaluate carries a small defect: one unit or one ulp
-off, a flipped sign, or a dropped term."""
+"""Each exact check of ``qeuler verify``, its series-termination check and
+the numeric checks that read the Q(q) engine's reduced values fail when what
+they evaluate carries a small defect: one unit or one ulp off, a flipped
+sign, or a dropped term."""
 
 import math
 
 import pytest
 
 from qeuler import exact, verification, zeta
+from qeuler.exact import PolyZ, RationalQ
 from qeuler.kernel import DEFAULT_CONFIG
 
 MAX_N, MAX_K = 6, 4
@@ -92,3 +94,30 @@ def test_series_termination_fails_one_ulp_off(monkeypatch):
 
     monkeypatch.setattr(zeta, "terminating_alt_sum", one_ulp_off)
     assert not _series_termination(0.5).passed
+
+
+READ_REDUCED = ("numeric/series-termination", "numeric/hurwitz-interpolation")
+
+
+def _reduced_one_unit_off(build):
+    # the constant coefficient of every reduced numerator one unit off
+    def reduced(num, den, exps):
+        value, cancelled = build(num, den, exps)
+        coeffs = list(value.num.coeffs) or [0]
+        coeffs[0] += 1
+        return RationalQ(PolyZ(coeffs), value.den), cancelled
+
+    return reduced
+
+
+@pytest.mark.parametrize("name", READ_REDUCED)
+def test_reduced_value_checks_pass_undamaged(name):
+    assert _results(verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG))[name].passed
+
+
+@pytest.mark.parametrize("name", READ_REDUCED)
+def test_reduced_value_checks_fail_one_unit_off(monkeypatch, name):
+    # both compare bit for bit against exact_euler_number and exact_euler_poly,
+    # whose values come from exact._reduced
+    monkeypatch.setattr(exact, "_reduced", _reduced_one_unit_off(exact._reduced))
+    assert not _results(verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG))[name].passed
