@@ -32,18 +32,18 @@ divided once per component (_value_at); exact zeros and binary64 ties, as
 (1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
 after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
 
-The same term list at shift 0 also gives the continuation its difference
-table (DifferenceTable): every difference D_m[j] = sum_i (-1)^i C(m,i)
-c_(j+i) of the plain factors c_j = -q^j / (1 + q^j), taken exactly by
-integer subtraction, one pass per order over one list, and each entry
-rounded once to a float when it is first read.  The list and the integer
-rows grow as the reads ask for more (_term_lists carries its powers from
-one extension to the next), so an entry does not depend on how far the
-table was grown.  The differences of order m are of the order of |1-q|^m
-times the factors, so near q = 1 floats would lose their digits; the
-table's error bound (difference_error) counts the floors and the carried
-powers, and the continuation chooses W from it
-(continuation._nested_sums).
+The term list at shift 2, v_j = 2^W q^(2j) / (1 + q^j), gives the
+continuation its difference table (DifferenceTable): every difference
+R_m[j] = sum_i (-1)^i C(m,i) c'_(j+i) of c'_j = q^(2j) / (1 + q^j), taken
+exactly by integer subtraction, one pass per order over one list, and each
+entry rounded once to a float when it is first read.  The list and the
+integer rows grow as the reads ask for more (_term_lists carries its powers
+from one extension to the next), so an entry does not depend on how far the
+table was grown; where the list stops, the rows read zeros.  The
+differences of order m are of the order of |1-q^2|^m |q|^(2j), so near q = 1
+floats would lose their digits; the table's error bound (difference_error)
+counts the floors and the carried powers, and the continuation chooses W
+from it (continuation._nested_sums).
 """
 
 from __future__ import annotations
@@ -402,61 +402,62 @@ def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
 
 
 def difference_error(q: complex, count: int) -> float:
-    """err such that 2^W D_m[j] in fixed point, from a _quotients list at
-    shift 0 whose indices j + m stay below count, lies within err 2^m units.
+    """err such that 2^W R_m[j] in fixed point, from a _quotients list at
+    shift 2 whose indices j + m stay below count, lies within err 2^m units.
 
-    With lower <= |1 + P~_k| as in _radius, the floors give 2^m and the
-    carried powers, within 3 (1 + k) units at index k, the rest."""
+    As in _radius with R = 1 and c = 3, quotient k is within 1 + 3 k / L +
+    3 (1 + k) / L^2 units (its floor, the carried q~^(2k) and q~^k): below
+    1 + 6 count / L^2 at L = lower <= 1 and k < count, and so is a 0 read
+    past the end of a stopped list.  R_m[j] weighs them by C(m, i)."""
     lower = 1.0 if q.imag == 0 and q.real >= 0 else 0.99 * (1.0 - abs(q))
-    return 1.0 + 3.0 * count / (lower * lower)
+    return 1.0 + 6.0 * count / (lower * lower)
 
 
 class DifferenceTable:
-    """The differences D_m[j] = sum_i (-1)^i C(m,i) c_(j+i) of the plain
-    factors c_j = -q^j / (1 + q^j) at W fractional bits, built as they are
-    read (difference_table).
+    """The differences R_m[j] = sum_i (-1)^i C(m,i) c'_(j+i) of c'_j =
+    q^(2j) / (1 + q^j) at W fractional bits, built as they are read
+    (difference_table).  c'_j = c_j + q^j for the plain factors c_j = -q^j /
+    (1 + q^j), so R_m[j] = D_m[j] + (1-q)^m q^j: their differences less
+    their slowest geometric mode.
 
-    The differences are exact: the _quotients list at shift 0 gives 2^W c_j
-    = v_j - 2^W, and D_(m+1)[j] = D_m[j] - D_m[j+1] is one integer
-    subtraction per entry (difference_error bounds the result).  The table
-    keeps these integer rows, from N quotients D_m[j] for j < N - m, and
-    grows the list and every row with it when a read passes the end of one;
-    row rounds each entry once, when it is first read.  An entry depends on
-    q, W, m and j alone, whatever the extent of the table or the order of
-    the reads.
+    The differences are exact: the _quotients list at shift 2 gives 2^W c'_j
+    = v_j, read as 0 past the end of a list that stopped, and R_(m+1)[j] =
+    R_m[j] - R_m[j+1] is one integer subtraction per entry (difference_error
+    bounds the result).  The table keeps these integer rows, from N
+    quotients R_m[j] for j < N - m, and grows the list and every row with it
+    when a read passes the end of one; row rounds each entry once, when it
+    is first read.  An entry depends on q, W, m and j alone, whatever the
+    extent of the table or the order of the reads.
     """
 
     __slots__ = ("_W", "_lists", "_v", "_ints", "_floats")
 
     def __init__(self, W: int, lists, v):
-        # lists is _term_lists at shift 0, started, and v the lists it yields
+        # lists is _term_lists at shift 2, started, and v the lists it yields
         self._W, self._lists, self._v = W, lists, v
-        self._ints = []  # 2^W D_m as [re, im] integer lists, im None at real q
+        self._ints = [list(v)]  # 2^W R_m as [re, im] integer lists, im None at real q; R_0 is v
         self._floats = []  # the rounded entries read so far, alike
 
     def grow(self, top: int, length: int) -> None:
-        """Hold the integer rows D_0..D_top with at least their entries j <
+        """Hold the integer rows R_0..R_top with at least their entries j <
         length: length + top quotients, and every row held grown with them."""
-        ints, (vre, vim) = self._ints, self._v
-        have = len(vre)
-        if length + top > have:
+        ints, vre = self._ints, self._v[0]
+        if length + top > len(vre):
             self._lists.send(length + top - 1)
-            if ints:  # 2^W c_j = v_j - 2^W; the imaginary part is vim itself
-                ints[0][0] += map(sub, vre[have:], repeat(1 << self._W))
-            for prev, row in zip(ints, ints[1:]):  # D_m[j] = D_(m-1)[j] - D_(m-1)[j+1]
+            short = length + top - len(vre)
+            if short > 0:  # the list stopped where X~_k reached 0: every later quotient is 0
+                for part in filter(None, self._v):
+                    part += repeat(0, short)
+            for prev, row in zip(ints, ints[1:]):  # R_m[j] = R_(m-1)[j] - R_(m-1)[j+1]
                 old = len(row[0])
                 for part, above in zip(row, prev):
                     if part is not None:
                         part += map(sub, above[old:], above[old + 1 :])
         while len(ints) <= top:
-            if ints:
-                prev = ints[-1]
-                ints.append([None if part is None else list(map(sub, part, islice(part, 1, None))) for part in prev])
-            else:
-                ints.append([list(map(sub, vre, repeat(1 << self._W))), vim])
+            ints.append([None if part is None else list(map(sub, part, islice(part, 1, None))) for part in ints[-1]])
 
     def row(self, m: int, count: int):
-        """D_m[j] for j < count at least, each entry rounded once from its
+        """R_m[j] for j < count at least, each entry rounded once from its
         fixed-point value, as one float list per component, [re, im], im
         None at real q."""
         floats = self._floats
@@ -472,7 +473,7 @@ class DifferenceTable:
             for part, exact in zip(out, ints[m]):
                 if part is None:
                     pass
-                elif W + m + 64 <= 1022:  # |2^W D_m[j]| < 2^1022 and 2^-W is normal: float() rounds it, 2^-W is exact
+                elif W + m + 64 <= 1022:  # |2^W R_m[j]| < 2^1022 and 2^-W is normal: float() rounds it, 2^-W is exact
                     part += map(mul, map(float, exact[have:count]), repeat(2.0**-W))
                 else:
                     den = 1 << W
@@ -484,7 +485,7 @@ def difference_table(q: complex, W: int) -> DifferenceTable | None:
     """The DifferenceTable of q at W, built as it is read, or None where
     _quotients refuses q~ at W."""
     Q, e = _dyadic(q)
-    lists = _term_lists(0, Q, e, 0, W, 0)
+    lists = _term_lists(0, Q, e, 2, W, 0)
     v = next(lists)
     return None if v is None else DifferenceTable(W, lists, v)
 

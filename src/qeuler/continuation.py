@@ -39,18 +39,23 @@ every integer n >= 0,
 
 with gb(s, j) = Gamma(s+j) / (Gamma(s) j!), D_n[j] = sum_i (-1)^i C(n,i)
 c_(j+i) the n-th difference of the plain factors c_j = -q^j / (1 + q^j),
-and n = 0 the plain k-series.  Taking n = k + 1 for a = k + frac makes the
+and n = 0 the plain k-series.  D_n[j] = sum_{N>=1} (-1)^N (1-q^N)^n q^(N j)
+falls only like |q|^j, by its N = 1 mode, whose weighted sum is
+sum_j gb(n - a, j) (1-q)^n q^j = (1-q)^a (Kummer's transformation of
+series).  So the sum reads R_n[j] = D_n[j] + (1-q)^n q^j, the differences
+of c'_j = q^(2j) / (1 + q^j), which fall like |q|^(2j), with -(1-q)^a the
+last term of the same fsum.  Taking n = k + 1 for a = k + frac makes the
 weights gb(1 - frac, j) the same for every coefficient of a row, and
-positive and falling, so a row is one weight vector against the rows D_0,
-..., D_([s]+1) of one difference table: two dot products per coefficient
+positive and falling, so a row is one weight vector against the rows R_0,
+..., R_([s]+1) of one difference table: two dot products per coefficient
 (math.fsum, whose bits do not depend on the Python version).  The weights
 are one running product of the ratios (sigma + k) / (k + 1), taken to the
 longest J_m the row reads.  The table (_exactcomplex.DifferenceTable)
 takes the differences exactly, on integers in fixed point, where floats
-would lose the (1-q)^n by which D_n falls below the factors, and rounds
+would lose the (1-q^2)^n by which R_n falls below the factors, and rounds
 each entry once.  Its precision and the a-priori bound L on each J_m
 follow from q, the row's orders and rel_tol (see _nested_sums), but it is
-built only where read: its integer rows start from D_m[0], the top + 1
+built only where read: its integer rows start from R_m[0], the top + 1
 quotients each order's first guess at J_m needs, are then sized from those
 guesses and grow where a later J_m passes their end, and a row rounds only
 its entries j < J_m.  An entry depends on q, the precision, m and j alone,
@@ -79,7 +84,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 
 from ._exactcomplex import difference_error, difference_table, terminating_alt_sum
@@ -125,14 +130,15 @@ def _first_bits(q: complex, top: int, length: int) -> int:
 
 
 def _log_tail(q: complex, m: int, length: int) -> float:
-    # log of a bound on sum_{j >= length} |D_m[j]|.  D_m[j] = sum_{N >= 1}
-    # (-1)^N q^(N j) (1 - q^N)^m and |1 - q^N| <= b_N = min(|1-q| (1 - r^N) /
-    # (1 - r), 1 + r^N), r = |q|, so the tail is at most sum_N b_N^m r^(N L)
-    # / (1 - r^N); the terms beyond N, below 2^m r^((N+1) L) / ((1-r)
-    # (1-r^L)), are added whole once they fall 2^-50 below the largest.
+    # log of a bound on sum_{j >= length} |R_m[j]|.  R_m[j] = sum_{N >= 2}
+    # (-1)^N q^(N j) (1 - q^N)^m, D_m[j] with its N = 1 mode taken out, and
+    # |1 - q^N| <= b_N = min(|1-q| (1 - r^N) / (1 - r), 1 + r^N), r = |q|, so
+    # the tail is at most sum_N b_N^m r^(N L) / (1 - r^N); the terms beyond
+    # N, below 2^m r^((N+1) L) / ((1-r) (1-r^L)), are added whole once they
+    # fall 2^-50 below the largest.
     r = abs(q)
     lr, slope = math.log(r), abs(1.0 - q) / (1.0 - r)
-    logs, n = [], 0
+    logs, n = [], 1
     while True:
         n += 1
         rn = r**n
@@ -164,13 +170,14 @@ class _Try:
     depend on the row's top, so the rows of a grid that share a fraction and
     a band share one first try, each reading only its new orders."""
 
-    __slots__ = ("q", "sigma", "length", "W", "table", "lines", "allowed", "lr", "start", "log_gb",
+    __slots__ = ("q", "sigma", "length", "W", "table", "lines", "allowed", "lr", "log1mq", "start", "log_gb",
                  "weights", "sums", "needs", "bounds", "missed")
 
     def __init__(self, q: complex, sigma: float, length: int, W: int, held, allowed: float):
         self.q, self.sigma, self.length, self.W, self.allowed = q, sigma, length, W, allowed
         self.table, self.lines = held
-        self.lr = math.log(abs(q)) if q else -math.inf
+        self.lr = 2.0 * math.log(abs(q)) if q else -math.inf  # log |q|^2, the rate of R_m[j] in j
+        self.log1mq = cmath.log(1.0 - q)
         self.start = start = max(1, length // 4)
         self.log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
         self.weights, self.sums, self.needs, self.bounds, self.missed = [1.0], [], [], [], False
@@ -179,7 +186,7 @@ class _Try:
         # the J >= start at which the tail line of order m meets target, or
         # length + 1 when no J <= length does
         start = self.start
-        if not self.q:  # every entry but D_m[0] is 0
+        if not self.q:  # every entry but R_m[0] is 0
             return start
         line = self.lines.get((m, start))
         if line is None:
@@ -194,18 +201,19 @@ class _Try:
         first = len(sums)
         if first > top or self.missed:
             return first > top
-        table.grow(top, 1)  # D_m[0] for the guesses: top + 1 quotients
-        guesses = [
-            self.entries(m, self.allowed - 3 * _LN2 + _log_abs(re[0], im and im[0]))
-            if re[0] or im and im[0]
-            else length
-            for m, (re, im) in enumerate(map(table.row, range(first, top + 1), repeat(1)), first)
-        ]
+        table.grow(top, 1)  # R_m[0] for the guesses: top + 1 quotients
+        # |D_m[0]| = |R_m[0] - (1-q)^m| stands in for |S_m|
+        heads = [complex(re[0], im[0] if im else 0.0) - (1.0 - q) ** m
+                 for m, (re, im) in enumerate(map(table.row, range(first, top + 1), repeat(1)), first)]
+        guesses = [self.entries(m, self.allowed - 3 * _LN2 + math.log(abs(d))) if d else length
+                   for m, d in enumerate(heads, first)]
         reads = min(length, max(guesses))
         table.grow(top, reads)  # sized from the guesses; a longer J_m grows it
         _weights(self.sigma, reads + 1, weights)
         line_start, lr = self.start, self.lr
         for m, need in enumerate(guesses, first):
+            # sum_j gb(sigma, j) (1-q)^m q^j = (1-q)^(m-sigma), the last term of both fsums
+            mode = cpow(1.0 - q, complex(m - self.sigma), self.log1mq)
             for _ in range(2):  # the guess, then J_m from |S_m| itself
                 if need > length:
                     break
@@ -213,7 +221,8 @@ class _Try:
                     _weights(self.sigma, need + 1, weights)
                 re, im = table.row(m, need)
                 w = weights[:need]
-                sm = complex(math.fsum(map(mul, w, re)), 0.0 if im is None else math.fsum(map(mul, w, im)))
+                sm = complex(math.fsum(chain(map(mul, w, re), (-mode.real,))),
+                             0.0 if im is None else math.fsum(chain(map(mul, w, im), (-mode.imag,))))
                 bound = self.allowed + _log_abs(sm.real, sm.imag)
                 if not q or math.log(weights[need]) + self.lines[m, line_start] + need * lr <= bound:
                     break
@@ -239,22 +248,24 @@ class _Try:
 
 
 def _nested_sums(grid: _Grid, top: int, frac: float, shared: _Fraction) -> list[complex]:
-    # S_m = sum_{j<J_m} gb(1 - frac, j) D_m[j], m = 0..top, the nested series
-    # of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac)) S_m: one weight
-    # vector for every m, and each S_m two dot products.
+    # S_m = sum_{j<J_m} gb(1 - frac, j) R_m[j] - (1-q)^(m-1+frac), m = 0..top,
+    # the nested series of zeta_q(-(m - 1 + frac)) = [2]_q (1-q)^(-(m-1+frac))
+    # S_m with its N = 1 mode summed in closed form: one weight vector for
+    # every m, and each S_m two dot products.
     #
     # With r = |q| and start = L / 4, the tail of S_m beyond J >= start is
-    # below gb(1 - frac, start) exp(c_m + J log r), c_m = _log_tail(q, m,
-    # start) - start log r, as _log_tail(q, m, J) - J log r does not grow
+    # below gb(1 - frac, start) exp(c_m + 2 J log r), c_m = _log_tail(q, m,
+    # start) - 2 start log r, as _log_tail(q, m, J) - 2 J log r does not grow
     # with J and gb(1 - frac, J) falls.  J_m is where that line meets rel_tol
-    # / 64 of |D_m[0]|, which stands in for |S_m|; where the tail misses
-    # rel_tol / 8 of |S_m|, J_m moves to where the line meets rel_tol / 32
-    # of it.  Where J_m passes L, L doubles, and where the table's rounding
-    # exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.  So L, W and
-    # J_m follow from q, the multiple of _TOP_STEP at or above top, frac and
-    # rel_tol alone: a grid, whose rows share the grid's table, has the bits
-    # of a point call.  The table holds what its reads asked for: D_m[0] for
-    # the guesses, then the J_m entries each S_m sums, rounded as read.
+    # / 64 of |D_m[0]| = |R_m[0] - (1-q)^m|, which stands in for |S_m|; where
+    # the tail misses rel_tol / 8 of |S_m|, J_m moves to where the line meets
+    # rel_tol / 32 of it.  Where J_m passes L, L doubles, and where the
+    # table's rounding exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.
+    # So L, W and J_m follow from q, the multiple of _TOP_STEP at or above
+    # top, frac and rel_tol alone: a grid, whose rows share the grid's table,
+    # has the bits of a point call.  The table holds what its reads asked
+    # for: R_m[0] for the guesses, then the J_m entries each S_m sums,
+    # rounded as read.
     #
     # shared is the _Fraction of the rows with this frac: its first try
     # serves every such row of the band as this row's first try, extended to

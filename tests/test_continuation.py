@@ -2,6 +2,8 @@ import ast
 import cmath
 import math
 import random
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -190,19 +192,24 @@ class TestNestedSeries:
             for (a, got), want in zip(rows, _mp_zeta_at_minus(rows[0][0], len(rows), q)):
                 assert abs(got - want) <= 1e-12 * abs(want), (s, q, a)
 
-    @pytest.mark.parametrize("s,q", [(2.6058016353917162, 0.5), (0.4547026439786303, -0.5)])
-    def test_retries_near_a_zero_of_a_coefficient(self, s, q, monkeypatch):
+    @pytest.mark.parametrize(
+        "s,q,steps",
+        [(2.6058016353917162, 0.5, ["wider"]), (0.4547026439786303, -0.5, ["longer", "wider"])],
+        ids=["2.605801635391716-0.5", "0.4547026439786303--0.5"],
+    )
+    def test_retries_near_a_zero_of_a_coefficient(self, s, q, steps, monkeypatch):
         # S_3 changes sign at this s for q = 0.5, and S_0 for q = -0.5: the
-        # first tables miss rel_tol of |S_m| there, so the nested sums double
-        # their length, widen W and take four tables.  Nothing else in the
+        # first tables miss rel_tol of |S_m| there, so the nested sums widen
+        # W by 64 bits, and at q = -0.5 first double their length (which
+        # moves W by the few bits of its error term).  Nothing else in the
         # suite runs those branches.
         tables, table = [], continuation._Grid.table
         monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         for w in (0.3, -0.7, 1.5):
             tables.clear()
             got, want = euler_poly_continuation(s, w, q), _mp_cell(s, w, q)
-            assert len(tables) == 4, tables
-            assert abs(got - want) <= 1e-12 * abs(want), (s, q, w)  # 3.0e-15 at most
+            assert ["wider" if b - a == 64 else "longer" for a, b in zip(tables, tables[1:])] == steps, tables
+            assert abs(got - want) <= 1e-12 * abs(want), (s, q, w)  # 9.6e-14 at most
         grid = curve_grid(s, s, 1, -0.7, 1.5, 1.1, q)
         for w, z in zip(grid.w_values, grid.values[0]):
             point = euler_poly_continuation(s, w, q)
@@ -246,11 +253,15 @@ class TestWeightsAndTable:
         W = continuation._first_bits(q, 8, length)
         whole = _exactcomplex.difference_table(q, W)
         whole.grow(top, length)
-        # the plain build: one quotient list, exact differences, each entry
-        # divided once
+        # the plain build: one quotient list at shift 2, 2^W q^(2j) / (1 +
+        # q^j), read as 0 past the end where it stops, exact differences,
+        # each entry divided once
         Q, e = _exactcomplex._dyadic(q)
-        re, im = _exactcomplex._quotients(length + top - 1, 0, Q, e, 0, W)
-        exact = [[a - (1 << W) for a in re], im]
+        exact = [
+            None if part is None else part + [0] * (length + top - len(part))
+            for part in _exactcomplex._quotients(length + top - 1, 0, Q, e, 2, W)
+        ]
+        im = exact[1]
         rng = random.Random(abs(hash(q)) % 1000)
         reads = [(m, rng.randint(1, length)) for m in range(top + 1) for _ in range(3)]
         rng.shuffle(reads)
@@ -286,6 +297,113 @@ class TestWeightsAndTable:
             for wv, z in zip(g.w_values, row):
                 point = euler_poly_continuation(sv, wv, q)
                 assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), (sv, wv)
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _floored_rows(q, count, top, P):
+    # 2^P R_m[j] for m <= top and j < count - m: the exact c'_j = q^(2j) /
+    # (1 + q^j) at the binary64 q = Q / 2^e, a Gaussian integer over an
+    # integer, floored once per component to P bits, then differenced
+    # exactly, so within 2^m units of 2^P R_m[j]
+    Q, e = _exactcomplex._dyadic(q)
+    row, p = [], (1, 0)  # p = Q^j
+    for j in range(count):
+        b = ((1 << e * j) + p[0], p[1])  # 2^(e j) (1 + q^j)
+        den = (b[0] ** 2 + b[1] ** 2) << e * j
+        row.append([(x << P) // den for x in _cmul(_cmul(p, p), (b[0], -b[1]))])
+        p = _cmul(p, Q)
+    rows = [row]
+    for _ in range(top):
+        rows.append([[x - y for x, y in zip(a, b)] for a, b in zip(rows[-1], rows[-1][1:])])
+    return rows
+
+
+def _assert_table_within_its_bound(q, W, count, top):
+    # every entry R_m[j], j + m < count, read from the table as it grows,
+    # lies within difference_error(q, count) 2^m units of 2^-W of the exact
+    # one: checked on integers against the exact values floored at P bits
+    P = W + 64
+    table = _exactcomplex.difference_table(complex(q), W)
+    for m in range(top + 1):
+        table.row(m, count - m)
+    err = Fraction(_exactcomplex.difference_error(complex(q), count))
+    for m, exact in enumerate(_floored_rows(complex(q), count, top, P)):
+        got = [part or [0] * count for part in table._ints[m]]
+        for j, want in enumerate(exact):
+            for part, value in zip(got, want):
+                assert abs((part[j] << P - W) - value) <= err * 2 ** (m + P - W) - 2**m, (q, m, j)
+
+
+class TestKummerTable:
+    # The table holds R_m[j] = D_m[j] + (1-q)^m q^j, the differences of
+    # q^(2j) / (1 + q^j); the nested sums take the N = 1 mode (1-q)^m q^j
+    # in closed form and sum the rest, which falls like |q|^(2j).
+
+    @pytest.mark.parametrize("q", [5e-324j, 1e-200, 2.0**-30])
+    def test_stopped_quotient_lists_read_as_zeros(self, q):
+        # q~^(2k) truncates to 0 within a few terms and the list stops; every
+        # later quotient reads as an exact 0.  Reading past that end raised
+        # IndexError.
+        W = continuation._first_bits(q, 8, continuation._first_length(abs(q), EngineConfig()))
+        Q, e = _exactcomplex._dyadic(q)
+        assert len(_exactcomplex._quotients(40, 0, Q, e, 2, W)[0]) < 10
+        _assert_table_within_its_bound(q, W, 40, 4)
+
+    @pytest.mark.parametrize("q", [0.5, 0.95 + 0.1j, -0.9, 0.6j, 0.97, 0.3 + 0.4j])
+    def test_difference_error_bounds_every_entry(self, q):
+        # the carried q~^(2k) and q~^k and the floors: j < 200, m <= 8
+        W = continuation._first_bits(q, 8, continuation._first_length(abs(q), EngineConfig()))
+        _assert_table_within_its_bound(q, W, 208, 8)
+
+    @pytest.mark.parametrize("q", [0.5, 0.95 + 0.1j, -0.9, 0.6j, 0.97, 0.3 + 0.4j])
+    def test_tail_line_bounds_the_transformed_tail(self, q):
+        # _log_tail from N = 2 bounds sum_{j >= L} |R_m[j]|, read far past L,
+        # and falls below the N = 1 mode's own tail, so J_m halves
+        r = abs(q)
+        start = max(1, continuation._first_length(r, EngineConfig()) // 4)
+        far = 2 * start + math.ceil(80.0 / -math.log(r * r))
+        W = continuation._first_bits(q, 8, far) + 64
+        table = _exactcomplex.difference_table(q, W)
+        slack = far * _exactcomplex.difference_error(q, far + 8) * 2.0 ** (8 - W)
+        for m in range(9):
+            re, im = table.row(m, far)
+            for L in (start, 2 * start):
+                read = math.fsum(abs(complex(a, b)) for a, b in zip(re[L:far], im[L:far] if im else repeat(0.0)))
+                line = continuation._log_tail(q, m, L)
+                assert read - slack <= math.exp(line), (q, m, L)
+                mode = m * math.log(abs(1.0 - q)) + L * math.log(r) - math.log1p(-r)
+                assert line < mode, (q, m, L)
+
+    def test_sums_equal_the_untransformed_series_and_the_reference(self):
+        # at seeded (q, m, sigma) over the disk, S_m from R_m less its closed
+        # form, and sum_j gb(sigma, j) D_m[j] over the plain factors' exact
+        # differences read to where |q|^j is below 2^-120, agree to rel_tol,
+        # and both give zeta_q(-(m - sigma)) within 1e-12 of mpmath
+        rng = random.Random(3434)
+        cfg = EngineConfig()
+        for _ in range(10):
+            q = cmath.rect(rng.uniform(0.2, 0.9), rng.uniform(-math.pi, math.pi))
+            m, frac = rng.randint(0, 10), rng.uniform(0.01, 0.99)
+            sigma = 1.0 - frac
+            grid = continuation._Grid(QParameter(q), cfg, [])
+            new = continuation._nested_sums(grid, m, frac, continuation._Fraction())[m]
+            count = math.ceil(120 / -math.log2(abs(q)))
+            W = continuation._first_bits(q, m, count) + 64
+            Q, e = _exactcomplex._dyadic(q)
+            re, im = _exactcomplex._quotients(count + m - 1, 0, Q, e, 0, W)
+            rows = [[a - (1 << W) for a in re], im]
+            for _ in range(m):
+                rows = [[a - b for a, b in zip(part, part[1:])] for part in rows]
+            w = continuation._weights(sigma, count)
+            old = complex(*(math.fsum(g * x / 2.0**W for g, x in zip(w, part)) for part in rows))
+            assert abs(new - old) <= cfg.rel_tol * abs(old), (q, m, frac)
+            (want,) = _mp_zeta_at_minus(m - sigma, 1, q)
+            factor = (1.0 + q) * continuation.cpow(1.0 - q, -(m - sigma))
+            for got in (new, old):
+                assert abs(factor * got - want) <= 1e-12 * abs(want), (q, m, frac)
 
 
 def _assert_rows_equal_point_calls(grid, q):
@@ -345,20 +463,29 @@ class TestSharedFractions:
         assert [math.floor(sv) + 1 for sv in grid.s_values] == [7, 7, 8, 8, 9, 9, 10, 10, 11]
         _assert_rows_equal_point_calls(grid, q)
 
-    def test_rows_whose_first_try_fails_retry_as_point_calls(self, monkeypatch):
-        # S_3 is near zero at this fraction, so rows of order 2.6 and 3.6
-        # both take four tables, the second reusing the first try of the first
-        s, q = 2.605801635391716, 0.5
-        assert (s + 1.0) - 3.0 == s - 2.0
+    def _retry_shared_rows(self, s, q, grid_tables, point_tables, monkeypatch):
+        assert (s + 1.0) - math.floor(s + 1.0) == s - math.floor(s)
         tables, table = [], continuation._Grid.table
         monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         grid = curve_grid(s, s + 1.0, 1.0, -0.7, 1.5, 1.1, q)
-        assert len(tables) == 7, tables
+        assert len(tables) == grid_tables, tables
         for sv in grid.s_values:
             tables.clear()
             euler_poly_continuation(sv, 0.3, q)
-            assert len(tables) == 4, (sv, tables)
+            assert len(tables) == point_tables, (sv, tables)
         _assert_rows_equal_point_calls(grid, q)
+
+    def test_rows_whose_first_try_fails_retry_as_point_calls(self, monkeypatch):
+        # S_3 is near zero at this fraction, so rows of order 2.6 and 3.6
+        # both retry at a wider W, two tables each, the second reusing the
+        # first try of the first
+        self._retry_shared_rows(2.605801635391716, 0.5, 3, 2, monkeypatch)
+
+    def test_rows_whose_first_try_misses_its_length_retry_as_point_calls(self, monkeypatch):
+        # S_0 is near zero at this fraction for q = -0.5, so rows of order
+        # 0.45 and 1.45 both retry at a doubled length, then at a wider W,
+        # three tables each, the second reusing the first try of the first
+        self._retry_shared_rows(0.45470264397863036, -0.5, 5, 3, monkeypatch)
 
     def test_row_whose_own_acceptance_fails_retries_as_a_point_call(self, monkeypatch):
         # the first try at the first W is made to fail its acceptance test

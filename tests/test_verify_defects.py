@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qeuler import exact, verification, zeta
+from qeuler import continuation, exact, verification, zeta
 from qeuler.exact import PolyZ, RationalQ
 from qeuler.kernel import DEFAULT_CONFIG
 
@@ -121,3 +121,33 @@ def test_reduced_value_checks_fail_one_unit_off(monkeypatch, name):
     # whose values come from exact._reduced
     monkeypatch.setattr(exact, "_reduced", _reduced_one_unit_off(exact._reduced))
     assert not _results(verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG))[name].passed
+
+
+def _continuity(q):
+    return _results(verification._numeric_checks(q, MAX_N, DEFAULT_CONFIG))["numeric/continuation-continuity"]
+
+
+def test_continuation_continuity_passes_undamaged():
+    assert _continuity(0.5).passed
+
+
+def test_continuation_continuity_fails_without_the_closed_form_mode(monkeypatch):
+    # The one check that reads the nested series, on either side of order 3.
+    # Each S_m sums the differences R_m with their N = 1 mode taken out and
+    # adds that mode back in closed form, -(1-q)^(m-sigma), as the last term
+    # of its dot products; dropped, every coefficient C(k + frac) moves by
+    # [2]_q.  A defect of 1e-8 relative still passes the check's 1e-4 gap:
+    # a check of the nested series' identity across its orders n, on one
+    # order from two tables, would be the stronger side.
+    extend = continuation._Try.extend
+
+    def without_the_mode(self, top):
+        cpow = continuation.cpow  # the mode is extend's one cpow
+        continuation.cpow = lambda *args: 0j
+        try:
+            return extend(self, top)
+        finally:
+            continuation.cpow = cpow
+
+    monkeypatch.setattr(continuation._Try, "extend", without_the_mode)
+    assert not _continuity(0.5).passed
