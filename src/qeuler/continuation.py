@@ -53,11 +53,11 @@ are one running product of the ratios (sigma + k) / (k + 1), taken to the
 longest J_m the row reads.  The table (_exactcomplex.DifferenceTable)
 takes the differences exactly, on integers in fixed point, where floats
 would lose the (1-q^2)^n by which R_n falls below the factors, and rounds
-each entry once.  Its precision and the a-priori bound L on each J_m
-follow from q, the row's orders and rel_tol (see _nested_sums), but it is
-built only where read: its integer rows start from R_m[0], the top + 1
-quotients each order's first guess at J_m needs, are then sized from those
-guesses and grow where a later J_m passes their end, and a row rounds only
+each entry once.  Its precision follows from q, the row's orders, rel_tol
+and an a-priori length L (see _nested_sums), but it is built only where
+read: its integer rows start from R_m[0], the top + 1 quotients each
+order's first guess at J_m needs, are then sized from those guesses, at
+most L, and grow where a later J_m passes their end, and a row rounds only
 its entries j < J_m.  An entry depends on q, the precision, m and j alone,
 so the rows of a call share one table with the bits of a point call.
 
@@ -72,12 +72,12 @@ integer orders the finite sums, and the columns q^((k+frac) w).  A
 fraction's state lives from its first row to its last.
 
 What every row of a call shares is one _Grid: q and log q, the
-EngineConfig, the w side and the difference table at its latest W.  The w
-side is one kernel per row (_row): [w]_q and its powers once per column,
-q^(a w) as one exp per column or, where a w is an integer, cpow's complex
-** int (see kernel.cpow for its rounding), the terms added in order; a
-failing or non-finite cell runs again alone, so it raises at its own
-column.  euler_poly_continuation is the one-row, one-column case.
+EngineConfig, the nested sums' policy, the w side and the difference table
+at its latest W.  The w side is one kernel per row (_row): [w]_q and its
+powers once per column, q^(a w) as one exp per column or, where a w is an
+integer, cpow's complex ** int (see kernel.cpow for its rounding), the
+terms added in order; a failing or non-finite cell runs again alone, so it
+raises at its own column.  euler_poly_continuation is the one-row, one-column case.
 """
 
 from __future__ import annotations
@@ -108,13 +108,14 @@ def _binomials(s: float, top: int) -> list[float]:
     return out
 
 
-_TABLE_ATTEMPTS = 4  # the lengths and precisions a row's nested sums try
+_TABLE_ATTEMPTS = 4  # the precisions a row's nested sums try
 _TOP_STEP = 8  # orders 1..8 share one table precision, as do 9..16, ...
 
 
 def _first_length(r: float, cfg: EngineConfig) -> int:
-    # The first try at the number of entries j < L of each difference a row
-    # reads: |q|^L below rel_tol / 2^24.
+    # The a-priori number L of entries j < L of each difference a row reads,
+    # |q|^L below rel_tol / 2^24: it sizes W, anchors the tail lines and caps
+    # the guesses at J_m, and a J_m beyond it reads on.
     if not r:
         return 1
     return max(1, math.ceil((24.0 - math.log2(cfg.rel_tol)) / -math.log2(r)))
@@ -164,85 +165,74 @@ def _weights(sigma: float, n: int, out: list[float] | None = None) -> list[float
 
 
 class _Try:
-    """One try of the nested sums of one fraction at table length `length`
-    and W bits: the weight vector, and S_m with its J_m and acceptance bound
+    """One try of the nested sums of one fraction at W bits, on the grid's
+    table at W: the weight vector, and S_m with its J_m and acceptance bound
     for each order m read so far.  An order's S_m, J_m and bound do not
     depend on the row's top, so the rows of a grid that share a fraction and
     a band share one first try, each reading only its new orders."""
 
-    __slots__ = ("q", "sigma", "length", "W", "table", "lines", "allowed", "lr", "log1mq", "start", "log_gb",
-                 "weights", "sums", "needs", "bounds", "missed")
+    __slots__ = ("grid", "sigma", "W", "table", "log_gb", "weights", "sums", "needs", "bounds")
 
-    def __init__(self, q: complex, sigma: float, length: int, W: int, held, allowed: float):
-        self.q, self.sigma, self.length, self.W, self.allowed = q, sigma, length, W, allowed
-        self.table, self.lines = held
-        self.lr = 2.0 * math.log(abs(q)) if q else -math.inf  # log |q|^2, the rate of R_m[j] in j
-        self.log1mq = cmath.log(1.0 - q)
-        self.start = start = max(1, length // 4)
+    def __init__(self, grid: _Grid, sigma: float, W: int, table):
+        self.grid, self.sigma, self.W, self.table, start = grid, sigma, W, table, grid.start
         self.log_gb = math.lgamma(sigma + start) - math.lgamma(sigma) - math.lgamma(start + 1)
-        self.weights, self.sums, self.needs, self.bounds, self.missed = [1.0], [], [], [], False
+        self.weights, self.sums, self.needs, self.bounds = [1.0], [], [], []
 
-    def entries(self, m: int, target: float) -> int:
-        # the J >= start at which the tail line of order m meets target, or
-        # length + 1 when no J <= length does
-        start = self.start
-        if not self.q:  # every entry but R_m[0] is 0
-            return start
-        line = self.lines.get((m, start))
-        if line is None:
-            line = self.lines[m, start] = _log_tail(self.q, m, start) - start * self.lr
-        j = (self.log_gb + line - target) / -self.lr
-        return max(start, math.ceil(j)) if j <= self.length else self.length + 1
+    def entries(self, m: int, target: float) -> float:
+        # the J >= start at which the tail line of order m meets target; not
+        # finite where target is not (a sum of exactly 0)
+        grid = self.grid
+        if not grid.q:  # every entry but R_m[0] is 0
+            return grid.start
+        j = (self.log_gb + grid.line(m) - target) / -grid.lr
+        return max(grid.start, math.ceil(j)) if j < math.inf else j
 
-    def extend(self, top: int) -> bool:
-        # Reads S_m for the orders m <= top not read yet, up to the first
-        # whose J_m passes length; True when every order up to top is read.
-        q, sums, length, table, weights = self.q, self.sums, self.length, self.table, self.weights
-        first = len(sums)
-        if first > top or self.missed:
-            return first > top
+    def extend(self, top: int) -> None:
+        # Reads S_m for the orders m <= top not read yet.  Each J_m starts
+        # at its guess and moves on, strictly further each time, until its
+        # tail test passes; one whose J_m + top passes max_terms refuses.
+        grid, sums, table, weights = self.grid, self.sums, self.table, self.weights
+        q, first, budget = grid.q, len(sums), grid.cfg.max_terms
+        if first > top:
+            return
+        cap = min(grid.length, budget - top)
         table.grow(top, 1)  # R_m[0] for the guesses: top + 1 quotients
         # |D_m[0]| = |R_m[0] - (1-q)^m| stands in for |S_m|
         heads = [complex(re[0], im[0] if im else 0.0) - (1.0 - q) ** m
                  for m, (re, im) in enumerate(map(table.row, range(first, top + 1), repeat(1)), first)]
-        guesses = [self.entries(m, self.allowed - 3 * _LN2 + math.log(abs(d))) if d else length
+        guesses = [min(cap, self.entries(m, grid.allowed - 3 * _LN2 + math.log(abs(d)))) if d else cap
                    for m, d in enumerate(heads, first)]
-        reads = min(length, max(guesses))
+        reads = max(guesses)
         table.grow(top, reads)  # sized from the guesses; a longer J_m grows it
         _weights(self.sigma, reads + 1, weights)
-        line_start, lr = self.start, self.lr
         for m, need in enumerate(guesses, first):
             # sum_j gb(sigma, j) (1-q)^m q^j = (1-q)^(m-sigma), the last term of both fsums
-            mode = cpow(1.0 - q, complex(m - self.sigma), self.log1mq)
-            for _ in range(2):  # the guess, then J_m from |S_m| itself
-                if need > length:
-                    break
+            mode = cpow(1.0 - q, complex(m - self.sigma), grid.log1mq)
+            while True:
+                if not need + top <= budget:
+                    count = need + top if need < math.inf else "more"
+                    raise NonConvergenceError(f"the difference table of order {top} needs {count} terms, above max_terms={budget}")
                 if need >= len(weights):
                     _weights(self.sigma, need + 1, weights)
                 re, im = table.row(m, need)
                 w = weights[:need]
                 sm = complex(math.fsum(chain(map(mul, w, re), (-mode.real,))),
                              0.0 if im is None else math.fsum(chain(map(mul, w, im), (-mode.imag,))))
-                bound = self.allowed + _log_abs(sm.real, sm.imag)
-                if not q or math.log(weights[need]) + self.lines[m, line_start] + need * lr <= bound:
+                bound = grid.allowed + _log_abs(sm.real, sm.imag)
+                if not q or math.log(weights[need]) + grid.line(m) + need * grid.lr <= bound:
                     break
                 need = self.entries(m, bound - 2 * _LN2)
-            else:
-                need = length + 1
-            if need > length:
-                self.missed = True
-                return False
             sums.append(sm)
             self.needs.append(need)
             self.bounds.append(bound)
-        return True
 
     def short(self, top: int) -> bool:
-        # Whether the table's rounding exceeds rel_tol / 8 of some |S_m| read,
-        # m <= top: its slack grows with top, so each row tests its own.
-        slack = math.log(difference_error(self.q, self.length + top)) - self.W * _LN2
+        # Whether the table's rounding, over the max(L, J_m) + top quotients
+        # S_m reads, exceeds rel_tol / 8 of some |S_m| read, m <= top: its
+        # slack grows with top, so each row tests its own.
+        q, length, bits = self.grid.q, self.grid.length, self.W * _LN2
         return any(
-            slack + math.log(need) + m * _LN2 > bound
+            math.log(difference_error(q, max(length, need) + top)) - bits + math.log(need) + m * _LN2 > bound
             for m, need, bound in zip(range(top + 1), self.needs, self.bounds)
         )
 
@@ -254,47 +244,43 @@ def _nested_sums(grid: _Grid, top: int, frac: float, shared: _Fraction) -> list[
     # every m, and each S_m two dot products.
     #
     # With r = |q| and start = L / 4, the tail of S_m beyond J >= start is
-    # below gb(1 - frac, start) exp(c_m + 2 J log r), c_m = _log_tail(q, m,
-    # start) - 2 start log r, as _log_tail(q, m, J) - 2 J log r does not grow
-    # with J and gb(1 - frac, J) falls.  J_m is where that line meets rel_tol
-    # / 64 of |D_m[0]| = |R_m[0] - (1-q)^m|, which stands in for |S_m|; where
-    # the tail misses rel_tol / 8 of |S_m|, J_m moves to where the line meets
-    # rel_tol / 32 of it.  Where J_m passes L, L doubles, and where the
-    # table's rounding exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits.
-    # So L, W and J_m follow from q, the multiple of _TOP_STEP at or above
-    # top, frac and rel_tol alone: a grid, whose rows share the grid's table,
-    # has the bits of a point call.  The table holds what its reads asked
-    # for: R_m[0] for the guesses, then the J_m entries each S_m sums,
-    # rounded as read.
+    # below gb(1 - frac, start) exp(c_m + 2 J log r), c_m = grid.line(m), as
+    # _log_tail(q, m, J) - 2 J log r does not grow with J and gb(1 - frac, J)
+    # falls.  J_m starts where that line meets rel_tol / 64 of |D_m[0]| =
+    # |R_m[0] - (1-q)^m|, which stands in for |S_m|, capped at L and at
+    # max_terms - top; while the tail misses rel_tol / 8 of |S_m|, J_m moves
+    # on to where the line meets rel_tol / 32 of it, and the table grows to
+    # it.  A J_m + top above max_terms refuses the row.  Where the table's
+    # rounding exceeds rel_tol / 8 of some |S_m|, W grows by 64 bits, the one
+    # retry.  So W and J_m follow from q, the multiple of _TOP_STEP at or
+    # above top, frac, rel_tol and max_terms - top alone: a grid, whose rows
+    # share the grid's table, has the bits of a point call.  The table holds
+    # what its reads asked for: R_m[0] for the guesses, then the J_m entries
+    # each S_m sums, rounded as read.
     #
     # shared is the _Fraction of the rows with this frac: its first try
-    # serves every such row of the band as this row's first try, extended to
-    # top and tested at top, so a row whose own test fails retries as a point
-    # call would, at its own row.
+    # serves every such row of the band whose J_m + top stay within
+    # max_terms, as this row's first try extended to top and tested at top,
+    # so a row whose own test fails retries as a point call would, at its
+    # own row.
     q, cfg = grid.q, grid.cfg
     wide = -(-top // _TOP_STEP) * _TOP_STEP
-    length, extra = _first_length(abs(q), cfg), 0
+    extra = 0
     for attempt in range(_TABLE_ATTEMPTS):
-        if length + top > cfg.max_terms:
-            raise NonConvergenceError(
-                f"the difference table of order {top} needs {length + top} terms, above max_terms={cfg.max_terms}"
-            )
         tried = shared.first if not attempt and shared.wide == wide else None
-        if tried is None:
-            W = _first_bits(q, wide, length) + extra
-            held = grid.table(W)
-            if held is None:  # a truncated q~ left the unit disk: more bits
+        if tried is None or max(tried.needs, default=0) + top > cfg.max_terms:
+            W = _first_bits(q, wide, grid.length) + extra
+            table = grid.table(W)
+            if table is None:  # a truncated q~ left the unit disk: more bits
                 extra += 64
                 continue
-            tried = _Try(q, 1.0 - frac, length, W, held, math.log(cfg.rel_tol / 8.0))
+            tried = _Try(grid, 1.0 - frac, W, table)
             if not attempt:
                 shared.wide, shared.first = wide, tried
-        full = tried.extend(top)
-        short_w = tried.short(top)
-        if full and not short_w:
+        tried.extend(top)
+        if not tried.short(top):
             return tried.sums[: top + 1]
-        length *= 1 if full else 2
-        extra += 64 if short_w else 0
+        extra += 64
     raise NonConvergenceError(f"the nested series of order {top} missed rel_tol={cfg.rel_tol} after {_TABLE_ATTEMPTS} tries")
 
 
@@ -339,9 +325,8 @@ def _order_terms(s, grid: _Grid, shared: _Fraction) -> list[tuple[float, complex
     if frac:  # C(k + frac) = [2]_q (1-q)^(-(k+frac)) S_(k+1), k = -1..[s]
         sums = _nested_sums(grid, fs + 1, frac, shared)
         if len(factors) < fs + 2:
-            log1mq = cmath.log(1.0 - q)
             factors += [
-                (1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), log1mq) for k in range(len(factors) - 1, fs + 1)
+                (1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), grid.log1mq) for k in range(len(factors) - 1, fs + 1)
             ]
         coeffs = list(map(mul, factors, sums))
     else:  # C(k) = zeta_q(-k), the finite sums, k = 0..[s]
@@ -361,16 +346,24 @@ def _order_terms(s, grid: _Grid, shared: _Fraction) -> list[tuple[float, complex
 
 class _Grid:
     """What every row of one call shares: q, its log for cpow (None at q =
-    0, which cpow handles itself) and the EngineConfig; the w side, each
-    column's w, [w]_q and powers of [w]_q, computed once for every row; and
-    the difference table at its latest W.  bw is None when some [w]_q
-    fails; each cell then runs alone and raises at its own column."""
+    0, which cpow handles itself) and the EngineConfig; the nested sums'
+    policy, from q and rel_tol alone: the a-priori length L, the start L / 4
+    of the tail lines, log |q|^2, log(rel_tol / 8), log(1-q) and one tail
+    line per order; the w side, each column's w, [w]_q and powers of [w]_q,
+    computed once for every row; and the difference table at its latest W.
+    bw is None when some [w]_q fails; each cell then runs alone and raises
+    at its own column."""
 
-    __slots__ = ("qp", "q", "cfg", "logq", "given", "w", "bw", "pows", "W", "held")
+    __slots__ = ("qp", "q", "cfg", "logq", "length", "start", "lr", "allowed", "log1mq", "lines",
+                 "given", "w", "bw", "pows", "W", "held")
 
     def __init__(self, qp: QParameter, cfg: EngineConfig, given):
         self.qp, self.q, self.cfg, self.given = qp, qp.q, cfg, given
         self.logq = cmath.log(qp.q) if qp.q else None
+        self.length = _first_length(abs(qp.q), cfg)
+        self.start = max(1, self.length // 4)
+        self.lr = 2.0 * math.log(abs(qp.q)) if qp.q else -math.inf  # log |q|^2, the rate of R_m[j] in j
+        self.allowed, self.log1mq, self.lines = math.log(cfg.rel_tol / 8.0), cmath.log(1.0 - qp.q), {}
         self.W, self.held = None, None
         self.w = [complex(w) for w in given]
         try:
@@ -386,15 +379,21 @@ class _Grid:
             pows.append(list(map(mul, pows[-1], self.bw)))
         return pows[p]
 
+    def line(self, m: int) -> float:
+        # c_m = _log_tail(q, m, start) - start log |q|^2, the tail line of
+        # order m (see _nested_sums), the same at every W
+        line = self.lines.get(m)
+        if line is None:
+            line = self.lines[m] = _log_tail(self.q, m, self.start) - self.start * self.lr
+        return line
+
     def table(self, W: int):
-        # The difference table at W, with a dict for the tail lines of its
-        # orders: the grid's, when it holds that W, else a new one, which
-        # replaces it; None where _quotients refuses q~ at W.  Its entries
-        # are the same whatever its extent, so the table of one row serves
-        # the next alike, and grows where the next reads further.
+        # The difference table at W: the grid's, when it holds that W, else a
+        # new one, which replaces it; None where _quotients refuses q~ at W.
+        # Its entries are the same whatever its extent, so the table of one
+        # row serves the next alike, and grows where the next reads further.
         if W != self.W:
-            table = difference_table(self.q, W)
-            self.W, self.held = W, None if table is None else (table, {})
+            self.W, self.held = W, difference_table(self.q, W)
         return self.held
 
     def column(self, j: int) -> _Grid:

@@ -2,6 +2,7 @@ import ast
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -22,7 +23,7 @@ from qeuler import (
 )
 from qeuler import _exactcomplex, continuation
 from qeuler.continuation import MAX_GRID_CELLS, inclusive_range
-from qeuler.errors import CurveSampleError, FloatRangeError, QEulerError
+from qeuler.errors import CurveSampleError, FloatRangeError, NonConvergenceError, QEulerError
 
 W_GRID = [-0.5 + i * 0.05 for i in range(21)]
 
@@ -194,15 +195,13 @@ class TestNestedSeries:
 
     @pytest.mark.parametrize(
         "s,q,steps",
-        [(2.6058016353917162, 0.5, ["wider"]), (0.4547026439786303, -0.5, ["longer", "wider"])],
+        [(2.6058016353917162, 0.5, ["wider"]), (0.4547026439786303, -0.5, ["wider"])],
         ids=["2.605801635391716-0.5", "0.4547026439786303--0.5"],
     )
     def test_retries_near_a_zero_of_a_coefficient(self, s, q, steps, monkeypatch):
         # S_3 changes sign at this s for q = 0.5, and S_0 for q = -0.5: the
         # first tables miss rel_tol of |S_m| there, so the nested sums widen
-        # W by 64 bits, and at q = -0.5 first double their length (which
-        # moves W by the few bits of its error term).  Nothing else in the
-        # suite runs those branches.
+        # W by 64 bits; at q = -0.5 J_0 also reads past L, in the same table.
         tables, table = [], continuation._Grid.table
         monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
         for w in (0.3, -0.7, 1.5):
@@ -216,12 +215,45 @@ class TestNestedSeries:
             assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), w
 
     def test_table_beyond_max_terms_is_located(self):
-        # at |q| = 0.95 a fractional row needs 864 entries of each difference:
-        # the integer row s = 1 passes, the row s = 1.5 raises at its indices
-        cfg = EngineConfig(max_terms=500)
-        with pytest.raises(CurveSampleError, match="max_terms=500") as info:
+        # at |q| = 0.95 the row s = 1.5 reads up to 363 entries of each
+        # difference: within 200 terms a tail line asks for 285,
+        # so the integer row s = 1 passes and s = 1.5 raises at its indices
+        cfg = EngineConfig(max_terms=200)
+        with pytest.raises(CurveSampleError, match="needs 287 terms, above max_terms=200") as info:
             curve_grid(1, 2, 0.5, -0.5, 0.5, 0.5, 0.95, cfg)
         assert (info.value.s_index, info.value.w_index) == (1, 0)
+
+    def test_max_terms_counts_the_entries_read(self):
+        # the sums of this grid read at most 363 entries, far below the
+        # a-priori L = 864: a budget of 500 gives the default budget's bits
+        grid = curve_grid(1, 2, 0.5, -0.5, 0.5, 0.5, 0.95, EngineConfig(max_terms=500))
+        want = curve_grid(1, 2, 0.5, -0.5, 0.5, 0.5, 0.95)
+        assert [_bits([z.real, z.imag]) for row in grid.values for z in row] == [
+            _bits([z.real, z.imag]) for row in want.values for z in row
+        ]
+
+    def test_near_q_one_reads_what_its_tail_line_asks(self):
+        # at q = 0.999 L is 44,244 but the sums read about 21,600 entries:
+        # within 25,000 terms the value is found, and at 10,000 the count
+        # refused is the one the tail line asked for, past the capped guess
+        got = euler_poly_continuation(2.5, 0.3, 0.999, EngineConfig(max_terms=25000))
+        want = _mp_cell(2.5, 0.3, 0.999)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        with pytest.raises(NonConvergenceError, match="above max_terms=10000") as info:
+            euler_poly_continuation(2.5, 0.3, 0.999, EngineConfig(max_terms=10000))
+        assert int(re.search(r"order 3 needs (\d+) terms", str(info.value))[1]) > 10004
+
+    @pytest.mark.parametrize("s,w,q", [(2.5, 0.3, 0.9), (3.7, -0.5, 0.95 + 0.1j), (1.3, 0.2, -0.8)])
+    def test_sums_past_their_length_read_on_in_one_table(self, s, w, q, monkeypatch):
+        # with L = 40 every J_m passes L: the sums read on in the first
+        # table, which grows to them (two to four tables before, one of them
+        # refused after four tries)
+        monkeypatch.setattr(continuation, "_first_length", lambda r, cfg: 40)
+        tables, table = [], continuation._Grid.table
+        monkeypatch.setattr(continuation._Grid, "table", lambda self, W: tables.append(W) or table(self, W))
+        got, want = euler_poly_continuation(s, w, q), _mp_cell(s, w, q)
+        assert len(tables) == 1, tables
+        assert abs(got - want) <= 1e-12 * abs(want)  # 2.0e-13 at most
 
 
 def _bits(values):
@@ -287,7 +319,7 @@ class TestWeightsAndTable:
         grid = continuation._Grid(QParameter(q), EngineConfig(), [])
         svals = inclusive_range(s_min, s_max, s_step)
         continuation._order_terms(svals[0], grid, continuation._Fraction())
-        table, _ = grid.held
+        table = grid.held
         first = [len(table.row(m, 1)[0]) for m in range(4)]
         for sv in svals[1:]:
             continuation._order_terms(sv, grid, continuation._Fraction())
@@ -406,10 +438,10 @@ class TestKummerTable:
                 assert abs(factor * got - want) <= 1e-12 * abs(want), (q, m, frac)
 
 
-def _assert_rows_equal_point_calls(grid, q):
+def _assert_rows_equal_point_calls(grid, q, cfg=None):
     for sv, row in zip(grid.s_values, grid.values):
         for wv, z in zip(grid.w_values, row):
-            point = euler_poly_continuation(sv, wv, q)
+            point = euler_poly_continuation(sv, wv, q, cfg)
             assert _bits([z.real, z.imag]) == _bits([point.real, point.imag]), (sv, wv, q)
 
 
@@ -481,11 +513,11 @@ class TestSharedFractions:
         # first try of the first
         self._retry_shared_rows(2.605801635391716, 0.5, 3, 2, monkeypatch)
 
-    def test_rows_whose_first_try_misses_its_length_retry_as_point_calls(self, monkeypatch):
+    def test_rows_whose_first_try_reads_past_its_length_retry_as_point_calls(self, monkeypatch):
         # S_0 is near zero at this fraction for q = -0.5, so rows of order
-        # 0.45 and 1.45 both retry at a doubled length, then at a wider W,
-        # three tables each, the second reusing the first try of the first
-        self._retry_shared_rows(0.45470264397863036, -0.5, 5, 3, monkeypatch)
+        # 0.45 and 1.45 read J_0 past L and retry at a wider W, two tables
+        # each, the second reusing the first try of the first
+        self._retry_shared_rows(0.45470264397863036, -0.5, 3, 2, monkeypatch)
 
     def test_row_whose_own_acceptance_fails_retries_as_a_point_call(self, monkeypatch):
         # the first try at the first W is made to fail its acceptance test
@@ -509,15 +541,30 @@ class TestSharedFractions:
             assert tables == want, sv
         _assert_rows_equal_point_calls(grid, q)
 
+    @pytest.mark.parametrize("q,budget", [(0.9, 165), (0.95, 340), (-0.9, 140), (0.85 + 0.2j, 128)])
+    def test_rows_under_a_budget_equal_point_calls(self, q, budget):
+        # below the default budget's reads a guess at J_m is capped at
+        # max_terms - top, so a later row with a higher top caps it lower:
+        # it takes the shared first try only where the orders read so far
+        # stay within its own cap, and otherwise reads them as its point
+        # call does (sharing regardless left these grids off their point
+        # calls' bits)
+        cfg = EngineConfig(max_terms=budget)
+        _assert_rows_equal_point_calls(curve_grid(0.5, 4.5, 1.0, -0.5, 0.5, 0.5, q, cfg), q, cfg)
+
     def test_failing_order_is_reported_at_its_own_row(self):
         # each row extends the shared sums to its own order, so the first
-        # order above the budget fails at its own row, not at row 0
-        cfg = EngineConfig(max_terms=424)
+        # order above the budget fails at its own row, not at row 0: J_4
+        # reads 171 entries at the default budget, and within 154 terms its
+        # tail line asks for 158, where J_0..J_3 pass within their caps
+        cfg = EngineConfig(max_terms=154)
         with pytest.raises(CurveSampleError) as info:
             curve_grid(0.5, 4.5, 0.5, -0.5, 0.5, 0.5, 0.9, cfg)
         assert str(info.value) == (
-            "sample failed at s[6]=3.5, w[0]=-0.5: the difference table of order 4 needs 425 terms, above max_terms=424"
+            "sample failed at s[6]=3.5, w[0]=-0.5: the difference table of order 4 needs 162 terms, above max_terms=154"
         )
+        with pytest.raises(NonConvergenceError, match=str(info.value.__cause__)):
+            euler_poly_continuation(3.5, -0.5, 0.9, cfg)
 
 
 class TestPolyContinuation:

@@ -1,7 +1,7 @@
-"""Each exact check of ``qeuler verify``, its series-termination check and
-the numeric checks that read the Q(q) engine's reduced values fail when what
-they evaluate carries a small defect: one unit or one ulp off, a flipped
-sign, or a dropped term."""
+"""Each exact check of ``qeuler verify``, its series-termination check, the
+numeric checks that read the Q(q) engine's reduced values and the numeric
+checks below fail when what they evaluate carries a small defect: one unit
+or one ulp off, 1e-8 relatively off, a flipped sign, or a dropped term."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 
 from qeuler import continuation, exact, verification, zeta
 from qeuler.exact import PolyZ, RationalQ
-from qeuler.kernel import DEFAULT_CONFIG
+from qeuler.kernel import DEFAULT_CONFIG, SeriesValue
 
 MAX_N, MAX_K = 6, 4
 
@@ -151,3 +151,38 @@ def test_continuation_continuity_fails_without_the_closed_form_mode(monkeypatch)
 
     monkeypatch.setattr(continuation._Try, "extend", without_the_mode)
     assert not _continuity(0.5).passed
+
+
+def _relatively_off(build):
+    return lambda *args: build(*args) * (1.0 + 1e-8)
+
+
+def _value_relatively_off(build):
+    def off(*args, **kwargs):
+        sv = build(*args, **kwargs)
+        return SeriesValue(sv.value * (1.0 + 1e-8), sv.error_bound, sv.terms_used, sv.converged)
+
+    return off
+
+
+# A relative defect of 1e-8 in what each check evaluates moves it past its
+# tolerance: the integer rows' finite sums to 7.9e-9 against 1e-9, the
+# numbers beside the order -n sums to 1.0e-8 against 1e-10, and the
+# classical values at order -n to 1.6e-7 against 1e-12.
+NUMERIC_DEFECTS = {
+    "numeric/continuation-integer-consistency": (continuation, "terminating_alt_sum", _relatively_off),
+    "numeric/interpolation": (verification, "euler_number", _relatively_off),
+    "numeric/classical-euler-zeta": (verification, "classical_zeta_E", _value_relatively_off),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_DEFECTS))
+def test_numeric_check_passes_undamaged(name):
+    assert _results(verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG))[name].passed
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_DEFECTS))
+def test_numeric_check_fails_relatively_off(monkeypatch, name):
+    module, attr, defect = NUMERIC_DEFECTS[name]
+    monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
+    assert not _results(verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG))[name].passed
