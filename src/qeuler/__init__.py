@@ -35,7 +35,6 @@ from .numeric import (
     euler_number,
     euler_numbers,
     euler_poly,
-    euler_poly_series_oracle,
 )
 from .verification import CheckResult, run_checks
 from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
@@ -68,7 +67,6 @@ __all__ = [
     "euler_numbers",
     "euler_poly",
     "euler_poly_continuation",
-    "euler_poly_series_oracle",
     "exact_euler_number",
     "exact_euler_poly",
     "q_bracket",

@@ -1,10 +1,10 @@
-"""Numeric q-Euler numbers and polynomials, classical reference objects, and
-an independent regularized-series oracle.
+"""Numeric q-Euler numbers and polynomials, and classical reference objects.
 
 The defining alternating series for the polynomial family diverges for
-|q| < 1 (its terms approach a nonzero geometric profile), so the oracle
-assigns it the iterated-averaging value of its partial sums, which is the
-standard regularized reading and is what the direct evaluators reproduce.
+|q| < 1 (its terms approach a nonzero geometric profile); the values here are
+its regularized ones, the binomially re-expanded finite sums below.  The
+test suite holds them to the iterated-averaging value of the series' partial
+sums, and `qeuler verify` to the binomial formula at non-integer shifts.
 
 Evaluation strategy: E_n(x, h | q) is the terminating alternating sum at
 every finite shift, in big-integer fixed point and rounded once, correctly
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 
 from ._exactcomplex import _value_at, terminating_alt_sum
-from .errors import FloatRangeError, NonConvergenceError
-from .kernel import DEFAULT_CONFIG, EngineConfig, SeriesValue, as_complex, as_index, as_qparameter, check_order_terms
+from .errors import FloatRangeError
+from .kernel import DEFAULT_CONFIG, EngineConfig, as_complex, as_index, as_qparameter, check_order_terms
 
 __all__ = [
     "euler_number",
@@ -35,10 +34,7 @@ __all__ = [
     "euler_poly",
     "classical_euler_number",
     "classical_euler_poly",
-    "euler_poly_series_oracle",
 ]
-
-_EPS = sys.float_info.epsilon
 
 
 def euler_numbers(n: int, q, config: EngineConfig | None = None) -> list[complex]:
@@ -128,83 +124,3 @@ def classical_euler_poly(n: int, x) -> complex:
         raise FloatRangeError(
             f"the classical Euler polynomial of order {n} at x = {x!r} lies beyond the float range"
         ) from exc
-
-
-def _averaged(rows: list[float], depth: int) -> list[list[float]]:
-    out = [rows]
-    for _ in range(depth):
-        prev = out[-1]
-        if len(prev) < 2:
-            break
-        out.append([(prev[i] + prev[i + 1]) * 0.5 for i in range(len(prev) - 1)])
-    return out
-
-
-def euler_poly_series_oracle(
-    n: int,
-    x,
-    h: int,
-    q,
-    depth: int = 2,
-    config: EngineConfig | None = None,
-) -> SeriesValue:
-    """Regularized value of the alternating series [2]_q sum_k (-1)^k q^(hk) [k+x]^n.
-
-    Partial sums are averaged pairwise ``depth`` times; for real q in (0, 1)
-    the averaged sequence converges geometrically (the terms differ from a
-    fixed limit profile by O(q^k)).  The reported error bound is the last
-    inter-round delta plus a rounding floor proportional to the largest
-    partial sum, since the raw partial sums oscillate with amplitude of order
-    (1-q)^(-n) before averaging tames them.
-
-    This is an independent check instrument: it never calls the direct
-    evaluators above.
-    """
-    n, h = as_index(n, "n"), as_index(h, "h")
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
-    qp = as_qparameter(q)
-    if qp.q.imag != 0.0 or not 0.0 < qp.q.real < 1.0:
-        raise ValueError("the series oracle needs real q in (0, 1)")
-    xr = as_complex(x, "x")
-    if xr.imag != 0.0 or xr.real < 0.0:
-        raise ValueError("the series oracle needs real x >= 0")
-    cfg = config or DEFAULT_CONFIG
-    qr = qp.q.real
-    xv = xr.real
-    two_q = 1.0 + qr
-    one_minus_q = 1.0 - qr
-
-    partials: list[float] = []
-    running = 0.0
-    scale = 1.0
-    sign = 1.0
-    checkpoint = max(16, depth + 2)
-    k = 0
-    while k < cfg.max_terms:
-        bracket = (1.0 - qr ** (k + xv)) / one_minus_q
-        try:
-            running += two_q * sign * (qr ** (h * k)) * bracket**n
-        except OverflowError as exc:
-            raise FloatRangeError(f"term {k} of the series oracle at order {n} lies beyond the float range") from exc
-        partials.append(running)
-        scale = max(scale, abs(running))
-        sign = -sign
-        k += 1
-        if k >= checkpoint:
-            rows = _averaged(partials, depth)
-            deepest = rows[-1]
-            if len(deepest) >= 2 and len(rows) >= 2:
-                delta_seq = abs(deepest[-1] - deepest[-2])
-                delta_round = abs(deepest[-1] - rows[-2][-1])
-                delta = max(delta_seq, delta_round)
-                floor = 8.0 * _EPS * scale
-                if delta <= max(cfg.rel_tol * abs(deepest[-1]), floor):
-                    return SeriesValue(complex(deepest[-1]), delta + floor, k, True)
-            checkpoint *= 2
-    rows = _averaged(partials, depth)
-    best = rows[-1][-1] if rows[-1] else running
-    raise NonConvergenceError(
-        f"oscillation persisted past max_terms={cfg.max_terms}",
-        partial=SeriesValue(complex(best), math.inf, k, False),
-    )

@@ -16,8 +16,8 @@ import math
 from ._exactcomplex import _value_at
 from .continuation import curve_grid
 from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_number, exact_euler_poly, verify_identity
-from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter
-from .numeric import euler_number, euler_poly, euler_poly_series_oracle, scaled_classical_euler
+from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter, cpow, q_bracket
+from .numeric import euler_number, euler_poly, scaled_classical_euler
 from .zeta import classical_zeta_E, euler_continuation, euler_continuation_deriv, qzeta, qzeta_deriv, qzeta_hurwitz
 
 __all__ = ["CheckResult", "run_checks", "LARGE_ORDER_NOTE"]
@@ -107,6 +107,10 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
 def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
     qp = as_qparameter(q)
 
+    def at_q(e):
+        # the Q(q) engine's exact value e taken at q, rounded once
+        return _value_at(e.num.coeffs, e.den.coeffs, qp.q)
+
     def interpolation():
         worst = 0.0
         for n in range(1, 13):
@@ -121,8 +125,7 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         for n in range(min(max_n, 8) + 1):
             for x in range(4):
                 for h in range(3):
-                    e = exact_euler_poly(n, x, h)
-                    got, want = qzeta_hurwitz(-n, x, h, qp, config).value, _value_at(e.num.coeffs, e.den.coeffs, qp.q)
+                    got, want = qzeta_hurwitz(-n, x, h, qp, config).value, at_q(exact_euler_poly(n, x, h))
                     worst, same = max(worst, _rel_err(got, want)), same and repr(got) == repr(want)
         return same, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
 
@@ -132,9 +135,7 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         bad = []
         for n in range(1, 13):
             sv = qzeta(-n, 0, qp, config)
-            e_n = exact_euler_number(n)
-            want = _value_at(e_n.num.coeffs, e_n.den.coeffs, qp.q)
-            if sv.terms_used > n + 1 or sv.error_bound != 0.0 or repr(sv.value) != repr(want):
+            if sv.terms_used > n + 1 or sv.error_bound != 0.0 or repr(sv.value) != repr(at_q(exact_euler_number(n))):
                 bad.append(n)
         return not bad, "order -n sums stop at n+1 terms with zero bound"
 
@@ -150,15 +151,24 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
             worst = max(worst, _rel_err(d, fd))
         return worst <= 1e-6, f"50 random orders, worst rel err {worst:.2e}"
 
-    def oracle_agreement():
-        if qp.q.imag != 0.0 or not 0.0 < qp.q.real < 1.0:
-            return True, "skipped: the series oracle needs real q in (0, 1)"
+    def shift_expansion():
+        # E_n(x, h | q) = sum_l C(n,l) q^(x l) E_l(0, h | q) [x]_q^(n-l) at
+        # shifts where euler_poly carries q^x in fixed point.  Each E_l is
+        # the Q(q) engine's, taken at q, and q^x and [x]_q are floats, so the
+        # float sum of the terms t_l is off by a few units u = 2^-53 of
+        # sum |t_l|, times 1 + n |q^x| / |1 - q^x| for the cancellation in
+        # [x]_q near q = 1 (Higham, chs. 3-4); 64 u leaves room for the rest.
+        top = min(max_n, 8)
+        e0 = [[at_q(exact_euler_poly(l, 0, h)) for l in range(top + 1)] for h in range(3)]
         worst = 0.0
-        for n in range(min(max_n, 8) + 1):
-            for x in (0.0, 0.5, 1.0, 2.0):
-                sv = euler_poly_series_oracle(n, x, 0, qp, depth=2, config=config)
-                worst = max(worst, abs(sv.value - euler_poly(n, x, 0, qp)))
-        return worst <= 1e-8, f"n <= {min(max_n, 8)}, worst abs err {worst:.2e}"
+        for x in (0.5, 1 / 3, 2.5, 0.25 + 0.5j):
+            qx, bx = cpow(qp.q, x), q_bracket(x, qp)
+            for h in range(3):
+                for n in range(top + 1):
+                    terms = [math.comb(n, l) * qx**l * e0[h][l] * bx ** (n - l) for l in range(n + 1)]
+                    bound = 64 * 2.0**-53 * (1 + n * abs(qx) / abs(1 - qx)) * sum(map(abs, terms))
+                    worst = max(worst, abs(euler_poly(n, x, h, qp) - sum(terms)) / bound)
+        return worst <= 1.0, f"n <= {top}, 4 shifts, h <= 2, worst {worst:.2f} of the rounding bound"
 
     # the classical E_n = a_n / 2^n, rounded once, as float(Fraction) rounds
     classical = [a / 2**n for n, a in enumerate(scaled_classical_euler(10))]
@@ -223,7 +233,7 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         _run("numeric/hurwitz-interpolation", hurwitz_interpolation),
         _run("numeric/series-termination", termination),
         _run("numeric/derivative-fd", derivative_fd),
-        _run("numeric/oracle-agreement", oracle_agreement),
+        _run("numeric/shift-expansion", shift_expansion),
         _run("numeric/classical-euler-zeta", classical_euler_zeta),
         _run("numeric/classical-bridge", classical_bridge),
         _run("numeric/continuation-integer-consistency", continuation_consistency),

@@ -19,13 +19,14 @@ from qeuler import (
     euler_number,
     euler_poly,
     euler_poly_continuation,
-    euler_poly_series_oracle,
     qzeta,
     qzeta_deriv,
     verify_identity,
 )
 from qeuler.cli import main
 from qeuler.zeta import classical_zeta_E
+
+from series_oracle import euler_poly_series_oracle
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 W_GRID = [-0.5 + i * 0.05 for i in range(21)]

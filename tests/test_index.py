@@ -12,7 +12,6 @@ from qeuler import (
     euler_number,
     euler_numbers,
     euler_poly,
-    euler_poly_series_oracle,
     exact_euler_number,
     exact_euler_poly,
     qzeta,
@@ -34,8 +33,8 @@ ENTRIES = [
     ("n", scaled_classical_euler),
     ("n", classical_euler_number),
     ("n", lambda v: classical_euler_poly(v, 0.25)),
-    ("n", lambda v: euler_poly_series_oracle(v, 0, 0, 0.5)),
-    ("h", lambda v: euler_poly_series_oracle(2, 0, v, 0.5)),
+    ("n", lambda v: euler_poly(v, 0.25 + 0.5j, 0, 0.5)),
+    ("h", lambda v: qzeta_hurwitz(2.5, 0.5, v, 0.5)),
     ("h", lambda v: qzeta(2.5, v, 0.5)),
     ("h", lambda v: qzeta_hurwitz(-3, 2, v, 0.5)),
     ("h", lambda v: qzeta_deriv(1.25, v, 0.5, x=0.5)),

@@ -126,7 +126,7 @@ BEYOND_THE_FLOAT_RANGE = [
     ("curve_grid", (0, 1, 0.5, 0, BIG, BIG, 0.5)),
     ("euler_number", (3, BIG)),
     ("euler_poly", (3, BIG, 0, 0.5)),
-    ("euler_poly_series_oracle", (3, BIG, 0, 0.5)),
+    ("qzeta_deriv", (2.5, 0, 0.5, BIG)),
     ("q_bracket", (BIG, 0.5)),
 ]
 
@@ -151,7 +151,6 @@ NON_FINITE = [
     ("curve_grid", (0, INF, 1, 0, 1, 1, 0.5), "a range bound or step", INF),
     ("classical_euler_poly", (3, -INF), "x", -INF),
     ("classical_zeta_E", (INF,), "the order", INF),
-    ("euler_poly_series_oracle", (3, INF, 0, 0.5), "x", INF),
 ]
 
 
@@ -160,7 +159,6 @@ class TestAsComplex:
         "name,args,what,value", NON_FINITE, ids=[f"{name}-{i}" for i, (name, *_) in enumerate(NON_FINITE)]
     )
     def test_non_finite_argument_is_named_as_given(self, name, args, what, value):
-        # euler_poly_series_oracle(3, inf, 0, 0.5) returned 6, converged
         with pytest.raises(ValueError) as info:
             getattr(qeuler, name)(*args)
         assert str(info.value) == f"{what} must be finite, got {value!r}"
@@ -182,7 +180,6 @@ POWER_BEYOND_THE_FLOAT_RANGE = [
     ("qzeta", (1200, 0, -0.9)),
     ("classical_zeta_E", (-300.5,)),
     ("euler_continuation", (1200.5, 0.5)),
-    ("euler_poly_series_oracle", (300, 0.5, 0, 0.99)),
 ]
 
 
@@ -293,9 +290,6 @@ DRAWS = {
     # no term budget: n above 300 only costs time
     "classical_euler_poly": lambda r: qeuler.classical_euler_poly(min(_draw_index(r), 300), _draw_shift(r)),
     "classical_zeta_E": lambda r: qeuler.classical_zeta_E(_draw_order(r), r.choice((None, r.uniform(0, 1))), CFG),
-    "euler_poly_series_oracle": lambda r: qeuler.euler_poly_series_oracle(
-        _draw_index(r), _draw_shift(r), r.randint(0, 3), r.uniform(0.01, 0.99), 2, CFG
-    ),
 }
 
 

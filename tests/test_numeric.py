@@ -15,7 +15,6 @@ from qeuler import (
     euler_number,
     euler_numbers,
     euler_poly,
-    euler_poly_series_oracle,
     q_bracket,
     qzeta,
     qzeta_hurwitz,
@@ -25,6 +24,8 @@ from qeuler._exactcomplex import terminating_alt_sum
 from qeuler.cli import main
 from qeuler.exact import euler_poly_coefficients
 from qeuler.errors import FloatRangeError, NonConvergenceError
+
+from series_oracle import euler_poly_series_oracle
 
 Q_SET = (0.2, 0.5, 0.9, 0.3 + 0.4j)
 
@@ -774,14 +775,20 @@ class TestNumericShiftIdentities:
                     assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
 
-class TestSeriesOracle:
-    @pytest.mark.parametrize("q", [0.3 + 0.4j, -0.5])
-    def test_verify_skips_the_oracle_outside_its_domain(self, q):
+class TestShiftExpansionCheck:
+    # verify's numeric/shift-expansion holds euler_poly at non-integer shifts
+    # to the binomial formula over the Q(q) engine's E_l(0, h | q), at every
+    # q: complex, negative and near 1, where the float averaging oracle
+    # cannot serve (it needs real q in (0, 1), and at 0.97 is 9.5e-2 off).
+    @pytest.mark.parametrize("q", [0.3 + 0.4j, -0.5, 0.97, 0.999])
+    def test_runs_and_passes_at_every_q(self, q):
         from qeuler.verification import run_checks
 
-        (oracle,) = [r for r in run_checks(q, max_n=2, max_k=2, numeric_only=True) if r.name == "numeric/oracle-agreement"]
-        assert oracle.passed and oracle.detail.startswith("skipped:")
+        (check,) = [r for r in run_checks(q, numeric_only=True) if r.name == "numeric/shift-expansion"]
+        assert check.passed and check.detail.startswith("n <= 8, 4 shifts, h <= 2, worst ")
 
+
+class TestSeriesOracle:
     def test_matches_number(self):
         sv = euler_poly_series_oracle(2, 0, 0, QParameter(0.5), depth=2)
         assert sv.converged

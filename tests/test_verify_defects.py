@@ -1,13 +1,19 @@
-"""Each exact check of ``qeuler verify``, its series-termination check, the
-numeric checks that read the Q(q) engine's reduced values and the numeric
-checks below fail when what they evaluate carries a small defect: one unit
-or one ulp off, 1e-8 relatively off, a flipped sign, or a dropped term."""
+"""Every check of ``qeuler verify`` fails when what it evaluates carries a
+small defect: one unit or one ulp off, a small relative defect, a flipped
+sign, or a dropped term.
+
+Each relative defect is sized to its check's tolerance, not 1e-8 throughout.
+A relative 1e-8 defect passes derivative-fd, continuation-derivative and
+large-order-limit (1.16e-8, 1.17e-8 and 1.50e-8 against their 1e-6), so they
+take 1e-5; one of 1e-2 passes classical-bridge (9.95e-3 against 1e-2), so it
+takes a flipped sign; and shift-expansion, whose bound is a few units of
+2^-53, takes 1e-12 at one of its four shifts."""
 
 import math
 
 import pytest
 
-from qeuler import continuation, exact, verification, zeta
+from qeuler import continuation, exact, numeric, verification, zeta
 from qeuler.exact import PolyZ, RationalQ
 from qeuler.kernel import DEFAULT_CONFIG, SeriesValue
 
@@ -153,27 +159,55 @@ def test_continuation_continuity_fails_without_the_closed_form_mode(monkeypatch)
     assert not _continuity(0.5).passed
 
 
-def _relatively_off(build):
-    return lambda *args: build(*args) * (1.0 + 1e-8)
+def _relatively_off(eps, at=None):
+    # every value times 1 + eps, or only those of the calls whose last
+    # argument is at
+    def defect(build):
+        def off(*args):
+            value = build(*args)
+            return value * (1.0 + eps) if at is None or args[-1] == at else value
+
+        return off
+
+    return defect
 
 
-def _value_relatively_off(build):
-    def off(*args, **kwargs):
-        sv = build(*args, **kwargs)
-        return SeriesValue(sv.value * (1.0 + 1e-8), sv.error_bound, sv.terms_used, sv.converged)
+def _value_relatively_off(eps):
+    def defect(build):
+        def off(*args, **kwargs):
+            sv = build(*args, **kwargs)
+            return SeriesValue(sv.value * (1.0 + eps), sv.error_bound, sv.terms_used, sv.converged)
 
-    return off
+        return off
+
+    return defect
 
 
-# A relative defect of 1e-8 in what each check evaluates moves it past its
-# tolerance: the integer rows' finite sums to 7.9e-9 against 1e-9, the
-# numbers beside the order -n sums to 1.0e-8 against 1e-10, and the
-# classical values at order -n to 1.6e-7 against 1e-12.
+# Each defect moves its check past its tolerance: a relative 1e-8 moves the
+# integer rows' finite sums to 7.9e-9 against 1e-9, the numbers beside the
+# order -n sums to 1.0e-8 against 1e-10, and the classical values at order
+# -n to 1.6e-7 against 1e-12; a relative 1e-5 moves the derivatives to
+# 1.00e-5 against 1e-6 and the value at order 60 to 1.50e-5 against 1e-6; a
+# flipped sign (a relative -2) moves the numbers at q = 0.9999 to 2.00
+# against 1e-2; and a relative 1e-12 in the sums at x = 1/2 moves the
+# binomial formula to 141 times its rounding bound.
 NUMERIC_DEFECTS = {
-    "numeric/continuation-integer-consistency": (continuation, "terminating_alt_sum", _relatively_off),
-    "numeric/interpolation": (verification, "euler_number", _relatively_off),
-    "numeric/classical-euler-zeta": (verification, "classical_zeta_E", _value_relatively_off),
+    "numeric/continuation-integer-consistency": (continuation, "terminating_alt_sum", _relatively_off(1e-8)),
+    "numeric/interpolation": (verification, "euler_number", _relatively_off(1e-8)),
+    "numeric/classical-euler-zeta": (verification, "classical_zeta_E", _value_relatively_off(1e-8)),
+    "numeric/derivative-fd": (verification, "qzeta_deriv", _value_relatively_off(1e-5)),
+    "numeric/continuation-derivative": (verification, "euler_continuation_deriv", _value_relatively_off(1e-5)),
+    "numeric/large-order-limit": (verification, "qzeta", _value_relatively_off(1e-5)),
+    "numeric/classical-bridge": (verification, "euler_number", _relatively_off(-2.0, at=0.9999)),
+    "numeric/shift-expansion": (numeric, "terminating_alt_sum", _relatively_off(1e-12, at=0.5)),
 }
+
+
+def test_every_numeric_check_has_a_defect():
+    # the defects above, the one-unit defects of the reduced values and the
+    # closed-form mode dropped from the nested series
+    covered = set(NUMERIC_DEFECTS) | set(READ_REDUCED) | {"numeric/continuation-continuity"}
+    assert {r.name for r in verification._numeric_checks(0.5, MAX_N, DEFAULT_CONFIG)} == covered
 
 
 @pytest.mark.parametrize("name", sorted(NUMERIC_DEFECTS))
