@@ -28,7 +28,8 @@ carry a truncated q whole: a q whose imaginary part is tiny, as 0.5 +
 2^-600 i, goes straight to the bits that part needs.  With exact powers,
 after three attempts the Q(q) engine's E_n(x, h | q) is taken at q
 exactly, its coefficients by one Horner pass in Gaussian integers, and
-divided once per component (_value_at); exact zeros and binary64 ties, as
+divided once per component (exact._value_at, which RationalQ.eval runs at
+a float or complex q too); exact zeros and binary64 ties, as
 (1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
 after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
 
@@ -54,7 +55,7 @@ from itertools import islice, repeat
 from operator import mul, sub
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
-from .exact import euler_poly_coefficients
+from .exact import _dyadic, _value_at, euler_poly_coefficients
 from .kernel import EXACT_SHIFT_MAX, as_complex, as_int
 
 __all__ = ["DifferenceTable", "difference_error", "difference_table", "terminating_alt_sum"]
@@ -511,13 +512,6 @@ def _decided(v: int, err: int, den: int) -> float | None:
     return end  # v lies between the ends, so it rounds to the same float
 
 
-def _dyadic(q: complex):
-    # q = Q / 2^e with Q a Gaussian integer, exactly.
-    (ar, br), (ai, bi) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
-    e = max(br, bi).bit_length() - 1  # br and bi are powers of two
-    return (ar * ((1 << e) // br), ai * ((1 << e) // bi)), e
-
-
 def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):
     # The starting precision p, the guard bits and _radius at p (valid at any
     # W >= p).  p is 72 bits beyond the n + n log2(1/|1-q|) that the sum
@@ -546,30 +540,6 @@ def _finish(v, err: int, t: int, scale: int, real: bool) -> complex | None:
         return None
     out_im = 0.0 if real else _decided(vi, err, scale)
     return None if out_im is None else complex(out_re, out_im)
-
-
-def _horner(coeffs, Q, e: int):
-    # P(Q / 2^e) 2^(e d), d = len(coeffs) - 1, for the integer polynomial P
-    # with these coefficients, lowest power first: one Horner pass in
-    # Gaussian integers, exact.
-    re = im = 0
-    for j, c in enumerate(reversed(coeffs)):
-        re, im = re * Q[0] - im * Q[1] + (c << e * j), re * Q[1] + im * Q[0]
-    return re, im
-
-
-def _value_at(num, den, q: complex) -> complex:
-    # num(q) / den(q) for integer coefficient lists, lowest power first, at a
-    # binary64 q = Q / 2^e: with a and b from _horner, a conj(b) 2^(e (dd -
-    # dn)) / |b|^2, one integer division per component, correctly rounded
-    # (OverflowError beyond the float range).
-    Q, e = _dyadic(q)
-    a, b = _horner(num, Q, e), _horner(den, Q, e)
-    (vr, vi), d = _mul(a, (b[0], -b[1])), b[0] * b[0] + b[1] * b[1]
-    t = e * (len(den) - len(num))
-    if t >= 0:
-        return complex((vr << t) / d, (vi << t) / d)
-    return complex(vr / (d << -t), vi / (d << -t))
 
 
 def _shortfall(v, err: int, real: bool) -> int:

@@ -40,7 +40,7 @@ import operator
 from itertools import accumulate
 
 from .errors import PoleError
-from .kernel import Record, _set, as_index
+from .kernel import Record, _set, as_complex, as_index
 
 __all__ = [
     "PolyZ",
@@ -130,6 +130,39 @@ class PolyZ(Record):
         return f"PolyZ({self.coeffs!r})"
 
 
+def _dyadic(q: complex):
+    # q = Q / 2^e with Q a Gaussian integer, exactly.
+    (ar, br), (ai, bi) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
+    e = max(br, bi).bit_length() - 1  # br and bi are powers of two
+    return (ar * ((1 << e) // br), ai * ((1 << e) // bi)), e
+
+
+def _horner(coeffs, Q, e: int):
+    # P(Q / 2^e) 2^(e d), d = len(coeffs) - 1, for the integer polynomial P
+    # with these coefficients, lowest power first: one Horner pass in
+    # Gaussian integers, exact.
+    re = im = 0
+    for j, c in enumerate(reversed(coeffs)):
+        re, im = re * Q[0] - im * Q[1] + (c << e * j), re * Q[1] + im * Q[0]
+    return re, im
+
+
+def _value_at(num, den, q: complex) -> complex:
+    # num(q) / den(q) for integer coefficient lists, lowest power first, at a
+    # binary64 q = Q / 2^e: with a and b from _horner, a conj(b) 2^(e (dd -
+    # dn)) / |b|^2, one integer division per component, correctly rounded
+    # (PoleError where den(q) = 0, OverflowError beyond the float range).
+    Q, e = _dyadic(q)
+    (a0, a1), (b0, b1) = _horner(num, Q, e), _horner(den, Q, e)
+    d = b0 * b0 + b1 * b1
+    if not d:
+        raise PoleError(f"denominator vanishes at q = {q!r}")
+    vr, vi = a0 * b0 + a1 * b1, a1 * b0 - a0 * b1
+    t = e * (len(den) - len(num))
+    vr, vi, d = (vr << t, vi << t, d) if t >= 0 else (vr, vi, d << -t)
+    return complex(vr / d, vi / d)
+
+
 class RationalQ(Record):
     """A rational function in q, as the engine returns it: num / den.
 
@@ -150,11 +183,16 @@ class RationalQ(Record):
         _set(self, "den", den)
 
     def eval(self, q0):
+        """Exact, as a Fraction, at an int or Fraction q0; at a finite float or
+        complex q0, the value at that binary64 point rounded once per component."""
         from fractions import Fraction
+        if not isinstance(q0, (int, Fraction)):
+            value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"))
+            return value if isinstance(q0, complex) else value.real
         num, den = self.num.eval(q0), self.den.eval(q0)
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")
-        return Fraction(num, den) if isinstance(q0, (int, Fraction)) else num / den
+        return Fraction(num, den)
 
     def __str__(self):
         return f"({self.num})/({self.den})"

@@ -24,8 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._exactcomplex import _value_at, terminating_alt_sum
+from ._exactcomplex import terminating_alt_sum
 from .errors import FloatRangeError
+from .exact import _value_at
 from .kernel import DEFAULT_CONFIG, EngineConfig, as_complex, as_index, as_qparameter, check_order_terms
 
 __all__ = [
@@ -111,7 +112,7 @@ def classical_euler_poly(n: int, x) -> complex:
 
     With a_k = 2^k E_k (scaled_classical_euler) the value is the integer
     polynomial sum_j C(n,j) a_(n-j) 2^j x^j over 2^n, taken exactly at the
-    binary64 x and divided once per component (_exactcomplex._value_at).  A
+    binary64 x and divided once per component (exact._value_at).  A
     value beyond the float range raises FloatRangeError, and a non-finite x
     ValueError.
     """

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-from ._exactcomplex import _value_at
 from .continuation import curve_grid
 from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_number, exact_euler_poly, verify_identity
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter, cpow, q_bracket
@@ -90,7 +89,7 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         w, nums, _ = table
         a = scaled_classical_euler(max_n)
         bad = [n for n in range(max_n + 1) if _unpack(nums[n], w).eval(1) != 2 * a[n]]
-        return not bad, "q = 1 specialization matches the classical recurrence"
+        return not bad, "q = 1 specialization matches the classical recurrence" + (f", failed at {bad}" if bad else "")
 
     return [
         _run("exact/poly-vs-recurrence", poly_vs_recurrence),
@@ -107,37 +106,29 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
 def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
     qp = as_qparameter(q)
 
-    def at_q(e):
-        # the Q(q) engine's exact value e taken at q, rounded once
-        return _value_at(e.num.coeffs, e.den.coeffs, qp.q)
-
     def interpolation():
-        worst = 0.0
+        # zeta_q(-n) = E_n(q): with a zero bound from at most n + 1 terms, the
+        # Q(q) engine's E_n taken at q bit for bit (repr tells every float
+        # apart), and the float recurrence within 1e-10 of it
+        worst, bad = 0.0, []
         for n in range(1, 13):
-            z = qzeta(-n, 0, qp, config).value
-            worst = max(worst, _rel_err(z, euler_number(n, qp)))
-        return worst <= 1e-10, f"n = 1..12, worst rel err {worst:.2e}"
+            sv, want = qzeta(-n, 0, qp, config), exact_euler_number(n).eval(qp.q)
+            err = _rel_err(want, euler_number(n, qp))
+            worst = max(worst, err)
+            if repr(sv.value) != repr(want) or sv.terms_used > n + 1 or sv.error_bound != 0.0 or not err <= 1e-10:
+                bad.append(n)
+        return not bad, f"n = 1..12, worst rel err {worst:.2e}" + (f", failed at {bad}" if bad else "")
 
     def hurwitz_interpolation():
         # bit for bit (repr) as the Q(q) engine's E_n(x, h | q) taken at q and rounded
-        # once; it shares no code with the sums behind qzeta_hurwitz and euler_poly
+        # once; the sums behind qzeta_hurwitz reach that evaluation only as a fallback
         worst, same = 0.0, True
         for n in range(min(max_n, 8) + 1):
             for x in range(4):
                 for h in range(3):
-                    got, want = qzeta_hurwitz(-n, x, h, qp, config).value, at_q(exact_euler_poly(n, x, h))
+                    got, want = qzeta_hurwitz(-n, x, h, qp, config).value, exact_euler_poly(n, x, h).eval(qp.q)
                     worst, same = max(worst, _rel_err(got, want)), same and repr(got) == repr(want)
         return same, f"n <= {min(max_n, 8)}, x <= 3, h <= 2, worst rel err {worst:.2e}"
-
-    def termination():
-        # A zero bound claims the exact value: E_n(q) bit for bit (repr tells
-        # every float apart) as the Q(q) engine's E_n, taken at q, rounded once
-        bad = []
-        for n in range(1, 13):
-            sv = qzeta(-n, 0, qp, config)
-            if sv.terms_used > n + 1 or sv.error_bound != 0.0 or repr(sv.value) != repr(at_q(exact_euler_number(n))):
-                bad.append(n)
-        return not bad, "order -n sums stop at n+1 terms with zero bound"
 
     def derivative_fd():
         # 50 complex orders, then the 50 real orders -s, s = U(-4, 4): there
@@ -163,7 +154,7 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
         # sum |t_l|, times 1 + n |q^x| / |1 - q^x| for the cancellation in
         # [x]_q near q = 1 (Higham, chs. 3-4); 64 u leaves room for the rest.
         top = min(max_n, 8)
-        e0 = [[at_q(exact_euler_poly(l, 0, h)) for l in range(top + 1)] for h in range(3)]
+        e0 = [[exact_euler_poly(l, 0, h).eval(qp.q) for l in range(top + 1)] for h in range(3)]
         worst = 0.0
         for x in (0.5, 1 / 3, 2.5, 0.25 + 0.5j):
             qx, bx = cpow(qp.q, x), q_bracket(x, qp)
@@ -223,7 +214,6 @@ def _numeric_checks(q, max_n: int, config: EngineConfig) -> list[CheckResult]:
     return [
         _run("numeric/interpolation", interpolation),
         _run("numeric/hurwitz-interpolation", hurwitz_interpolation),
-        _run("numeric/series-termination", termination),
         _run("numeric/derivative-fd", derivative_fd),
         _run("numeric/shift-expansion", shift_expansion),
         _run("numeric/classical-euler-zeta", classical_euler_zeta),

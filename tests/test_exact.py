@@ -322,6 +322,45 @@ class TestEval:
         assert RationalQ(PolyZ((2**60 + 1,)), PolyZ((2,))).eval(1) == Fraction(2**60 + 1, 2)
         assert RQ((1, 1), (3,)).eval(Fraction(1, 2)) == Fraction(1, 2)
 
+    def test_rounded_once_at_a_float_point(self):
+        # a float Horner pass is 4.5e-5 and 3.3e-7 off (relative) at these two
+        assert repr(exact_euler_number(40).eval(0.99)) == "7.364153943614048e+27"
+        assert repr(exact_euler_number(30).eval(-0.9)) == "-0.10645150355849835"
+
+    @pytest.mark.parametrize("n,q", [(20, 0.95j), (8, 0.6 + 0.7j)])
+    def test_rounded_once_per_component_at_a_complex_point(self, n, q):
+        # num(q) / den(q) over Q(i) at the dyadic q, each component rounded
+        # once by float(Fraction)
+        e, qr, qi = exact_euler_number(n), Fraction(q.real), Fraction(q.imag)
+
+        def at(coeffs):
+            re = im = Fraction(0)
+            for c in reversed(coeffs):
+                re, im = re * qr - im * qi + c, re * qi + im * qr
+            return re, im
+
+        (a, b), (c, d) = at(e.num.coeffs), at(e.den.coeffs)
+        m = c * c + d * d
+        want = complex(float((a * c + b * d) / m), float((b * c - a * d) / m))
+        assert repr(e.eval(q)) == repr(want)
+
+    def test_return_types(self):
+        e = exact_euler_number(3)
+        assert type(e.eval(0.5)) is float
+        assert type(e.eval(0.5 + 0j)) is complex and type(e.eval(0.3 + 0.4j)) is complex
+        assert type(e.eval(1)) is Fraction and type(e.eval(Fraction(1, 3))) is Fraction
+
+    def test_non_finite_point_is_named(self):
+        for q0 in (math.nan, math.inf, complex(0.5, math.inf)):
+            with pytest.raises(ValueError, match=r"^q must be finite, got "):
+                exact_euler_number(3).eval(q0)
+
+    def test_pole_at_a_root_of_the_denominator(self):
+        # E_3's reduced denominator 2 (1 + q^2) (1 - q + q^2) vanishes at i
+        for r, q0 in ((exact_euler_number(3), 1j), (RQ((1,), (1, -1)), 1.0), (RQ((1,), (1, -1)), 1)):
+            with pytest.raises(PoleError):
+                r.eval(q0)
+
 
 class TestExactEulerNumbers:
     def test_order_zero(self):
@@ -652,7 +691,7 @@ class TestExactChecks:
         results = {r.name: r for r in run_checks(0.5, max_n=8, exact_only=True)}
         check = results["exact/classical-limit-at-q1"]
         assert not check.passed
-        assert check.detail == "q = 1 specialization matches the classical recurrence"
+        assert check.detail == "q = 1 specialization matches the classical recurrence, failed at [5]"
         monkeypatch.undo()
         assert all(r.passed for r in run_checks(0.5, max_n=8, exact_only=True))
 

@@ -22,7 +22,7 @@ from qeuler import (
 from qeuler import _exactcomplex
 from qeuler._exactcomplex import terminating_alt_sum
 from qeuler.cli import main
-from qeuler.exact import euler_poly_coefficients
+from qeuler.exact import _dyadic, _horner, euler_poly_coefficients
 from qeuler.errors import FloatRangeError, NonConvergenceError
 
 from series_oracle import euler_poly_series_oracle
@@ -318,11 +318,11 @@ def pair_sum(n: int, h: int, q: complex, x) -> tuple[int, int, int]:
     prefactor, exactly, as (re, im, den) for (re + i im) / den: the Q(q)
     engine's unreduced E_n(x, h | q) at q = Q / 2^e, times (1-q)^n / (1+q)."""
     num, den = euler_poly_coefficients(n, x, h)
-    Q, e = _exactcomplex._dyadic(q)
-    D, mul, horner = 1 << e, _exactcomplex._mul, _exactcomplex._horner
+    Q, e = _dyadic(q)
+    D, mul = 1 << e, _exactcomplex._mul
     # num(q) = A / D^(len(num) - 1) and den(q) = B / D^(len(den) - 1)
-    a = mul(horner(num, Q, e), _exactcomplex._pow((D - Q[0], -Q[1]), n))
-    b = mul(horner(den, Q, e), (D + Q[0], Q[1]))
+    a = mul(_horner(num, Q, e), _exactcomplex._pow((D - Q[0], -Q[1]), n))
+    b = mul(_horner(den, Q, e), (D + Q[0], Q[1]))
     re, im = mul(a, (b[0], -b[1]))
     t, d = e * (len(den) - len(num) - n + 1), b[0] * b[0] + b[1] * b[1]
     return (re << t, im << t, d) if t >= 0 else (re, im, d << -t)

@@ -79,19 +79,26 @@ def test_exact_check_fails_on_a_defect(monkeypatch, name):
     assert not _results(verification._exact_checks(MAX_N, MAX_K))[name].passed
 
 
-def _series_termination(q):
-    return _results(verification._numeric_checks(q, 2, DEFAULT_CONFIG))["numeric/series-termination"]
+def test_classical_limit_names_the_order_it_fails_at(monkeypatch):
+    monkeypatch.setattr(verification, "scaled_classical_euler", _classical_sign_flipped(verification.scaled_classical_euler))
+    check = _results(verification._exact_checks(MAX_N, MAX_K))["exact/classical-limit-at-q1"]
+    assert check.detail == "q = 1 specialization matches the classical recurrence, failed at [3]"
 
 
-def test_series_termination_passes_and_keeps_its_detail():
-    check = _series_termination(0.5)
+def _interpolation(q):
+    return _results(verification._numeric_checks(q, 2, DEFAULT_CONFIG))["numeric/interpolation"]
+
+
+def test_interpolation_passes_and_keeps_its_detail():
+    check = _interpolation(0.5)
     assert check.passed
-    assert check.detail == "order -n sums stop at n+1 terms with zero bound"
+    assert check.detail == "n = 1..12, worst rel err 8.93e-15"
 
 
-def test_series_termination_fails_one_ulp_off(monkeypatch):
+def test_interpolation_fails_one_ulp_off(monkeypatch):
     # the value at order -5 one ulp above the exact E_5(q) rounded once: the
-    # terms and the zero bound are as before, so only the bits can tell
+    # terms, the zero bound and the float recurrence's distance (1e-10) are
+    # as before, so only the bits can tell
     build = zeta.terminating_alt_sum
 
     def one_ulp_off(n, h, q, x):
@@ -99,10 +106,12 @@ def test_series_termination_fails_one_ulp_off(monkeypatch):
         return complex(math.nextafter(v.real, math.inf), v.imag) if n == 5 else v
 
     monkeypatch.setattr(zeta, "terminating_alt_sum", one_ulp_off)
-    assert not _series_termination(0.5).passed
+    check = _interpolation(0.5)
+    assert not check.passed
+    assert check.detail == "n = 1..12, worst rel err 8.93e-15, failed at [5]"
 
 
-READ_REDUCED = ("numeric/series-termination", "numeric/hurwitz-interpolation")
+READ_REDUCED = ("numeric/interpolation", "numeric/hurwitz-interpolation")
 
 
 def _reduced_one_unit_off(build):
