@@ -28,10 +28,12 @@ carry a truncated q whole: a q whose imaginary part is tiny, as 0.5 +
 2^-600 i, goes straight to the bits that part needs.  With exact powers,
 after three attempts the Q(q) engine's E_n(x, h | q) is taken at q
 exactly, its coefficients by one Horner pass in Gaussian integers, and
-divided once per component (exact._value_at, which RationalQ.eval runs at
+rounded once per component (exact._value_at, which RationalQ.eval runs at
 a float or complex q too); exact zeros and binary64 ties, as
 (1+q)/2 is at q = 0.9, end there.  A _Shift has no exact fallback, and
-after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.
+after _SHIFT_ATTEMPTS attempts raises NonConvergenceError.  Attempts and
+fallback round by exact._finish, which raises FloatRangeError beyond the
+float range.
 
 The term list at shift 2, v_j = 2^W q^(2j) / (1 + q^j), gives the
 continuation its difference table (DifferenceTable): every difference
@@ -55,7 +57,7 @@ from itertools import islice, repeat
 from operator import mul, sub
 
 from .errors import FloatRangeError, NonConvergenceError, PoleError
-from .exact import _dyadic, _value_at, euler_poly_coefficients
+from .exact import _dyadic, _finish, _value_at, euler_poly_coefficients
 from .kernel import EXACT_SHIFT_MAX, as_complex, as_int
 
 __all__ = ["DifferenceTable", "difference_error", "difference_table", "terminating_alt_sum"]
@@ -187,7 +189,7 @@ class _Shift:
             lo = (lx.real - slack) / _LN2
             lam = 1.0 if Q[1] == 0 and Q[0] > 0 else 0.99 * (1.0 - abs(q))
             if lo > 1 and math.expm1(n * 2.0**-lo) <= lam / 4 and math.log2(abs(1 + q)) + n * (lo - 1) - 3 > 1024:
-                raise _range_error(n)
+                raise FloatRangeError(f"the sum at order {-n} lies beyond the float range")
             if not n * self.hi <= _CARRY_BITS:
                 raise NonConvergenceError(f"q^x at x = {x!r} is too wide to carry through the sum at order {-n}")
         t = max(self.hi + 2.0**-20, 0.0)
@@ -491,27 +493,6 @@ def difference_table(q: complex, W: int) -> DifferenceTable | None:
     return None if v is None else DifferenceTable(W, lists, v)
 
 
-def _rounded(v: int, den: int) -> float:
-    try:
-        return v / den
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
-def _decided(v: int, err: int, den: int) -> float | None:
-    # v / den correctly rounded, when every value within err of v rounds
-    # alike.  An end beyond the float range counts as infinite, so a value
-    # that overflows is decided too, and v / den raises.  Ends that round to
-    # zero decide only when the interval excludes 0: both then carry its
-    # sign, so a value below the float range is decided as a signed zero.
-    end = _rounded(v - err, den)
-    if end != _rounded(v + err, den) or end == 0.0 and -err <= v <= err:
-        return None
-    if math.isinf(end):
-        raise OverflowError("the value lies beyond the float range")
-    return end  # v lies between the ends, so it rounds to the same float
-
-
 def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):
     # The starting precision p, the guard bits and _radius at p (valid at any
     # W >= p).  p is 72 bits beyond the n + n log2(1/|1-q|) that the sum
@@ -526,32 +507,12 @@ def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):
     return p, guard, radius
 
 
-def _finish(v, err: int, t: int, scale: int, real: bool) -> complex | None:
-    # v = (vr, vi), within err per component, times 2^t / scale, correctly
-    # rounded, or None when the rounding test leaves it undecided.  The
-    # power of two is a shift, not a product.  At real q the value is real.
-    vr, vi = v
-    if t >= 0:
-        vr, vi, err = vr << t, vi << t, err << t
-    else:
-        scale <<= -t
-    out_re = _decided(vr, err, scale)
-    if out_re is None:
-        return None
-    out_im = 0.0 if real else _decided(vi, err, scale)
-    return None if out_im is None else complex(out_re, out_im)
-
-
 def _shortfall(v, err: int, real: bool) -> int:
     # The bits by which err, as in _finish, exceeds the smaller nonzero
     # component of v: the precision that component, the one that lacks the
     # most, lacks.  A component that reads 0 tells nothing.
     sizes = [abs(c).bit_length() for c in (v[:1] if real else v) if c]
     return err.bit_length() - min(sizes) if sizes else 0
-
-
-def _range_error(n: int) -> FloatRangeError:
-    return FloatRangeError(f"the sum at order {-n} lies beyond the float range")
 
 
 def _as_shift(n: int, q: complex, Q, e: int, x):
@@ -596,25 +557,23 @@ def terminating_alt_sum(n: int, h: int, q: complex, x) -> complex:
     exact = not isinstance(x, _Shift)
     real = Q[1] == 0 and (exact or x.real)
     p, guard, radius = _start(n, h, q, Q, e, x)
-    try:
-        for _ in range((3 if exact else _SHIFT_ATTEMPTS) if radius else 0):
-            W = p + guard
-            fixed = _truncated_sum(n, h, Q, e, x, W)
-            step = p
-            if fixed is not None:
-                # the sum times z, within radius (|Re z| + |Im z|)
-                v, err = _mul(fixed, z), radius * (abs(z[0]) + abs(z[1]))
-                value = _finish(v, err, e * n - W, scale, real)
-                if value is not None:
-                    return value
-                # At least double p; give the smaller component the bits it
-                # lacks, 53 for the float and 11 to spare; and once q was
-                # truncated, carry it whole, since a component may hang on
-                # the bits cut off (Im q = -2^-600 reads as -2^-W).
-                step = max(p, _shortfall(v, err, real) + 64, e + 64 - W)
-            p += step
-        if exact:
-            return _value_at(*euler_poly_coefficients(n, x, h), q)
-    except OverflowError as exc:
-        raise _range_error(n) from exc
+    name = f"the sum at order {-n}"
+    for _ in range((3 if exact else _SHIFT_ATTEMPTS) if radius else 0):
+        W = p + guard
+        fixed = _truncated_sum(n, h, Q, e, x, W)
+        step = p
+        if fixed is not None:
+            # the sum times z, within radius (|Re z| + |Im z|)
+            v, err = _mul(fixed, z), radius * (abs(z[0]) + abs(z[1]))
+            value = _finish(v, err, e * n - W, scale, real, name)
+            if value is not None:
+                return value
+            # At least double p; give the smaller component the bits it
+            # lacks, 53 for the float and 11 to spare; and once q was
+            # truncated, carry it whole, since a component may hang on
+            # the bits cut off (Im q = -2^-600 reads as -2^-W).
+            step = max(p, _shortfall(v, err, real) + 64, e + 64 - W)
+        p += step
+    if exact:
+        return _value_at(*euler_poly_coefficients(n, x, h), q, name)
     raise NonConvergenceError(f"the sum at order {-n} was left undecided at {p} bits")

@@ -31,6 +31,10 @@ bounds (the numerators' norms grow as m! (2 / ln 3)^m), so each numerator is
 decoded once, with its known denominator, into the coefficient lists that
 the cyclotomic reduction divides, and each identity is decided by one
 integer comparison.
+
+_finish rounds every exact value the package returns as a float, once per
+component: within a radius by Ziv's test (the order -n sums) or at radius 0
+(_value_at); one beyond the float range raises FloatRangeError, naming it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 import operator
 from itertools import accumulate
 
-from .errors import PoleError
+from .errors import FloatRangeError, PoleError
 from .kernel import Record, _set, as_complex, as_index
 
 __all__ = [
@@ -147,20 +151,58 @@ def _horner(coeffs, Q, e: int):
     return re, im
 
 
-def _value_at(num, den, q: complex) -> complex:
+def _rounded(v: int, den: int) -> float:
+    try:
+        return v / den
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _decided(v: int, err: int, den: int) -> float | None:
+    # v / den correctly rounded, when every value within err of v rounds
+    # alike; at err = 0 it is always decided.  An end beyond the float range
+    # counts as infinite, so a value that overflows is decided too, and its
+    # division raises OverflowError.  For err > 0, ends that round to zero
+    # decide only when the interval excludes 0: both then carry its sign, so
+    # a value below the float range is decided as a signed zero.
+    end = _rounded(v - err, den)
+    if end != _rounded(v + err, den) or end == 0.0 and err and -err <= v <= err:
+        return None
+    # v lies between the ends, so it rounds to the same float
+    return v / den if math.isinf(end) else end
+
+
+def _finish(v, err: int, t: int, scale: int, real: bool, name: str) -> complex | None:
+    # v = (vr, vi), within err per component, times 2^t / scale, correctly
+    # rounded, or None when the rounding test leaves it undecided.  The power
+    # of two is a shift, not a product.  With real set the value is real; one
+    # beyond the float range raises FloatRangeError from the division's error.
+    vr, vi = v
+    if t >= 0:
+        vr, vi, err = vr << t, vi << t, err << t
+    else:
+        scale <<= -t
+    try:
+        out_re = _decided(vr, err, scale)
+        if out_re is None:
+            return None
+        out_im = 0.0 if real else _decided(vi, err, scale)
+    except OverflowError as exc:
+        raise FloatRangeError(f"{name} lies beyond the float range") from exc
+    return None if out_im is None else complex(out_re, out_im)
+
+
+def _value_at(num, den, q: complex, name: str) -> complex:
     # num(q) / den(q) for integer coefficient lists, lowest power first, at a
     # binary64 q = Q / 2^e: with a and b from _horner, a conj(b) 2^(e (dd -
-    # dn)) / |b|^2, one integer division per component, correctly rounded
-    # (PoleError where den(q) = 0, OverflowError beyond the float range).
+    # dn)) / |b|^2, exact, and rounded once by _finish (PoleError where
+    # den(q) = 0, FloatRangeError naming the value beyond the float range).
     Q, e = _dyadic(q)
     (a0, a1), (b0, b1) = _horner(num, Q, e), _horner(den, Q, e)
     d = b0 * b0 + b1 * b1
     if not d:
         raise PoleError(f"denominator vanishes at q = {q!r}")
-    vr, vi = a0 * b0 + a1 * b1, a1 * b0 - a0 * b1
-    t = e * (len(den) - len(num))
-    vr, vi, d = (vr << t, vi << t, d) if t >= 0 else (vr, vi, d << -t)
-    return complex(vr / d, vi / d)
+    return _finish((a0 * b0 + a1 * b1, a1 * b0 - a0 * b1), 0, e * (len(den) - len(num)), d, False, name)
 
 
 class RationalQ(Record):
@@ -184,10 +226,11 @@ class RationalQ(Record):
 
     def eval(self, q0):
         """Exact, as a Fraction, at an int or Fraction q0; at a finite float or
-        complex q0, the value at that binary64 point rounded once per component."""
+        complex q0, the value at that binary64 point rounded once per component
+        by _finish, which raises FloatRangeError beyond the float range."""
         from fractions import Fraction
         if not isinstance(q0, (int, Fraction)):
-            value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"))
+            value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"), f"the value at q = {q0!r}")
             return value if isinstance(q0, complex) else value.real
         num, den = self.num.eval(q0), self.den.eval(q0)
         if den == 0:

@@ -112,16 +112,12 @@ def classical_euler_poly(n: int, x) -> complex:
 
     With a_k = 2^k E_k (scaled_classical_euler) the value is the integer
     polynomial sum_j C(n,j) a_(n-j) 2^j x^j over 2^n, taken exactly at the
-    binary64 x and divided once per component (exact._value_at).  A
-    value beyond the float range raises FloatRangeError, and a non-finite x
-    ValueError.
+    binary64 x and rounded once per component by exact._finish, which
+    raises FloatRangeError, naming this polynomial, where the value lies
+    beyond the float range; a non-finite x raises ValueError.
     """
     n = as_index(n, "n")
     z = as_complex(x, "x")
     a = scaled_classical_euler(n)
-    try:
-        return _value_at([math.comb(n, j) * a[n - j] << j for j in range(n + 1)], (1 << n,), z)
-    except OverflowError as exc:
-        raise FloatRangeError(
-            f"the classical Euler polynomial of order {n} at x = {x!r} lies beyond the float range"
-        ) from exc
+    name = f"the classical Euler polynomial of order {n} at x = {x!r}"
+    return _value_at([math.comb(n, j) * a[n - j] << j for j in range(n + 1)], (1 << n,), z, name)

@@ -15,7 +15,7 @@ from qeuler import (
     verify_identity,
 )
 from qeuler import exact, verification
-from qeuler.errors import PoleError
+from qeuler.errors import FloatRangeError, PoleError, QEulerError
 from qeuler.verification import run_checks
 
 
@@ -354,6 +354,21 @@ class TestEval:
         for q0 in (math.nan, math.inf, complex(0.5, math.inf)):
             with pytest.raises(ValueError, match=r"^q must be finite, got "):
                 exact_euler_number(3).eval(q0)
+
+    def test_beyond_the_float_range_is_named(self):
+        # both raised a bare OverflowError from the division
+        big = RationalQ(PolyZ((10**400,)), PolyZ((1,)))
+        for q0 in (0.5, 0.5 + 0.1j):
+            with pytest.raises(FloatRangeError) as info:
+                big.eval(q0)
+            assert str(info.value) == f"the value at q = {q0!r} lies beyond the float range"
+            cause = info.value.__cause__
+            assert isinstance(cause, OverflowError) and not isinstance(cause, QEulerError)
+
+    def test_zero_function(self):
+        # an exact zero is decided at radius 0: 0.0 at a float point, 0j at a complex one
+        zero = RationalQ(PolyZ(), PolyZ((1,)))
+        assert repr(zero.eval(0.5)) == "0.0" and repr(zero.eval(0.3 + 0.4j)) == "0j"
 
     def test_pole_at_a_root_of_the_denominator(self):
         # E_3's reduced denominator 2 (1 + q^2) (1 - q + q^2) vanishes at i
@@ -694,6 +709,11 @@ class TestExactChecks:
         assert check.detail == "q = 1 specialization matches the classical recurrence, failed at [5]"
         monkeypatch.undo()
         assert all(r.passed for r in run_checks(0.5, max_n=8, exact_only=True))
+
+    def test_exact_only_and_numeric_only_are_refused_together(self):
+        # the CLI's mutually exclusive group never lets both through
+        with pytest.raises(ValueError, match=r"^exact_only and numeric_only are mutually exclusive$"):
+            run_checks(0.5, exact_only=True, numeric_only=True)
 
 
 # The verdicts of verify_identity, computed with canonical-form

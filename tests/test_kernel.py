@@ -311,6 +311,38 @@ def test_every_entry_returns_or_raises_a_library_error():
     assert not escaped, escaped[:10]
 
 
+def test_exact_values_at_a_float_q_return_or_raise_a_library_error():
+    # 400 seeded draws of E_n(q).eval, n <= 40, at q over the disk: 0, tiny,
+    # |q| up to 0.99 or within 1e-6 of 1; positive, negative or complex,
+    # as a float or a complex.  Each returns a finite value or raises
+    # ValueError or a QEulerError.  A value beyond the float range raised a
+    # bare OverflowError.
+    rng = random.Random(3939)
+    numbers = [qeuler.exact_euler_number(n) for n in range(41)]
+    escaped = []
+    for i in range(400):
+        n = rng.randint(0, 40)
+        r, kind = rng.random(), rng.random()
+        if r < 0.05:
+            mag = 0.0 if r < 0.02 else 10 ** rng.uniform(-320, -1)
+        else:
+            mag = rng.uniform(0, 0.99) if r < 0.6 else 1 - 10 ** rng.uniform(-6, -1)
+        if kind < 0.6:
+            q = mag if kind < 0.3 else -mag if kind < 0.5 else complex(mag)
+        else:
+            q = cmath.rect(mag, rng.uniform(-math.pi, math.pi))
+        try:
+            value = numbers[n].eval(q)
+        except (QEulerError, ValueError):
+            continue
+        except Exception as exc:  # what the contract rules out
+            escaped.append((i, n, q, repr(exc)))
+            continue
+        if not cmath.isfinite(value):
+            escaped.append((i, n, q, value))
+    assert not escaped, escaped[:10]
+
+
 class TestCpowZeroBase:
     def test_integer_exponents(self):
         assert cpow(0, 0) == 1

@@ -484,17 +484,22 @@ class TestTerminatingSum:
         got = euler_poly(12, 256, 0, 0.3 + 0.4j)
         assert _hex(got) == ("0x1.17ee7175ff5d3p+3", "0x1.180958c4244c0p+1")
 
-    def test_value_beyond_the_float_range_raises(self):
+    def test_value_beyond_the_float_range_raises(self, capsys):
+        # one rounding, exact._finish, names each value; the cause is the
+        # division's raw OverflowError
         cases = (
-            lambda: classical_zeta_E(-301),
-            lambda: classical_euler_poly(56, 1e10),
-            lambda: qzeta(-400, 0, 0.97),
+            (lambda: classical_zeta_E(-301), "the classical Euler polynomial of order 301 at x = 1"),
+            (lambda: classical_euler_poly(56, 1e10), "the classical Euler polynomial of order 56 at x = 10000000000.0"),
+            (lambda: qzeta(-400, 0, 0.97), "the sum at order -400"),
         )
-        for case in cases:
-            with pytest.raises(QEulerError) as info:
+        for case, name in cases:
+            with pytest.raises(FloatRangeError) as info:
                 case()
-            assert isinstance(info.value.__cause__, OverflowError)
+            assert str(info.value) == f"{name} lies beyond the float range"
+            cause = info.value.__cause__
+            assert isinstance(cause, OverflowError) and not isinstance(cause, QEulerError)
         assert main(["zeta", "--q", "0.97", "--s", "-400"]) == 3
+        assert capsys.readouterr().err == "error: overflow: the sum at order -400 lies beyond the float range\n"
 
 
 class TestTermList:
