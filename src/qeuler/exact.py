@@ -2,8 +2,9 @@
 
 The engine returns each value as a RationalQ, a coprime pair (denominator
 with positive leading coefficient, no common integer content) of PolyZ, the
-coefficient record of an integer polynomial in q: evaluation and rendering,
-no arithmetic.
+coefficient record of an integer polynomial in q: rendering only, with no
+arithmetic and no evaluation.  RationalQ.eval is the one evaluator of an
+exact value.
 On top of those sit the q-Euler numbers and polynomials, each summed as a
 numerator over its known denominator and reduced once, by _reduced, which
 divides both parts by the cyclotomic factors Phi_d of that denominator that
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import reduce
 from itertools import accumulate
 
 from .errors import FloatRangeError, PoleError
@@ -61,8 +63,9 @@ class PolyZ(Record):
 
     This is what the engine returns as the numerator and denominator of a
     RationalQ: the engine sums on packed integers and reduces on plain
-    coefficient lists, so PolyZ carries no arithmetic of its own, only
-    evaluation and rendering.
+    coefficient lists, so PolyZ carries no arithmetic and no evaluation of
+    its own, only rendering.  A lone polynomial p is evaluated as
+    RationalQ(p, PolyZ.one()).eval(x).
 
     Invariant: the trailing (highest-power) coefficient is nonzero; the zero
     polynomial has an empty coefficient tuple.  Coefficients must be integers:
@@ -101,13 +104,6 @@ class PolyZ(Record):
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def eval(self, x):
-        """Horner evaluation; works for int, Fraction, float, and complex x."""
-        acc = 0
-        for v in reversed(self.coeffs):
-            acc = acc * x + v
-        return acc
 
     # -- rendering ---------------------------------------------------------
 
@@ -225,14 +221,16 @@ class RationalQ(Record):
         _set(self, "den", den)
 
     def eval(self, q0):
-        """Exact, as a Fraction, at an int or Fraction q0; at a finite float or
-        complex q0, the value at that binary64 point rounded once per component
-        by _finish, which raises FloatRangeError beyond the float range."""
+        """The value at q0, by the package's one evaluator of exact values:
+        exact, as a Fraction, at an int or Fraction q0, by one Horner pass per
+        part; at a finite float or complex q0, the value at that binary64
+        point rounded once per component by _finish, which raises
+        FloatRangeError beyond the float range."""
         from fractions import Fraction
         if not isinstance(q0, (int, Fraction)):
             value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"), f"the value at q = {q0!r}")
             return value if isinstance(q0, complex) else value.real
-        num, den = self.num.eval(q0), self.den.eval(q0)
+        num, den = (reduce(lambda acc, c: acc * q0 + c, reversed(p.coeffs), 0) for p in (self.num, self.den))
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")
         return Fraction(num, den)

@@ -755,14 +755,3 @@ def test_continuation_imports_nothing_from_zeta():
         elif isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
     assert not [name for name in names if "zeta" in name.split(".")]
-
-
-def test_continuation_keeps_no_module_state():
-    # everything a call shares lives in its own _Grid and _Fraction objects
-    def state():
-        return {name: id(value) for name, value in vars(continuation).items()}
-
-    before = state()
-    curve_grid(1.5, 3.5, 0.5, -0.5, 0.5, 0.25, 0.6 + 0.2j)
-    euler_poly_continuation(2.25, 0.3, 0.5)
-    assert state() == before

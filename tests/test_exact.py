@@ -21,10 +21,12 @@ from qeuler.verification import run_checks
 
 # -- polynomial arithmetic for the oracles --------------------------------------
 #
-# The library's PolyZ is a coefficient record with no arithmetic: the engine
-# sums on packed integers and reduces plain coefficient lists.  The oracles
-# below compute with Poly, a PolyZ with schoolbook arithmetic.  PolyZ's ==
-# tests isinstance, so a Poly equals the PolyZ with the same coefficients.
+# The library's PolyZ is a coefficient record with no arithmetic and no
+# evaluation: the engine sums on packed integers and reduces plain
+# coefficient lists, and RationalQ.eval evaluates.  The oracles below compute
+# with Poly, a PolyZ with schoolbook arithmetic and a reference Horner pass.
+# PolyZ's == tests isinstance, so a Poly equals the PolyZ with the same
+# coefficients.
 
 
 class Poly(PolyZ):
@@ -94,6 +96,14 @@ class Poly(PolyZ):
             base = base * base
             k >>= 1
         return out
+
+    def eval(self, x):
+        """The reference Horner pass, exact at an int or Fraction x: what the
+        tests read packed values P(2^w) and images P(2^16) with."""
+        acc = 0
+        for v in reversed(self.coeffs):
+            acc = acc * x + v
+        return acc
 
     def content(self) -> int:
         return math.gcd(*self.coeffs)
@@ -323,9 +333,38 @@ class TestEval:
         assert RQ((1, 1), (3,)).eval(Fraction(1, 2)) == Fraction(1, 2)
 
     def test_rounded_once_at_a_float_point(self):
-        # a float Horner pass is 4.5e-5 and 3.3e-7 off (relative) at these two
+        # a float Horner pass is 4.5e-5 and 3.3e-7 off (relative) at these
+        # two, and at E_40's numerator alone, a polynomial that PolyZ does
+        # not evaluate, 302x off at -0.9 and 2.3e-10 off at 0.99
         assert repr(exact_euler_number(40).eval(0.99)) == "7.364153943614048e+27"
         assert repr(exact_euler_number(30).eval(-0.9)) == "-0.10645150355849835"
+        assert not hasattr(PolyZ, "eval")
+        num = RationalQ(exact_euler_number(40).num, PolyZ.one())
+        assert (repr(num.eval(-0.9)), repr(num.eval(0.99))) == ("-3682717.2847119006", "2.2047644006878537e+28")
+
+    def test_exact_at_seeded_rational_points(self):
+        # the value at an int or Fraction point equals num(x) / den(x), each
+        # the Fraction sum of c_j x^j
+        rng = random.Random(4040)
+        checked = 0
+        for _ in range(200):
+            if rng.random() < 0.5:
+                r = exact_euler_number(rng.randrange(31))
+            else:
+                r = exact_euler_poly(rng.randrange(13), rng.randrange(4), rng.randrange(3))
+            if rng.random() < 0.3:
+                x = rng.randint(-40, 40)
+            else:
+                x = Fraction(rng.randint(-300, 300), rng.randint(1, 300))
+            num, den = (sum(c * Fraction(x) ** j for j, c in enumerate(p.coeffs)) for p in (r.num, r.den))
+            if den == 0:
+                with pytest.raises(PoleError):
+                    r.eval(x)
+                continue
+            got = r.eval(x)
+            assert type(got) is Fraction and got == num / den, (r, x)
+            checked += 1
+        assert checked >= 190
 
     @pytest.mark.parametrize("n,q", [(20, 0.95j), (8, 0.6 + 0.7j)])
     def test_rounded_once_per_component_at_a_complex_point(self, n, q):
@@ -421,7 +460,7 @@ class TestExactEulerPoly:
     def test_pole_cancellation(self):
         for n in range(1, 9):
             for x in (0, 1, 3):
-                assert exact_euler_poly(n, x, 1).den.eval(1) != 0
+                assert sum(exact_euler_poly(n, x, 1).den.coeffs) != 0  # den(1)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
@@ -876,7 +915,7 @@ class TestPacked:
             tuple(rng.randint(-top, top) for _ in range(40)) + (-top,),
         ]
         for coeffs in cases:
-            p = PolyZ(coeffs)
+            p = Poly(coeffs)
             assert exact._unpack(p.eval(1 << w), w) == p, coeffs
 
     def test_round_trips_at_the_width_of_the_bound(self):
@@ -884,7 +923,7 @@ class TestPacked:
         for bits in range(1, 200, 3):
             for c in ((1 << bits) - 1, 1 << bits):
                 w = exact._width(c)
-                p = PolyZ((c, -c, 0, -c))
+                p = Poly((c, -c, 0, -c))
                 assert exact._unpack(p.eval(1 << w), w) == p, c
 
     def test_numerator_table_matches_the_oracle(self):

@@ -504,3 +504,36 @@ def test_import_loads_no_heavy_stdlib_module():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split("\n")[:2] == ["True", "[]"]
+
+
+def test_no_module_keeps_state(capsys):
+    # No module of the package keeps state between calls: across one call of
+    # each public entry, every global keeps its identity, and every global
+    # dict, list or set its contents.  cli.build_parser builds its parser
+    # once per process by design, so a CLI call warms it up first.
+    import qeuler.cli
+
+    modules = [qeuler, qeuler.cli] + [sys.modules["qeuler." + name] for name in SUBMODULES]
+
+    def state():
+        return {
+            (module.__name__, name): (id(value), value.copy() if isinstance(value, (dict, list, set)) else None)
+            for module in modules
+            for name, value in vars(module).items()
+            if name not in ("__builtins__", "__warningregistry__")
+        }
+
+    assert qeuler.cli.main(["numbers", "--q", "0.5", "--n", "1"]) == 0
+    before = state()
+    qeuler.euler_numbers(8, 0.5)
+    qeuler.euler_poly(6, 0.5, 1, 0.6 + 0.2j)
+    qeuler.qzeta(2.5, 0, 0.5)
+    qeuler.qzeta(-4, 0, 0.3 + 0.4j)
+    qeuler.exact_euler_number(6)
+    qeuler.verify_identity("odd-shift", 4, 3)
+    qeuler.curve_grid(1.5, 3.5, 0.5, -0.5, 0.5, 0.25, 0.6 + 0.2j)
+    qeuler.euler_poly_continuation(2.25, 0.3, 0.5)
+    assert qeuler.cli.main(["numbers", "--q", "0.5", "--n", "4", "--exact"]) == 0
+    assert qeuler.cli.main(["verify", "--q", "0.5", "--exact-only", "--max-n", "3", "--max-k", "3"]) == 0
+    capsys.readouterr()
+    assert state() == before

@@ -504,14 +504,10 @@ class TestTerminatingSum:
 
 class TestTermList:
     @staticmethod
-    def check_terms(n, h, q, x, W):
-        # Each v_k of _quotients lies within its own bound of
-        # 2^W q^(x k) / (1 + q^(h+k)), the exact term, per component; a
-        # term past the end of a list that stopped early is 0.  The bound
-        # is the one _radius sums: 1 unit for the rounding, plus 3 k / L
-        # once q^(x k) is truncated (e x k > W) and 3 (1 + k) / L^2 once
-        # q^(h+k) is (e (h + k) > W), with L = lower - 3 (n + 1) 2^-W,
-        # lower = 1 on [0, 1) and (1 - |q|^2) / 2 elsewhere.
+    def term_lists(n, h, q, x, W):
+        # _quotients' lists (re, im), checked for shape, with Q, e and the L
+        # of _radius's bound: L = lower - 3 (n + 1) 2^-W, lower = 1 on
+        # [0, 1) and (1 - |q|^2) / 2 elsewhere
         Q, e = _exactcomplex._dyadic(q)
         v = _exactcomplex._quotients(n, h, Q, e, x, W)
         assert v is not None, (n, h, q, x, W)
@@ -524,6 +520,17 @@ class TestTermList:
             lower = Fraction((1 << 2 * e) - Q[0] ** 2 - Q[1] ** 2, 1 << 2 * e + 1)
         L = lower - Fraction(3 * (n + 1), 1 << W)
         assert L > 0
+        return re, im, Q, e, L
+
+    @staticmethod
+    def check_terms(n, h, q, x, W):
+        # Each v_k of _quotients lies within its own bound of
+        # 2^W q^(x k) / (1 + q^(h+k)), the exact term, per component; a
+        # term past the end of a list that stopped early is 0.  The bound
+        # is the one _radius sums: 1 unit for the rounding, plus 3 k / L
+        # once q^(x k) is truncated (e x k > W) and 3 (1 + k) / L^2 once
+        # q^(h+k) is (e (h + k) > W).
+        re, im, Q, e, L = TestTermList.term_lists(n, h, q, x, W)
         x = x or 0
         qx = _exactcomplex._pow(Q, x)
         qm, qxk = _exactcomplex._pow(Q, h), (1, 0)
@@ -541,6 +548,32 @@ class TestTermList:
                 err = abs(g * den - (c << W + e * m))
                 assert err * bound.denominator <= bound.numerator * den, (n, h, q, x, W, k)
             qm, qxk = _exactcomplex._mul(qm, Q), _exactcomplex._mul(qxk, qx)
+
+    @staticmethod
+    def check_shifted_terms(n, h, q, x, shift, W):
+        # check_terms at a shift x with no exact power, whose x~ comes from
+        # _Shift.power.  The bound is the one _radius sums with c = 4 and
+        # R = R64 / 2^64 >= max(1, |q^x|, |x~|): 1 unit, plus 4 k R^(k-1) / L
+        # for X~_k, plus 3 (1 + k) R^k / L^2 once q^(h+k) is truncated.  The
+        # exact term takes q^(x k) = exp(k x log q) from mpmath, on the branch
+        # of cmath.log(q), at W + 64 bits beyond the term's integer part, so
+        # mpmath's own error stays below 2^-32 units.
+        mp = pytest.importorskip("mpmath")
+        re, im, Q, e, L = TestTermList.term_lists(n, h, q, shift, W)
+        R = Fraction(shift.R64, 1 << 64)
+        with mp.workprec(W + 64 + n * max(0, shift.R64.bit_length() - 64) + 64):
+            mq = mp.mpc(q)
+            lq = mp.log(mq)
+            if q.imag == 0 and math.copysign(1.0, q.imag) < 0 and q.real < 0:
+                lq = mp.conj(lq)  # cmath.log's branch at -0.0
+            for k in range(n + 1):
+                bound = 1 + 4 * k * R ** (k - 1) / L
+                bound += 3 * (1 + k) * R**k / L**2 if e * (h + k) > W else 0
+                want = mp.exp(k * mp.mpc(x) * lq) / (1 + mq ** (h + k)) * mp.mpf(2) ** W
+                got = (re[k] if k < len(re) else 0, im[k] if im is not None and k < len(im) else 0)
+                tol = mp.mpf(bound.numerator) / bound.denominator + mp.mpf(2) ** -32
+                for g, c in zip(got, (want.real, want.imag)):
+                    assert abs(g - c) <= tol, (n, h, q, x, W, k)
 
     def test_terms_within_their_bounds(self):
         # q real, negative, imaginary or complex, out to |q| = 0.999, or
@@ -567,6 +600,25 @@ class TestTermList:
             p, guard, _ = _exactcomplex._start(n, h, q, Q, e, x)
             for W in (p + guard, 2 * (p + guard)):
                 self.check_terms(n, h, q, x, W)
+
+        # the fractional, negative, complex, tiny and wide integer shifts,
+        # whose x~ comes from _Shift.power
+        shifted = 0
+        for _ in range(100):
+            q, h, x = draw_q(), rng.randrange(4), _draw_shift(rng)
+            n = rng.randrange(1, 31)
+            Q, e = _exactcomplex._dyadic(q)
+            try:
+                shift = _exactcomplex._as_shift(n, q, Q, e, x)
+            except QEulerError:
+                continue  # q^x too wide to carry at this n, or 0^x a pole
+            if not isinstance(shift, _exactcomplex._Shift):
+                continue  # q = 0, where q^x is q^1
+            p, guard, _ = _exactcomplex._start(n, h, q, Q, e, shift)
+            for W in (p + guard, 2 * (p + guard)):
+                self.check_shifted_terms(n, h, q, complex(x), shift, W)
+            shifted += 1
+        assert shifted >= 80
 
     def test_list_stops_where_the_shifted_power_vanishes(self):
         # q^(256 k) truncated to the working precision is 0 from k = 2 on,
