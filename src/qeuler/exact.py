@@ -2,9 +2,9 @@
 
 The engine returns each value as a RationalQ, a coprime pair (denominator
 with positive leading coefficient, no common integer content) of PolyZ, the
-coefficient record of an integer polynomial in q: rendering only, with no
-arithmetic and no evaluation.  RationalQ.eval is the one evaluator of an
-exact value.
+coefficient record of an integer polynomial in q, with no arithmetic and no
+evaluation.  RationalQ.eval evaluates every exact value, by one Gaussian-integer
+Horner pass per part (_horner) at an int, Fraction, float or complex point.
 On top of those sit the q-Euler numbers and polynomials, each summed as a
 numerator over its known denominator and reduced once, by _reduced, which
 divides both parts by the cyclotomic factors Phi_d of that denominator that
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
 from itertools import accumulate
 
 from .errors import FloatRangeError, PoleError
@@ -137,13 +136,13 @@ def _dyadic(q: complex):
     return (ar * ((1 << e) // br), ai * ((1 << e) // bi)), e
 
 
-def _horner(coeffs, Q, e: int):
-    # P(Q / 2^e) 2^(e d), d = len(coeffs) - 1, for the integer polynomial P
-    # with these coefficients, lowest power first: one Horner pass in
-    # Gaussian integers, exact.
-    re = im = 0
+def _horner(coeffs, Q, e: int, k: int = 1):
+    # P(Q / (k 2^e)) (k 2^e)^d, d = len(coeffs) - 1, for the integer
+    # polynomial P with these coefficients, lowest power first, and an
+    # integer k > 0: one Horner pass in Gaussian integers, exact.
+    (a, b), re, im, kj = Q, 0, 0, 1
     for j, c in enumerate(reversed(coeffs)):
-        re, im = re * Q[0] - im * Q[1] + (c << e * j), re * Q[1] + im * Q[0]
+        re, im, kj = re * a - im * b + (c * kj << e * j), re * b + im * a, kj * k
     return re, im
 
 
@@ -190,9 +189,9 @@ def _finish(v, err: int, t: int, scale: int, real: bool, name: str) -> complex |
 
 def _value_at(num, den, q: complex, name: str) -> complex:
     # num(q) / den(q) for integer coefficient lists, lowest power first, at a
-    # binary64 q = Q / 2^e: with a and b from _horner, a conj(b) 2^(e (dd -
-    # dn)) / |b|^2, exact, and rounded once by _finish (PoleError where
-    # den(q) = 0, FloatRangeError naming the value beyond the float range).
+    # binary64 q = Q / 2^e: with a and b from _horner at k = 1, a conj(b)
+    # 2^(e (dd - dn)) / |b|^2, exact, and rounded once by _finish (PoleError
+    # where den(q) = 0, FloatRangeError naming the value beyond the float range).
     Q, e = _dyadic(q)
     (a0, a1), (b0, b1) = _horner(num, Q, e), _horner(den, Q, e)
     d = b0 * b0 + b1 * b1
@@ -221,16 +220,17 @@ class RationalQ(Record):
         _set(self, "den", den)
 
     def eval(self, q0):
-        """The value at q0, by the package's one evaluator of exact values:
-        exact, as a Fraction, at an int or Fraction q0, by one Horner pass per
-        part; at a finite float or complex q0, the value at that binary64
-        point rounded once per component by _finish, which raises
-        FloatRangeError beyond the float range."""
+        """The value at q0, by _horner's one Gaussian-integer pass per part:
+        exact, as a Fraction, at an int or Fraction q0 = a / k, the pass at a
+        over k, both parts padded to one degree so that the powers of k cancel;
+        at a finite float or complex q0, the value at that binary64 point rounded
+        once per component by _value_at (FloatRangeError beyond the float range)."""
         from fractions import Fraction
         if not isinstance(q0, (int, Fraction)):
             value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"), f"the value at q = {q0!r}")
             return value if isinstance(q0, complex) else value.real
-        num, den = (reduce(lambda acc, c: acc * q0 + c, reversed(p.coeffs), 0) for p in (self.num, self.den))
+        x, d = Fraction(q0), max(len(self.num.coeffs), len(self.den.coeffs))
+        num, den = (_horner(c + (0,) * (d - len(c)), (x.numerator, 0), 0, x.denominator)[0] for c in (self.num.coeffs, self.den.coeffs))
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")
         return Fraction(num, den)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .continuation import curve_grid
-from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_number, exact_euler_poly, verify_identity
+from .exact import _euler_numerators, _unpack, _verify_identity, exact_euler_number, exact_euler_poly
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, Record, _set, as_index, as_qparameter, cpow, q_bracket
 from .numeric import euler_number, euler_poly, scaled_classical_euler
 from .zeta import classical_zeta_E, qzeta, qzeta_deriv, qzeta_hurwitz
@@ -53,9 +53,9 @@ def _run(name: str, fn, note: str | None = None) -> CheckResult:
 
 
 def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
-    # N_0..N_max_n and their denominators, packed wide enough for every
-    # identity check below (shifts up to max_k, binomial x up to 4)
-    table = _euler_numerators(max_n + 1, max(max_k, 4))
+    # N_m and D_m for m <= max(max_n, 2), the wrong-sign control's n = 2 too,
+    # packed wide enough for every identity below (shifts to max_k, x to 4)
+    table = _euler_numerators(max(max_n, 2) + 1, max(max_k, 4))
 
     def holds(name, n, k=0):
         return _verify_identity(name, n, k, table)
@@ -79,7 +79,7 @@ def _exact_checks(max_n: int, max_k: int) -> list[CheckResult]:
         return not bad, f"n <= {max_n}, k in {ks}" + (f", failed at {bad}" if bad else "")
 
     def wrong_sign_rejected():
-        ok = not verify_identity("even-shift-wrong-sign", 2, 2)
+        ok = not holds("even-shift-wrong-sign", 2, 2)
         return ok, "the flipped-sign variant must fail at (n=2, k=2)"
 
     def classical_limit():

@@ -200,6 +200,13 @@ def RQ(num, den=(1,)):
     return canonical_form(Poly(num), Poly(den))
 
 
+def fraction_value(r: RationalQ, x):
+    """The reference value of r at an int or Fraction x: num(x) / den(x),
+    each the Fraction sum of c_j x^j, or None at a root of den."""
+    num, den = (sum(c * Fraction(x) ** j for j, c in enumerate(p.coeffs)) for p in (r.num, r.den))
+    return None if den == 0 else num / den
+
+
 class TestImmutable:
     # PolyZ and RationalQ hash by value, so a field that could be rebound
     # would change a key already in a set or dict
@@ -356,15 +363,47 @@ class TestEval:
                 x = rng.randint(-40, 40)
             else:
                 x = Fraction(rng.randint(-300, 300), rng.randint(1, 300))
-            num, den = (sum(c * Fraction(x) ** j for j, c in enumerate(p.coeffs)) for p in (r.num, r.den))
-            if den == 0:
+            want = fraction_value(r, x)
+            if want is None:
                 with pytest.raises(PoleError):
                     r.eval(x)
                 continue
             got = r.eval(x)
-            assert type(got) is Fraction and got == num / den, (r, x)
+            assert type(got) is Fraction and got == want, (r, x)
             checked += 1
         assert checked >= 190
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_exact_at_high_orders(self, n):
+        # the benchmark's rational points 1/3, -2/5 and 5/7, an even
+        # denominator and an int point, where the pass scales by 3^j, 5^j,
+        # 7^j, 8^j and 1
+        r = exact_euler_number(n)
+        for x in (Fraction(1, 3), Fraction(-2, 5), Fraction(5, 7), Fraction(3, 8), 2):
+            got = r.eval(x)
+            assert type(got) is Fraction and got == fraction_value(r, x), (n, x)
+
+    def test_no_fraction_arithmetic_per_coefficient(self, monkeypatch):
+        # one integer Horner pass per part and one Fraction at the end; a
+        # Fraction Horner pass adds and multiplies a Fraction per coefficient,
+        # with a gcd each time
+        e, x = exact_euler_number(30), Fraction(1, 3)
+        want = fraction_value(e, x)
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in RationalQ.eval")
+
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Fraction, op, refuse)
+        got = e.eval(x)
+        monkeypatch.undo()
+        assert got == want and not hasattr(exact, "reduce")
+
+    def test_pole_at_a_rational_root(self):
+        # -1 is a root of 1 + q: the pass at a = -1 over k = 1 reads 0
+        with pytest.raises(PoleError) as info:
+            RQ((1,), (1, 1)).eval(Fraction(-1))
+        assert str(info.value) == "denominator vanishes at q = Fraction(-1, 1)"
 
     @pytest.mark.parametrize("n,q", [(20, 0.95j), (8, 0.6 + 0.7j)])
     def test_rounded_once_per_component_at_a_complex_point(self, n, q):
@@ -732,6 +771,27 @@ class TestCyclotomicReduction:
 
 
 class TestExactChecks:
+    @pytest.mark.parametrize("max_n", [0, 8])
+    def test_one_numerator_table_per_suite(self, monkeypatch, max_n):
+        # every check reads the suite's one table, the wrong-sign control at
+        # n = 2 included when max_n < 2; none builds its own through
+        # verify_identity
+        build, built = verification._euler_numerators, []
+
+        def counted(count, k=None):
+            built.append(count)
+            return build(count, k)
+
+        def refused(*args):
+            raise AssertionError("a second numerator table")
+
+        monkeypatch.setattr(verification, "_euler_numerators", counted)
+        monkeypatch.setattr(exact, "_euler_numerators", refused)
+        results = verification._exact_checks(max_n, 2)
+        assert built == [max(max_n, 2) + 1] and all(r.passed for r in results)
+        wrong_sign = next(r for r in results if r.name == "exact/even-shift-wrong-sign-rejected")
+        assert wrong_sign.detail == "the flipped-sign variant must fail at (n=2, k=2)"
+
     def test_classical_limit_fails_on_a_corrupted_numerator(self, monkeypatch):
         # N_5 + 1 moves N_5(1) by one, so E_5 at q = 1 no longer matches
         build = verification._euler_numerators
