@@ -15,7 +15,6 @@ from .continuation import CurveGrid, curve_grid, euler_poly_continuation
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError, QEulerError
 from .exact import (
     IDENTITY_NAMES,
-    PolyZ,
     RationalQ,
     exact_euler_number,
     exact_euler_poly,
@@ -51,7 +50,6 @@ __all__ = [
     "IDENTITY_NAMES",
     "NonConvergenceError",
     "PoleError",
-    "PolyZ",
     "QEulerError",
     "QParameter",
     "RationalQ",

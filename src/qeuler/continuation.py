@@ -207,7 +207,7 @@ class _Try:
         _weights(self.sigma, reads + 1, weights)
         for m, need in enumerate(guesses, first):
             # sum_j gb(sigma, j) (1-q)^m q^j = (1-q)^(m-sigma), the last term of both fsums
-            mode = cpow(1.0 - q, complex(m - self.sigma), grid.log1mq)
+            mode = cpow(1.0 - q, complex(m - self.sigma))
             while True:
                 if not need + top <= budget:
                     count = need + top if need < math.inf else "more"
@@ -326,7 +326,7 @@ def _order_terms(s, grid: _Grid, shared: _Fraction) -> list[tuple[float, complex
         sums = _nested_sums(grid, fs + 1, frac, shared)
         if len(factors) < fs + 2:
             factors += [
-                (1.0 + q) * cpow(1.0 - q, complex(-(k + frac)), grid.log1mq) for k in range(len(factors) - 1, fs + 1)
+                (1.0 + q) * cpow(1.0 - q, complex(-(k + frac))) for k in range(len(factors) - 1, fs + 1)
             ]
         coeffs = list(map(mul, factors, sums))
     else:  # C(k) = zeta_q(-k), the finite sums, k = 0..[s]
@@ -345,16 +345,16 @@ def _order_terms(s, grid: _Grid, shared: _Fraction) -> list[tuple[float, complex
 
 
 class _Grid:
-    """What every row of one call shares: q, its log for cpow (None at q =
-    0, which cpow handles itself) and the EngineConfig; the nested sums'
-    policy, from q and rel_tol alone: the a-priori length L, the start L / 4
-    of the tail lines, log |q|^2, log(rel_tol / 8), log(1-q) and one tail
+    """What every row of one call shares: q, its log for the powers q^(a w)
+    (None at q = 0, which cpow handles itself) and the EngineConfig; the
+    nested sums' policy, from q and rel_tol alone: the a-priori length L, the
+    start L / 4 of the tail lines, log |q|^2, log(rel_tol / 8) and one tail
     line per order; the w side, each column's w, [w]_q and powers of [w]_q,
     computed once for every row; and the difference table at its latest W.
     bw is None when some [w]_q fails; each cell then runs alone and raises
     at its own column."""
 
-    __slots__ = ("qp", "q", "cfg", "logq", "length", "start", "lr", "allowed", "log1mq", "lines",
+    __slots__ = ("qp", "q", "cfg", "logq", "length", "start", "lr", "allowed", "lines",
                  "given", "w", "bw", "pows", "W", "held")
 
     def __init__(self, qp: QParameter, cfg: EngineConfig, given):
@@ -363,7 +363,7 @@ class _Grid:
         self.length = _first_length(abs(qp.q), cfg)
         self.start = max(1, self.length // 4)
         self.lr = 2.0 * math.log(abs(qp.q)) if qp.q else -math.inf  # log |q|^2, the rate of R_m[j] in j
-        self.allowed, self.log1mq, self.lines = math.log(cfg.rel_tol / 8.0), cmath.log(1.0 - qp.q), {}
+        self.allowed, self.lines = math.log(cfg.rel_tol / 8.0), {}
         self.W, self.held = None, None
         self.w = [complex(w) for w in given]
         try:
@@ -407,13 +407,13 @@ class _Grid:
 
 
 def _q_powers(grid: _Grid, a: float) -> list[complex]:
-    # cpow(q, a w, log q) at every column: one exp each, and cpow's
+    # q^(a w) at every column: one exp of a w log q each, and cpow's
     # complex ** int where a w is an integer.
     q, logq, exp = grid.q, grid.logq, cmath.exp
     exps = [a * w for w in grid.w]
     if logq is None:
         return list(map(cpow, repeat(q), exps))
-    return [cpow(q, x, logq) if x.real.is_integer() else exp(x * logq) for x in exps]
+    return [cpow(q, x) if x.real.is_integer() else exp(x * logq) for x in exps]
 
 
 def _cells(terms: list[tuple[float, complex, int]], grid: _Grid, columns: dict) -> list[complex]:

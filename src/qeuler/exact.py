@@ -1,10 +1,11 @@
 """Exact arithmetic in Q(q) and symbolic verification of the q-Euler identities.
 
 The engine returns each value as a RationalQ, a coprime pair (denominator
-with positive leading coefficient, no common integer content) of PolyZ, the
-coefficient record of an integer polynomial in q, with no arithmetic and no
-evaluation.  RationalQ.eval evaluates every exact value, by one Gaussian-integer
-Horner pass per part (_horner) at an int, Fraction, float or complex point.
+with positive leading coefficient, no common integer content) of integer
+polynomials in q, each held as its tuple of coefficients, lowest power first,
+with no arithmetic of its own.  RationalQ.eval evaluates every exact value, by
+one Gaussian-integer Horner pass per part (_horner) at an int, Fraction, float
+or complex point.
 On top of those sit the q-Euler numbers and polynomials, each summed as a
 numerator over its known denominator and reduced once, by _reduced, which
 divides both parts by the cyclotomic factors Phi_d of that denominator that
@@ -48,7 +49,6 @@ from .errors import FloatRangeError, PoleError
 from .kernel import Record, _set, as_complex, as_index
 
 __all__ = [
-    "PolyZ",
     "RationalQ",
     "exact_euler_number",
     "exact_euler_poly",
@@ -57,76 +57,35 @@ __all__ = [
 ]
 
 
-class PolyZ(Record):
-    """The coefficient record of an integer polynomial in q, indexed by power.
+def _trimmed(coeffs) -> tuple:
+    # the coefficients as a tuple of int, trailing (highest-power) zeros
+    # dropped; a float, Fraction or str raises TypeError, not truncated
+    c = list(map(operator.index, coeffs))
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
-    This is what the engine returns as the numerator and denominator of a
-    RationalQ: the engine sums on packed integers and reduces on plain
-    coefficient lists, so PolyZ carries no arithmetic and no evaluation of
-    its own, only rendering.  A lone polynomial p is evaluated as
-    RationalQ(p, PolyZ.one()).eval(x).
 
-    Invariant: the trailing (highest-power) coefficient is nonzero; the zero
-    polynomial has an empty coefficient tuple.  Coefficients must be integers:
-    a float or Fraction raises TypeError instead of being truncated.  Like
-    every Record it is immutable: assigning or deleting coeffs raises
-    AttributeError.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(map(operator.index, coeffs))
-        while c and c[-1] == 0:
-            c.pop()
-        _set(self, "coeffs", tuple(c))
-
-    @classmethod
-    def one(cls) -> "PolyZ":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        # -1 for zero; bench/tracing.py reads it for its exact.max_degree count
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        # Record has no __bool__, so without this the zero polynomial is truthy
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyZ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    # -- rendering ---------------------------------------------------------
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"PolyZ({self.coeffs!r})"
+def _render(coeffs) -> str:
+    # the integer polynomial with these coefficients, lowest power first, as
+    # text in q: "0" for the empty tuple
+    if not coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "q" if k == 1 else f"q^{k}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
 
 
 def _dyadic(q: complex):
@@ -203,18 +162,23 @@ def _value_at(num, den, q: complex, name: str) -> complex:
 class RationalQ(Record):
     """A rational function in q, as the engine returns it: num / den.
 
-    The pair is stored as given, with no reduction, so a caller builds one
-    only from a canonical pair: numerator and denominator coprime in Q[q],
-    denominator leading coefficient positive, and no integer content shared
-    between the two (zero is 0 / 1).  Every value the engine returns is in
-    that form, so equality and hashing are structural, and like every Record
-    it is immutable: num and den refuse assignment and deletion.
+    num and den are two integer sequences, lowest power first, each stored
+    as a tuple of int with trailing zeros trimmed (zero is ()).  A float,
+    Fraction or str coefficient raises TypeError, and a zero denominator
+    ZeroDivisionError.  The pair is otherwise stored as given, with no
+    reduction, so a caller builds one only from a canonical pair: numerator
+    and denominator coprime in Q[q], denominator leading coefficient
+    positive, and no integer content shared between the two (zero is () /
+    (1,)).  Every value the engine returns is in that form, so equality and
+    hashing are structural, repr evaluates back to the value, and like every
+    Record it is immutable: num and den refuse assignment and deletion.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyZ, den: PolyZ):
-        if den.is_zero:
+    def __init__(self, num, den):
+        num, den = _trimmed(num), _trimmed(den)
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         _set(self, "num", num)
         _set(self, "den", den)
@@ -224,22 +188,23 @@ class RationalQ(Record):
         exact, as a Fraction, at an int or Fraction q0 = a / k, the pass at a
         over k, both parts padded to one degree so that the powers of k cancel;
         at a finite float or complex q0, the value at that binary64 point rounded
-        once per component by _value_at (FloatRangeError beyond the float range)."""
+        once per component by _value_at (FloatRangeError beyond the float range).
+        A lone polynomial p is evaluated as RationalQ(p, (1,)).eval(q0)."""
         from fractions import Fraction
         if not isinstance(q0, (int, Fraction)):
-            value = _value_at(self.num.coeffs, self.den.coeffs, as_complex(q0, "q"), f"the value at q = {q0!r}")
+            value = _value_at(self.num, self.den, as_complex(q0, "q"), f"the value at q = {q0!r}")
             return value if isinstance(q0, complex) else value.real
-        x, d = Fraction(q0), max(len(self.num.coeffs), len(self.den.coeffs))
-        num, den = (_horner(c + (0,) * (d - len(c)), (x.numerator, 0), 0, x.denominator)[0] for c in (self.num.coeffs, self.den.coeffs))
+        x, d = Fraction(q0), max(len(self.num), len(self.den))
+        num, den = (_horner(c + (0,) * (d - len(c)), (x.numerator, 0), 0, x.denominator)[0] for c in (self.num, self.den))
         if den == 0:
             raise PoleError(f"denominator vanishes at q = {q0!r}")
         return Fraction(num, den)
 
     def __str__(self):
-        return f"({self.num})/({self.den})"
+        return f"({_render(self.num)})/({_render(self.den)})"
 
     def __repr__(self):
-        return f"RationalQ({self.num.coeffs!r}, {self.den.coeffs!r})"
+        return f"RationalQ({self.num!r}, {self.den!r})"
 
 
 # -- packed polynomials -------------------------------------------------------
@@ -275,14 +240,15 @@ def _ones(k: int, w: int) -> int:
     return int.from_bytes((b"\x01" + bytes(w // 8 - 1)) * k, "little")
 
 
-def _unpack(v: int, w: int) -> PolyZ:
-    # The P with P(2^w) = v, every coefficient below 2^(w-1) in magnitude.
-    # By the width lemma |v| > 2^(w deg P - 1) when P != 0, so the K digits
-    # read cover deg P + 1; any beyond it read as 0 and PolyZ trims them.
+def _unpack(v: int, w: int) -> tuple:
+    # The coefficients of the P with P(2^w) = v, every coefficient below
+    # 2^(w-1) in magnitude, lowest power first.  By the width lemma
+    # |v| > 2^(w deg P - 1) when P != 0, so the K digits read cover
+    # deg P + 1; any beyond it read as 0 and are trimmed.
     size, bias = w // 8, 1 << w - 1
     k = abs(v).bit_length() // w + 1
     raw = (v + (_ones(k, w) << w - 1)).to_bytes(k * size, "little")
-    return PolyZ([int.from_bytes(raw[i:i + size], "little") - bias for i in range(0, k * size, size)])
+    return _trimmed([int.from_bytes(raw[i:i + size], "little") - bias for i in range(0, k * size, size)])
 
 
 # -- q-Euler closed forms -----------------------------------------------------
@@ -405,7 +371,7 @@ def _reduced(num, den, exps: dict) -> tuple[RationalQ, dict]:
     positive.  The counts are returned for every d with exps[d] > 0.
     """
     if not num:
-        return RationalQ(PolyZ(), PolyZ.one()), dict(exps)
+        return RationalQ((), (1,)), dict(exps)
     r, image = list(reversed(num)), 0
     for v in r:
         image = (image << _IMAGE_BITS) + v
@@ -432,7 +398,7 @@ def _reduced(num, den, exps: dict) -> tuple[RationalQ, dict]:
     c = math.gcd(den[0], *r) * (1 if den[0] > 0 else -1)
     if c != 1:
         r, den = [v // c for v in r], [v // c for v in den]
-    return RationalQ(PolyZ(reversed(r)), PolyZ(reversed(den))), counts
+    return RationalQ(reversed(r), reversed(den)), counts
 
 
 def _numerator_bound(m: int) -> int:
@@ -502,7 +468,7 @@ def euler_poly_coefficients(n: int, x: int | None, h: int) -> tuple[tuple, tuple
     num, den = _euler_poly_pair(n, x or 0, h, w)
     if x is None and n == 0:
         num -= den + (den << w)
-    return _unpack(num, w).coeffs, _unpack(den, w).coeffs
+    return _unpack(num, w), _unpack(den, w)
 
 
 def exact_euler_number(n: int) -> RationalQ:
@@ -525,7 +491,7 @@ def _reduced_euler_number(table: tuple, n: int) -> RationalQ:
     for m in range(1, n + 1):
         _add_one_plus_q_power(exps, m)
     w, nums, dens = table
-    return _reduced(_unpack(nums[n], w).coeffs, _unpack(dens[n], w).coeffs, exps)[0]
+    return _reduced(_unpack(nums[n], w), _unpack(dens[n], w), exps)[0]
 
 
 def exact_euler_poly(n: int, x: int, h: int) -> RationalQ:

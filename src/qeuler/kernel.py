@@ -173,7 +173,7 @@ class SeriesValue(Record):
         _set(self, "converged", converged)
 
 
-def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> complex:
+def cpow(base: complex, exponent: complex) -> complex:
     """base**exponent on the principal branch of the logarithm.
 
     Integer exponents up to 4096 in magnitude go to Python's complex ** int,
@@ -181,11 +181,10 @@ def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> c
     binary powering, one rounding per product, only up to |k| = 100, and
     beyond that by its polar formula, |base|**k at angle k arg(base), so
     (0.9+0.1j)**101 differs from binary powering in the last places.  A
-    zero base demands Re(exponent) > 0 (0**0 = 1 by convention).  log_base,
-    when given, must be cmath.log(base) of a nonzero base: a caller raising
-    one base to many powers takes the logarithm once, with the same bits.
-    A power beyond the float range raises FloatRangeError, caused by the raw
-    OverflowError, or by complex ** -k's ZeroDivisionError where base**k is 0.
+    zero base demands Re(exponent) > 0 (0**0 = 1 by convention).  Any other
+    power is exp(exponent * cmath.log(base)).  A power beyond the float
+    range raises FloatRangeError, caused by the raw OverflowError, or by
+    complex ** -k's ZeroDivisionError where base**k is 0.
     """
     base = complex(base)
     exponent = complex(exponent)
@@ -199,7 +198,7 @@ def cpow(base: complex, exponent: complex, log_base: complex | None = None) -> c
             if exponent.real > 0:
                 return 0j
             raise PoleError(f"0 raised to power {exponent!r}")
-        return cmath.exp(exponent * (cmath.log(base) if log_base is None else log_base))
+        return cmath.exp(exponent * cmath.log(base))
     except (OverflowError, ZeroDivisionError) as exc:
         raise FloatRangeError(f"{base!r} ** {exponent!r} lies beyond the float range") from exc
 

@@ -14,7 +14,7 @@ import math
 import pytest
 
 from qeuler import continuation, exact, numeric, verification, zeta
-from qeuler.exact import PolyZ, RationalQ
+from qeuler.exact import RationalQ
 from qeuler.kernel import DEFAULT_CONFIG, SeriesValue
 
 MAX_N, MAX_K = 6, 4
@@ -118,9 +118,9 @@ def _reduced_one_unit_off(build):
     # the constant coefficient of every reduced numerator one unit off
     def reduced(num, den, exps):
         value, cancelled = build(num, den, exps)
-        coeffs = list(value.num.coeffs) or [0]
+        coeffs = list(value.num) or [0]
         coeffs[0] += 1
-        return RationalQ(PolyZ(coeffs), value.den), cancelled
+        return RationalQ(coeffs, value.den), cancelled
 
     return reduced
 
