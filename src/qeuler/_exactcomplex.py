@@ -12,14 +12,17 @@ Every sum here reads one term list, v_k = 2^W f_k for k = 0..n
 they fit in W fractional bits, and truncated to W bits after that; q, q^h
 and, at an integer shift 0..EXACT_SHIFT_MAX, q^x are truncated once when
 they are wider.  Any other finite shift reads q^x = exp(x Log q) at W bits
-under a stated error (_Shift), on the branch of cmath.log(q).  Each term is
-one integer division, and the list stops where the truncated q^(x k)
-reaches 0.  A single sum is the binomially weighted sum of that list
-(_truncated_sum).  It comes back with a rigorous radius in closed form (see
-_radius) that counts the floors, the truncation of q, the error of q^x, the
-growth of the errors in the carried powers and the lower bound
-|1 + q^m| >= 1 - |q|; it is carried exactly through the prefactor
-(1+q)/(1-q)^n.  When both ends of that interval round to the same float,
+under a stated error (_Shift), on the branch of cmath.log(q).  q comes
+through kernel.QParameter, whose 1 - |q| > 2^-65 keeps q~ and every
+truncated integer power of q inside the unit disk at the 72 or more bits
+of every sum and table; the one refusal left is a _Shift's x~, after
+which the sum retries at more bits.  Each term is one integer division,
+and the list stops where the truncated q^(x k) reaches 0.  A single sum is
+the binomially weighted sum of that list (_truncated_sum).  It comes back
+with a rigorous radius in closed form (see _radius) that counts the floors,
+the truncation of q, the error of q^x, the growth of the errors in the
+carried powers and the lower bound |1 + q^m| >= 1 - |q|; it is carried
+exactly through the prefactor (1+q)/(1-q)^n.  When both ends of that interval round to the same float,
 and the interval excludes 0 where that float is a zero, so does every value
 inside it (Ziv's rounding test; CPython's int / int is correctly rounded);
 otherwise p grows, at least doubling, by as many bits as the smaller
@@ -60,7 +63,7 @@ from .errors import FloatRangeError, NonConvergenceError, PoleError
 from .exact import _dyadic, _finish, _value_at, euler_poly_coefficients
 from .kernel import EXACT_SHIFT_MAX, as_complex, as_int
 
-__all__ = ["DifferenceTable", "difference_error", "difference_table", "terminating_alt_sum"]
+__all__ = ["DifferenceTable", "difference_error", "terminating_alt_sum"]
 
 _LN2 = math.log(2.0)
 
@@ -230,8 +233,9 @@ def _radius(n: int, h: int, Q, e: int, x, p: int) -> int | None:
     """The radius of _truncated_sum at any W >= p, in units of 2^-W, or None.
 
     Each component of _truncated_sum's result lies within this many units of
-    2^W S; None when |q| >= 1 or is too close to 1 for the bound.  For every m,
-    |1 + P_m| >= lower: 1 for q in [0, 1), else
+    2^W S; None when L64 below is not positive, where 3 (n + 1) 2^-p eats
+    the lower bound.  q lies in the unit disk (kernel.QParameter), so for
+    every m, |1 + P_m| >= lower: 1 for q in [0, 1), else
     (1 - |q|^2)/2 <= 1 - |q| <= 1 - |q|^m (and |1 + P_0| = 2).
 
     With u = 2^-W and R >= max(1, |q^x|, |x~|) (R = 1 at integer x >= 0):
@@ -239,7 +243,8 @@ def _radius(n: int, h: int, Q, e: int, x, p: int) -> int | None:
     * q~ = q when e <= W, else q floored to W bits, so |q~ - q| < sqrt2 u;
       q~^h is P_h exact or floored once, and P~_(m+1) is P~_m q~ floored,
       so e_(m+1) <= |q~| e_m + |q|^m |q~ - q| + sqrt2 u and with
-      |q|, |q~| <= 1, e_(h+k) <= (sqrt2 + k 2 sqrt2) u <= 3 (1 + k) u;
+      |q|, |q~| <= 1 (1 - |q| > 2^-65 and u <= 2^-72),
+      e_(h+k) <= (sqrt2 + k 2 sqrt2) u <= 3 (1 + k) u;
     * x~ is within delta u of q^x (floored once at integer x, delta <=
       sqrt2; delta <= 4 - sqrt2 from a _Shift), and X~_k is X~_(k-1) x~
       truncated toward zero, so |X~_k - X_k| <= R e_(k-1) + (delta +
@@ -264,8 +269,6 @@ def _radius(n: int, h: int, Q, e: int, x, p: int) -> int | None:
     radius = 1 << n
     if inexact_p or inexact_x:
         gap = (1 << 2 * e) - Q[0] * Q[0] - Q[1] * Q[1]  # 2^(2e) (1 - |q|^2)
-        if gap <= 0:
-            return None
         L64 = 1 << 64 if Q[1] == 0 and Q[0] >= 0 else (gap << 64) >> 2 * e + 1
         L64 -= (3 * (n + 1) >> p - 64) + 1  # p >= 72
         if L64 <= 0:
@@ -293,9 +296,9 @@ def _quotients(n: int, h: int, Q, e: int, x, W: int):
     last k before X~_k reaches 0: every later term is 0.  Each component of
     a term is one integer division, within 1 unit of its exact value.
     Returns (re, im), two lists, with im None when q~, P~_h and x~ are
-    real; or None when |q~| > 1 or |x~| > 1 at an integer x, possible only
-    once they are truncated, or when the _Shift refuses x~: _radius's bound
-    fails there.
+    real; or None when the _Shift refuses x~.  q~, P~_h and x~ at an integer
+    x lie inside the unit disk, as _radius assumes: W >= 72, and
+    kernel.QParameter keeps 1 - |q| > 2^-65.
     """
     return next(_term_lists(h, Q, e, x, W, n))
 
@@ -308,9 +311,6 @@ def _term_lists(h: int, Q, e: int, x, W: int, n: int):
     # one send to the next, so a term does not depend on how the lists grew.
     (Q0, Q1), et = _fixed(Q, e, W)
     (N0, N1), s = _fixed(_pow(Q, h), e * h, W)
-    if et < e and Q0 * Q0 + Q1 * Q1 > 1 << 2 * et:
-        yield None
-        return
     if isinstance(x, _Shift):
         shifted = x.power(W)
         if shifted is None:
@@ -320,9 +320,6 @@ def _term_lists(h: int, Q, e: int, x, W: int, n: int):
     else:
         x = x or 0
         (M0, M1), xs = _fixed(_pow(Q, x), e * x, W)
-        if xs < e * x and M0 * M0 + M1 * M1 > 1 << 2 * xs:
-            yield None
-            return
     X0, X1, t = 1, 0, 0  # X~_k = X / 2^t
     re, k = [], 0
     if not (Q1 or N1 or M1):  # real q~: v_k = X~_k 2^(W + s) / w, w = 2^s + N
@@ -377,7 +374,7 @@ def _term_lists(h: int, Q, e: int, x, W: int, n: int):
 
 
 def _truncated_sum(n: int, h: int, Q, e: int, x: int | None, W: int):
-    """The sum times 2^W as (re, im), or None when q~ or x~ lies outside the unit disk.
+    """The sum times 2^W as (re, im), or None where the _Shift refuses x~.
 
     The sum is S = sum_k (-1)^k C(n,k) f_k with P_m = q^m, m = h + k, and
     f_k = X_k/(1 + P_m), X_k = q^(x k) (x >= 0), or f_k = 1/(1 + P_m) - 1
@@ -418,10 +415,11 @@ def difference_error(q: complex, count: int) -> float:
 
 class DifferenceTable:
     """The differences R_m[j] = sum_i (-1)^i C(m,i) c'_(j+i) of c'_j =
-    q^(2j) / (1 + q^j) at W fractional bits, built as they are read
-    (difference_table).  c'_j = c_j + q^j for the plain factors c_j = -q^j /
-    (1 + q^j), so R_m[j] = D_m[j] + (1-q)^m q^j: their differences less
-    their slowest geometric mode.
+    q^(2j) / (1 + q^j) at W >= 72 fractional bits, built as they are read;
+    there the truncated powers of a kernel.QParameter's q stay inside the
+    unit disk, so the table builds at every such W.  c'_j = c_j + q^j for
+    the plain factors c_j = -q^j / (1 + q^j), so R_m[j] = D_m[j] +
+    (1-q)^m q^j: their differences less their slowest geometric mode.
 
     The differences are exact: the _quotients list at shift 2 gives 2^W c'_j
     = v_j, read as 0 past the end of a list that stopped, and R_(m+1)[j] =
@@ -435,9 +433,10 @@ class DifferenceTable:
 
     __slots__ = ("_W", "_lists", "_v", "_ints", "_floats")
 
-    def __init__(self, W: int, lists, v):
-        # lists is _term_lists at shift 2, started, and v the lists it yields
-        self._W, self._lists, self._v = W, lists, v
+    def __init__(self, q: complex, W: int):
+        Q, e = _dyadic(q)
+        self._W, self._lists = W, _term_lists(0, Q, e, 2, W, 0)
+        self._v = v = next(self._lists)
         self._ints = [list(v)]  # 2^W R_m as [re, im] integer lists, im None at real q; R_0 is v
         self._floats = []  # the rounded entries read so far, alike
 
@@ -482,15 +481,6 @@ class DifferenceTable:
                     den = 1 << W
                     part += [a / den for a in exact[have:count]]
         return out
-
-
-def difference_table(q: complex, W: int) -> DifferenceTable | None:
-    """The DifferenceTable of q at W, built as it is read, or None where
-    _quotients refuses q~ at W."""
-    Q, e = _dyadic(q)
-    lists = _term_lists(0, Q, e, 2, W, 0)
-    v = next(lists)
-    return None if v is None else DifferenceTable(W, lists, v)
 
 
 def _start(n: int, h: int, q: complex, Q, e: int, x: int | None):

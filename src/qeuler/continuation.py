@@ -87,7 +87,7 @@ import math
 from itertools import chain, repeat
 from operator import mul
 
-from ._exactcomplex import difference_error, difference_table, terminating_alt_sum
+from ._exactcomplex import DifferenceTable, difference_error, terminating_alt_sum
 from .errors import CurveSampleError, FloatRangeError, NonConvergenceError, PoleError
 from .kernel import DEFAULT_CONFIG, FD_STEP, EngineConfig, QParameter, Record, _set, as_complex, as_qparameter, cpow, q_bracket
 
@@ -270,11 +270,7 @@ def _nested_sums(grid: _Grid, top: int, frac: float, shared: _Fraction) -> list[
         tried = shared.first if not attempt and shared.wide == wide else None
         if tried is None or max(tried.needs, default=0) + top > cfg.max_terms:
             W = _first_bits(q, wide, grid.length) + extra
-            table = grid.table(W)
-            if table is None:  # a truncated q~ left the unit disk: more bits
-                extra += 64
-                continue
-            tried = _Try(grid, 1.0 - frac, W, table)
+            tried = _Try(grid, 1.0 - frac, W, grid.table(W))
             if not attempt:
                 shared.wide, shared.first = wide, tried
         tried.extend(top)
@@ -389,11 +385,12 @@ class _Grid:
 
     def table(self, W: int):
         # The difference table at W: the grid's, when it holds that W, else a
-        # new one, which replaces it; None where _quotients refuses q~ at W.
-        # Its entries are the same whatever its extent, so the table of one
-        # row serves the next alike, and grows where the next reads further.
+        # new one, which replaces it; W >= 72 keeps the truncated q~ inside
+        # the unit disk (kernel.QParameter), so the table builds.  Its
+        # entries are the same whatever its extent, so the table of one row
+        # serves the next alike, and grows where the next reads further.
         if W != self.W:
-            self.W, self.held = W, difference_table(self.q, W)
+            self.W, self.held = W, DifferenceTable(self.q, W)
         return self.held
 
     def column(self, j: int) -> _Grid:

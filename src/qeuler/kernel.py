@@ -104,14 +104,26 @@ class QParameter(Record):
     """Deformation parameter restricted to the open unit disk.
 
     |q| < 1 keeps every 1 + q^(h+k) denominator away from zero and makes the
-    geometric tails of the series evaluators honest.
+    geometric tails of the series evaluators honest.  abs(q) rounds, and a
+    platform's hypot may be an ulp off, so where abs(q) exceeds 0.999 the
+    disk is decided exactly, in integers from the binary64 parts of q:
+    |q|^2 <= 1 - 2^-64.  Then 1 - |q| > 2^-65 > sqrt2 2^-72, so q and its
+    integer powers, floored per component to the 72 or more fractional bits
+    of every fixed-point sum and difference table (_exactcomplex), stay
+    inside the disk.  A correctly rounded abs(q) < 1.0 puts |q|^2 below
+    1 - 2^-53, so the exact test refuses nothing the float test accepts.
     """
 
     __slots__ = ("q",)
 
     def __init__(self, q: complex):
         q = as_complex(q, "q")
-        if not abs(q) < 1.0:
+        r = abs(q)
+        inside = r < 1.0
+        if inside and r > 0.999:  # |q|^2 = ((a d)^2 + (b c)^2) / (c d)^2 <= 1 - 2^-64, exactly
+            (a, c), (b, d) = q.real.as_integer_ratio(), q.imag.as_integer_ratio()
+            inside = (a * d) ** 2 + (b * c) ** 2 << 64 <= ((1 << 64) - 1) * (c * d) ** 2
+        if not inside:
             raise ValueError(f"deformation parameter needs |q| < 1, got {q!r}")
         _set(self, "q", q)
 

@@ -196,21 +196,29 @@ def euler_continuation_deriv(s, q, config: EngineConfig | None = None) -> Series
 # -- classical alternating zeta -------------------------------------------------
 
 
-def _cvz_alternating(a: list) -> complex:
+def _cvz_alternating(a: list, s: complex, shift: float) -> tuple[complex, float]:
     # Chebyshev-weighted acceleration of sum_{k>=0} (-1)^k a[k] from the
-    # len(a) terms given; also sums the divergent polynomially-growing cases
-    # to their continued values.
+    # n = len(a) terms a[k] = (k + shift)^(-s) given; also sums the divergent
+    # polynomially-growing cases to their continued values.  Returns the sum
+    # and sum_k |c_k| |a_k| (n + 2 + |s log(k + shift)|) / d, which times
+    # 2^-51 bounds the sum's rounding: per |c_k a_k|, n + 2 for the running
+    # weight c_k, the sum and the division, and |s log(k + shift)| for the
+    # power a_k = exp(-s log(k + shift)).
     n_terms = len(a)
     d = (3.0 + 2.0 * math.sqrt(2.0)) ** n_terms
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
     acc = 0j
+    mass = 0.0
     for k in range(n_terms):
         c = b - c
-        acc += c * a[k]
+        term = c * a[k]
+        acc += term
+        if term:  # a[0] = 0 at shift 0
+            mass += abs(term) * (n_terms + 2 + abs(s * math.log(k + shift)))
         b *= (k + n_terms) * (k - n_terms) / ((k + 0.5) * (k + 1.0))
-    return acc / d
+    return acc / d, mass / d
 
 
 def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesValue:
@@ -219,7 +227,9 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     plain:   2 sum_{n>=1} (-1)^n n^(-s)
     shifted: 2 sum_{n>=0} (-1)^n (n+x)^(-s),  0 <= x < 1
 
-    Evaluated with the Cohen-Villegas-Zagier alternating-series acceleration.
+    Evaluated with the Cohen-Villegas-Zagier alternating-series acceleration,
+    whose error_bound is twice the change from its last 8 terms plus its own
+    rounding (see _cvz_alternating).
     At nonpositive integer orders the terms are polynomial in the index and
     the acceleration no longer converges; there the regularized value is the
     classical Euler polynomial, -E_n(1) plain and E_n(x) shifted, as
@@ -262,9 +272,9 @@ def classical_zeta_E(s, x=None, config: EngineConfig | None = None) -> SeriesVal
     # plain: a[k] = (k+1)^(-s), shifted: a[k] = (k+x)^(-s)
     shift, factor = (1.0, -2.0) if xv is None else (xv.real, 2.0)
     a = [cpow(k + shift, -s) for k in range(n_terms)]
-    v1 = _cvz_alternating(a)
-    v2 = _cvz_alternating(a[: n_terms - 8])
+    v1, mass = _cvz_alternating(a, s, shift)
+    v2 = _cvz_alternating(a[: n_terms - 8], s, shift)[0]
     value = factor * v1
-    err = 2.0 * abs(factor) * abs(v1 - v2) + 16.0 * abs(value) * 2.220446049250313e-16
+    err = 2.0 * abs(factor) * (abs(v1 - v2) + 2.220446049250313e-16 * mass)
     converged = err <= max(cfg.rel_tol * abs(value), 1e-13)
     return SeriesValue(value, err, n_terms, converged)

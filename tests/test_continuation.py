@@ -283,7 +283,7 @@ class TestWeightsAndTable:
         top = 6
         length = continuation._first_length(abs(q), EngineConfig())
         W = continuation._first_bits(q, 8, length)
-        whole = _exactcomplex.difference_table(q, W)
+        whole = _exactcomplex.DifferenceTable(q, W)
         whole.grow(top, length)
         # the plain build: one quotient list at shift 2, 2^W q^(2j) / (1 +
         # q^j), read as 0 past the end where it stops, exact differences,
@@ -297,7 +297,7 @@ class TestWeightsAndTable:
         rng = random.Random(abs(hash(q)) % 1000)
         reads = [(m, rng.randint(1, length)) for m in range(top + 1) for _ in range(3)]
         rng.shuffle(reads)
-        grown = _exactcomplex.difference_table(q, W)
+        grown = _exactcomplex.DifferenceTable(q, W)
         for step, (m, count) in enumerate(reads):
             if step % 4 == 3:
                 grown.grow(rng.randint(0, top), rng.randint(1, length))
@@ -358,7 +358,7 @@ def _assert_table_within_its_bound(q, W, count, top):
     # lies within difference_error(q, count) 2^m units of 2^-W of the exact
     # one: checked on integers against the exact values floored at P bits
     P = W + 64
-    table = _exactcomplex.difference_table(complex(q), W)
+    table = _exactcomplex.DifferenceTable(complex(q), W)
     for m in range(top + 1):
         table.row(m, count - m)
     err = Fraction(_exactcomplex.difference_error(complex(q), count))
@@ -398,7 +398,7 @@ class TestKummerTable:
         start = max(1, continuation._first_length(r, EngineConfig()) // 4)
         far = 2 * start + math.ceil(80.0 / -math.log(r * r))
         W = continuation._first_bits(q, 8, far) + 64
-        table = _exactcomplex.difference_table(q, W)
+        table = _exactcomplex.DifferenceTable(q, W)
         slack = far * _exactcomplex.difference_error(q, far + 8) * 2.0 ** (8 - W)
         for m in range(9):
             re, im = table.row(m, far)

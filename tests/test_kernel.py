@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import copy
 import itertools
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import qeuler
+from qeuler import _exactcomplex, kernel
 from qeuler import (
     CheckResult,
     CurveGrid,
@@ -40,6 +42,43 @@ class TestQParameter:
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(ValueError):
             QParameter(bad)
+
+    def test_the_disk_is_decided_exactly_near_the_circle(self, monkeypatch):
+        # 1 - |q|^2 is about 3.7e-20 at this q, and abs(q) rounds to 1.0.  An
+        # abs an ulp low, 1 - 2^-53, passes the float test, so only the exact
+        # test |q|^2 <= 1 - 2^-64 refuses it.
+        q = 0.9489604587523388 + 0.31539506610686013j
+        monkeypatch.setattr(kernel, "abs", lambda z: 1 - 2**-53 if z == q else builtins.abs(z), raising=False)
+        with pytest.raises(ValueError, match=r"needs \|q\| < 1"):
+            QParameter(q)
+        for qv in (1 - 2**-53, -(1 - 2**-53), 0.3 + 0.4j):
+            assert QParameter(qv).q == qv
+
+    def test_truncated_powers_stay_inside_the_disk(self):
+        # q within 1e-14 of the circle: wherever QParameter accepts q, q, q^h
+        # and q^x floored to the 72 fractional bits of the narrowest sum stay
+        # inside the unit disk, so the term lists and the difference table
+        # build at W = 72.
+        rng = random.Random(20261044)
+        accepted = 0
+        for _ in range(200):
+            t = rng.choice((rng.uniform(-math.pi, math.pi), rng.choice((0.0, math.pi / 2, math.pi)) + rng.uniform(-1e-9, 1e-9)))
+            q = cmath.rect(1 + rng.uniform(-1e-14, 1e-14), t)
+            try:
+                QParameter(q)
+            except ValueError:
+                continue
+            accepted += 1
+            Q, e = _exactcomplex._dyadic(q)
+            for k in (1, 2, 3, 256):  # q, and q^h and q^x at the h and x below
+                (a, b), bits = _exactcomplex._fixed(_exactcomplex._pow(Q, k), e * k, 72)
+                assert a * a + b * b < 1 << 2 * bits, (q, k)
+            for x in (None, 0, 1, 2, 256):
+                for h in (0, 3):
+                    re, im = _exactcomplex._quotients(4, h, Q, e, x, 72)
+                    assert len(re) == 5 and (im is None or len(im) == 5), (q, x, h)
+            assert len(_exactcomplex.DifferenceTable(q, 72).row(3, 4)[0]) >= 4
+        assert accepted >= 60
 
 
 class TestEngineConfig:

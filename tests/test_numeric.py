@@ -756,6 +756,21 @@ class TestShiftPower:
                 assert abs(mp.mpc(M0, M1) - want) <= mp.mpf(d8) / 256 <= 4 - math.sqrt(2), (q, x, W)
                 assert abs(want) <= mp.mpf(shift.R64) * mp.mpf(2) ** (W - 64), (q, x, W)
 
+    @pytest.mark.parametrize("n,h,q,x", [(12, 1, 0.6 + 0.3j, 0.5), (20, 0, -0.7, 1.5 - 0.25j), (7, 2, 0.95, 300)])
+    def test_a_refused_power_retries_at_more_bits(self, n, h, q, x, monkeypatch):
+        # the one refusal of the term lists: where _Shift.power gives no x~,
+        # the sum retries at a wider W and keeps its bits
+        want = _hex(terminating_alt_sum(n, h, q, x))
+        power, calls = _exactcomplex._Shift.power, []
+
+        def refuse_first(shift, W):
+            calls.append(W)
+            return None if len(calls) == 1 else power(shift, W)
+
+        monkeypatch.setattr(_exactcomplex._Shift, "power", refuse_first)
+        assert _hex(terminating_alt_sum(n, h, q, x)) == want
+        assert len(calls) >= 2 and calls[1] > calls[0]
+
 
 class TestEulerPolyEveryShift:
     """euler_poly at shifts without exact powers: correctly rounded, as at integer ones."""
